@@ -1,17 +1,16 @@
 """Foliated surface constructions.
 
 Two parametrizations are built here: general cyclic surfaces swept from a
-Frenet frame along a base curve, and Riemann-type surfaces whose foliation
-circles lie in horizontal planes.  Both return ParamSurface objects with
+Frenet frame along a base curve, and surfaces whose foliation circles lie in
+horizontal planes (Riemann-type surfaces here; fixtures and rotational
+profiles in generators.py).  Both return ParamSurface objects with
 analytic partial suppliers, so curvature never differentiates the
 integrated frame numerically.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -126,18 +125,30 @@ def _gram_schmidt(frame: np.ndarray) -> np.ndarray:
     return np.stack([t, n, b / np.linalg.norm(b)])
 
 
-class _DenseField:
-    """Piecewise dense ODE solution over consecutive u-chunks."""
+class _DenseOde:
+    """Dense ODE output over sorted (u_lo, u_hi, OdeSolution) segments.
+
+    Arguments are clamped to u_range.  The last (u, y) pair is remembered,
+    so the closures of one jet, which all ask for the same u, share one
+    OdeSolution call; the returned array is read-only for that reason.
+    """
 
     def __init__(self, segments, u_range):
-        self._segments = segments          # list of (u_lo, u_hi, OdeSolution)
-        self._ends = [s[1] for s in segments]
+        self._segments = segments
         self.u_range = u_range
+        self._last = (None, None)
 
     def __call__(self, u: float) -> np.ndarray:
-        u = min(max(u, self.u_range[0]), self.u_range[1])
-        i = min(bisect.bisect_left(self._ends, u), len(self._segments) - 1)
-        return self._segments[i][2](u)
+        last_u, y = self._last
+        if u == last_u:
+            return y
+        uc = min(max(u, self.u_range[0]), self.u_range[1])
+        sol = next((seg for _, u_hi, seg in self._segments if uc <= u_hi),
+                   self._segments[-1][2])
+        y = sol(uc)
+        y.flags.writeable = False
+        self._last = (u, y)
+        return y
 
 
 def _integrate_chunked(rhs, y0, u_range, frame_dim=9, chunk=1.0):
@@ -161,13 +172,13 @@ def _integrate_chunked(rhs, y0, u_range, frame_dim=9, chunk=1.0):
         if _gram_drift(frame) > _FRAME_DRIFT_TOL:
             y[:frame_dim] = _gram_schmidt(frame).ravel()
         u = u_next
-    return _DenseField(segments, u_range)
+    return _DenseOde(segments, u_range)
 
 
 class FrenetFrameField:
     """Integrated frame {t, n, b}(u) with sampled values and a dense interpolant."""
 
-    def __init__(self, dense: _DenseField, us: np.ndarray):
+    def __init__(self, dense: _DenseOde, us: np.ndarray):
         self._dense = dense
         self.us = us
         self.u_range = dense.u_range
@@ -232,6 +243,12 @@ def _check_radius(r: SmoothFunction, u_range) -> None:
         raise RadiusNotPositive(f"min r = {vals.min():.3e} on {u_range}")
 
 
+def _integrate_center(curve: FrenetCurve, data: CyclicFoliationData) -> _DenseOde:
+    """Dense state (t, n, b, c)(u): the frame and the center integrated jointly."""
+    y0 = np.concatenate([curve.tangent0, curve.normal0, curve.binormal0, curve.point0])
+    return _integrate_chunked(_frenet_rhs(curve, data), y0, tuple(curve.u_range))
+
+
 def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
     """Surface X(u, v) = c(u) + r(u) (cos v n(u) + sin v b(u)).
 
@@ -240,23 +257,17 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
     differentiated numerically.
     """
     _check_radius(data.r, curve.u_range)
-    y0 = np.concatenate([curve.tangent0, curve.normal0, curve.binormal0, curve.point0])
-    dense = _integrate_chunked(_frenet_rhs(curve, data), y0, tuple(curve.u_range))
+    dense = _integrate_center(curve, data)
 
     kappa, sigma = curve.kappa, curve.sigma
     alpha, beta, gamma, r = data.alpha, data.beta, data.gamma, data.r
 
-    @lru_cache(maxsize=4096)
-    def state(u: float):
-        y = dense(u)
-        return y[0:3], y[3:6], y[6:9], y[9:12]
-
     def position(u, v):
-        t, n, b, c = state(u)
+        t, n, b, c = dense(u).reshape(4, 3)
         return c + r(u) * (math.cos(v) * n + math.sin(v) * b)
 
     def xu(u, v):
-        t, n, b, c = state(u)
+        t, n, b, c = dense(u).reshape(4, 3)
         cv, sv = math.cos(v), math.sin(v)
         k, s = kappa(u), sigma(u)
         w = cv * n + sv * b
@@ -266,15 +277,15 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
         return cprime + r.d1(u) * w + r(u) * (-k * cv * t + s * w_v)
 
     def xv(u, v):
-        t, n, b, c = state(u)
+        t, n, b, c = dense(u).reshape(4, 3)
         return r(u) * (-math.sin(v) * n + math.cos(v) * b)
 
     def xvv(u, v):
-        t, n, b, c = state(u)
+        t, n, b, c = dense(u).reshape(4, 3)
         return -r(u) * (math.cos(v) * n + math.sin(v) * b)
 
     def xuv(u, v):
-        t, n, b, c = state(u)
+        t, n, b, c = dense(u).reshape(4, 3)
         cv, sv = math.cos(v), math.sin(v)
         k, s = kappa(u), sigma(u)
         w = cv * n + sv * b
@@ -283,7 +294,7 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
         return r.d1(u) * w_v + r(u) * (k * sv * t - s * w)
 
     def xuu(u, v):
-        t, n, b, c = state(u)
+        t, n, b, c = dense(u).reshape(4, 3)
         cv, sv = math.cos(v), math.sin(v)
         k, s = kappa(u), sigma(u)
         k1, s1 = kappa.d1(u), sigma.d1(u)
@@ -308,8 +319,7 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
 
 def cyclic_center(curve: FrenetCurve, data: CyclicFoliationData):
     """Integrated center curve c(u) and frame, for construction checks."""
-    y0 = np.concatenate([curve.tangent0, curve.normal0, curve.binormal0, curve.point0])
-    dense = _integrate_chunked(_frenet_rhs(curve, data), y0, tuple(curve.u_range))
+    dense = _integrate_center(curve, data)
 
     def at(u):
         y = dense(u)
@@ -318,36 +328,53 @@ def cyclic_center(curve: FrenetCurve, data: CyclicFoliationData):
     return at
 
 
-def build_riemann_type(s: RiemannTypeSurface) -> ParamSurface:
-    """Surface X(u, v) = (a(u) + r(u) cos v, b(u) + r(u) sin v, u)."""
-    _check_radius(s.r, s.u_range)
-    a, b, r = s.a, s.b, s.r
+def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
+                        h: SmoothFunction, u_range) -> ParamSurface:
+    """Surface X(u, v) = (a(u) + r(u) cos v, b(u) + r(u) sin v, h(u)).
+
+    Every surface foliated by circles in horizontal planes: the Riemann-type
+    surfaces (h = u), the closed-form fixtures and the rotational profiles
+    (a = b = 0).  The radius is not checked here.
+    """
 
     def position(u, v):
-        return np.array([a(u) + r(u) * math.cos(v),
-                         b(u) + r(u) * math.sin(v), u])
+        ru = r(u)
+        return np.array([a(u) + ru * math.cos(v), b(u) + ru * math.sin(v), h(u)])
 
     def xu(u, v):
         r1 = r.d1(u)
-        return np.array([a.d1(u) + r1 * math.cos(v), b.d1(u) + r1 * math.sin(v), 1.0])
+        return np.array([a.d1(u) + r1 * math.cos(v), b.d1(u) + r1 * math.sin(v),
+                         h.d1(u)])
 
     def xv(u, v):
-        return np.array([-r(u) * math.sin(v), r(u) * math.cos(v), 0.0])
+        ru = r(u)
+        return np.array([-ru * math.sin(v), ru * math.cos(v), 0.0])
 
     def xuu(u, v):
         r2 = r.d2(u)
-        return np.array([a.d2(u) + r2 * math.cos(v), b.d2(u) + r2 * math.sin(v), 0.0])
+        return np.array([a.d2(u) + r2 * math.cos(v), b.d2(u) + r2 * math.sin(v),
+                         h.d2(u)])
 
     def xuv(u, v):
         r1 = r.d1(u)
         return np.array([-r1 * math.sin(v), r1 * math.cos(v), 0.0])
 
     def xvv(u, v):
-        return np.array([-r(u) * math.cos(v), -r(u) * math.sin(v), 0.0])
+        ru = r(u)
+        return np.array([-ru * math.cos(v), -ru * math.sin(v), 0.0])
 
     partials = PartialSupplier(xu, xv, xuu, xuv, xvv)
-    return ParamSurface(tuple(s.u_range), (0.0, 2.0 * math.pi), position,
+    return ParamSurface(tuple(u_range), (0.0, 2.0 * math.pi), position,
                         partials, v_periodic=True)
+
+
+_HEIGHT_U = SmoothFunction(lambda u: u, lambda u: 1.0, lambda u: 0.0)
+
+
+def build_riemann_type(s: RiemannTypeSurface) -> ParamSurface:
+    """Surface X(u, v) = (a(u) + r(u) cos v, b(u) + r(u) sin v, u)."""
+    _check_radius(s.r, s.u_range)
+    return _horizontal_circles(s.a, s.b, s.r, _HEIGHT_U, s.u_range)
 
 
 def reparam_arclength(u, da, db) -> ArcLengthReparam:

@@ -14,6 +14,8 @@ from scipy.interpolate import CubicSpline
 from .errors import InvalidParameter
 
 _FD_H = 1e-4
+# 4th-order central stencils (offset, weight): first derivative / (12 h),
+# second / (12 h^2).  surface.py uses them for its jets too.
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
 

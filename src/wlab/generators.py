@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .cyclic import RiemannTypeSurface
+from .cyclic import _HEIGHT_U, RiemannTypeSurface, _DenseOde, _horizontal_circles
 from .errors import (
     AxisCollision,
     InvalidParameter,
@@ -22,11 +21,12 @@ from .errors import (
     RadiusCollapse,
 )
 from .functions import SmoothFunction
-from .surface import LWRelation, ParamSurface, PartialSupplier
+from .surface import LWRelation, ParamSurface
 
 _ODE_TOL = 1e-10
 _COLLAPSE_EPS = 1e-8
 _BLOWUP_LIMIT = 1e8
+_ZERO = SmoothFunction.constant(0.0)
 
 
 @dataclass
@@ -53,35 +53,12 @@ class RiemannExampleParams:
             raise InvalidParameter("empty u_range")
 
 
-class _TwoSidedDense:
-    """Dense ODE solution integrated outward from an anchor in both directions."""
-
-    def __init__(self, anchor, y0, sol_neg, sol_pos, u_range):
-        self.anchor = anchor
-        self._y0 = np.asarray(y0, dtype=float)
-        self._neg = sol_neg
-        self._pos = sol_pos
-        self.u_range = u_range
-
-    def __call__(self, u: float) -> np.ndarray:
-        u = min(max(u, self.u_range[0]), self.u_range[1])
-        if u < self.anchor and self._neg is not None:
-            return self._neg.sol(u)
-        if u > self.anchor and self._pos is not None:
-            return self._pos.sol(u)
-        if u == self.anchor:
-            return self._y0
-        return (self._pos or self._neg).sol(u)
-
-
 def _integrate_two_sided(rhs, anchor, y0, u_range, events):
     """Integrate from the anchor to both ends, truncating at terminal events
     or solver failure.  Returns (dense, achieved_range, truncated)."""
-    u0, u1 = u_range
-    sols = {}
-    achieved = [anchor, anchor]
+    segments = []
     truncated = False
-    for idx, target in ((0, u0), (1, u1)):
+    for target in u_range:
         if target == anchor:
             continue
         sol = solve_ivp(rhs, (anchor, target), y0, method="RK45",
@@ -90,14 +67,13 @@ def _integrate_two_sided(rhs, anchor, y0, u_range, events):
         reached = float(sol.t[-1])
         if not sol.success or any(len(t) for t in sol.t_events):
             truncated = True
-        if abs(reached - anchor) < 1e-12:
-            sols[idx] = None
-        else:
-            sols[idx] = sol
-            achieved[idx] = reached
-    dense = _TwoSidedDense(anchor, y0, sols.get(0), sols.get(1),
-                           (achieved[0], achieved[1]))
-    return dense, (achieved[0], achieved[1]), truncated
+        if abs(reached - anchor) >= 1e-12:
+            # both sides return y0 exactly at the anchor
+            segments.append((min(anchor, reached), max(anchor, reached), sol.sol))
+    if not segments:  # neither side left the anchor
+        segments.append((anchor, anchor, lambda u: y0))
+    achieved = (segments[0][0], segments[-1][1])
+    return _DenseOde(segments, achieved), achieved, truncated
 
 
 def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
@@ -226,183 +202,69 @@ def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
     reached = float(sol.t[-1])
     achieved = (s0, reached)
 
-    class _Dense:
-        def __call__(self, s):
-            return sol.sol(min(max(s, achieved[0]), achieved[1]))
+    dense = _DenseOde([(s0, reached, sol.sol)], achieved)
+    profile = RotationalProfile(rel, achieved, dense, truncated=truncated)
+    theta, dtheta = profile.theta, profile.kappa_meridian  # theta' = kappa_meridian
+    rho = SmoothFunction(profile.rho, lambda s: math.cos(theta(s)),
+                         lambda s: -dtheta(s) * math.sin(theta(s)))
+    z = SmoothFunction(lambda s: dense(s)[1], lambda s: math.sin(theta(s)),
+                       lambda s: dtheta(s) * math.cos(theta(s)))
+    return profile, _horizontal_circles(_ZERO, _ZERO, rho, z, achieved)
 
-    profile = RotationalProfile(rel, achieved, _Dense(), truncated=truncated)
 
-    def theta_at(s):
-        return float(profile.dense(s)[2])
-
-    def rho_at(s):
-        return float(profile.dense(s)[0])
-
-    def z_at(s):
-        return float(profile.dense(s)[1])
-
-    def dtheta(s):
-        return rel.m * math.sin(theta_at(s)) / rho_at(s) + rel.n
-
-    def position(s, v):
-        rho = rho_at(s)
-        return np.array([rho * math.cos(v), rho * math.sin(v), z_at(s)])
-
-    def xu(s, v):
-        th = theta_at(s)
-        return np.array([math.cos(th) * math.cos(v), math.cos(th) * math.sin(v),
-                         math.sin(th)])
-
-    def xv(s, v):
-        rho = rho_at(s)
-        return np.array([-rho * math.sin(v), rho * math.cos(v), 0.0])
-
-    def xuu(s, v):
-        th, dth = theta_at(s), dtheta(s)
-        return dth * np.array([-math.sin(th) * math.cos(v),
-                               -math.sin(th) * math.sin(v), math.cos(th)])
-
-    def xuv(s, v):
-        th = theta_at(s)
-        return np.array([-math.cos(th) * math.sin(v), math.cos(th) * math.cos(v), 0.0])
-
-    def xvv(s, v):
-        rho = rho_at(s)
-        return np.array([-rho * math.cos(v), -rho * math.sin(v), 0.0])
-
-    surface = ParamSurface(achieved, (0.0, 2.0 * math.pi), position,
-                           PartialSupplier(xu, xv, xuu, xuv, xvv),
-                           v_periodic=True)
-    return profile, surface
+def _meridian_circle(center: float, radius: float):
+    """(r, h) of the circle r = center + radius cos u, h = radius sin u."""
+    r = SmoothFunction(lambda u: center + radius * math.cos(u),
+                       lambda u: -radius * math.sin(u),
+                       lambda u: -radius * math.cos(u))
+    h = SmoothFunction(lambda u: radius * math.sin(u),
+                       lambda u: radius * math.cos(u),
+                       lambda u: -radius * math.sin(u))
+    return r, h
 
 
 def gen_fixture(kind: str, **kw) -> ParamSurface:
     """Closed-form test surfaces with exact derivative suppliers.
 
     Kinds: "sphere" (radius), "cylinder" (radius), "torus" (radius_major,
-    radius_minor), "catenoid" (radius = neck radius).
+    radius_minor), "catenoid" (radius = neck radius).  Each is a surface of
+    revolution X = (r(u) cos v, r(u) sin v, h(u)).
     """
     if kind == "sphere":
         R = float(kw.pop("radius", 1.0))
         if kw or R <= 0:
             raise InvalidParameter(f"sphere needs radius > 0, got {kw or R}")
         u_range = (-1.3, 1.3)  # avoid the poles at +-pi/2
-
-        def position(u, v):
-            return R * np.array([math.cos(u) * math.cos(v),
-                                 math.cos(u) * math.sin(v), math.sin(u)])
-
-        def xu(u, v):
-            return R * np.array([-math.sin(u) * math.cos(v),
-                                 -math.sin(u) * math.sin(v), math.cos(u)])
-
-        def xv(u, v):
-            return R * np.array([-math.cos(u) * math.sin(v),
-                                 math.cos(u) * math.cos(v), 0.0])
-
-        def xuu(u, v):
-            return -position(u, v)
-
-        def xuv(u, v):
-            return R * np.array([math.sin(u) * math.sin(v),
-                                 -math.sin(u) * math.cos(v), 0.0])
-
-        def xvv(u, v):
-            return R * np.array([-math.cos(u) * math.cos(v),
-                                 -math.cos(u) * math.sin(v), 0.0])
+        r, h = _meridian_circle(0.0, R)
 
     elif kind == "cylinder":
-        r = float(kw.pop("radius", 1.0))
+        radius = float(kw.pop("radius", 1.0))
         height = float(kw.pop("height", 4.0))
-        if kw or r <= 0 or height <= 0:
+        if kw or radius <= 0 or height <= 0:
             raise InvalidParameter("cylinder needs radius > 0 and height > 0")
         u_range = (-height / 2.0, height / 2.0)
-
-        def position(u, v):
-            return np.array([r * math.cos(v), r * math.sin(v), u])
-
-        def xu(u, v):
-            return np.array([0.0, 0.0, 1.0])
-
-        def xv(u, v):
-            return np.array([-r * math.sin(v), r * math.cos(v), 0.0])
-
-        def xuu(u, v):
-            return np.zeros(3)
-
-        def xuv(u, v):
-            return np.zeros(3)
-
-        def xvv(u, v):
-            return np.array([-r * math.cos(v), -r * math.sin(v), 0.0])
+        r, h = SmoothFunction.constant(radius), _HEIGHT_U
 
     elif kind == "torus":
         R = float(kw.pop("radius_major", 2.0))
         rho = float(kw.pop("radius_minor", 1.0))
         if kw or rho <= 0 or R <= rho:
             raise InvalidParameter("torus needs radius_major > radius_minor > 0")
-        u_range = (0.0, 2.0 * math.pi)
-
-        def position(u, v):
-            w = R + rho * math.cos(u)
-            return np.array([w * math.cos(v), w * math.sin(v), rho * math.sin(u)])
-
-        def xu(u, v):
-            return rho * np.array([-math.sin(u) * math.cos(v),
-                                   -math.sin(u) * math.sin(v), math.cos(u)])
-
-        def xv(u, v):
-            w = R + rho * math.cos(u)
-            return np.array([-w * math.sin(v), w * math.cos(v), 0.0])
-
-        def xuu(u, v):
-            return rho * np.array([-math.cos(u) * math.cos(v),
-                                   -math.cos(u) * math.sin(v), -math.sin(u)])
-
-        def xuv(u, v):
-            return rho * np.array([math.sin(u) * math.sin(v),
-                                   -math.sin(u) * math.cos(v), 0.0])
-
-        def xvv(u, v):
-            w = R + rho * math.cos(u)
-            return np.array([-w * math.cos(v), -w * math.sin(v), 0.0])
+        # u wraps too: jets are valid beyond one period [0, 2 pi)
+        u_range = (-2.0 * math.pi, 4.0 * math.pi)
+        r, h = _meridian_circle(R, rho)
 
     elif kind == "catenoid":
         c = float(kw.pop("radius", 1.0))
         if kw or c <= 0:
             raise InvalidParameter("catenoid needs radius > 0 (neck radius)")
         u_range = (-1.5 * c, 1.5 * c)
-
-        def position(u, v):
-            w = c * math.cosh(u / c)
-            return np.array([w * math.cos(v), w * math.sin(v), u])
-
-        def xu(u, v):
-            s = math.sinh(u / c)
-            return np.array([s * math.cos(v), s * math.sin(v), 1.0])
-
-        def xv(u, v):
-            w = c * math.cosh(u / c)
-            return np.array([-w * math.sin(v), w * math.cos(v), 0.0])
-
-        def xuu(u, v):
-            w = math.cosh(u / c) / c
-            return np.array([w * math.cos(v), w * math.sin(v), 0.0])
-
-        def xuv(u, v):
-            s = math.sinh(u / c)
-            return np.array([-s * math.sin(v), s * math.cos(v), 0.0])
-
-        def xvv(u, v):
-            w = c * math.cosh(u / c)
-            return np.array([-w * math.cos(v), -w * math.sin(v), 0.0])
+        r = SmoothFunction(lambda u: c * math.cosh(u / c), lambda u: math.sinh(u / c),
+                           lambda u: math.cosh(u / c) / c)
+        h = _HEIGHT_U
 
     else:
         raise InvalidParameter(f"unknown fixture kind {kind!r}")
 
     # u_range endpoints are open for analytic jets; sampling helpers inset.
-    if kind == "torus":
-        # wrap u too: jets are valid on all of [0, 2 pi)
-        u_range = (-2.0 * math.pi, 4.0 * math.pi)
-    return ParamSurface(u_range, (0.0, 2.0 * math.pi), position,
-                        PartialSupplier(xu, xv, xuu, xuv, xvv), v_periodic=True)
+    return _horizontal_circles(_ZERO, _ZERO, r, h, u_range)

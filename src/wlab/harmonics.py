@@ -162,19 +162,16 @@ class CoefficientReport:
     passed: bool
 
 
-def verify_coefficient_identity(surface: ParamSurface, rel: LWRelation,
-                                u: float, j: int, closed_value,
-                                expected_ratio: Optional[float] = None,
-                                N: int = DEFAULT_SAMPLES) -> CoefficientReport:
-    """Compare the j-th extracted harmonic of the residual with a closed form.
+def compare_coefficient(spectrum: HarmonicSpectrum, u: float, j: int,
+                        closed_value,
+                        expected_ratio: Optional[float] = None) -> CoefficientReport:
+    """Compare the j-th harmonic of an extracted spectrum with a closed form.
 
     Passes if the relative difference is < 1e-7, or if the ratio matches
     expected_ratio (a previously calibrated family constant) to 1e-7.
     When the closed form is ~0, passes if the harmonic is < 1e-8 of the
     spectrum scale.
     """
-    spectrum = extract_harmonics(residual_profile(surface, rel, u),
-                                 J=max(j, 12), N=N)
     dft_A, dft_B = float(spectrum.A[j]), float(spectrum.B[j])
     closed_A, closed_B = float(closed_value[0]), float(closed_value[1])
     scale = spectrum.scale()
@@ -194,3 +191,15 @@ def verify_coefficient_identity(surface: ParamSurface, rel: LWRelation,
             or (expected_ratio is not None
                 and abs(ratio - expected_ratio) < 1e-7 * abs(expected_ratio)))
     return CoefficientReport(u, j, dft_A, dft_B, closed_A, closed_B, ratio, passed)
+
+
+def verify_coefficient_identity(surface: ParamSurface, rel: LWRelation,
+                                u: float, j: int, closed_value,
+                                expected_ratio: Optional[float] = None,
+                                N: int = DEFAULT_SAMPLES) -> CoefficientReport:
+    """Extract the residual's spectrum on the u-circle (harmonics up to
+    max(j, 12)) and compare its j-th harmonic with a closed form; see
+    compare_coefficient for the pass rule."""
+    spectrum = extract_harmonics(residual_profile(surface, rel, u),
+                                 J=max(j, 12), N=N)
+    return compare_coefficient(spectrum, u, j, closed_value, expected_ratio)

@@ -9,24 +9,11 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
 
 from .surface import ParamSurface, evaluate_jet
-
-THREADS_ENV = "WLAB_THREADS"
-
-
-def max_workers() -> int:
-    value = os.environ.get(THREADS_ENV)
-    if not value:
-        return 1
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -58,18 +45,12 @@ def obj_grid(surface: ParamSurface, nu: int, nv: int):
 def surface_mesh(surface: ParamSurface, nu: int, nv: int, with_normals=True):
     """(vertices, normals) arrays of shape (nu*nv, 3), v fastest."""
     us, vs = obj_grid(surface, nu, nv)
-    points = [(u, v) for u in us for v in vs]
 
-    def one(uv):
-        jet = evaluate_jet(surface, uv[0], uv[1])
+    def one(u, v):
+        jet = evaluate_jet(surface, u, v)
         return jet.p, jet.normal
 
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, points))
-    else:
-        results = [one(uv) for uv in points]
+    results = [one(u, v) for u in us for v in vs]
     verts = np.array([r[0] for r in results])
     normals = np.array([r[1] for r in results]) if with_normals else None
     return verts, normals

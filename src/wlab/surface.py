@@ -5,8 +5,7 @@ kappa1 is the larger principal curvature, and all lengths are in abstract
 units.  H and K come from the determinant forms (triple products of the
 jet); kappa1,2 = H +- the half-gap of the shape operator in an orthonormal
 tangent frame, which stays accurate to roundoff at umbilic points.  Every
-type here is immutable and every function pure, so grid evaluation can be
-parallelized freely.
+type here is immutable and every function pure.
 """
 from __future__ import annotations
 
@@ -22,12 +21,9 @@ from .errors import (
     InvalidParameter,
     OutOfDomain,
 )
+from .functions import _D1, _D2
 
 Vec3Fn = Callable[[float, float], np.ndarray]
-
-# 4th-order central stencils: first derivative / (12 h), second / (12 h^2).
-_C1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
-_C2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
 
 _DEGENERACY_EPS = 1e-12
 _DISCRIMINANT_CLAMP = 1e-12
@@ -157,11 +153,11 @@ def evaluate_jet(surface: ParamSurface, u: float, v: float) -> JetPoint:
     def at(du, dv):
         return np.asarray(pos(u + du * h, v + dv * h), dtype=float)
 
-    xu = sum(c * at(k, 0) for k, c in _C1) / (12.0 * h)
-    xv = sum(c * at(0, k) for k, c in _C1) / (12.0 * h)
-    xuu = sum(c * at(k, 0) for k, c in _C2) / (12.0 * h * h)
-    xvv = sum(c * at(0, k) for k, c in _C2) / (12.0 * h * h)
-    xuv = sum(ci * cj * at(i, j) for i, ci in _C1 for j, cj in _C1) / (144.0 * h * h)
+    xu = sum(c * at(k, 0) for k, c in _D1) / (12.0 * h)
+    xv = sum(c * at(0, k) for k, c in _D1) / (12.0 * h)
+    xuu = sum(c * at(k, 0) for k, c in _D2) / (12.0 * h * h)
+    xvv = sum(c * at(0, k) for k, c in _D2) / (12.0 * h * h)
+    xuv = sum(ci * cj * at(i, j) for i, ci in _D1 for j, cj in _D1) / (144.0 * h * h)
     return JetPoint.from_partials(p, xu, xv, xuu, xuv, xvv)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
 from wlab.cyclic import build_riemann_type
 from wlab.errors import AxisCollision, InvalidParameter, RadiusCollapse
@@ -182,3 +182,30 @@ class TestFixtures:
             gen_fixture("pretzel")
         with pytest.raises(InvalidParameter):
             gen_fixture("sphere", radius=1.0, extra=2.0)
+
+
+class TestDenseLookups:
+    """The closures of one jet share the dense ODE output at their u."""
+
+    SURFACES = {
+        "rotational-lw": (0.5, lambda: gen_rotational_lw(
+            LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))[1]),
+        "riemann-example": (0.4, lambda: build_riemann_type(gen_riemann_example(
+            RiemannExampleParams(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0))))),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SURFACES))
+    def test_one_ode_call_per_distinct_u(self, monkeypatch, kind):
+        u, build = self.SURFACES[kind]
+        surf = build()
+        calls = []
+        call = OdeSolution.__call__
+
+        def counted(sol, t):
+            calls.append(float(t))
+            return call(sol, t)
+
+        monkeypatch.setattr(OdeSolution, "__call__", counted)
+        for v in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
+            evaluate_jet(surf, u, v)
+        assert len(calls) <= 1

@@ -272,8 +272,10 @@ class TestResiduals:
             jet = make_lw_jet(rng, 1.0, 0.0)   # umbilic: kappa1 = kappa2
             c = curvature(jet)
             rel = LWRelation(2.0, (1 - 2.0) * c.kappa1)
-            # sqrt(H1^2 - 4 W K1) amplifies roundoff near umbilics
-            tol = 1e-4 * fundamental_forms(jet).W ** 1.5 * max(abs(c.kappa1), 1.0)
+            # The root is 2 W^{3/2} times the frame half-gap, whose error at
+            # an umbilic is a few eps, so the residual stays at roundoff
+            # (~4e-14 of this scale); sqrt(H1^2 - 4 W K1) would give ~1e-7.
+            tol = 1e-10 * fundamental_forms(jet).W ** 1.5 * max(abs(c.kappa1), 1.0)
             assert abs(lw_residual_signed(jet, rel)) < tol
 
     def test_signed_catenoid(self):
