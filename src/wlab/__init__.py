@@ -6,7 +6,6 @@ from .surface import (
     JetPoint,
     LWRelation,
     ParamSurface,
-    PartialSupplier,
     curvature,
     evaluate_jet,
     fundamental_forms,

@@ -57,16 +57,13 @@ def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
     header = ["u", "v", "H", "K", "kappa1", "kappa2"]
     if rel is not None:
         header += ["res_linear", "res_signed", "res_poly"]
-    rows = []
-    for u in us:
-        for v in vs:
-            jet = evaluate_jet(result.surface, u, v)
-            c = curvature(jet)
-            row = [float(u), float(v), c.H, c.K, c.kappa1, c.kappa2]
-            if rel is not None:
-                row += [lw_residual_linear(c, rel), lw_residual_signed(jet, rel),
-                        lw_residual_poly(jet, rel)]
-            rows.append(row)
+    jet = evaluate_jet(result.surface, us, vs)
+    c = curvature(jet)
+    columns = [*np.meshgrid(us, vs, indexing="ij"), c.H, c.K, c.kappa1, c.kappa2]
+    if rel is not None:
+        columns += [lw_residual_linear(c, rel), lw_residual_signed(jet, rel),
+                    lw_residual_poly(jet, rel)]
+    rows = np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, f"{cfg.name}.analysis.csv"), header, rows)
 
@@ -107,9 +104,8 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
     for u in us:
         # at least 12 harmonics, so that the pass rule sees the same
         # spectrum scale as verify_coefficient_identity
-        spectrum = hm.extract_harmonics(hm.residual_profile(result.surface, rel, u),
-                                        J=max(J, 12),
-                                        N=max(hm.DEFAULT_SAMPLES, 2 * J + 2))
+        spectrum = hm._circle_spectrum(result.surface, rel, u, max(J, 12),
+                                       max(hm.DEFAULT_SAMPLES, 2 * J + 2))
         for j in range(J + 1):
             closed = _closed_form_for(cfg, result, rel, u, j)
             if closed is None:
@@ -185,3 +181,7 @@ def main(argv=None) -> int:
 
 def console() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console()

@@ -6,7 +6,9 @@ so round trips are byte-exact.
 """
 from __future__ import annotations
 
+import ast
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,27 +19,60 @@ from .errors import ConfigError
 KINDS = ("fixture", "cyclic", "riemann-type", "riemann-example", "rotational-lw")
 FIXTURE_SHAPES = ("sphere", "cylinder", "torus", "catenoid")
 
-_EXPR_NAMES = {name: getattr(np, name) for name in
-               ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log",
-                "sqrt", "arctan", "arcsin", "arccos", "abs")}
-_EXPR_NAMES["pi"] = np.pi
+_EXPR_FUNCTIONS = {name: getattr(np, name) for name in
+                   ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log",
+                    "sqrt", "arctan", "arcsin", "arccos", "abs")}
+_EXPR_NAMES = {**_EXPR_FUNCTIONS, "pi": np.pi}
+_UNARY_OPS = (ast.UAdd, ast.USub)
+_BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _in_grammar(node) -> bool:
+    """True when the expression tree only holds int/float constants, the
+    names u and pi, unary + and -, binary + - * / ** and positional calls
+    of the _EXPR_FUNCTIONS."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.Name):
+        return node.id in ("u", "pi")
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, _UNARY_OPS) and _in_grammar(node.operand)
+    if isinstance(node, ast.BinOp):
+        return (isinstance(node.op, _BINARY_OPS) and _in_grammar(node.left)
+                and _in_grammar(node.right))
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCTIONS
+                and not node.keywords and all(map(_in_grammar, node.args)))
+    return False
 
 
 def parse_scalar_function(spec, where: str, test_u: float = 0.5):
-    """A number becomes a constant; a string is evaluated as an expression
-    in u (numpy math names available)."""
+    """A number becomes a constant; a string is an arithmetic expression in
+    u (see _in_grammar), which evaluates elementwise on an array u."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         value = float(spec)
         return lambda u: value
     if isinstance(spec, str):
         try:
-            code = compile(spec, f"<{where}>", "eval")
-        except SyntaxError as exc:
+            tree = ast.parse(spec, filename=f"<{where}>", mode="eval")
+            code = None
+            if _in_grammar(tree.body):
+                # float constants: 9**9**9 overflows at once instead of
+                # building a huge integer
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Constant):
+                        node.value = float(node.value)
+                code = compile(tree, f"<{where}>", "eval")
+        except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
             raise ConfigError(f"{where}: invalid expression {spec!r}: {exc}") from None
+        if code is None:
+            raise ConfigError(f"{where}: expression {spec!r} is not arithmetic in u "
+                              f"(numbers, u, pi, + - * / **, "
+                              f"{', '.join(_EXPR_FUNCTIONS)})")
 
         def fn(u):
-            return float(eval(code, {"__builtins__": {}},
-                              {**_EXPR_NAMES, "u": u}))
+            value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "u": u})
+            return float(value) if np.ndim(u) == 0 else value
 
         try:
             fn(test_u)
@@ -54,19 +89,29 @@ def _require(params: dict, keys, where: str):
         raise ConfigError(f"{where}: missing required key(s) {', '.join(missing)}")
 
 
+def _finite(x) -> bool:
+    return (not isinstance(x, bool) and isinstance(x, (int, float))
+            and math.isfinite(x))
+
+
 def _number(params: dict, key: str, where: str) -> float:
     val = params[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {val!r}")
+    if not _finite(val):
+        raise ConfigError(f"{where}.{key}: expected a finite number, got {val!r}")
     return float(val)
 
 
 def _pair(params: dict, key: str, where: str):
     val = params.get(key)
-    if (not isinstance(val, (list, tuple)) or len(val) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val)):
-        raise ConfigError(f"{where}.{key}: expected a pair of numbers, got {val!r}")
+    if not isinstance(val, (list, tuple)) or len(val) != 2 or not all(map(_finite, val)):
+        raise ConfigError(f"{where}.{key}: expected a pair of finite numbers, got {val!r}")
     return float(val[0]), float(val[1])
+
+
+def _increasing(params: dict, key: str, where: str) -> None:
+    lo, hi = _pair(params, key, where)
+    if not lo < hi:
+        raise ConfigError(f"{where}.{key}: expected {key}[0] < {key}[1], got {[lo, hi]}")
 
 
 @dataclass
@@ -108,13 +153,15 @@ class SceneConfig:
                 _number(p, "radius", where)
         elif kind == "riemann-type":
             _require(p, ["a", "b", "r", "u_range"], where)
-            _pair(p, "u_range", where)
+            _increasing(p, "u_range", where)
             for key in ("a", "b", "r"):
                 parse_scalar_function(p[key], f"{where}.{key}")
         elif kind == "riemann-example":
             _require(p, ["lambda", "mu", "r0"], where)
             for key in ("lambda", "mu", "r0"):
                 _number(p, key, where)
+            if "dr0" in p:
+                _number(p, "dr0", where)
             if "u_range" in p:
                 _pair(p, "u_range", where)
         elif kind == "rotational-lw":
@@ -127,7 +174,7 @@ class SceneConfig:
         elif kind == "cyclic":
             _require(p, ["kappa", "sigma", "alpha", "beta", "gamma", "r",
                          "u_range"], where)
-            _pair(p, "u_range", where)
+            _increasing(p, "u_range", where)
             for key in ("kappa", "sigma", "alpha", "beta", "gamma", "r"):
                 parse_scalar_function(p[key], f"{where}.{key}")
 

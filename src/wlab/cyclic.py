@@ -24,7 +24,7 @@ from .errors import (
     RadiusNotPositive,
 )
 from .functions import SmoothFunction, as_smooth
-from .surface import ParamSurface, PartialSupplier
+from .surface import ParamSurface, _point_of
 
 _ODE_TOL = 1e-10
 _FRAME_DRIFT_TOL = 1e-10
@@ -92,8 +92,7 @@ class RiemannTypeSurface:
 
     def center_total_variation(self, samples: int = 201) -> float:
         us = np.linspace(self.u_range[0], self.u_range[1], samples)
-        a = np.array([self.a(u) for u in us])
-        b = np.array([self.b(u) for u in us])
+        a, b = self.a(us), self.b(us)
         return float(np.abs(np.diff(a)).sum() + np.abs(np.diff(b)).sum())
 
     def is_rotational(self, tol: float = 1e-12) -> bool:
@@ -128,9 +127,12 @@ def _gram_schmidt(frame: np.ndarray) -> np.ndarray:
 class _DenseOde:
     """Dense ODE output over sorted (u_lo, u_hi, OdeSolution) segments.
 
-    Arguments are clamped to u_range.  The last (u, y) pair is remembered,
-    so the closures of one jet, which all ask for the same u, share one
-    OdeSolution call; the returned array is read-only for that reason.
+    u is a float (the state has shape (dim,)) or a 1-d array (shape
+    (dim, len(u)), one OdeSolution lookup per entry, which costs about as
+    much as one lookup of the whole array), clamped to u_range.  The last
+    (u, y) pair is remembered, so the functions of one jet grid, which all
+    ask for the same u, share the lookups; the returned array is read-only
+    for that reason.
     """
 
     def __init__(self, segments, u_range):
@@ -138,16 +140,23 @@ class _DenseOde:
         self.u_range = u_range
         self._last = (None, None)
 
-    def __call__(self, u: float) -> np.ndarray:
-        last_u, y = self._last
-        if u == last_u:
-            return y
+    def _lookup(self, u: float) -> np.ndarray:
         uc = min(max(u, self.u_range[0]), self.u_range[1])
         sol = next((seg for _, u_hi, seg in self._segments if uc <= u_hi),
                    self._segments[-1][2])
-        y = sol(uc)
+        return sol(uc)
+
+    def __call__(self, u) -> np.ndarray:
+        last_u, y = self._last
+        if last_u is not None and np.shape(u) == np.shape(last_u) \
+                and np.array_equal(u, last_u):
+            return y
+        if np.ndim(u) == 0:
+            y = self._lookup(u)
+        else:
+            y = np.stack([self._lookup(x) for x in u], axis=-1)
         y.flags.writeable = False
-        self._last = (u, y)
+        self._last = (np.copy(u), y)
         return y
 
 
@@ -238,7 +247,7 @@ def integrate_frenet(curve: FrenetCurve, step: Optional[float] = None) -> Frenet
 
 def _check_radius(r: SmoothFunction, u_range) -> None:
     us = np.linspace(u_range[0], u_range[1], _RADIUS_SAMPLES)
-    vals = np.array([r(u) for u in us])
+    vals = r(us)
     if not np.all(vals > 0):
         raise RadiusNotPositive(f"min r = {vals.min():.3e} on {u_range}")
 
@@ -262,59 +271,40 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
     kappa, sigma = curve.kappa, curve.sigma
     alpha, beta, gamma, r = data.alpha, data.beta, data.gamma, data.r
 
-    def position(u, v):
-        t, n, b, c = dense(u).reshape(4, 3)
-        return c + r(u) * (math.cos(v) * n + math.sin(v) * b)
+    def jets(us, vs):
+        # u-only state, one lookup per u: (nu, 1, 3) vectors and (nu, 1, 1)
+        # scalars; v enters through the (nv, 1) columns cos v and sin v
+        y = dense(us).T
+        t, n, b, c = (y[:, None, i:i + 3] for i in (0, 3, 6, 9))
 
-    def xu(u, v):
-        t, n, b, c = dense(u).reshape(4, 3)
-        cv, sv = math.cos(v), math.sin(v)
-        k, s = kappa(u), sigma(u)
+        def at(fn):
+            return fn(us)[:, None, None]
+
+        ru, r1, r2 = at(r), at(r.d1), at(r.d2)
+        k, s, k1, s1 = at(kappa), at(sigma), at(kappa.d1), at(sigma.d1)
+        al, be, ga = at(alpha), at(beta), at(gamma)
+        cv, sv = np.cos(vs)[:, None], np.sin(vs)[:, None]
         w = cv * n + sv * b
         w_v = -sv * n + cv * b
-        cprime = alpha(u) * t + beta(u) * n + gamma(u) * b
+        cprime = al * t + be * n + ga * b
         # cos v n' + sin v b' = -kappa cos v t + sigma w_v
-        return cprime + r.d1(u) * w + r(u) * (-k * cv * t + s * w_v)
-
-    def xv(u, v):
-        t, n, b, c = dense(u).reshape(4, 3)
-        return r(u) * (-math.sin(v) * n + math.cos(v) * b)
-
-    def xvv(u, v):
-        t, n, b, c = dense(u).reshape(4, 3)
-        return -r(u) * (math.cos(v) * n + math.sin(v) * b)
-
-    def xuv(u, v):
-        t, n, b, c = dense(u).reshape(4, 3)
-        cv, sv = math.cos(v), math.sin(v)
-        k, s = kappa(u), sigma(u)
-        w = cv * n + sv * b
-        w_v = -sv * n + cv * b
+        xu = cprime + r1 * w + ru * (-k * cv * t + s * w_v)
         # -sin v n' + cos v b' = kappa sin v t - sigma w
-        return r.d1(u) * w_v + r(u) * (k * sv * t - s * w)
-
-    def xuu(u, v):
-        t, n, b, c = dense(u).reshape(4, 3)
-        cv, sv = math.cos(v), math.sin(v)
-        k, s = kappa(u), sigma(u)
-        k1, s1 = kappa.d1(u), sigma.d1(u)
-        al, be, ga = alpha(u), beta(u), gamma(u)
-        w = cv * n + sv * b
-        w_v = -sv * n + cv * b
-        csecond = ((alpha.d1(u) - be * k) * t
-                   + (beta.d1(u) + al * k - ga * s) * n
-                   + (gamma.d1(u) + be * s) * b)
+        xuv = r1 * w_v + ru * (k * sv * t - s * w)
+        csecond = ((at(alpha.d1) - be * k) * t
+                   + (at(beta.d1) + al * k - ga * s) * n
+                   + (at(gamma.d1) + be * s) * b)
         # cos v n'' + sin v b''
         nb2 = ((-k1 * cv + s * k * sv) * t
                + (-(k * k + s * s) * cv - s1 * sv) * n
                + (s1 * cv - s * s * sv) * b)
-        return (csecond + r.d2(u) * w
-                + 2.0 * r.d1(u) * (-k * cv * t + s * w_v)
-                + r(u) * nb2)
+        xuu = (csecond + r2 * w
+               + 2.0 * r1 * (-k * cv * t + s * w_v)
+               + ru * nb2)
+        return c + ru * w, xu, ru * w_v, xuu, xuv, -ru * w
 
-    partials = PartialSupplier(xu, xv, xuu, xuv, xvv)
-    return ParamSurface(tuple(curve.u_range), (0.0, 2.0 * math.pi), position,
-                        partials, v_periodic=True)
+    return ParamSurface(tuple(curve.u_range), (0.0, 2.0 * math.pi), _point_of(jets),
+                        jets, v_periodic=True)
 
 
 def cyclic_center(curve: FrenetCurve, data: CyclicFoliationData):
@@ -337,35 +327,27 @@ def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
     (a = b = 0).  The radius is not checked here.
     """
 
-    def position(u, v):
-        ru = r(u)
-        return np.array([a(u) + ru * math.cos(v), b(u) + ru * math.sin(v), h(u)])
+    def jets(us, vs):
+        # a, b, r, h and their first and second derivatives, once per u
+        table = np.stack([g(us) for f in (a, b, r, h) for g in (f, f.d1, f.d2)],
+                         axis=1)
+        a0, a1, a2, b0, b1, b2, r0, r1, r2, h0, h1, h2 = table.T[:, :, None]
+        cv, sv = np.cos(vs), np.sin(vs)
 
-    def xu(u, v):
-        r1 = r.d1(u)
-        return np.array([a.d1(u) + r1 * math.cos(v), b.d1(u) + r1 * math.sin(v),
-                         h.d1(u)])
+        def vec(x, y, z):
+            out = np.empty((len(us), len(vs), 3))
+            out[..., 0], out[..., 1], out[..., 2] = x, y, z
+            return out
 
-    def xv(u, v):
-        ru = r(u)
-        return np.array([-ru * math.sin(v), ru * math.cos(v), 0.0])
+        return (vec(a0 + r0 * cv, b0 + r0 * sv, h0),
+                vec(a1 + r1 * cv, b1 + r1 * sv, h1),
+                vec(-r0 * sv, r0 * cv, 0.0),
+                vec(a2 + r2 * cv, b2 + r2 * sv, h2),
+                vec(-r1 * sv, r1 * cv, 0.0),
+                vec(-r0 * cv, -r0 * sv, 0.0))
 
-    def xuu(u, v):
-        r2 = r.d2(u)
-        return np.array([a.d2(u) + r2 * math.cos(v), b.d2(u) + r2 * math.sin(v),
-                         h.d2(u)])
-
-    def xuv(u, v):
-        r1 = r.d1(u)
-        return np.array([-r1 * math.sin(v), r1 * math.cos(v), 0.0])
-
-    def xvv(u, v):
-        ru = r(u)
-        return np.array([-ru * math.cos(v), -ru * math.sin(v), 0.0])
-
-    partials = PartialSupplier(xu, xv, xuu, xuv, xvv)
-    return ParamSurface(tuple(u_range), (0.0, 2.0 * math.pi), position,
-                        partials, v_periodic=True)
+    return ParamSurface(tuple(u_range), (0.0, 2.0 * math.pi), _point_of(jets),
+                        jets, v_periodic=True)
 
 
 _HEIGHT_U = SmoothFunction(lambda u: u, lambda u: 1.0, lambda u: 0.0)

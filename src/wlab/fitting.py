@@ -124,16 +124,10 @@ class ClassificationReport:
 def sample_curvatures(surface: ParamSurface, grid=(25, 25)) -> tuple:
     """CurvatureSampleSet plus the H values and grid shape used."""
     us, vs = interior_grid(surface, grid[0], grid[1])
-    k1, k2, H, locs = [], [], [], []
-    for u in us:
-        for v in vs:
-            c = curvature(evaluate_jet(surface, u, v))
-            k1.append(c.kappa1)
-            k2.append(c.kappa2)
-            H.append(c.H)
-            locs.append((u, v))
-    samples = CurvatureSampleSet(np.array(k1), np.array(k2), np.array(locs))
-    return samples, np.array(H).reshape(len(us), len(vs)), (len(us), len(vs))
+    c = curvature(evaluate_jet(surface, us, vs))
+    locs = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
+    samples = CurvatureSampleSet(c.kappa1.ravel(), c.kappa2.ravel(), locs)
+    return samples, c.H, (len(us), len(vs))
 
 
 def _v_independent(values: np.ndarray, scale: float) -> bool:

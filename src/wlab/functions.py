@@ -4,7 +4,8 @@ Inputs to the surface builders can be constants, plain callables, or
 sampled arrays.  Sampled data is interpolated with a natural cubic spline
 (zero second derivative at the endpoints, which only affects endpoint
 jets); callables without supplied derivatives are differentiated with
-4th-order central differences.
+4th-order central differences.  A SmoothFunction takes a float or a 1-d
+array of u values; a wrapped callable must then accept that array too.
 """
 from __future__ import annotations
 
@@ -20,6 +21,15 @@ _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))
 _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))
 
 
+def _shaped(y, u):
+    """y as a float for scalar u, else as a float array shaped like u
+    (a constant callable returns a scalar for any u)."""
+    if np.ndim(u) == 0:
+        return float(y)
+    y = np.asarray(y, dtype=float)
+    return y if y.shape == np.shape(u) else np.full(np.shape(u), y)
+
+
 class SmoothFunction:
     """A scalar function u -> f(u) with .d1 and .d2 derivatives."""
 
@@ -28,18 +38,20 @@ class SmoothFunction:
         self._d1 = d1
         self._d2 = d2
 
-    def __call__(self, u: float) -> float:
-        return float(self._f(u))
+    def __call__(self, u):
+        return _shaped(self._f(u), u)
 
-    def d1(self, u: float) -> float:
+    def d1(self, u):
         if self._d1 is not None:
-            return float(self._d1(u))
-        return sum(c * self._f(u + k * _FD_H) for k, c in _D1) / (12.0 * _FD_H)
+            return _shaped(self._d1(u), u)
+        return _shaped(sum(c * self._f(u + k * _FD_H) for k, c in _D1)
+                       / (12.0 * _FD_H), u)
 
-    def d2(self, u: float) -> float:
+    def d2(self, u):
         if self._d2 is not None:
-            return float(self._d2(u))
-        return sum(c * self._f(u + k * _FD_H) for k, c in _D2) / (12.0 * _FD_H ** 2)
+            return _shaped(self._d2(u), u)
+        return _shaped(sum(c * self._f(u + k * _FD_H) for k, c in _D2)
+                       / (12.0 * _FD_H ** 2), u)
 
     @classmethod
     def constant(cls, value: float) -> "SmoothFunction":

@@ -49,6 +49,9 @@ class RiemannExampleParams:
             raise InvalidParameter("lam and mu must be nonnegative")
         if self.r0 <= 0:
             raise InvalidParameter("r0 must be positive")
+        if self.r0 + abs(self.dr0) >= _BLOWUP_LIMIT:
+            # the initial state already lies past the blow-up event
+            raise InvalidParameter(f"r0 + |dr0| must stay below {_BLOWUP_LIMIT:g}")
         if self.u_range[1] <= self.u_range[0]:
             raise InvalidParameter("empty u_range")
 
@@ -130,7 +133,8 @@ class RotationalProfile:
 
     rho' = cos theta, z' = sin theta, so rho'^2 + z'^2 = 1 identically.
     kappa_meridian = theta' and kappa_parallel = sin theta / rho with the
-    parametrization X(s, v) = (rho cos v, rho sin v, z).
+    parametrization X(s, v) = (rho cos v, rho sin v, z).  The methods take
+    a float s or a 1-d array of s values.
     """
 
     rel: LWRelation
@@ -138,23 +142,23 @@ class RotationalProfile:
     dense: object
     truncated: bool = False
 
-    def state(self, s: float):
+    def state(self, s):
         y = self.dense(s)
-        return float(y[0]), float(y[1]), float(y[2])
+        return y[0], y[1], y[2]
 
-    def rho(self, s: float) -> float:
-        return float(self.dense(s)[0])
+    def rho(self, s):
+        return self.dense(s)[0]
 
-    def theta(self, s: float) -> float:
-        return float(self.dense(s)[2])
+    def theta(self, s):
+        return self.dense(s)[2]
 
-    def kappa_meridian(self, s: float) -> float:
+    def kappa_meridian(self, s):
         rho, _, th = self.state(s)
-        return self.rel.m * math.sin(th) / rho + self.rel.n
+        return self.rel.m * np.sin(th) / rho + self.rel.n
 
-    def kappa_parallel(self, s: float) -> float:
+    def kappa_parallel(self, s):
         rho, _, th = self.state(s)
-        return math.sin(th) / rho
+        return np.sin(th) / rho
 
     def curvature_samples(self, ns: int = 50):
         """(kappa_meridian, kappa_parallel) arrays on an interior sample grid."""
@@ -205,21 +209,21 @@ def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
     dense = _DenseOde([(s0, reached, sol.sol)], achieved)
     profile = RotationalProfile(rel, achieved, dense, truncated=truncated)
     theta, dtheta = profile.theta, profile.kappa_meridian  # theta' = kappa_meridian
-    rho = SmoothFunction(profile.rho, lambda s: math.cos(theta(s)),
-                         lambda s: -dtheta(s) * math.sin(theta(s)))
-    z = SmoothFunction(lambda s: dense(s)[1], lambda s: math.sin(theta(s)),
-                       lambda s: dtheta(s) * math.cos(theta(s)))
+    rho = SmoothFunction(profile.rho, lambda s: np.cos(theta(s)),
+                         lambda s: -dtheta(s) * np.sin(theta(s)))
+    z = SmoothFunction(lambda s: dense(s)[1], lambda s: np.sin(theta(s)),
+                       lambda s: dtheta(s) * np.cos(theta(s)))
     return profile, _horizontal_circles(_ZERO, _ZERO, rho, z, achieved)
 
 
 def _meridian_circle(center: float, radius: float):
     """(r, h) of the circle r = center + radius cos u, h = radius sin u."""
-    r = SmoothFunction(lambda u: center + radius * math.cos(u),
-                       lambda u: -radius * math.sin(u),
-                       lambda u: -radius * math.cos(u))
-    h = SmoothFunction(lambda u: radius * math.sin(u),
-                       lambda u: radius * math.cos(u),
-                       lambda u: -radius * math.sin(u))
+    r = SmoothFunction(lambda u: center + radius * np.cos(u),
+                       lambda u: -radius * np.sin(u),
+                       lambda u: -radius * np.cos(u))
+    h = SmoothFunction(lambda u: radius * np.sin(u),
+                       lambda u: radius * np.cos(u),
+                       lambda u: -radius * np.sin(u))
     return r, h
 
 
@@ -259,8 +263,8 @@ def gen_fixture(kind: str, **kw) -> ParamSurface:
         if kw or c <= 0:
             raise InvalidParameter("catenoid needs radius > 0 (neck radius)")
         u_range = (-1.5 * c, 1.5 * c)
-        r = SmoothFunction(lambda u: c * math.cosh(u / c), lambda u: math.sinh(u / c),
-                           lambda u: math.cosh(u / c) / c)
+        r = SmoothFunction(lambda u: c * np.cosh(u / c), lambda u: np.sinh(u / c),
+                           lambda u: np.cosh(u / c) / c)
         h = _HEIGHT_U
 
     else:

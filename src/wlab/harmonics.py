@@ -61,13 +61,16 @@ class HarmonicSpectrum:
         return float(max(np.max(np.abs(self.A)), np.max(np.abs(self.B)), 0.0))
 
 
-def extract_harmonics(f: Callable[[float], float], J: int = 12,
-                      N: int = DEFAULT_SAMPLES) -> HarmonicSpectrum:
-    """DFT coefficient extraction; exact for trig polynomials of degree <= N/2 - 1."""
+def _sample_angles(N: int) -> np.ndarray:
+    return 2.0 * math.pi * np.arange(N) / N
+
+
+def _spectrum(samples: np.ndarray, J: int) -> HarmonicSpectrum:
+    """DFT coefficients up to J of N equispaced samples on [0, 2 pi);
+    exact for trig polynomials of degree <= N/2 - 1."""
+    N = len(samples)
     if N < 2 * J + 2:
         raise InsufficientSamples(f"N = {N} < 2 J + 2 = {2 * J + 2}")
-    vs = 2.0 * math.pi * np.arange(N) / N
-    samples = np.array([f(v) for v in vs], dtype=float)
     F = np.fft.rfft(samples)
     A = 2.0 * F.real[:J + 1] / N
     A[0] *= 0.5
@@ -76,7 +79,14 @@ def extract_harmonics(f: Callable[[float], float], J: int = 12,
     return HarmonicSpectrum(A, B)
 
 
-def foliation_residual(jet: JetPoint, rel: LWRelation) -> float:
+def extract_harmonics(f: Callable[[float], float], J: int = 12,
+                      N: int = DEFAULT_SAMPLES) -> HarmonicSpectrum:
+    """DFT coefficient extraction of a scalar function of v sampled at N
+    equispaced points; exact for trig polynomials of degree <= N/2 - 1."""
+    return _spectrum(np.array([f(v) for v in _sample_angles(N)], dtype=float), J)
+
+
+def foliation_residual(jet: JetPoint, rel: LWRelation):
     """Residual whose v-expansion is analyzed: the once-squared form for
     n = 0 (degree <= 6 on cyclic, <= 3 on horizontal foliations), the full
     twice-squared polynomial otherwise (degree <= 12)."""
@@ -88,6 +98,14 @@ def foliation_residual(jet: JetPoint, rel: LWRelation) -> float:
 def residual_profile(surface: ParamSurface, rel: LWRelation, u: float):
     """The residual as a function of v on the u-circle."""
     return lambda v: foliation_residual(evaluate_jet(surface, u, v), rel)
+
+
+def _circle_spectrum(surface: ParamSurface, rel: LWRelation, u: float,
+                     J: int, N: int) -> HarmonicSpectrum:
+    """Spectrum of the residual on the u-circle from one jet evaluation at
+    N equispaced v."""
+    jet = evaluate_jet(surface, u, _sample_angles(N))
+    return _spectrum(foliation_residual(jet, rel)[0], J)
 
 
 def closed_form_A6_B6(m: float, kappa: float, r: float, beta: float,
@@ -200,6 +218,5 @@ def verify_coefficient_identity(surface: ParamSurface, rel: LWRelation,
     """Extract the residual's spectrum on the u-circle (harmonics up to
     max(j, 12)) and compare its j-th harmonic with a closed form; see
     compare_coefficient for the pass rule."""
-    spectrum = extract_harmonics(residual_profile(surface, rel, u),
-                                 J=max(j, 12), N=N)
+    spectrum = _circle_spectrum(surface, rel, u, max(j, 12), N)
     return compare_coefficient(spectrum, u, j, closed_value, expected_ratio)

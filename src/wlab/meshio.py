@@ -44,39 +44,29 @@ def obj_grid(surface: ParamSurface, nu: int, nv: int):
 
 def surface_mesh(surface: ParamSurface, nu: int, nv: int, with_normals=True):
     """(vertices, normals) arrays of shape (nu*nv, 3), v fastest."""
-    us, vs = obj_grid(surface, nu, nv)
-
-    def one(u, v):
-        jet = evaluate_jet(surface, u, v)
-        return jet.p, jet.normal
-
-    results = [one(u, v) for u in us for v in vs]
-    verts = np.array([r[0] for r in results])
-    normals = np.array([r[1] for r in results]) if with_normals else None
-    return verts, normals
+    jet = evaluate_jet(surface, *obj_grid(surface, nu, nv))
+    normals = jet.normal.reshape(-1, 3) if with_normals else None
+    return jet.p.reshape(-1, 3), normals
 
 
 def obj_text(verts: np.ndarray, normals: Optional[np.ndarray],
              nu: int, nv: int) -> str:
-    lines = []
-    for p in verts:
-        lines.append("v %.9g %.9g %.9g" % (p[0], p[1], p[2]))
+    """OBJ text: one "%.9g" block per section, two triangles per grid cell."""
+    blocks = [("v %.9g %.9g %.9g\n" * len(verts)) % tuple(verts.ravel().tolist())]
     if normals is not None:
-        for n in normals:
-            lines.append("vn %.9g %.9g %.9g" % (n[0], n[1], n[2]))
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1          # OBJ indices are 1-based
-            b = a + 1
-            c = a + nv
-            d = c + 1
-            if normals is not None:
-                lines.append(f"f {a}//{a} {b}//{b} {d}//{d}")
-                lines.append(f"f {a}//{a} {d}//{d} {c}//{c}")
-            else:
-                lines.append(f"f {a} {b} {d}")
-                lines.append(f"f {a} {d} {c}")
-    return "\n".join(lines) + "\n"
+        blocks.append(("vn %.9g %.9g %.9g\n" * len(normals))
+                      % tuple(normals.ravel().tolist()))
+    a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1).ravel()  # 1-based
+    b, c = a + 1, a + nv
+    d = c + 1
+    if normals is not None:
+        face = "f %d//%d %d//%d %d//%d\n"
+        corners = (a, a, b, b, d, d, a, a, d, d, c, c)
+    else:
+        face = "f %d %d %d\n"
+        corners = (a, b, d, a, d, c)
+    blocks.append((2 * face * len(a)) % tuple(np.stack(corners, axis=1).ravel().tolist()))
+    return "".join(blocks)
 
 
 def write_obj(path, surface: ParamSurface, nu: int, nv: int,

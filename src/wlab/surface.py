@@ -5,12 +5,14 @@ kappa1 is the larger principal curvature, and all lengths are in abstract
 units.  H and K come from the determinant forms (triple products of the
 jet); kappa1,2 = H +- the half-gap of the shape operator in an orthonormal
 tangent frame, which stays accurate to roundoff at umbilic points.  Every
-type here is immutable and every function pure.
+type here is immutable and every function pure, and the functions of a
+jet work elementwise on one point or a whole (u, v) grid (see
+evaluate_jet).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,29 +26,21 @@ from .errors import (
 from .functions import _D1, _D2
 
 Vec3Fn = Callable[[float, float], np.ndarray]
+# jets(us, vs) -> (p, xu, xv, xuu, xuv, xvv), each of shape (len(us), len(vs), 3)
+_JetsFn = Callable[[np.ndarray, np.ndarray], tuple]
 
 _DEGENERACY_EPS = 1e-12
 _DISCRIMINANT_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class PartialSupplier:
-    """Analytic partial derivatives of a parametrization, up to second order."""
-
-    xu: Vec3Fn
-    xv: Vec3Fn
-    xuu: Vec3Fn
-    xuv: Vec3Fn
-    xvv: Vec3Fn
-
-
-@dataclass(frozen=True)
 class ParamSurface:
     """Evaluatable map (u, v) -> R^3 over a closed parameter rectangle.
 
-    When ``partials`` is None, jets fall back to 4th-order central finite
-    differences with step ``1e-4 * max(1, extent)``; evaluation then needs a
-    margin of two steps from the boundary.  ``v_periodic`` marks surfaces
+    ``partials`` is the analytic grid function jets(us, vs).  When it is
+    None, jets fall back to 4th-order central finite differences of
+    ``position`` with step ``1e-4 * max(1, extent)``; evaluation then needs
+    a margin of two steps from the boundary.  ``v_periodic`` marks surfaces
     closed in v (foliated and rotational surfaces), for which the v domain
     check is skipped.
     """
@@ -54,7 +48,7 @@ class ParamSurface:
     u_range: tuple
     v_range: tuple
     position: Vec3Fn
-    partials: Optional[PartialSupplier] = None
+    partials: Optional[_JetsFn] = None
     v_periodic: bool = False
 
     def extent(self) -> float:
@@ -65,9 +59,31 @@ class ParamSurface:
         return 1e-4 * max(1.0, self.extent())
 
 
+def _point_of(jets: _JetsFn) -> Vec3Fn:
+    """Scalar position (u, v) -> p read off a grid function's 1 x 1 grid."""
+    return lambda u, v: jets(np.array([u], dtype=float),
+                             np.array([v], dtype=float))[0][0, 0]
+
+
+def _raise_first(bad, values, make) -> None:
+    """Raise make(value) at the first point where bad holds, row-major."""
+    if np.any(bad):
+        raise make(float(np.asarray(values)[bad].flat[0]))
+
+
+def _dot(a, b):
+    """Dot product over the last axis, summed in a fixed order: einsum's
+    summation order depends on the array shape, so a grid and its 1 x 1
+    points would differ in the last bit."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
 @dataclass(frozen=True)
 class JetPoint:
-    """Position, partials up to second order and the unit normal at a point."""
+    """Position, partials up to second order and the unit normal.
+
+    Each field has shape (3,) at a point, or (nu, nv, 3) on a grid.
+    """
 
     p: np.ndarray
     xu: np.ndarray
@@ -81,14 +97,17 @@ class JetPoint:
     def from_partials(cls, p, xu, xv, xuu, xuv, xvv) -> "JetPoint":
         arrs = [np.asarray(a, dtype=float) for a in (p, xu, xv, xuu, xuv, xvv)]
         cross = np.cross(arrs[1], arrs[2])
-        norm = np.linalg.norm(cross)
-        if norm < _DEGENERACY_EPS:
-            raise DegenerateJet(f"|Xu x Xv| = {norm:.3e} below {_DEGENERACY_EPS}")
-        return cls(*arrs, cross / norm)
+        norm = np.sqrt(_dot(cross, cross))
+        _raise_first(norm < _DEGENERACY_EPS, norm, lambda x: DegenerateJet(
+            f"|Xu x Xv| = {x:.3e} below {_DEGENERACY_EPS}"))
+        return cls(*arrs, cross / norm[..., None])
 
 
 @dataclass(frozen=True)
 class FundamentalForms:
+    """E, F, G, e, f, g and W = EG - F^2: floats at a point, (nu, nv)
+    arrays on a grid (likewise for CurvatureData)."""
+
     E: float
     F: float
     G: float
@@ -123,31 +142,25 @@ class LWRelation:
             raise InvalidParameter("LWRelation: m must be nonzero (m != 0)")
 
 
-def _check_domain(surface: ParamSurface, u: float, v: float) -> None:
+def _check_domain(surface: ParamSurface, us: np.ndarray, vs: np.ndarray) -> None:
+    """OutOfDomain for the first point of the grid us x vs, in row-major
+    order, that lies outside the margin-shrunk rectangle (u checked first)."""
     margin = 2.0 * surface.fd_step() if surface.partials is None else 0.0
     u0, u1 = surface.u_range
-    if not (u0 + margin < u < u1 - margin):
-        raise OutOfDomain(f"u = {u} outside ({u0 + margin}, {u1 - margin})")
-    if not surface.v_periodic:
+    bad_u = ~((u0 + margin < us) & (us < u1 - margin))
+    if not surface.v_periodic and not bad_u[0]:
         v0, v1 = surface.v_range
-        if not (v0 + margin < v < v1 - margin):
-            raise OutOfDomain(f"v = {v} outside ({v0 + margin}, {v1 - margin})")
+        _raise_first(~((v0 + margin < vs) & (vs < v1 - margin)), vs,
+                     lambda v: OutOfDomain(
+                         f"v = {v} outside ({v0 + margin}, {v1 - margin})"))
+    _raise_first(bad_u, us, lambda u: OutOfDomain(
+        f"u = {u} outside ({u0 + margin}, {u1 - margin})"))
 
 
-def evaluate_jet(surface: ParamSurface, u: float, v: float) -> JetPoint:
-    """Evaluate position and all partials at (u, v).
-
-    Uses the analytic supplier when present, otherwise 4th-order central
-    finite differences.
-    """
-    _check_domain(surface, u, v)
+def _fd_partials(surface: ParamSurface, u: float, v: float):
+    """(p, xu, xv, xuu, xuv, xvv) at one point by 4th-order central
+    differences of the position."""
     pos = surface.position
-    p = np.asarray(pos(u, v), dtype=float)
-    if surface.partials is not None:
-        sp = surface.partials
-        return JetPoint.from_partials(
-            p, sp.xu(u, v), sp.xv(u, v), sp.xuu(u, v), sp.xuv(u, v), sp.xvv(u, v))
-
     h = surface.fd_step()
 
     def at(du, dv):
@@ -158,29 +171,48 @@ def evaluate_jet(surface: ParamSurface, u: float, v: float) -> JetPoint:
     xuu = sum(c * at(k, 0) for k, c in _D2) / (12.0 * h * h)
     xvv = sum(c * at(0, k) for k, c in _D2) / (12.0 * h * h)
     xuv = sum(ci * cj * at(i, j) for i, ci in _D1 for j, cj in _D1) / (144.0 * h * h)
-    return JetPoint.from_partials(p, xu, xv, xuu, xuv, xvv)
+    return at(0, 0), xu, xv, xuu, xuv, xvv
+
+
+def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
+    """Evaluate position and all partials at (u, v).
+
+    u and v are floats or 1-d arrays.  For two floats every JetPoint field
+    has shape (3,); otherwise the fields have shape (len(u), len(v), 3) on
+    the grid u x v (a float counts as a grid of one).  Uses the analytic
+    grid function when present, otherwise 4th-order central finite
+    differences point by point.
+    """
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    vs = np.atleast_1d(np.asarray(v, dtype=float))
+    _check_domain(surface, us, vs)
+    if surface.partials is not None:
+        parts = surface.partials(us, vs)
+    else:
+        points = [_fd_partials(surface, a, b) for a in us for b in vs]
+        parts = [np.reshape([pt[k] for pt in points], (len(us), len(vs), 3))
+                 for k in range(6)]
+    jet = JetPoint.from_partials(*parts)
+    if np.ndim(u) == 0 and np.ndim(v) == 0:
+        return JetPoint(*(getattr(jet, f.name)[0, 0] for f in fields(JetPoint)))
+    return jet
 
 
 def fundamental_forms(jet: JetPoint) -> FundamentalForms:
-    E = float(jet.xu @ jet.xu)
-    F = float(jet.xu @ jet.xv)
-    G = float(jet.xv @ jet.xv)
-    e = float(jet.normal @ jet.xuu)
-    f = float(jet.normal @ jet.xuv)
-    g = float(jet.normal @ jet.xvv)
+    E = _dot(jet.xu, jet.xu)
+    F = _dot(jet.xu, jet.xv)
+    G = _dot(jet.xv, jet.xv)
+    e = _dot(jet.normal, jet.xuu)
+    f = _dot(jet.normal, jet.xuv)
+    g = _dot(jet.normal, jet.xvv)
     return FundamentalForms(E, F, G, e, f, g, E * G - F * F)
 
 
 def _jet_products(jet: JetPoint):
     """Return (E, F, G, d1, d2, d3) with d_i = (Xu x Xv) . (Xuu, Xuv, Xvv)."""
-    E = float(jet.xu @ jet.xu)
-    F = float(jet.xu @ jet.xv)
-    G = float(jet.xv @ jet.xv)
     cross = np.cross(jet.xu, jet.xv)
-    d1 = float(cross @ jet.xuu)
-    d2 = float(cross @ jet.xuv)
-    d3 = float(cross @ jet.xvv)
-    return E, F, G, d1, d2, d3
+    return (_dot(jet.xu, jet.xu), _dot(jet.xu, jet.xv), _dot(jet.xv, jet.xv),
+            _dot(cross, jet.xuu), _dot(cross, jet.xuv), _dot(cross, jet.xvv))
 
 
 def _invariants(E, F, G, d1, d2, d3):
@@ -196,7 +228,7 @@ def _determinant_invariants(jet: JetPoint):
     return _invariants(*_jet_products(jet))
 
 
-def _frame_half_gap(E, F, W, d1, d2, d3) -> float:
+def _frame_half_gap(E, F, W, d1, d2, d3):
     """(kappa1 - kappa2) / 2 = hypot((a - c) / 2, b), where [[a, b], [b, c]]
     is the shape operator in the orthonormal frame e1 = Xu / sqrt(E),
     e2 = (E Xv - F Xu) / sqrt(E W).
@@ -205,15 +237,20 @@ def _frame_half_gap(E, F, W, d1, d2, d3) -> float:
     sqrt(H^2 - K) turns an eps in the discriminant into sqrt(eps).
     Requires W > 0.
     """
-    sw = math.sqrt(W)
+    sw = np.sqrt(W)
     a = d1 / (E * sw)
     b = (E * d2 - F * d1) / (E * W)
     c = (F * F * d1 - 2.0 * E * F * d2 + E * E * d3) / (E * W * sw)
-    return math.hypot(0.5 * (a - c), b)
+    return np.hypot(0.5 * (a - c), b)
+
+
+def _check_metric(W) -> None:
+    _raise_first(W <= 0, W, lambda x: DegenerateJet(f"W = {x:.3e} not positive"))
 
 
 def curvature(jet: JetPoint) -> CurvatureData:
-    """Mean, Gauss and ordered principal curvatures.
+    """Mean, Gauss and ordered principal curvatures, elementwise over the
+    points of the jet.
 
     H and K come from the determinant forms; kappa1,2 = H +- the frame
     half-gap (see _frame_half_gap).  Raises DegenerateJet when W <= 0 and
@@ -221,24 +258,22 @@ def curvature(jet: JetPoint) -> CurvatureData:
     """
     E, F, G, d1, d2, d3 = _jet_products(jet)
     W, H1, K1 = _invariants(E, F, G, d1, d2, d3)
-    if W <= 0:
-        raise DegenerateJet(f"W = {W:.3e} not positive")
+    _check_metric(W)
     H = H1 / (2.0 * W ** 1.5)
     K = K1 / (W * W)
     disc = H * H - K
-    if disc < -_DISCRIMINANT_CLAMP:
-        raise CurvatureInconsistency(
-            f"H^2 - K = {disc:.3e} below clamp -{_DISCRIMINANT_CLAMP}")
+    _raise_first(disc < -_DISCRIMINANT_CLAMP, disc, lambda x: CurvatureInconsistency(
+        f"H^2 - K = {x:.3e} below clamp -{_DISCRIMINANT_CLAMP}"))
     root = _frame_half_gap(E, F, W, d1, d2, d3)
     return CurvatureData(H, K, H + root, H - root, H1, K1)
 
 
-def lw_residual_linear(c: CurvatureData, rel: LWRelation) -> float:
+def lw_residual_linear(c: CurvatureData, rel: LWRelation):
     """kappa1 - m kappa2 - n with kappa1 the larger principal curvature."""
     return c.kappa1 - rel.m * c.kappa2 - rel.n
 
 
-def lw_residual_signed(jet: JetPoint, rel: LWRelation) -> float:
+def lw_residual_signed(jet: JetPoint, rel: LWRelation):
     """(1-m) H1 - 2 W^{3/2} n + (1+m) sqrt(H1^2 - 4 W K1).
 
     Vanishes exactly when the larger-root labeling satisfies the relation.
@@ -248,14 +283,13 @@ def lw_residual_signed(jet: JetPoint, rel: LWRelation) -> float:
     """
     E, F, G, d1, d2, d3 = _jet_products(jet)
     W, H1, K1 = _invariants(E, F, G, d1, d2, d3)
-    if W <= 0:
-        raise DegenerateJet(f"W = {W:.3e} not positive")
+    _check_metric(W)
     w32 = W ** 1.5
     root = 2.0 * w32 * _frame_half_gap(E, F, W, d1, d2, d3)
     return (1.0 - rel.m) * H1 - 2.0 * w32 * rel.n + (1.0 + rel.m) * root
 
 
-def lw_residual_poly(jet: JetPoint, rel: LWRelation) -> float:
+def lw_residual_poly(jet: JetPoint, rel: LWRelation):
     """The twice-squared polynomial residual.
 
     (-m H1^2 + (1+m)^2 W K1 + n^2 W^3)^2 - n^2 (1-m)^2 H1^2 W^3.
@@ -268,7 +302,7 @@ def lw_residual_poly(jet: JetPoint, rel: LWRelation) -> float:
     return inner * inner - n * n * (1.0 - m) ** 2 * H1 * H1 * W ** 3
 
 
-def lw_residual_poly_scale(jet: JetPoint, rel: LWRelation) -> float:
+def lw_residual_poly_scale(jet: JetPoint, rel: LWRelation):
     """Natural magnitude scale of lw_residual_poly at this jet (for relative
     comparisons): sum of absolute values of its constituent terms."""
     W, H1, K1 = _determinant_invariants(jet)
@@ -277,7 +311,7 @@ def lw_residual_poly_scale(jet: JetPoint, rel: LWRelation) -> float:
     return inner * inner + n * n * (1.0 - m) ** 2 * H1 * H1 * abs(W) ** 3
 
 
-def lw_residual_reduced(jet: JetPoint, rel: LWRelation) -> float:
+def lw_residual_reduced(jet: JetPoint, rel: LWRelation):
     """The once-squared form -m H1^2 + (1+m)^2 W K1, valid when n = 0."""
     W, H1, K1 = _determinant_invariants(jet)
     return -rel.m * H1 * H1 + (1.0 + rel.m) ** 2 * W * K1
@@ -308,7 +342,7 @@ def interior_grid(surface: ParamSurface, nu: int, nv: int):
 
 
 def transformed(surface: ParamSurface, rotation: np.ndarray,
-                translation: np.ndarray) -> ParamSurface:
+               translation: np.ndarray) -> ParamSurface:
     """Apply a rigid motion x -> R x + t to a surface (used by invariance tests)."""
     R = np.asarray(rotation, dtype=float)
     t = np.asarray(translation, dtype=float)
@@ -316,14 +350,14 @@ def transformed(surface: ParamSurface, rotation: np.ndarray,
     def pos(u, v):
         return R @ np.asarray(surface.position(u, v), dtype=float) + t
 
-    partials = None
+    jets = None
     if surface.partials is not None:
-        sp = surface.partials
+        def jets(us, vs):
+            # R x summed in a fixed order, like _dot
+            moved = [x[..., 0, None] * R[:, 0] + x[..., 1, None] * R[:, 1]
+                     + x[..., 2, None] * R[:, 2] for x in surface.partials(us, vs)]
+            moved[0] = moved[0] + t
+            return tuple(moved)
 
-        def lin(fn):
-            return lambda u, v: R @ np.asarray(fn(u, v), dtype=float)
-
-        partials = PartialSupplier(lin(sp.xu), lin(sp.xv), lin(sp.xuu),
-                                   lin(sp.xuv), lin(sp.xvv))
-    return ParamSurface(surface.u_range, surface.v_range, pos, partials,
+    return ParamSurface(surface.u_range, surface.v_range, pos, jets,
                         surface.v_periodic)

@@ -3,13 +3,21 @@ import json
 import math
 import os
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from wlab.cli import main
-from wlab.config import SceneConfig, canonical_dumps, load_config
+from wlab.config import (
+    SceneConfig,
+    canonical_dumps,
+    load_config,
+    parse_scalar_function,
+)
 from wlab.errors import ConfigError
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, data, filename="scene.json"):
@@ -71,11 +79,69 @@ class TestConfig:
             SceneConfig("riemann-type",
                         {"a": "u +", "b": 0.0, "r": 1.0, "u_range": [0, 1]})
 
+    @pytest.mark.parametrize("expr", [
+        "().__class__.__mro__.__len__() + 0.5",
+        "(1.5).__class__(u) * 0 + 2.0",
+        "u.real",
+        "u[0] + 1",
+        "(lambda x: x)(u)",
+        "sum([x for x in (u, u)])",
+        "sum(x for x in (u, u))",
+        "'1.0'",
+        "sin(u, out=None)",
+        "sin(*(u,))",
+        "1 if u else 2",
+        "u // 2",
+        "True + u",
+        "1j * u",
+        "exp",
+    ])
+    def test_expression_outside_grammar_rejected(self, expr):
+        with pytest.raises(ConfigError):
+            SceneConfig("riemann-type",
+                        {"a": expr, "b": 0.0, "r": 1.0, "u_range": [0, 1]})
+
+    @pytest.mark.parametrize("expr", [
+        "0.5*u + 0.2*sin(1.7*u)",
+        "0.3*u + 0.25*cos(1.3*u)",
+        "1.1 + 0.2*sin(u)",
+        "-u**2 + +pi / 4",
+        "exp(-u) / 2 + sqrt(abs(u)) - tanh(u)",
+        "2",
+    ])
+    def test_arithmetic_expression_accepted(self, expr):
+        fn = parse_scalar_function(expr, "params.a")
+        us = np.linspace(-1.0, 1.0, 7)
+        np.testing.assert_array_equal(np.broadcast_to(fn(us), us.shape),
+                                      [fn(u) for u in us])
+
     def test_diagnostics_carry_location(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "fixture",}')
         with pytest.raises(ConfigError, match="line 1"):
             load_config(str(path))
+
+
+CYCLIC = {"kind": "cyclic", "name": "cyc",
+          "params": {"kappa": "1 + 0.2*sin(u)", "sigma": 0.3, "alpha": 2.0,
+                     "beta": 0.2, "gamma": 0.3, "r": 0.5, "u_range": [0.0, 2.0]}}
+RIEMANN_EXAMPLE = {"kind": "riemann-example", "name": "rex",
+                   "params": {"lambda": 0.5, "mu": 0.3, "r0": 1.0, "dr0": 0.1}}
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (CYCLIC, "u_range", [2.0, 0.5]),
+    (RIEMANN_TYPE, "u_range", [2.0, 0.5]),
+    (RIEMANN_EXAMPLE, "dr0", 1e300),
+    (RIEMANN_EXAMPLE, "dr0", "0.1"),
+    (RIEMANN_EXAMPLE, "dr0", math.nan),
+], ids=["cyclic-u-range-reversed", "riemann-type-u-range-reversed",
+        "dr0-past-blowup", "dr0-string", "dr0-nan"])
+def test_malformed_config_exit_1(tmp_path, capsys, base, key, value):
+    bad = dict(base, params=dict(base["params"], **{key: value}))
+    path = write_config(tmp_path, bad)
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 class TestGenerate:
@@ -213,3 +279,12 @@ def test_console_script(tmp_path):
                            "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "ball.obj").exists()
+
+
+def test_module_runs_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "wlab.cli", "generate", "--config",
+                           str(tmp_path / "missing.json"), "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr
