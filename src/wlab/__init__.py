@@ -26,12 +26,13 @@ from .cyclic import (
 )
 from .harmonics import (
     HarmonicSpectrum,
+    circle_spectrum,
     closed_form_A3_B3,
     closed_form_A4_B4_branch,
     closed_form_A6_B6,
     closed_form_A12_B12,
+    compare_coefficient,
     extract_harmonics,
-    verify_coefficient_identity,
 )
 from .generators import (
     RiemannExampleParams,

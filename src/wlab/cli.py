@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import harmonics as hm
-from .config import SceneConfig, load_config, parse_scalar_function
+from .config import SceneConfig, load_config
 from .errors import ConfigError, WlabError
 from .fitting import classify
 from .meshio import atomic_write_text, write_csv, write_obj
@@ -68,51 +68,59 @@ def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
     write_csv(os.path.join(outdir, f"{cfg.name}.analysis.csv"), header, rows)
 
 
-def _closed_form_for(cfg: SceneConfig, result: SceneResult, rel, u: float, j: int):
-    """Closed-form (A_j, B_j) where the toolkit knows one, else None."""
+def _closed_form(result: SceneResult, rel, u: float, J: int):
+    """(j, (A_j, B_j)) for the one harmonic j <= J on the u-circle whose
+    closed form the toolkit knows, else None."""
     data = result.riemann_data
-    if data is not None:
+    if data is not None and J >= (12 if rel.n != 0 else 3):
         da, db, r = data.a.d1(u), data.b.d1(u), data.r(u)
-        if rel.n != 0 and j == 12:
-            A, B, _ = hm.closed_form_A12_B12(rel.n, r, da, db)
-            return A, B
-        if rel.n == 0 and j == 3:
-            return hm.closed_form_A3_B3(rel.m, r, da, db,
-                                        data.a.d2(u), data.b.d2(u))
-    if cfg.kind == "cyclic" and rel.n == 0 and j == 6:
-        p = cfg.params
-        fns = {k: parse_scalar_function(p[k], f"params.{k}", test_u=u)
-               for k in ("kappa", "beta", "gamma", "r")}
-        return hm.closed_form_A6_B6(rel.m, fns["kappa"](u), fns["r"](u),
-                                    fns["beta"](u), fns["gamma"](u))
+        if rel.n != 0:
+            return 12, hm.closed_form_A12_B12(rel.n, r, da, db)
+        return 3, hm.closed_form_A3_B3(rel.m, r, da, db, data.a.d2(u), data.b.d2(u))
+    if result.cyclic_data is not None and rel.n == 0 and J >= 6:
+        curve, fol = result.cyclic_data
+        return 6, hm.closed_form_A6_B6(rel.m, curve.kappa(u), fol.r(u),
+                                       fol.beta(u), fol.gamma(u))
     return None
+
+
+def _u_list(text):
+    """The --u-list values, each a finite float; [] when not given."""
+    if not text:
+        return []
+    try:
+        us = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"--u-list: expected comma-separated numbers, "
+                          f"got {text!r}") from None
+    if not all(math.isfinite(u) for u in us):
+        raise ConfigError(f"--u-list: expected finite numbers, got {text!r}")
+    return us
 
 
 def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
     rel = relation_of(cfg)
     if rel is None:
         raise ConfigError("relation: required for the harmonics command")
-    result = build_scene(cfg)
     J = args.max_harmonic
-    if args.u_list:
-        us = [float(x) for x in args.u_list.split(",")]
-    else:
+    if J < 0:
+        raise ConfigError(f"--max-harmonic: expected >= 0, got {J}")
+    us = _u_list(args.u_list)
+    result = build_scene(cfg)
+    if not us:
         lo, hi = result.surface.u_range
         pad = 0.1 * (hi - lo)
         us = list(np.linspace(lo + pad, hi - pad, 5))
     rows = []
     for u in us:
-        # at least 12 harmonics, so that the pass rule sees the same
-        # spectrum scale as verify_coefficient_identity
-        spectrum = hm._circle_spectrum(result.surface, rel, u, max(J, 12),
-                                       max(hm.DEFAULT_SAMPLES, 2 * J + 2))
+        spectrum = hm.circle_spectrum(result.surface, rel, u, J)
+        closed = _closed_form(result, rel, u, J)
         for j in range(J + 1):
-            closed = _closed_form_for(cfg, result, rel, u, j)
-            if closed is None:
+            if closed is None or closed[0] != j:
                 rows.append([u, j, float(spectrum.A[j]), float(spectrum.B[j]),
                              math.nan, math.nan, math.nan, ""])
             else:
-                report = hm.compare_coefficient(spectrum, u, j, closed)
+                report = hm.compare_coefficient(spectrum, u, j, closed[1])
                 rows.append([u, j, report.dft_A, report.dft_B, report.closed_A,
                              report.closed_B, report.ratio, str(report.passed)])
     os.makedirs(outdir, exist_ok=True)
@@ -122,10 +130,11 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
 
 
 def cmd_fit(cfg: SceneConfig, outdir: str, args) -> None:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol: expected a finite number > 0, got {args.tol}")
     result = build_scene(cfg)
     report = classify(result.surface, grid=cfg.grid,
-                      riemann_data=result.riemann_data,
-                      lw_tol=args.tol if args.tol else 1e-6)
+                      riemann_data=result.riemann_data, lw_tol=args.tol)
     os.makedirs(outdir, exist_ok=True)
     atomic_write_text(os.path.join(outdir, f"{cfg.name}.report.txt"),
                       report.to_text())
@@ -160,8 +169,10 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True, help="scene config (JSON)")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--grid", default=None, help="grid override, NUxNV")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="tolerance override for fit classification")
+        if name == "fit":
+            sp.add_argument("--tol", type=float, default=1e-6,
+                            help="fit rms, relative to the curvature scale, below "
+                                 "which the surface is LW (> 0)")
         if name == "harmonics":
             sp.add_argument("--u-list", default=None,
                             help="comma-separated u values")

@@ -3,13 +3,14 @@
 The polynomial residual of a foliated surface, restricted to a v-circle,
 is a trigonometric polynomial; its cos(jv)/sin(jv) coefficients are
 extracted exactly by discrete Fourier analysis on equispaced samples.
-Closed forms for the top coefficients are provided for comparison.
+Closed forms for the top coefficients, as coefficients of this package's
+residual, are provided for comparison.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,17 +27,15 @@ from .surface import (
 DEFAULT_SAMPLES = 64
 
 # Prefactors of the degree-12 coefficients of the full polynomial residual
-# on a horizontal-circle foliation, calibrated once against the DFT
-# extraction (see tests): A_12 = n^4 r^12 A / 2048, B_12 = n^4 r^12 B / 512.
+# on a horizontal-circle foliation X = (a + r cos v, b + r sin v, u).  There
+# W = EG - F^2 = r^2 (1 + (a' cos v + b' sin v + r')^2) has degree 2 in v,
+# H1 degree 1 and W K1 degree 3, so n^4 W^6 is the residual's only term of
+# degree 12.  With z = a' + i b', a' cos v + b' sin v = Re(conj(z) e^{iv}),
+# and the top harmonic of n^4 W^6 is n^4 r^12 (Re(z^12) cos 12v
+# + Im(z^12) sin 12v) / 2^11: A_12 = n^4 r^12 A / 2048 and, since
+# degree12_poly_B is Im(z^12) / 4, B_12 = n^4 r^12 B / 512.
 C12_A = 1.0 / 2048.0
 C12_B = 1.0 / 512.0
-
-# Calibrated DFT/closed-form family ratios (constant in u): the cyclic
-# n = 0 coefficients (A6/B6 and the A4/B4 branch, with gamma = +kappa r)
-# come out with the opposite overall sign of the printed forms, the
-# horizontal-foliation A3/B3 pair matches as printed.
-CYCLIC_COEFF_RATIO = -1.0
-A3_COEFF_RATIO = 1.0
 
 
 @dataclass(frozen=True)
@@ -95,37 +94,39 @@ def foliation_residual(jet: JetPoint, rel: LWRelation):
     return lw_residual_poly(jet, rel)
 
 
-def residual_profile(surface: ParamSurface, rel: LWRelation, u: float):
-    """The residual as a function of v on the u-circle."""
-    return lambda v: foliation_residual(evaluate_jet(surface, u, v), rel)
+def circle_spectrum(surface: ParamSurface, rel: LWRelation, u: float,
+                    J: int) -> HarmonicSpectrum:
+    """Spectrum of the residual on the u-circle from one jet evaluation.
 
-
-def _circle_spectrum(surface: ParamSurface, rel: LWRelation, u: float,
-                     J: int, N: int) -> HarmonicSpectrum:
-    """Spectrum of the residual on the u-circle from one jet evaluation at
-    N equispaced v."""
-    jet = evaluate_jet(surface, u, _sample_angles(N))
+    Harmonics 0..max(J, 12) from N = max(DEFAULT_SAMPLES, 2 max(J, 12) + 2)
+    equispaced v, so the pass rule of compare_coefficient sees the same
+    spectrum scale whatever J is asked for.
+    """
+    J = max(J, 12)
+    jet = evaluate_jet(surface, u, _sample_angles(max(DEFAULT_SAMPLES, 2 * J + 2)))
     return _spectrum(foliation_residual(jet, rel)[0], J)
 
 
 def closed_form_A6_B6(m: float, kappa: float, r: float, beta: float,
                       gamma: float):
-    """Top coefficients of the n = 0 cyclic residual expansion."""
+    """Top coefficients of the n = 0 cyclic residual expansion, opposite in
+    sign to the printed forms; checked against the DFT."""
     k2r2 = kappa * kappa * r * r
-    A6 = (-(m - 1.0) ** 2 * kappa ** 2 * r ** 6 / 32.0
+    A6 = ((m - 1.0) ** 2 * kappa ** 2 * r ** 6 / 32.0
           * (beta ** 4 + (gamma * gamma - k2r2) ** 2
              + beta * beta * (2.0 * k2r2 - 6.0 * gamma * gamma)))
-    B6 = (-(m - 1.0) ** 2 * beta * gamma * kappa ** 2 * r ** 6 / 8.0
+    B6 = ((m - 1.0) ** 2 * beta * gamma * kappa ** 2 * r ** 6 / 8.0
           * (beta * beta - gamma * gamma + k2r2))
     return A6, B6
 
 
 def closed_form_A4_B4_branch(m: float, kappa: float, r: float, alpha: float,
                              rp: float):
-    """Fourth coefficients on the branch beta = 0, gamma^2 = kappa^2 r^2, n = 0."""
+    """Fourth coefficients on the branch beta = 0, gamma = +kappa r, n = 0,
+    opposite in sign to the printed forms; checked against the DFT."""
     factor = 6.0 + m * (6.0 * m - 13.0)
-    A4 = -factor * kappa ** 4 * r ** 8 * (alpha * alpha - rp * rp) / 8.0
-    B4 = factor * alpha * kappa ** 4 * r ** 8 * rp / 4.0
+    A4 = factor * kappa ** 4 * r ** 8 * (alpha * alpha - rp * rp) / 8.0
+    B4 = -factor * alpha * kappa ** 4 * r ** 8 * rp / 4.0
     return A4, B4
 
 
@@ -145,16 +146,13 @@ def degree12_poly_B(da: float, db: float) -> float:
 
 
 def closed_form_A12_B12(n: float, r: float, da: float, db: float):
-    """Degree-12 coefficients of the full residual on a horizontal foliation.
-
-    Returns (A_12, B_12, (c_A, c_B)) with the calibrated prefactors.
-    """
+    """Degree-12 coefficients (A_12, B_12) of the full residual on a
+    horizontal foliation."""
     if n == 0:
         raise ZeroOffset("degree-12 coefficients require n != 0")
     scale = n ** 4 * r ** 12
     return (C12_A * scale * degree12_poly_A(da, db),
-            C12_B * scale * degree12_poly_B(da, db),
-            (C12_A, C12_B))
+            C12_B * scale * degree12_poly_B(da, db))
 
 
 def closed_form_A3_B3(m: float, r: float, da: float, db: float,
@@ -181,13 +179,12 @@ class CoefficientReport:
 
 
 def compare_coefficient(spectrum: HarmonicSpectrum, u: float, j: int,
-                        closed_value,
-                        expected_ratio: Optional[float] = None) -> CoefficientReport:
+                        closed_value) -> CoefficientReport:
     """Compare the j-th harmonic of an extracted spectrum with a closed form.
 
-    Passes if the relative difference is < 1e-7, or if the ratio matches
-    expected_ratio (a previously calibrated family constant) to 1e-7.
-    When the closed form is ~0, passes if the harmonic is < 1e-8 of the
+    Passes if the DFT/closed-form ratio is 1 to 1e-7 and the harmonic is
+    that multiple of the closed form to 1e-7 of the spectrum scale.  When
+    the closed form is ~0, passes if the harmonic is < 1e-8 of the
     spectrum scale.
     """
     dft_A, dft_B = float(spectrum.A[j]), float(spectrum.B[j])
@@ -204,19 +201,5 @@ def compare_coefficient(spectrum: HarmonicSpectrum, u: float, j: int,
             ratio = dft_B / closed_B
         err = math.hypot(dft_A - ratio * closed_A, dft_B - ratio * closed_B)
         consistent = err < 1e-7 * max(scale, 1e-300)
-        passed = consistent and (
-            abs(ratio - 1.0) < 1e-7
-            or (expected_ratio is not None
-                and abs(ratio - expected_ratio) < 1e-7 * abs(expected_ratio)))
+        passed = consistent and abs(ratio - 1.0) < 1e-7
     return CoefficientReport(u, j, dft_A, dft_B, closed_A, closed_B, ratio, passed)
-
-
-def verify_coefficient_identity(surface: ParamSurface, rel: LWRelation,
-                                u: float, j: int, closed_value,
-                                expected_ratio: Optional[float] = None,
-                                N: int = DEFAULT_SAMPLES) -> CoefficientReport:
-    """Extract the residual's spectrum on the u-circle (harmonics up to
-    max(j, 12)) and compare its j-th harmonic with a closed form; see
-    compare_coefficient for the pass rule."""
-    spectrum = _circle_spectrum(surface, rel, u, max(j, 12), N)
-    return compare_coefficient(spectrum, u, j, closed_value, expected_ratio)

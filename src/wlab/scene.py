@@ -14,7 +14,6 @@ from .cyclic import (
 )
 from .generators import (
     RiemannExampleParams,
-    RotationalProfile,
     gen_fixture,
     gen_riemann_example,
     gen_rotational_lw,
@@ -26,7 +25,7 @@ from .surface import LWRelation, ParamSurface
 class SceneResult:
     surface: ParamSurface
     riemann_data: Optional[RiemannTypeSurface] = None
-    profile: Optional[RotationalProfile] = None
+    cyclic_data: Optional[tuple[FrenetCurve, CyclicFoliationData]] = None
     truncated: bool = False
 
 
@@ -67,7 +66,7 @@ def build_scene(cfg: SceneConfig) -> SceneResult:
         rel = relation_of(cfg)
         profile, surface = gen_rotational_lw(rel, p["rho0"], p["theta0"],
                                              tuple(p["s_range"]))
-        return SceneResult(surface, profile=profile, truncated=profile.truncated)
+        return SceneResult(surface, truncated=profile.truncated)
 
     # cyclic
     u_range = tuple(p["u_range"])
@@ -76,4 +75,4 @@ def build_scene(cfg: SceneConfig) -> SceneResult:
            for k in ("kappa", "sigma", "alpha", "beta", "gamma", "r")}
     curve = FrenetCurve(fns["kappa"], fns["sigma"], u_range)
     data = CyclicFoliationData(fns["alpha"], fns["beta"], fns["gamma"], fns["r"])
-    return SceneResult(build_cyclic(curve, data))
+    return SceneResult(build_cyclic(curve, data), cyclic_data=(curve, data))

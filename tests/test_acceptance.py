@@ -29,9 +29,9 @@ from wlab.generators import (
     gen_rotational_lw,
 )
 from wlab.harmonics import (
+    circle_spectrum,
     degree12_poly_A,
     extract_harmonics,
-    residual_profile,
 )
 from wlab.surface import (
     LWRelation,
@@ -127,14 +127,13 @@ def test_criterion_3_harmonic_exactness(rng):
     cyc = build_cyclic(curve, data)
     tail6 = 0.0
     for u in (0.5, 1.0, 1.5):
-        s = extract_harmonics(residual_profile(cyc, LWRelation(2.0, 0.0), u), J=20)
+        s = circle_spectrum(cyc, LWRelation(2.0, 0.0), u, 20)
         tail = max(np.abs(s.A[7:]).max(), np.abs(s.B[7:]).max())
         tail6 = max(tail6, tail / max(s.scale(), 1e-300))
     rt = build_riemann_type(generic_riemann_type())
     tail12 = 0.0
     for u in (-0.5, 0.3):
-        s = extract_harmonics(residual_profile(rt, LWRelation(0.5, 0.7), u),
-                              J=24, N=64)
+        s = circle_spectrum(rt, LWRelation(0.5, 0.7), u, 24)
         tail = max(np.abs(s.A[13:]).max(), np.abs(s.B[13:]).max())
         tail12 = max(tail12, tail / max(s.scale(), 1e-300))
     ok = worst < 1e-12 and tail6 < 1e-9 and tail12 < 1e-9
@@ -151,7 +150,7 @@ def test_criterion_4_coefficient_identities(rng):
     rel = LWRelation(2.0, 0.0)
     ratios6 = []
     for u in np.linspace(0.3, 1.7, 5):
-        s = extract_harmonics(residual_profile(cyc, rel, u), J=12)
+        s = circle_spectrum(cyc, rel, u, 12)
         A6, B6 = closed_form_A6_B6(rel.m, curve.kappa(u), data.r(u),
                                    data.beta(u), data.gamma(u))
         ratios6.append(s.A[6] / A6 if abs(A6) >= abs(B6) else s.B[6] / B6)
@@ -162,7 +161,7 @@ def test_criterion_4_coefficient_identities(rng):
     rel3 = LWRelation(0.5, 0.0)
     ratios3 = []
     for u in np.linspace(-0.8, 0.8, 5):
-        s = extract_harmonics(residual_profile(rt, rel3, u), J=12)
+        s = circle_spectrum(rt, rel3, u, 12)
         A3, B3 = closed_form_A3_B3(rel3.m, rt_data.r(u),
                                    rt_data.a.d1(u), rt_data.b.d1(u),
                                    rt_data.a.d2(u), rt_data.b.d2(u))

@@ -144,6 +144,23 @@ def test_malformed_config_exit_1(tmp_path, capsys, base, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("base, argv", [
+    (RIEMANN_TYPE, ["harmonics", "--u-list=abc"]),
+    (RIEMANN_TYPE, ["harmonics", "--u-list=0.5,nan"]),
+    (RIEMANN_TYPE, ["harmonics", "--u-list=inf"]),
+    (RIEMANN_TYPE, ["harmonics", "--max-harmonic", "-1"]),
+    (ROTATIONAL, ["fit", "--tol", "nan"]),
+    (ROTATIONAL, ["fit", "--tol", "0"]),
+    (ROTATIONAL, ["fit", "--tol=-1e-6"]),
+], ids=["u-list-text", "u-list-nan", "u-list-inf", "max-harmonic-negative",
+        "tol-nan", "tol-zero", "tol-negative"])
+def test_bad_cli_argument_exit_1(tmp_path, capsys, base, argv):
+    path = write_config(tmp_path, base)
+    assert main(argv + ["--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert "wlab: config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestGenerate:
     def test_obj_counts(self, tmp_path):
         path = write_config(tmp_path, SPHERE)
@@ -245,6 +262,17 @@ class TestHarmonicsCommand:
         _, cols = read_csv_columns(out / "rt.harmonics.csv")
         checked = [p for j, p in zip(cols["j"], cols["pass"]) if j == "3"]
         assert checked and all(p == "True" for p in checked)
+
+    def test_cyclic_A6_rows_pass(self, tmp_path):
+        path = write_config(tmp_path, dict(CYCLIC, relation=[2.0, 0.0]))
+        out = tmp_path / "out"
+        assert main(["harmonics", "--config", path, "--out", str(out),
+                     "--u-list=0.5,1.0"]) == 0
+        _, cols = read_csv_columns(out / "cyc.harmonics.csv")
+        rows = [(float(r), p) for j, r, p in zip(cols["j"], cols["ratio"], cols["pass"])
+                if j == "6"]
+        assert len(rows) == 2
+        assert all(abs(r - 1.0) < 1e-7 and p == "True" for r, p in rows), rows
 
     def test_requires_relation(self, tmp_path, capsys):
         path = write_config(tmp_path, CATENOID)
