@@ -1,9 +1,10 @@
-"""ODE generators for the model surfaces.
+"""Generators for the model surfaces.
 
-Builds Riemann minimal examples (and their catenoid degeneration) from the
+Builds Riemann minimal examples (and their catenoid degeneration), whose
 radius equation r r'' = 1 + (lambda^2 + mu^2) r^4 + r'^2 with horizontal
-center drift a' = lambda r^2, b' = mu r^2, rotational profiles obeying a
-linear curvature relation, and a small set of closed-form test fixtures.
+center drift a' = lambda r^2, b' = mu r^2 is solved in closed form by
+Jacobi elliptic functions; rotational profiles obeying a linear curvature
+relation, integrated as an ODE; and a small set of closed-form test fixtures.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+from scipy.special import ellipj, ellipkm1, elliprd, elliprf
 
 from .cyclic import _HEIGHT_U, RiemannTypeSurface, _DenseOde, _horizontal_circles
 from .errors import (
@@ -56,75 +59,106 @@ class RiemannExampleParams:
             raise InvalidParameter("empty u_range")
 
 
-def _integrate_two_sided(rhs, anchor, y0, u_range, events):
-    """Integrate from the anchor to both ends, truncating at terminal events
-    or solver failure.  Returns (dense, achieved_range, truncated)."""
-    segments = []
-    truncated = False
-    for target in u_range:
-        if target == anchor:
-            continue
-        sol = solve_ivp(rhs, (anchor, target), y0, method="RK45",
-                        rtol=_ODE_TOL, atol=_ODE_TOL, dense_output=True,
-                        events=events)
-        reached = float(sol.t[-1])
-        if not sol.success or any(len(t) for t in sol.t_events):
-            truncated = True
-        if abs(reached - anchor) >= 1e-12:
-            # both sides return y0 exactly at the anchor
-            segments.append((min(anchor, reached), max(anchor, reached), sol.sol))
-    if not segments:  # neither side left the anchor
-        segments.append((anchor, anchor, lambda u: y0))
-    achieved = (segments[0][0], segments[-1][1])
-    return _DenseOde(segments, achieved), achieved, truncated
+def _jacobi_near_pole(x, m1, quarter):
+    """nc, |sc| and dc of |x| for the parameter m = 1 - m1.
+
+    Past quarter / 2, where cn heads for its zero at the quarter period, they
+    come from y = quarter - |x| through sn = cd y, cn = sqrt(m1) sd y and
+    dn = sqrt(m1) nd y (DLMF Table 22.4.3), which keeps their relative
+    accuracy up to the pole.  The quarter period is infinite when m1 = 0.
+    """
+    ax = np.abs(x)
+    far = ax > 0.5 * quarter
+    sn, cn, dn, _ = ellipj(np.where(far, quarter - ax, ax), 1.0 - m1)
+    k1 = math.sqrt(m1)
+    den = np.where(far, k1 * sn, cn)
+    return (np.where(far, dn, 1.0) / den, np.where(far, cn, sn) / den,
+            np.where(far, k1, dn) / den)
 
 
 def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
-    """Integrate the Riemann-example system.
+    """The Riemann-example system in closed form.
 
-    lam = mu = 0 yields the catenoid radius r = r0-scaled cosh; otherwise a
-    non-rotational minimal surface.  The range is truncated (with the
-    surface's truncated flag set) if the radius blows up before the
-    requested endpoint.
+    The radius equation has the first integral r'^2 = (s - e1)(c s + 1/e1),
+    s = r^2, c = lam^2 + mu^2, e1 the squared neck radius.  So r = r_n nc x
+    with x = omega (u - u_n), omega^2 = c e1 + 1/e1 and parameter
+    m = 1 - m1, m1 = c e1^2 / (1 + c e1^2) (DLMF 22).  a = lam S and
+    b = mu S with S = int r^2 = (e1 / omega) int nc^2, and with t = sc x,
+    int_0^x nc^2 = x + t^3/3 R_D(1 + t^2, 1 + m1 t^2, 1) and
+    x = t R_F(1, 1 + t^2, 1 + m1 t^2) (DLMF 19.16).  lam = mu = 0 gives
+    nc = cosh: the catenoid.  The radius grows without bound on both sides
+    of the neck (poles at u_n +- K(m) / omega when c > 0); the range is
+    truncated (truncated flag set) where r + |r'| reaches 1e8 before the
+    requested endpoint.  A radius at or below 1e-8 in range raises
+    RadiusCollapse.
     """
     if p.r0 <= _COLLAPSE_EPS:
         raise RadiusCollapse(f"initial radius {p.r0} at or below {_COLLAPSE_EPS}")
-    lm2 = p.lam * p.lam + p.mu * p.mu
+    c = p.lam * p.lam + p.mu * p.mu
+    s0 = p.r0 * p.r0
+    k = (p.dr0 * p.dr0 + 1.0 - c * s0 * s0) / s0
+    q = math.hypot(k, 2.0 * math.sqrt(c))
+    e1 = 2.0 / (k + q) if k > 0 else (q - k) / (2.0 * c)  # root of c s^2 + k s = 1
+    rn, omega = math.sqrt(e1), math.sqrt(c * e1 + 1.0 / e1)
+    if not math.isfinite(omega * e1):
+        raise NumericalError(f"closed form overflows at lam = {p.lam}, mu = {p.mu}, "
+                             f"r0 = {p.r0}, dr0 = {p.dr0}")
+    m1 = c * e1 * e1 / (1.0 + c * e1 * e1)
+    quarter = float(ellipkm1(m1))
+
+    def x_of(t):
+        return float(t * elliprf(1.0, 1.0 + t * t, 1.0 + m1 * t * t))
+
+    def nc2_integral(x, t):
+        return x + t ** 3 / 3.0 * elliprd(1.0 + t * t, 1.0 + m1 * t * t, 1.0)
+
+    # sc x0 = |dr0| / (r0 omega dn x0), and r0^2 omega^2 dn^2 x0 = c e1 s0 + 1
+    t0 = math.copysign(abs(p.dr0) / math.sqrt(c * e1 * s0 + 1.0), p.dr0)
+    x0 = x_of(t0)
+    i0 = nc2_integral(x0, t0)
+
+    def blowup(r):
+        return r + math.sqrt((r - rn) * (r + rn) * (c * r * r + 1.0 / e1)) - _BLOWUP_LIMIT
+
+    rb = brentq(blowup, rn, _BLOWUP_LIMIT)
+    xb = x_of(math.sqrt((rb - rn) * (rb + rn)) / rn)
     anchor = min(max(0.0, p.u_range[0]), p.u_range[1])
+    lo = float(max(p.u_range[0], anchor - (xb + x0) / omega))
+    hi = float(min(p.u_range[1], anchor + (xb - x0) / omega))
+    truncated = lo > p.u_range[0] or hi < p.u_range[1]
 
-    def rhs(u, y):
-        r, rp = y[0], y[1]
-        if r <= _COLLAPSE_EPS:
-            raise RadiusCollapse(f"radius collapsed at u = {u}")
-        return np.array([rp, (1.0 + lm2 * r ** 4 + rp * rp) / r,
-                         p.lam * r * r, p.mu * r * r])
+    def evaluate(u):
+        """(r, r', S) at u clamped into [lo, hi], with S(anchor) = 0."""
+        x = x0 + omega * (np.clip(u, lo, hi) - anchor)
+        nc, sc, dc = _jacobi_near_pole(x, m1, quarter)
+        t = np.copysign(sc, x)
+        return rn * nc, rn * omega * t * dc, e1 / omega * (nc2_integral(x, t) - i0)
 
-    def collapse(u, y):
-        return y[0] - _COLLAPSE_EPS
+    cache = [None, None]
 
-    collapse.terminal = True
+    def state(u):
+        # the functions of one jet grid all ask for the same u
+        key = (np.shape(u), np.asarray(u, dtype=float).tobytes())
+        if cache[0] != key:
+            cache[:] = key, evaluate(u)
+        return cache[1]
 
-    def blowup(u, y):
-        return _BLOWUP_LIMIT - (abs(y[0]) + abs(y[1]))
-
-    blowup.terminal = True
-
-    y0 = np.array([p.r0, p.dr0, 0.0, 0.0])
-    dense, achieved, truncated = _integrate_two_sided(
-        rhs, anchor, y0, p.u_range, [collapse, blowup])
+    u_min = min(max(anchor - x0 / omega, lo), hi)  # the neck, clamped into range
+    if state(u_min)[0] <= _COLLAPSE_EPS:
+        raise RadiusCollapse(f"radius {state(u_min)[0]:.3g} at u = {u_min} "
+                             f"at or below {_COLLAPSE_EPS}")
 
     def d2r(u):
-        r, rp = dense(u)[0], dense(u)[1]
-        return (1.0 + lm2 * r ** 4 + rp * rp) / r
+        r, rp, _ = state(u)
+        return (1.0 + c * r ** 4 + rp * rp) / r
 
-    r_fn = SmoothFunction(lambda u: dense(u)[0], lambda u: dense(u)[1], d2r)
-    a_fn = SmoothFunction(lambda u: dense(u)[2],
-                          lambda u: p.lam * dense(u)[0] ** 2,
-                          lambda u: 2.0 * p.lam * dense(u)[0] * dense(u)[1])
-    b_fn = SmoothFunction(lambda u: dense(u)[3],
-                          lambda u: p.mu * dense(u)[0] ** 2,
-                          lambda u: 2.0 * p.mu * dense(u)[0] * dense(u)[1])
-    return RiemannTypeSurface(a_fn, b_fn, r_fn, achieved, truncated=truncated)
+    def drift(k):  # k S, with S' = r^2
+        return SmoothFunction(lambda u: k * state(u)[2], lambda u: k * state(u)[0] ** 2,
+                              lambda u: 2.0 * k * state(u)[0] * state(u)[1])
+
+    r_fn = SmoothFunction(lambda u: state(u)[0], lambda u: state(u)[1], d2r)
+    return RiemannTypeSurface(drift(p.lam), drift(p.mu), r_fn, (lo, hi),
+                              truncated=truncated)
 
 
 @dataclass

@@ -6,7 +6,7 @@ atomic rename.
 """
 from __future__ import annotations
 
-import math
+import itertools
 import os
 import tempfile
 from typing import Optional
@@ -75,16 +75,20 @@ def write_obj(path, surface: ParamSurface, nu: int, nv: int,
     atomic_write_text(path, obj_text(verts, normals, nu, nv))
 
 
-def fmt(x) -> str:
+def _cell(x) -> str:
+    """The "%" spec of one CSV cell: "%.12g" for a float, "" (an empty cell)
+    for NaN, "%s" (str) for anything else."""
     if isinstance(x, float):
-        if math.isnan(x):
-            return ""
-        return "%.12g" % x
-    return str(x)
+        return "%.12g" if x == x else ""
+    return "%s"
 
 
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """CSV text; each run of rows with one template is one "%" block."""
+    blocks = [",".join(header) + "\n"]
+    for template, run in itertools.groupby(
+            rows, key=lambda row: ",".join(map(_cell, row)) + "\n"):
+        run = list(run)
+        cells = [x for row in run for x in row if _cell(x)]
+        blocks.append((template * len(run)) % tuple(cells))
+    atomic_write_text(path, "".join(blocks))

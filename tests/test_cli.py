@@ -16,6 +16,7 @@ from wlab.config import (
     parse_scalar_function,
 )
 from wlab.errors import ConfigError
+from wlab.meshio import write_csv
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -144,6 +145,23 @@ def test_malformed_config_exit_1(tmp_path, capsys, base, key, value):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, code", [
+    ({"r0": 1e-9}, 2),
+    ({"r0": 0.01, "dr0": -1e7}, 2),  # the neck radius is about 1e-9
+    ({"lambda": 1e-9, "mu": 0.0, "u_range": [-30.0, 30.0]}, 0),
+], ids=["r0-collapsed", "neck-collapsed", "long-range-small-lambda"])
+def test_riemann_example_exit_codes(tmp_path, capsys, params, code):
+    path = write_config(tmp_path, dict(RIEMANN_EXAMPLE,
+                                       params=dict(RIEMANN_EXAMPLE["params"], **params)))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", path, "--out", str(out)]) == code
+    if code == 0:
+        assert json.loads((out / "rex.meta.json").read_text())["truncated"] is True
+    else:
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "radius" in err
+
+
 @pytest.mark.parametrize("base, argv", [
     (RIEMANN_TYPE, ["harmonics", "--u-list=abc"]),
     (RIEMANN_TYPE, ["harmonics", "--u-list=0.5,nan"]),
@@ -159,6 +177,34 @@ def test_bad_cli_argument_exit_1(tmp_path, capsys, base, argv):
     assert main(argv + ["--config", path, "--out", str(tmp_path / "out")]) == 1
     assert "wlab: config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _per_cell_csv(header, rows):
+    """The per-cell CSV formatting that write_csv's "%" blocks must reproduce."""
+    def fmt(x):
+        if isinstance(x, float):
+            return "" if math.isnan(x) else "%.12g" % x
+        return str(x)
+
+    lines = [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_per_cell_writer(tmp_path):
+    rows = ([[0.5, 3, 1.0 / 3.0, math.nan, "x", "True"],
+             [0.5, 4, -0.0, math.inf, "", "False"],
+             [0.5, 5, -math.inf, 0.0, "50%", "nan"],
+             [np.float64(1e-300), np.int64(7), True, np.float64(math.nan), 2.5e20, -1],
+             [np.float32(math.nan), np.float32(0.1), None, -0.0, -1e-7, 123456789012345.0],
+             [1, 2, 3], [], [math.nan, math.nan], [math.nan, 1.0]]
+            + np.random.default_rng(0).normal(size=(20, 4)).tolist()
+            + [[0.25, math.nan, 7, "%s"]] * 3)
+    header = ["u", "j", "x", "label"]
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, rows)
+    assert path.read_text() == _per_cell_csv(header, rows)
+    write_csv(path, header, [])
+    assert path.read_text() == "u,j,x,label\n"
 
 
 class TestGenerate:

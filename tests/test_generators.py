@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 
 from wlab.cyclic import build_riemann_type
@@ -12,7 +13,8 @@ from wlab.generators import (
     gen_riemann_example,
     gen_rotational_lw,
 )
-from wlab.surface import LWRelation, curvature, evaluate_jet
+from wlab.meshio import obj_grid
+from wlab.surface import LWRelation, curvature, evaluate_jet, interior_grid
 
 
 class TestRiemannExample:
@@ -135,6 +137,28 @@ class TestRotationalLw:
         with pytest.raises(InvalidParameter):
             gen_rotational_lw(LWRelation(1.0, 0.0), 1.0, 0.0, (1.0, 0.0))
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.one_of(st.just(1.0), st.floats(-2.5, -0.2), st.floats(0.2, 0.8),
+                       st.floats(1.2, 2.5)),
+           n=st.floats(-0.8, 0.8), rho0=st.floats(1.0, 1.5),
+           theta0=st.floats(-0.8, 0.8), length=st.floats(0.5, 6.0))
+    def test_first_integral(self, m, n, rho0, theta0, length):
+        # d(sin theta)/d rho = m sin(theta)/rho + n integrates to
+        # sin theta = C rho^m + n rho/(1 - m), or rho (C + n ln rho) for m = 1.
+        # The drift of C is weighted by the term it multiplies, so it is an
+        # error in sin theta; it is taken away from the axis, where theta'
+        # is singular.
+        profile, _ = gen_rotational_lw(LWRelation(m, n), rho0, theta0, (0.0, length))
+        rho, _, theta = profile.state(np.linspace(*profile.s_range, 200))
+        keep = rho > 0.1
+        rho, sin = rho[keep], np.sin(theta[keep])
+        if m == 1.0:
+            weight, c = rho, sin / rho - n * np.log(rho)
+        else:
+            weight = rho ** m
+            c = (sin - n * rho / (1.0 - m)) / weight
+        assert np.abs((c - c[0]) * weight).max() < 1e-8
+
 
 class TestFixtures:
     def test_sphere_curvature(self):
@@ -209,3 +233,58 @@ class TestDenseLookups:
         for v in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
             evaluate_jet(surf, u, v)
         assert len(calls) <= 1
+
+
+def _reference_radius_ode(p: RiemannExampleParams, us):
+    """(r, r', a, b) at us from a tight DOP853 integration of the radius ODE
+    outward from the anchor, u = 0 clamped into u_range."""
+    lm2 = p.lam ** 2 + p.mu ** 2
+
+    def rhs(u, y):
+        r, rp = y[0], y[1]
+        return [rp, (1.0 + lm2 * r ** 4 + rp * rp) / r, p.lam * r * r, p.mu * r * r]
+
+    anchor = min(max(0.0, p.u_range[0]), p.u_range[1])
+    out = np.empty((4, len(us)))
+    for side in (us < anchor, us >= anchor):
+        idx = np.flatnonzero(side)
+        if idx.size:
+            idx = idx[np.argsort(np.abs(us[idx] - anchor))]  # outward
+            sol = solve_ivp(rhs, (anchor, us[idx[-1]]), [p.r0, p.dr0, 0.0, 0.0],
+                            method="DOP853", rtol=1e-13, atol=1e-13, t_eval=us[idx])
+            assert sol.success, sol.message
+            out[:, idx] = sol.y
+    return out
+
+
+class TestClosedFormRiemannExample:
+    """The closed-form radius and center drift against a tight integration
+    of the radius ODE, on the CLI grids, near the blow-up truncation and
+    down to the catenoid limit lam -> 0."""
+
+    @pytest.mark.parametrize("u_range", [(-1.0, 1.0), (-30.0, 30.0)],
+                             ids=["short", "long-truncated"])
+    @pytest.mark.parametrize("lam", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_matches_reference_ode(self, lam, u_range):
+        p = RiemannExampleParams(lam, 0.5 * lam, 0.9, -0.15, u_range)
+        data = gen_riemann_example(p)
+        assert data.truncated == (u_range[1] == 30.0)
+        surf = build_riemann_type(data)
+        for us in (interior_grid(surf, 33, 8)[0], obj_grid(surf, 33, 8)[0]):
+            ref = _reference_radius_ode(p, us)
+            got = np.array([data.r(us), data.r.d1(us), data.a(us), data.b(us)])
+            scale = np.maximum(1.0, np.abs(ref))
+            assert (np.abs(got - ref) / scale).max() < 1e-8
+
+    @pytest.mark.parametrize("u_range", [(-1.0, 1.0), (-30.0, 30.0)])
+    def test_catenoid_limit(self, u_range):
+        r0, dr0 = 0.8, 0.3
+        data = gen_riemann_example(RiemannExampleParams(0.0, 0.0, r0, dr0, u_range))
+        rn = r0 / math.sqrt(1.0 + dr0 * dr0)
+        un = -rn * math.asinh(dr0)
+        us = np.linspace(*data.u_range, 101)
+        exact = rn * np.cosh((us - un) / rn)
+        assert np.abs(data.r(us) / exact - 1.0).max() < 1e-12
+        assert np.abs(data.r.d1(us) - np.sinh((us - un) / rn)).max() < 1e-12 * exact.max()
+        assert data.is_rotational()
+        assert not np.any(data.a(us)) and not np.any(data.b(us))
