@@ -240,7 +240,7 @@ def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
     reached = float(sol.t[-1])
     achieved = (s0, reached)
 
-    dense = _DenseOde([(s0, reached, sol.sol)], achieved)
+    dense = _DenseOde(lambda s: np.stack([sol.sol(x) for x in s], axis=-1), achieved)
     profile = RotationalProfile(rel, achieved, dense, truncated=truncated)
     theta, dtheta = profile.theta, profile.kappa_meridian  # theta' = kappa_meridian
     rho = SmoothFunction(profile.rho, lambda s: np.cos(theta(s)),

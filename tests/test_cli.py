@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -160,6 +161,23 @@ def test_riemann_example_exit_codes(tmp_path, capsys, params, code):
     else:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "radius" in err
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"gamma": "sqrt(u - 1)"}, r"gamma non-finite at u = (\S+)"),
+    ({"kappa": "1/(u - 0.55)"}, r"missed tolerance .* with 4096 steps"),
+], ids=["gamma-nan", "kappa-pole"])
+def test_cyclic_transport_exit_2(tmp_path, capsys, params, message):
+    """A non-finite coefficient names the first u where the transport met
+    it; a pole that no step count resolves stops at the step cap."""
+    path = write_config(tmp_path, dict(CYCLIC, params=dict(CYCLIC["params"], **params)))
+    assert main(["generate", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    found = re.search(message, err)
+    assert found, err
+    if found.groups():
+        assert 0.0 <= float(found.group(1)) < 1.0
 
 
 @pytest.mark.parametrize("base, argv", [

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import solve_ivp
 
 from wlab.cyclic import (
     ArcLengthReparam,
@@ -16,11 +18,14 @@ from wlab.cyclic import (
 )
 from wlab.errors import (
     ConstantCenterCurve,
+    NonFiniteInput,
     NumericalError,
     RadiusNotPositive,
 )
 from wlab.functions import SmoothFunction, as_smooth
+from wlab.harmonics import circle_spectrum
 from wlab.surface import (
+    LWRelation,
     curvature,
     evaluate_jet,
     finite_difference_twin,
@@ -237,3 +242,111 @@ class TestReparamArclength:
         rep = reparam_arclength(u, envelope, np.zeros_like(u))
         assert isinstance(rep, ArcLengthReparam)
         assert np.isfinite(rep.phi).all()
+
+
+def _helix_curve():
+    k = s = 0.5
+    w = math.sqrt(k * k + s * s)
+    t0 = np.array([0.0, k / w, s / w])
+    n0 = np.array([-1.0, 0.0, 0.0])
+    return FrenetCurve(k, s, (0.0, 5.0), point0=[k / (w * w), 0, 0], tangent0=t0,
+                       normal0=n0, binormal0=np.cross(t0, n0))
+
+
+def _sweep_shaped(k0, k1, s0, s1, alpha, b0, b1, g0, g1, u1):
+    """Cyclic data shaped like the benchmark's random cyclic scenes."""
+    curve = FrenetCurve(lambda u: k0 + k1 * np.sin(u), lambda u: s0 + s1 * np.cos(u),
+                        (0.0, u1))
+    data = CyclicFoliationData(alpha, lambda u: b0 + b1 * np.sin(u),
+                               lambda u: g0 + g1 * np.cos(u), 0.5)
+    return curve, data
+
+
+TRANSPORT_SCENES = {
+    "generic": generic_cyclic,
+    "helix": lambda: (_helix_curve(), CyclicFoliationData(1.0, 0.2, -0.3, 0.5)),
+    "sweep-low": lambda: _sweep_shaped(0.5, 0.05, 0.1, 0.05, 1.6, 0.1, 0.02,
+                                       0.2, 0.02, 1.5),
+    "sweep-high": lambda: _sweep_shaped(1.2, 0.3, 0.5, 0.2, 2.4, 0.4, 0.1,
+                                        0.5, 0.1, 2.5),
+    "sweep-mid": lambda: _sweep_shaped(0.8, 0.2, 0.3, 0.1, 2.0, 0.25, 0.05,
+                                       0.35, 0.06, 2.0),
+}
+
+
+def _reference_state(curve, data, us):
+    """(t, n, b, c) at us from DOP853 at rtol = atol = 1e-13."""
+
+    def rhs(u, y):
+        k, s = curve.kappa(u), curve.sigma(u)
+        t, n, b = y[0:3], y[3:6], y[6:9]
+        return np.concatenate([k * n, -k * t + s * b, -s * n,
+                               data.alpha(u) * t + data.beta(u) * n
+                               + data.gamma(u) * b])
+
+    y0 = np.concatenate([curve.tangent0, curve.normal0, curve.binormal0, curve.point0])
+    sol = solve_ivp(rhs, curve.u_range, y0, method="DOP853", rtol=1e-13, atol=1e-13,
+                    dense_output=True)
+    return sol.sol(us)
+
+
+class TestMagnusTransport:
+    @pytest.mark.parametrize("scene", sorted(TRANSPORT_SCENES))
+    def test_against_dop853(self, scene):
+        curve, data = TRANSPORT_SCENES[scene]()
+        center = cyclic_center(curve, data)
+        us = np.linspace(*curve.u_range, 37)
+        ref = _reference_state(curve, data, us)
+        for i, u in enumerate(us):
+            c, frame = center(u)
+            y = np.concatenate([*frame, c])
+            assert np.all(np.abs(y - ref[:, i]) <= 5e-11 * np.maximum(1.0, np.abs(ref[:, i]))), u
+            F = np.stack(frame)
+            assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-13, u
+
+    def test_zero_band_on_cyclic_circles(self):
+        # n = 0: the reduced residual has degree 6 in v, so harmonics 7..12
+        # are zero in exact arithmetic and measure the frame's roundoff
+        surf = build_cyclic(FrenetCurve(0.7, 0.3, (0.0, 4.0)),
+                            CyclicFoliationData(1.5, 0.3, 0.4, 0.5))
+        for m in (2.0, 0.5, 3.0):
+            for u in np.linspace(0.1, 3.9, 39):
+                sp = circle_spectrum(surf, LWRelation(m, 0.0), u, 12)
+                band = max(np.abs(sp.A[7:]).max(), np.abs(sp.B[7:]).max())
+                assert band <= 2e-15 * sp.scale(), (m, u, band / sp.scale())
+
+    def test_non_finite_names_first_u(self):
+        curve = FrenetCurve(1.0, 0.0, (0.0, 2.0))
+        data = CyclicFoliationData(1.0, 0.0, lambda u: np.sqrt(u - 1.0), 0.5)
+        with pytest.raises(NonFiniteInput, match=r"gamma non-finite at u = 0\.0"):
+            build_cyclic(curve, data)
+
+
+def _rotation(q):
+    w, x, y, z = np.asarray(q) / np.linalg.norm(q)
+    return np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                     [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                     [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+
+
+@settings(max_examples=15, deadline=None)
+@given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+       .filter(lambda q: np.linalg.norm(q) > 0.1),
+       shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_rigid_motion_of_initial_data(q, shift):
+    """Moving the initial frame and point by (Q, shift) moves the surface by
+    it and leaves H, K, kappa1 and kappa2 unchanged."""
+    Q, shift = _rotation(q), np.asarray(shift)
+    curve, data = generic_cyclic()
+    moved = FrenetCurve(curve.kappa, curve.sigma, curve.u_range,
+                        point0=Q @ curve.point0 + shift, tangent0=Q @ curve.tangent0,
+                        normal0=Q @ curve.normal0, binormal0=Q @ curve.binormal0)
+    us, vs = np.linspace(0.1, 1.9, 7), np.linspace(0.0, 2 * math.pi, 9)
+    ja = evaluate_jet(build_cyclic(curve, data), us, vs)
+    jb = evaluate_jet(build_cyclic(moved, data), us, vs)
+    size = np.abs(ja.p).max()
+    assert np.abs(jb.p - (ja.p @ Q.T + shift)).max() <= 1e-12 * max(size, np.abs(shift).max())
+    ca, cb = curvature(ja), curvature(jb)
+    for name in ("H", "K", "kappa1", "kappa2"):
+        a, b = getattr(ca, name), getattr(cb, name)
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max(), name
