@@ -15,14 +15,12 @@ from .surface import (
     lw_residual_signed,
 )
 from .cyclic import (
-    ArcLengthReparam,
     CyclicFoliationData,
     FrenetCurve,
     RiemannTypeSurface,
     build_cyclic,
     build_riemann_type,
-    integrate_frenet,
-    reparam_arclength,
+    transport,
 )
 from .harmonics import (
     HarmonicSpectrum,

@@ -35,7 +35,7 @@ def _apply_overrides(cfg: SceneConfig, args) -> SceneConfig:
             nu, nv = (int(x) for x in args.grid.lower().split("x"))
         except ValueError:
             raise ConfigError(f"--grid: expected NUxNV, got {args.grid!r}")
-        cfg = SceneConfig(cfg.kind, cfg.params, (nu, nv), cfg.relation, cfg.name)
+        cfg = cfg.with_grid((nu, nv))
     return cfg
 
 

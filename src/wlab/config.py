@@ -7,6 +7,7 @@ so round trips are byte-exact.
 from __future__ import annotations
 
 import ast
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -108,26 +109,37 @@ def _pair(params: dict, key: str, where: str):
     return float(val[0]), float(val[1])
 
 
-def _increasing(params: dict, key: str, where: str) -> None:
+def _increasing(params: dict, key: str, where: str):
     lo, hi = _pair(params, key, where)
     if not lo < hi:
         raise ConfigError(f"{where}.{key}: expected {key}[0] < {key}[1], got {[lo, hi]}")
+    return lo, hi
+
+
+def _check_grid(grid) -> None:
+    nu, nv = grid
+    if not (isinstance(nu, int) and isinstance(nv, int) and nu >= 2 and nv >= 2):
+        raise ConfigError(f"grid: nu, nv must be integers >= 2, got {grid}")
 
 
 @dataclass
 class SceneConfig:
+    """A validated scene.  functions holds the parsed riemann-type or cyclic
+    expressions by key, each parsed once and test-evaluated at the middle of
+    u_range; build_scene uses them."""
+
     kind: str
     params: dict = field(default_factory=dict)
     grid: tuple = (32, 32)
     relation: Optional[tuple] = None
     name: str = "surface"
+    functions: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"kind: {self.kind!r} not one of {', '.join(KINDS)}")
-        nu, nv = self.grid
-        if not (isinstance(nu, int) and isinstance(nv, int) and nu >= 2 and nv >= 2):
-            raise ConfigError(f"grid: nu, nv must be integers >= 2, got {self.grid}")
+        _check_grid(self.grid)
         if self.relation is not None:
             m, n = self.relation
             if m == 0:
@@ -135,6 +147,19 @@ class SceneConfig:
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("name: must be a non-empty string")
         self._validate_params()
+
+    def with_grid(self, grid) -> "SceneConfig":
+        """This scene on another grid, without parsing its expressions again."""
+        _check_grid(grid)
+        cfg = copy.copy(self)
+        cfg.grid = grid
+        return cfg
+
+    def _parse(self, keys, where: str, u_range) -> None:
+        mid = 0.5 * (u_range[0] + u_range[1])
+        self.functions = {key: parse_scalar_function(self.params[key], f"{where}.{key}",
+                                                     test_u=mid)
+                          for key in keys}
 
     def _validate_params(self):
         p, kind = self.params, self.kind
@@ -153,9 +178,7 @@ class SceneConfig:
                 _number(p, "radius", where)
         elif kind == "riemann-type":
             _require(p, ["a", "b", "r", "u_range"], where)
-            _increasing(p, "u_range", where)
-            for key in ("a", "b", "r"):
-                parse_scalar_function(p[key], f"{where}.{key}")
+            self._parse(("a", "b", "r"), where, _increasing(p, "u_range", where))
         elif kind == "riemann-example":
             _require(p, ["lambda", "mu", "r0"], where)
             for key in ("lambda", "mu", "r0"):
@@ -174,9 +197,8 @@ class SceneConfig:
         elif kind == "cyclic":
             _require(p, ["kappa", "sigma", "alpha", "beta", "gamma", "r",
                          "u_range"], where)
-            _increasing(p, "u_range", where)
-            for key in ("kappa", "sigma", "alpha", "beta", "gamma", "r"):
-                parse_scalar_function(p[key], f"{where}.{key}")
+            self._parse(("kappa", "sigma", "alpha", "beta", "gamma", "r"), where,
+                        _increasing(p, "u_range", where))
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":

@@ -3,9 +3,10 @@
 Two parametrizations are built here: general cyclic surfaces swept from a
 Frenet frame along a base curve, and surfaces whose foliation circles lie in
 horizontal planes (Riemann-type surfaces here; fixtures and rotational
-profiles in generators.py).  Both return ParamSurface objects with
-analytic partial suppliers, so curvature never differentiates the
-integrated frame numerically.
+profiles in generators.py).  Both return ParamSurface objects whose grid
+function jets(us, vs) gives the position and its first and second partials
+in closed form from the u-only state, so curvature never differentiates the
+transported frame numerically.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import numpy as np
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .errors import (
-    ConstantCenterCurve,
     InvalidParameter,
     NonFiniteInput,
     NumericalError,
@@ -98,22 +98,6 @@ class RiemannTypeSurface:
 
     def is_rotational(self, tol: float = 1e-12) -> bool:
         return self.center_total_variation() < tol
-
-
-@dataclass(frozen=True)
-class ArcLengthReparam:
-    """Turning angle phi and speed phi' of the planar center curve.
-
-    Satisfies a' = phi' cos phi, b' = phi' sin phi at the sample points.
-    """
-
-    u: np.ndarray
-    phi: np.ndarray
-    speed: np.ndarray
-
-
-def _gram_drift(frame: np.ndarray) -> float:
-    return float(np.max(np.abs(frame @ frame.T - np.eye(3))))
 
 
 class _DenseOde:
@@ -217,10 +201,11 @@ def _knot_states(curve, data, y0, u0, h, n) -> np.ndarray:
     return np.concatenate([y0[None], prod @ y0])
 
 
-def _transport(curve: FrenetCurve,
-               data: Optional[CyclicFoliationData] = None) -> _DenseOde:
+def transport(curve: FrenetCurve,
+              data: Optional[CyclicFoliationData] = None) -> _DenseOde:
     """Dense state (t, n, b, c)(u) of the frame and the center (c stays at
-    point0 without data), from uniform order-4 Magnus steps.
+    point0 without data), from uniform order-4 Magnus steps: a _DenseOde
+    of the 12 components on curve.u_range.
 
     The step count doubles until n and 2n steps agree at the shared knots
     to _MAGNUS_TOL after Richardson's /15; past _MAGNUS_MAX_STEPS this
@@ -259,44 +244,6 @@ def _transport(curve: FrenetCurve,
     return _DenseOde(states, (u0, u1))
 
 
-class FrenetFrameField:
-    """Transported frame {t, n, b}(u) with sampled values and a dense interpolant."""
-
-    def __init__(self, dense: _DenseOde, us: np.ndarray):
-        self._dense = dense
-        self.us = us
-        self.u_range = dense.u_range
-
-    def frame(self, u: float):
-        y = self._dense(u)
-        return y[0:3], y[3:6], y[6:9]
-
-    def samples(self):
-        return np.array([np.concatenate(self.frame(u)) for u in self.us])
-
-    def gram_drift(self, u: float) -> float:
-        y = self._dense(u)
-        return _gram_drift(y[:9].reshape(3, 3))
-
-    def max_gram_drift(self) -> float:
-        return max(self.gram_drift(u) for u in self.us)
-
-
-def integrate_frenet(curve: FrenetCurve, step: Optional[float] = None) -> FrenetFrameField:
-    """Transport the Frenet frame along the curve's u-range.
-
-    Order-4 Magnus steps with a step-doubling error estimate of 1e-11; the
-    frame is orthonormal to roundoff.  step spaces the sample points.
-    """
-    if step is not None and step <= 0:
-        raise InvalidParameter("step must be positive")
-    u0, u1 = curve.u_range
-    dense = _transport(curve)
-    nstep = step if step is not None else (u1 - u0) / 200.0
-    us = np.linspace(u0, u1, max(2, int(round((u1 - u0) / nstep)) + 1))
-    return FrenetFrameField(dense, us)
-
-
 def _check_radius(r: SmoothFunction, u_range) -> None:
     us = np.linspace(u_range[0], u_range[1], _RADIUS_SAMPLES)
     vals = r(us)
@@ -312,7 +259,7 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
     differentiated numerically.
     """
     _check_radius(data.r, curve.u_range)
-    dense = _transport(curve, data)
+    dense = transport(curve, data)
 
     kappa, sigma = curve.kappa, curve.sigma
     alpha, beta, gamma, r = data.alpha, data.beta, data.gamma, data.r
@@ -351,17 +298,6 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
 
     return ParamSurface(tuple(curve.u_range), (0.0, 2.0 * math.pi), _point_of(jets),
                         jets, v_periodic=True)
-
-
-def cyclic_center(curve: FrenetCurve, data: CyclicFoliationData):
-    """Integrated center curve c(u) and frame, for construction checks."""
-    dense = _transport(curve, data)
-
-    def at(u):
-        y = dense(u)
-        return y[9:12], (y[0:3], y[3:6], y[6:9])
-
-    return at
 
 
 def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
@@ -403,25 +339,3 @@ def build_riemann_type(s: RiemannTypeSurface) -> ParamSurface:
     """Surface X(u, v) = (a(u) + r(u) cos v, b(u) + r(u) sin v, u)."""
     _check_radius(s.r, s.u_range)
     return _horizontal_circles(s.a, s.b, s.r, _HEIGHT_U, s.u_range)
-
-
-def reparam_arclength(u, da, db) -> ArcLengthReparam:
-    """Turning-angle description of the planar center curve from sampled (a', b').
-
-    phi' = hypot(a', b'); phi = unwrapped atan2(b', a') where phi' > 1e-12,
-    linearly interpolated across speed zeros (endpoint gaps hold the nearest
-    defined value).
-    """
-    u = np.asarray(u, dtype=float)
-    da = np.asarray(da, dtype=float)
-    db = np.asarray(db, dtype=float)
-    speed = np.hypot(da, db)
-    mask = speed > 1e-12
-    if not mask.any():
-        raise ConstantCenterCurve("a' and b' vanish everywhere: surface of revolution")
-    phi_defined = np.unwrap(np.arctan2(db[mask], da[mask]))
-    phi = np.empty_like(speed)
-    phi[mask] = phi_defined
-    if not mask.all():
-        phi[~mask] = np.interp(u[~mask], u[mask], phi_defined)
-    return ArcLengthReparam(u, phi, speed)

@@ -41,10 +41,6 @@ class RadiusNotPositive(NumericalError):
     """A foliation radius function is not strictly positive on its range."""
 
 
-class ConstantCenterCurve(NumericalError):
-    """Planar center curve is constant; arc-length reparametrization undefined."""
-
-
 class InsufficientSamples(WlabError):
     """Too few equispaced samples for the requested harmonic index."""
 

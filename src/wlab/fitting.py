@@ -30,11 +30,10 @@ VERDICT_UNEXPECTED = "non-rotational LW (outside the Riemann-type classification
 
 @dataclass
 class CurvatureSampleSet:
-    """Principal-curvature pairs with their (u, v) sample locations."""
+    """Principal-curvature pairs (kappa1, kappa2), one per sample point."""
 
     kappa1: np.ndarray
     kappa2: np.ndarray
-    locations: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.kappa1 = np.asarray(self.kappa1, dtype=float)
@@ -125,8 +124,7 @@ def sample_curvatures(surface: ParamSurface, grid=(25, 25)) -> tuple:
     """CurvatureSampleSet plus the H values and grid shape used."""
     us, vs = interior_grid(surface, grid[0], grid[1])
     c = curvature(evaluate_jet(surface, us, vs))
-    locs = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
-    samples = CurvatureSampleSet(c.kappa1.ravel(), c.kappa2.ravel(), locs)
+    samples = CurvatureSampleSet(c.kappa1.ravel(), c.kappa2.ravel())
     return samples, c.H, (len(us), len(vs))
 
 

@@ -1,16 +1,13 @@
 """Scalar functions of one variable with first and second derivatives.
 
-Inputs to the surface builders can be constants, plain callables, or
-sampled arrays.  Sampled data is interpolated with a natural cubic spline
-(zero second derivative at the endpoints, which only affects endpoint
-jets); callables without supplied derivatives are differentiated with
-4th-order central differences.  A SmoothFunction takes a float or a 1-d
+Inputs to the surface builders can be constants or plain callables;
+callables without supplied derivatives are differentiated with 4th-order
+central differences.  A SmoothFunction takes a float or a 1-d
 array of u values; a wrapped callable must then accept that array too.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParameter
 
@@ -58,24 +55,13 @@ class SmoothFunction:
         value = float(value)
         return cls(lambda u: value, lambda u: 0.0, lambda u: 0.0)
 
-    @classmethod
-    def from_samples(cls, u, y) -> "SmoothFunction":
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if u.ndim != 1 or u.shape != y.shape or u.size < 4:
-            raise InvalidParameter("from_samples needs matching 1-d arrays, >= 4 points")
-        spline = CubicSpline(u, y, bc_type="natural")
-        return cls(spline, spline.derivative(1), spline.derivative(2))
-
 
 def as_smooth(obj) -> SmoothFunction:
-    """Coerce a constant, callable, SmoothFunction or (u, y) pair."""
+    """Coerce a constant, callable or SmoothFunction."""
     if isinstance(obj, SmoothFunction):
         return obj
     if np.isscalar(obj):
         return SmoothFunction.constant(float(obj))
     if callable(obj):
         return SmoothFunction(obj)
-    if isinstance(obj, (tuple, list)) and len(obj) == 2:
-        return SmoothFunction.from_samples(obj[0], obj[1])
     raise InvalidParameter(f"cannot interpret {type(obj).__name__} as a smooth function")

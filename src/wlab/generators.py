@@ -134,14 +134,7 @@ def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
         t = np.copysign(sc, x)
         return rn * nc, rn * omega * t * dc, e1 / omega * (nc2_integral(x, t) - i0)
 
-    cache = [None, None]
-
-    def state(u):
-        # the functions of one jet grid all ask for the same u
-        key = (np.shape(u), np.asarray(u, dtype=float).tobytes())
-        if cache[0] != key:
-            cache[:] = key, evaluate(u)
-        return cache[1]
+    state = _DenseOde(lambda uc: np.stack(evaluate(uc)), (lo, hi))
 
     u_min = min(max(anchor - x0 / omega, lo), hi)  # the neck, clamped into range
     if state(u_min)[0] <= _COLLAPSE_EPS:
@@ -199,9 +192,7 @@ class RotationalProfile:
         s0, s1 = self.s_range
         pad = 1e-3 * (s1 - s0)
         ss = np.linspace(s0 + pad, s1 - pad, ns)
-        km = np.array([self.kappa_meridian(s) for s in ss])
-        kp = np.array([self.kappa_parallel(s) for s in ss])
-        return ss, km, kp
+        return ss, self.kappa_meridian(ss), self.kappa_parallel(ss)
 
 
 def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,

@@ -45,17 +45,6 @@ class HarmonicSpectrum:
     A: np.ndarray
     B: np.ndarray
 
-    @property
-    def J(self) -> int:
-        return len(self.A) - 1
-
-    def reconstruct(self, v):
-        v = np.asarray(v, dtype=float)
-        js = np.arange(1, self.J + 1)
-        return (self.A[0]
-                + np.cos(np.outer(v, js)) @ self.A[1:]
-                + np.sin(np.outer(v, js)) @ self.B[1:])
-
     def scale(self) -> float:
         return float(max(np.max(np.abs(self.A)), np.max(np.abs(self.B)), 0.0))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import SceneConfig, parse_scalar_function
+from .config import SceneConfig
 from .cyclic import (
     CyclicFoliationData,
     FrenetCurve,
@@ -47,11 +47,8 @@ def build_scene(cfg: SceneConfig) -> SceneResult:
         return SceneResult(surface)
 
     if cfg.kind == "riemann-type":
-        u_range = tuple(p["u_range"])
-        mid = 0.5 * (u_range[0] + u_range[1])
-        fns = {k: parse_scalar_function(p[k], f"params.{k}", test_u=mid)
-               for k in ("a", "b", "r")}
-        data = RiemannTypeSurface(fns["a"], fns["b"], fns["r"], u_range)
+        fns = cfg.functions
+        data = RiemannTypeSurface(fns["a"], fns["b"], fns["r"], tuple(p["u_range"]))
         return SceneResult(build_riemann_type(data), riemann_data=data)
 
     if cfg.kind == "riemann-example":
@@ -69,10 +66,7 @@ def build_scene(cfg: SceneConfig) -> SceneResult:
         return SceneResult(surface, truncated=profile.truncated)
 
     # cyclic
-    u_range = tuple(p["u_range"])
-    mid = 0.5 * (u_range[0] + u_range[1])
-    fns = {k: parse_scalar_function(p[k], f"params.{k}", test_u=mid)
-           for k in ("kappa", "sigma", "alpha", "beta", "gamma", "r")}
-    curve = FrenetCurve(fns["kappa"], fns["sigma"], u_range)
+    fns = cfg.functions
+    curve = FrenetCurve(fns["kappa"], fns["sigma"], tuple(p["u_range"]))
     data = CyclicFoliationData(fns["alpha"], fns["beta"], fns["gamma"], fns["r"])
     return SceneResult(build_cyclic(curve, data), cyclic_data=(curve, data))

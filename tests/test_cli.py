@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from wlab import config
 from wlab.cli import main
 from wlab.config import (
     SceneConfig,
@@ -144,6 +145,26 @@ def test_malformed_config_exit_1(tmp_path, capsys, base, key, value):
     path = write_config(tmp_path, bad)
     assert main(["generate", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_expressions_parsed_once_per_job(tmp_path, monkeypatch):
+    """Validation parses each expression; the --grid override and the scene
+    build reuse the parsed functions."""
+    parsed = []
+    parse = config.parse_scalar_function
+    monkeypatch.setattr(config, "parse_scalar_function",
+                        lambda *args, **kw: parsed.append(args[1]) or parse(*args, **kw))
+    path = write_config(tmp_path, CYCLIC)
+    assert main(["analyze", "--config", path, "--grid", "4x4",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(parsed) == 6, parsed
+
+
+def test_expression_test_point_inside_u_range(tmp_path):
+    """An expression singular at u = 0.5 but regular on its u_range is valid."""
+    path = write_config(tmp_path, dict(RIEMANN_TYPE, params=dict(
+        RIEMANN_TYPE["params"], r="1/(u - 0.5)", u_range=[1.0, 2.0])))
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("params, code", [

@@ -6,18 +6,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from wlab.cyclic import (
-    ArcLengthReparam,
     CyclicFoliationData,
     FrenetCurve,
     RiemannTypeSurface,
     build_cyclic,
     build_riemann_type,
-    cyclic_center,
-    integrate_frenet,
-    reparam_arclength,
+    transport,
 )
 from wlab.errors import (
-    ConstantCenterCurve,
     NonFiniteInput,
     NumericalError,
     RadiusNotPositive,
@@ -43,27 +39,25 @@ class TestSmoothFunction:
         assert abs(f.d1(0.7) - math.cos(0.7)) < 1e-10
         assert abs(f.d2(0.7) + math.sin(0.7)) < 1e-7
 
-    def test_spline_samples(self):
-        u = np.linspace(0, 2, 200)
-        f = SmoothFunction.from_samples(u, np.sin(u))
-        assert abs(f(1.0) - math.sin(1.0)) < 1e-8
-        assert abs(f.d1(1.0) - math.cos(1.0)) < 1e-6
+
+def _frame(state):
+    """(t, n, b) of a transported state."""
+    return state[0:3], state[3:6], state[6:9]
 
 
 class TestIntegrateFrenet:
     def test_unit_circle_closure(self):
         curve = FrenetCurve(1.0, 0.0, (0.0, 2 * math.pi))
-        ff = integrate_frenet(curve)
-        t, n, b = ff.frame(2 * math.pi)
+        t, n, b = _frame(transport(curve)(2 * math.pi))
         assert np.abs(t - curve.tangent0).max() < 1e-8
         assert np.abs(n - curve.normal0).max() < 1e-8
         assert np.abs(b - curve.binormal0).max() < 1e-8
 
     def test_straight_line_constant_frame(self):
         curve = FrenetCurve(0.0, 0.0, (0.0, 3.0))
-        ff = integrate_frenet(curve)
+        state = transport(curve)
         for u in (0.5, 1.7, 2.9):
-            t, n, b = ff.frame(u)
+            t, n, b = _frame(state(u))
             assert np.abs(t - curve.tangent0).max() < 1e-12
 
     def test_helix_closed_form(self):
@@ -75,9 +69,9 @@ class TestIntegrateFrenet:
         n0 = np.array([-1.0, 0.0, 0.0])
         curve = FrenetCurve(k, s, (0.0, 5.0), point0=[a, 0, 0], tangent0=t0,
                             normal0=n0, binormal0=np.cross(t0, n0))
-        ff = integrate_frenet(curve)
+        state = transport(curve)
         for u in (1.0, 2.5, 4.9):
-            t, n, b = ff.frame(u)
+            t, n, b = _frame(state(u))
             t_ex = np.array([-a * w * math.sin(w * u), a * w * math.cos(w * u),
                              h * w])
             n_ex = np.array([-math.cos(w * u), -math.sin(w * u), 0.0])
@@ -87,16 +81,18 @@ class TestIntegrateFrenet:
 
     def test_frame_transport_orthogonality(self):
         curve, _ = generic_cyclic()
-        ff = integrate_frenet(FrenetCurve(curve.kappa, curve.sigma, (0.0, 10.0)))
+        state = transport(FrenetCurve(curve.kappa, curve.sigma, (0.0, 10.0)))
         for u in np.linspace(0, 10, 41):
-            t, n, b = ff.frame(u)
+            t, n, b = _frame(state(u))
             assert abs(t @ n) < 1e-8 and abs(t @ b) < 1e-8 and abs(n @ b) < 1e-8
-        assert ff.max_gram_drift() < 1e-8
+        # Gram drift on 201 points
+        F = state(np.linspace(0, 10, 201))[:9].T.reshape(-1, 3, 3)
+        assert np.abs(F @ F.transpose(0, 2, 1) - np.eye(3)).max() < 1e-8
 
     def test_singular_kappa(self):
         curve = FrenetCurve(lambda u: 1.0 / (u - 0.5), 0.0, (0.0, 1.0))
         with pytest.raises(NumericalError):
-            integrate_frenet(curve)
+            transport(curve)
 
 
 class TestBuildCyclic:
@@ -113,9 +109,9 @@ class TestBuildCyclic:
         curve = FrenetCurve(1.0, 0.0, (0.0, 2 * math.pi))
         data = CyclicFoliationData(1.0, 0.0, 0.0, 0.5)
         surf = build_cyclic(curve, data)
-        center = cyclic_center(curve, data)
+        state = transport(curve, data)
         for u in (0.7, 2.0, 4.5):
-            c, (t, n, b) = center(u)
+            c, (t, n, b) = state(u)[9:12], _frame(state(u))
             for v in np.linspace(0, 2 * math.pi, 32, endpoint=False):
                 X = surf.position(u, v)
                 assert abs(np.linalg.norm(X - c) - 0.5) < 1e-10
@@ -124,9 +120,9 @@ class TestBuildCyclic:
     def test_foliation_property_generic(self):
         curve, data = generic_cyclic()
         surf = build_cyclic(curve, data)
-        center = cyclic_center(curve, data)
+        state = transport(curve, data)
         for u in (0.5, 1.0, 1.5):
-            c, (t, n, b) = center(u)
+            c, (t, n, b) = state(u)[9:12], _frame(state(u))
             r = data.r(u)
             for v in np.linspace(0, 2 * math.pi, 32, endpoint=False):
                 X = surf.position(u, v)
@@ -199,51 +195,6 @@ class TestBuildRiemannType:
                 RiemannTypeSurface(0.0, 0.0, np.sin, (-1.0, 1.0)))
 
 
-class TestReparamArclength:
-    def test_unit_speed_turning(self):
-        u = np.linspace(0, 3, 100)
-        rep = reparam_arclength(u, np.cos(u), np.sin(u))
-        assert np.abs(rep.phi - u).max() < 1e-12
-        assert np.abs(rep.speed - 1.0).max() < 1e-12
-
-    def test_constant_direction(self):
-        u = np.linspace(0, 1, 50)
-        rep = reparam_arclength(u, 2.0 * np.ones_like(u), np.zeros_like(u))
-        assert np.abs(rep.phi).max() < 1e-12
-        assert np.abs(rep.speed - 2.0).max() < 1e-12
-
-    def test_riemann_example_substitution(self):
-        # a' = lam r^2, b' = mu r^2 gives constant phi = atan2(mu, lam)
-        lam, mu = 0.7, 0.3
-        u = np.linspace(-1, 1, 80)
-        r2 = np.cosh(u) ** 2
-        rep = reparam_arclength(u, lam * r2, mu * r2)
-        assert np.abs(rep.phi - math.atan2(mu, lam)).max() < 1e-12
-        assert np.abs(rep.speed - math.hypot(lam, mu) * r2).max() < 1e-12
-
-    def test_invariants(self):
-        u = np.linspace(0, 2, 120)
-        da = np.cos(3 * u) * (1 + u)
-        db = np.sin(3 * u) * (1 + u)
-        rep = reparam_arclength(u, da, db)
-        assert np.abs(rep.speed * np.cos(rep.phi) - da).max() < 1e-9
-        assert np.abs(rep.speed * np.sin(rep.phi) - db).max() < 1e-9
-        assert np.abs(rep.speed ** 2 - (da ** 2 + db ** 2)).max() < 1e-9
-
-    def test_constant_center_curve(self):
-        u = np.linspace(0, 1, 20)
-        with pytest.raises(ConstantCenterCurve):
-            reparam_arclength(u, np.zeros_like(u), np.zeros_like(u))
-
-    def test_zero_bridging(self):
-        # speed dips to zero in the middle; phi interpolated across the gap
-        u = np.linspace(-1, 1, 201)
-        envelope = np.clip(np.abs(u) - 0.1, 0, None)
-        rep = reparam_arclength(u, envelope, np.zeros_like(u))
-        assert isinstance(rep, ArcLengthReparam)
-        assert np.isfinite(rep.phi).all()
-
-
 def _helix_curve():
     k = s = 0.5
     w = math.sqrt(k * k + s * s)
@@ -294,14 +245,13 @@ class TestMagnusTransport:
     @pytest.mark.parametrize("scene", sorted(TRANSPORT_SCENES))
     def test_against_dop853(self, scene):
         curve, data = TRANSPORT_SCENES[scene]()
-        center = cyclic_center(curve, data)
+        state = transport(curve, data)
         us = np.linspace(*curve.u_range, 37)
         ref = _reference_state(curve, data, us)
         for i, u in enumerate(us):
-            c, frame = center(u)
-            y = np.concatenate([*frame, c])
+            y = state(u)
             assert np.all(np.abs(y - ref[:, i]) <= 5e-11 * np.maximum(1.0, np.abs(ref[:, i]))), u
-            F = np.stack(frame)
+            F = y[:9].reshape(3, 3)
             assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-13, u
 
     def test_zero_band_on_cyclic_circles(self):

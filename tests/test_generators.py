@@ -93,8 +93,10 @@ class TestRotationalLw:
     def test_relation_holds_pointwise(self, m, n):
         rel = LWRelation(m, n)
         profile, surf = gen_rotational_lw(rel, 1.0, 0.3, (0.0, 1.0))
-        _, km, kp = profile.curvature_samples(50)
+        ss, km, kp = profile.curvature_samples(50)
         assert np.abs(km - (m * kp + n)).max() < 1e-12
+        np.testing.assert_array_equal(km, [profile.kappa_meridian(s) for s in ss])
+        np.testing.assert_array_equal(kp, [profile.kappa_parallel(s) for s in ss])
         for s in (0.2, 0.5, 0.8):
             c = curvature(evaluate_jet(surf, s, 1.3))
             res = min(abs(c.kappa1 - m * c.kappa2 - n),

@@ -57,12 +57,6 @@ class TestExtractHarmonics:
             assert np.abs(s.A - A).max() < 1e-12
             assert np.abs(s.B - B).max() < 1e-12
 
-    def test_reconstruct(self, rng):
-        f = lambda v: 1.0 + 0.5 * math.cos(2 * v) - 0.25 * math.sin(5 * v)
-        s = extract_harmonics(f, J=8)
-        vs = rng.uniform(0, 2 * math.pi, size=20)
-        assert np.abs(s.reconstruct(vs) - [f(v) for v in vs]).max() < 1e-13
-
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
             extract_harmonics(np.cos, J=12, N=24)
