@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: generate | analyze | harmonics | fit | export.
-Exit codes: 0 success, 1 validation error, 2 numerical failure.
+Exit codes: 0 success, 1 validation error (a malformed config or argument),
+2 numerical failure.  --help exits 0.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
     if rel is not None:
         columns += [lw_residual_linear(c, rel), lw_residual_signed(jet, rel),
                     lw_residual_poly(jet, rel)]
-    rows = np.stack(columns, axis=-1).reshape(-1, len(columns)).tolist()
+    rows = np.stack(columns, axis=-1).reshape(-1, len(columns))
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, f"{cfg.name}.analysis.csv"), header, rows)
 
@@ -158,8 +159,15 @@ _COMMANDS = {"generate": cmd_generate, "analyze": cmd_analyze,
              "harmonics": cmd_harmonics, "fit": cmd_fit, "export": cmd_export}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """An argument error raises ConfigError (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="wlab",
         description="Linear Weingarten surface toolkit: generation, curvature "
                     "analysis, harmonic checks and classification.")
@@ -177,8 +185,15 @@ def main(argv=None) -> int:
             sp.add_argument("--u-list", default=None,
                             help="comma-separated u values")
             sp.add_argument("--max-harmonic", type=int, default=12)
-    args = parser.parse_args(argv)
+    return parser
+
+
+_PARSER = _parser()  # constant: parse_args keeps nothing from one call to the next
+
+
+def main(argv=None) -> int:
     try:
+        args = _PARSER.parse_args(argv)
         cfg = _apply_overrides(load_config(args.config), args)
         _COMMANDS[args.command](cfg, args.out, args)
     except ConfigError as exc:

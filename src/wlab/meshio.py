@@ -1,15 +1,19 @@
 """Mesh and report output: OBJ export, CSV writers, atomic file writes.
 
-Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files.
-All writes go through a temp file in the target directory followed by an
-atomic rename.
+Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files, each
+section or run of rows as one "%" block.  OBJ faces come from a token table:
+each vertex's "k//k" is formatted once, and the six corners of every grid
+cell are gathered from it by index arrays.  A float array handed to
+write_csv gets its templates from one np.isnan over the whole array: each
+run of rows with one NaN pattern (NaN is an empty cell) is one block.  Other
+rows are classified cell by cell.  All writes go through a temp file in the
+target directory followed by an atomic rename.
 """
 from __future__ import annotations
 
 import itertools
 import os
 import tempfile
-from typing import Optional
 
 import numpy as np
 
@@ -42,37 +46,27 @@ def obj_grid(surface: ParamSurface, nu: int, nv: int):
     return us, vs
 
 
-def surface_mesh(surface: ParamSurface, nu: int, nv: int, with_normals=True):
+def surface_mesh(surface: ParamSurface, nu: int, nv: int):
     """(vertices, normals) arrays of shape (nu*nv, 3), v fastest."""
     jet = evaluate_jet(surface, *obj_grid(surface, nu, nv))
-    normals = jet.normal.reshape(-1, 3) if with_normals else None
-    return jet.p.reshape(-1, 3), normals
+    return jet.p.reshape(-1, 3), jet.normal.reshape(-1, 3)
 
 
-def obj_text(verts: np.ndarray, normals: Optional[np.ndarray],
-             nu: int, nv: int) -> str:
+def obj_text(verts: np.ndarray, normals: np.ndarray, nu: int, nv: int) -> str:
     """OBJ text: one "%.9g" block per section, two triangles per grid cell."""
-    blocks = [("v %.9g %.9g %.9g\n" * len(verts)) % tuple(verts.ravel().tolist())]
-    if normals is not None:
-        blocks.append(("vn %.9g %.9g %.9g\n" * len(normals))
-                      % tuple(normals.ravel().tolist()))
-    a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1) + 1).ravel()  # 1-based
+    blocks = [("v %.9g %.9g %.9g\n" * len(verts)) % tuple(verts.ravel().tolist()),
+              ("vn %.9g %.9g %.9g\n" * len(normals)) % tuple(normals.ravel().tolist())]
+    tokens = np.array(["%d//%d" % (k, k) for k in range(1, nu * nv + 1)], dtype=object)
+    a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()  # 0-based
     b, c = a + 1, a + nv
     d = c + 1
-    if normals is not None:
-        face = "f %d//%d %d//%d %d//%d\n"
-        corners = (a, a, b, b, d, d, a, a, d, d, c, c)
-    else:
-        face = "f %d %d %d\n"
-        corners = (a, b, d, a, d, c)
-    blocks.append((2 * face * len(a)) % tuple(np.stack(corners, axis=1).ravel().tolist()))
+    corners = np.stack((a, b, d, a, d, c), axis=1).ravel()
+    blocks.append((2 * "f %s %s %s\n" * len(a)) % tuple(tokens[corners].tolist()))
     return "".join(blocks)
 
 
-def write_obj(path, surface: ParamSurface, nu: int, nv: int,
-              with_normals: bool = True) -> None:
-    verts, normals = surface_mesh(surface, nu, nv, with_normals)
-    atomic_write_text(path, obj_text(verts, normals, nu, nv))
+def write_obj(path, surface: ParamSurface, nu: int, nv: int) -> None:
+    atomic_write_text(path, obj_text(*surface_mesh(surface, nu, nv), nu, nv))
 
 
 def _cell(x) -> str:
@@ -83,12 +77,30 @@ def _cell(x) -> str:
     return "%s"
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV text; each run of rows with one template is one "%" block."""
-    blocks = [",".join(header) + "\n"]
+def _array_runs(rows: np.ndarray):
+    """(template, row count, cells) per run of rows of a 2-D float array
+    that share one NaN pattern."""
+    nan = np.isnan(rows)
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (nan[1:] != nan[:-1]).any(axis=1)
+    starts = np.flatnonzero(new).tolist()
+    for s, e in zip(starts, starts[1:] + [len(rows)]):
+        template = ",".join(np.where(nan[s], "", "%.12g").tolist()) + "\n"
+        yield template, e - s, tuple(rows[s:e][~nan[s:e]].tolist())
+
+
+def _list_runs(rows):
+    """(template, row count, cells) per run of rows with one template."""
     for template, run in itertools.groupby(
             rows, key=lambda row: ",".join(map(_cell, row)) + "\n"):
         run = list(run)
-        cells = [x for row in run for x in row if _cell(x)]
-        blocks.append((template * len(run)) % tuple(cells))
+        yield template, len(run), tuple(x for row in run for x in row if _cell(x))
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV text; each run of rows with one template is one "%" block.  rows
+    is a 2-D float array or a sequence of rows of any cells."""
+    runs = _array_runs(rows) if isinstance(rows, np.ndarray) else _list_runs(rows)
+    blocks = [",".join(header) + "\n"]
+    blocks += [(template * count) % cells for template, count, cells in runs]
     atomic_write_text(path, "".join(blocks))

@@ -5,11 +5,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wlab import config
+from wlab import cli, config
 from wlab.cli import main
 from wlab.config import (
     SceneConfig,
@@ -18,7 +20,7 @@ from wlab.config import (
     parse_scalar_function,
 )
 from wlab.errors import ConfigError
-from wlab.meshio import write_csv
+from wlab.meshio import obj_text, write_csv
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -244,6 +246,106 @@ def test_write_csv_matches_per_cell_writer(tmp_path):
     assert path.read_text() == _per_cell_csv(header, rows)
     write_csv(path, header, [])
     assert path.read_text() == "u,j,x,label\n"
+
+
+@pytest.mark.parametrize("base, argv", [
+    (SPHERE, ["generate", "--config", "CFG", "--bogus", "1"]),
+    (SPHERE, ["generate"]),
+    (ROTATIONAL, ["fit", "--config", "CFG", "--tol", "abc"]),
+    (RIEMANN_TYPE, ["harmonics", "--config", "CFG", "--max-harmonic", "x"]),
+    (SPHERE, []),
+    (SPHERE, ["frob", "--config", "CFG"]),
+], ids=["unknown-option", "missing-config", "tol-text", "max-harmonic-text",
+        "no-subcommand", "unknown-subcommand"])
+def test_argument_error_exit_1(tmp_path, capsys, base, argv):
+    path = write_config(tmp_path, base)
+    argv = [path if a == "CFG" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert "wlab: config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["fit", "--help"]])
+def test_help_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: wlab" in capsys.readouterr().out
+
+
+def test_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
+    path = write_config(tmp_path, RIEMANN_TYPE)
+    out = tmp_path / "out"
+    assert main(["harmonics", "--config", path, "--out", str(out),
+                 "--u-list=-0.5,0.5", "--max-harmonic", "3"]) == 0
+    _, cols = read_csv_columns(out / "rt.harmonics.csv")
+    assert len(cols["u"]) == 2 * 4
+    assert main(["harmonics", "--config", path, "--out", str(out)]) == 0
+    _, cols = read_csv_columns(out / "rt.harmonics.csv")
+    assert len(set(cols["u"])) == 5 and len(cols["u"]) == 5 * 13
+
+    tols = []
+    real_classify = cli.classify
+
+    def classify(*args, lw_tol, **kwargs):
+        tols.append(lw_tol)
+        return real_classify(*args, lw_tol=lw_tol, **kwargs)
+
+    monkeypatch.setattr(cli, "classify", classify)
+    path = write_config(tmp_path, ROTATIONAL)
+    assert main(["fit", "--config", path, "--out", str(out), "--tol", "1e-3"]) == 0
+    assert main(["fit", "--config", path, "--out", str(out)]) == 0
+    assert tols == [1e-3, 1e-6]
+
+
+def _per_line_obj(verts, normals, nu, nv):
+    """The per-line OBJ formatting that obj_text's blocks must reproduce."""
+    lines = ["v %.9g %.9g %.9g" % tuple(p) for p in verts.tolist()]
+    lines += ["vn %.9g %.9g %.9g" % tuple(n) for n in normals.tolist()]
+    for i in range(nu - 1):
+        for j in range(nv - 1):
+            a = i * nv + j + 1
+            b, c = a + 1, a + nv
+            d = c + 1
+            lines.append("f %d//%d %d//%d %d//%d" % (a, a, b, b, d, d))
+            lines.append("f %d//%d %d//%d %d//%d" % (a, a, d, d, c, c))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("nu, nv", [(2, 2), (2, 17), (17, 2), (31, 29), (101, 100)])
+def test_obj_text_matches_per_line_writer(nu, nv):
+    rng = np.random.default_rng(nu * 1000 + nv)
+    verts = rng.normal(size=(nu * nv, 3)) * 10.0 ** rng.integers(-5, 6, size=(nu * nv, 1))
+    normals = rng.normal(size=(nu * nv, 3))
+    assert obj_text(verts, normals, nu, nv) == _per_line_obj(verts, normals, nu, nv)
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 2.5e20]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _float_grids(draw):
+    """2-D float arrays built from repeated rows, so NaN patterns come in runs."""
+    k = draw(st.integers(0, 6))
+    runs = draw(st.lists(st.tuples(st.lists(_CSV_FLOATS, min_size=k, max_size=k),
+                                   st.integers(1, 4)), max_size=8))
+    rows = [row for row, count in runs for _ in range(count)]
+    return np.array(rows, dtype=float).reshape(len(rows), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_float_grids())
+def test_write_csv_float_array_matches_per_cell_writer(rows):
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    expected = _per_cell_csv(header, rows.tolist())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        for given_rows in (rows, rows.tolist()):
+            write_csv(path, header, given_rows)
+            with open(path, encoding="utf-8") as fh:
+                assert fh.read() == expected
 
 
 class TestGenerate:
