@@ -69,19 +69,19 @@ def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
     write_csv(os.path.join(outdir, f"{cfg.name}.analysis.csv"), header, rows)
 
 
-def _closed_form(result: SceneResult, rel, u: float, J: int):
-    """(j, (A_j, B_j)) for the one harmonic j <= J on the u-circle whose
-    closed form the toolkit knows, else None."""
+def _closed_form(result: SceneResult, rel, us: np.ndarray, J: int):
+    """(j, (A_j, B_j)) for the one harmonic j <= J whose closed form the
+    toolkit knows, A_j and B_j arrays over the u-circles us; else None."""
     data = result.riemann_data
     if data is not None and J >= (12 if rel.n != 0 else 3):
-        da, db, r = data.a.d1(u), data.b.d1(u), data.r(u)
+        da, db, r = data.a.d1(us), data.b.d1(us), data.r(us)
         if rel.n != 0:
             return 12, hm.closed_form_A12_B12(rel.n, r, da, db)
-        return 3, hm.closed_form_A3_B3(rel.m, r, da, db, data.a.d2(u), data.b.d2(u))
+        return 3, hm.closed_form_A3_B3(rel.m, r, da, db, data.a.d2(us), data.b.d2(us))
     if result.cyclic_data is not None and rel.n == 0 and J >= 6:
         curve, fol = result.cyclic_data
-        return 6, hm.closed_form_A6_B6(rel.m, curve.kappa(u), fol.r(u),
-                                       fol.beta(u), fol.gamma(u))
+        return 6, hm.closed_form_A6_B6(rel.m, curve.kappa(us), fol.r(us),
+                                       fol.beta(us), fol.gamma(us))
     return None
 
 
@@ -106,22 +106,23 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
     J = args.max_harmonic
     if J < 0:
         raise ConfigError(f"--max-harmonic: expected >= 0, got {J}")
-    us = _u_list(args.u_list)
+    us = np.array(_u_list(args.u_list), dtype=float)
     result = build_scene(cfg)
-    if not us:
+    if not us.size:
         lo, hi = result.surface.u_range
         pad = 0.1 * (hi - lo)
-        us = list(np.linspace(lo + pad, hi - pad, 5))
+        us = np.linspace(lo + pad, hi - pad, 5)
+    spectra = hm.circle_spectrum(result.surface, rel, us, J)
+    j_closed, closed = _closed_form(result, rel, us, J) or (None, None)
     rows = []
-    for u in us:
-        spectrum = hm.circle_spectrum(result.surface, rel, u, J)
-        closed = _closed_form(result, rel, u, J)
+    for i, u in enumerate(us.tolist()):
+        spectrum = hm.HarmonicSpectrum(spectra.A[i], spectra.B[i])
         for j in range(J + 1):
-            if closed is None or closed[0] != j:
+            if j != j_closed:
                 rows.append([u, j, float(spectrum.A[j]), float(spectrum.B[j]),
                              math.nan, math.nan, math.nan, ""])
             else:
-                report = hm.compare_coefficient(spectrum, u, j, closed[1])
+                report = hm.compare_coefficient(spectrum, u, j, (closed[0][i], closed[1][i]))
                 rows.append([u, j, report.dft_A, report.dft_B, report.closed_A,
                              report.closed_B, report.ratio, str(report.passed)])
     os.makedirs(outdir, exist_ok=True)

@@ -4,7 +4,7 @@ The polynomial residual of a foliated surface, restricted to a v-circle,
 is a trigonometric polynomial; its cos(jv)/sin(jv) coefficients are
 extracted exactly by discrete Fourier analysis on equispaced samples.
 Closed forms for the top coefficients, as coefficients of this package's
-residual, are provided for comparison.
+residual and elementwise on arrays, are provided for comparison.
 """
 from __future__ import annotations
 
@@ -37,6 +37,11 @@ DEFAULT_SAMPLES = 64
 C12_A = 1.0 / 2048.0
 C12_B = 1.0 / 512.0
 
+# Powers go through np.power, never **: on a float, ** is the C library's
+# pow, which differs in the last bit from numpy's SIMD power on arrays, and
+# a closed form must give on an array what it gives element by element.
+_pow = np.power
+
 
 @dataclass(frozen=True)
 class HarmonicSpectrum:
@@ -54,16 +59,16 @@ def _sample_angles(N: int) -> np.ndarray:
 
 
 def _spectrum(samples: np.ndarray, J: int) -> HarmonicSpectrum:
-    """DFT coefficients up to J of N equispaced samples on [0, 2 pi);
-    exact for trig polynomials of degree <= N/2 - 1."""
-    N = len(samples)
+    """DFT coefficients up to J of N equispaced samples on [0, 2 pi) along
+    the last axis; exact for trig polynomials of degree <= N/2 - 1."""
+    N = samples.shape[-1]
     if N < 2 * J + 2:
         raise InsufficientSamples(f"N = {N} < 2 J + 2 = {2 * J + 2}")
     F = np.fft.rfft(samples)
-    A = 2.0 * F.real[:J + 1] / N
-    A[0] *= 0.5
-    B = -2.0 * F.imag[:J + 1] / N
-    B[0] = 0.0
+    A = 2.0 * F.real[..., :J + 1] / N
+    A[..., 0] *= 0.5
+    B = -2.0 * F.imag[..., :J + 1] / N
+    B[..., 0] = 0.0
     return HarmonicSpectrum(A, B)
 
 
@@ -83,28 +88,30 @@ def foliation_residual(jet: JetPoint, rel: LWRelation):
     return lw_residual_poly(jet, rel)
 
 
-def circle_spectrum(surface: ParamSurface, rel: LWRelation, u: float,
+def circle_spectrum(surface: ParamSurface, rel: LWRelation, u,
                     J: int) -> HarmonicSpectrum:
-    """Spectrum of the residual on the u-circle from one jet evaluation.
+    """Spectrum of the residual on the u-circles from one jet grid.
 
-    Harmonics 0..max(J, 12) from N = max(DEFAULT_SAMPLES, 2 max(J, 12) + 2)
-    equispaced v, so the pass rule of compare_coefficient sees the same
-    spectrum scale whatever J is asked for.
+    u is a float or a 1-d array, as in evaluate_jet; A and B have shape
+    (J'+1,) or (len(u), J'+1), J' = max(J, 12), from N = max(DEFAULT_SAMPLES,
+    2 J' + 2) equispaced v, so the pass rule of compare_coefficient sees the
+    same spectrum scale whatever J is asked for.
     """
     J = max(J, 12)
     jet = evaluate_jet(surface, u, _sample_angles(max(DEFAULT_SAMPLES, 2 * J + 2)))
-    return _spectrum(foliation_residual(jet, rel)[0], J)
+    samples = foliation_residual(jet, rel)
+    return _spectrum(samples if np.ndim(u) else samples[0], J)
 
 
 def closed_form_A6_B6(m: float, kappa: float, r: float, beta: float,
                       gamma: float):
-    """Top coefficients of the n = 0 cyclic residual expansion, opposite in
-    sign to the printed forms; checked against the DFT."""
+    """Top coefficients of the n = 0 cyclic residual expansion, elementwise,
+    opposite in sign to the printed forms; checked against the DFT."""
     k2r2 = kappa * kappa * r * r
-    A6 = ((m - 1.0) ** 2 * kappa ** 2 * r ** 6 / 32.0
-          * (beta ** 4 + (gamma * gamma - k2r2) ** 2
+    A6 = (_pow(m - 1.0, 2) * _pow(kappa, 2) * _pow(r, 6) / 32.0
+          * (_pow(beta, 4) + _pow(gamma * gamma - k2r2, 2)
              + beta * beta * (2.0 * k2r2 - 6.0 * gamma * gamma)))
-    B6 = ((m - 1.0) ** 2 * beta * gamma * kappa ** 2 * r ** 6 / 8.0
+    B6 = (_pow(m - 1.0, 2) * beta * gamma * _pow(kappa, 2) * _pow(r, 6) / 8.0
           * (beta * beta - gamma * gamma + k2r2))
     return A6, B6
 
@@ -112,42 +119,45 @@ def closed_form_A6_B6(m: float, kappa: float, r: float, beta: float,
 def closed_form_A4_B4_branch(m: float, kappa: float, r: float, alpha: float,
                              rp: float):
     """Fourth coefficients on the branch beta = 0, gamma = +kappa r, n = 0,
-    opposite in sign to the printed forms; checked against the DFT."""
+    elementwise, opposite in sign to the printed forms; checked against the DFT."""
     factor = 6.0 + m * (6.0 * m - 13.0)
-    A4 = factor * kappa ** 4 * r ** 8 * (alpha * alpha - rp * rp) / 8.0
-    B4 = -factor * alpha * kappa ** 4 * r ** 8 * rp / 4.0
+    A4 = factor * _pow(kappa, 4) * _pow(r, 8) * (alpha * alpha - rp * rp) / 8.0
+    B4 = -factor * alpha * _pow(kappa, 4) * _pow(r, 8) * rp / 4.0
     return A4, B4
 
 
 def degree12_poly_A(da: float, db: float) -> float:
-    """Re((a' + i b')^12) expanded in even powers."""
+    """Re((a' + i b')^12) expanded in even powers, elementwise."""
     x2, y2 = da * da, db * db
-    return (x2 ** 6 - 66.0 * x2 ** 5 * y2 + 495.0 * x2 ** 4 * y2 ** 2
-            - 924.0 * x2 ** 3 * y2 ** 3 + 495.0 * x2 ** 2 * y2 ** 4
-            - 66.0 * x2 * y2 ** 5 + y2 ** 6)
+    return (_pow(x2, 6) - 66.0 * _pow(x2, 5) * y2 + 495.0 * _pow(x2, 4) * _pow(y2, 2)
+            - 924.0 * _pow(x2, 3) * _pow(y2, 3) + 495.0 * _pow(x2, 2) * _pow(y2, 4)
+            - 66.0 * x2 * _pow(y2, 5) + _pow(y2, 6))
 
 
 def degree12_poly_B(da: float, db: float) -> float:
-    """Im((a' + i b')^12) / 4."""
+    """Im((a' + i b')^12) / 4, elementwise."""
     x2, y2 = da * da, db * db
-    return da * db * (3.0 * x2 ** 5 - 55.0 * x2 ** 4 * y2 + 198.0 * x2 ** 3 * y2 ** 2
-                      - 198.0 * x2 ** 2 * y2 ** 3 + 55.0 * x2 * y2 ** 4 - 3.0 * y2 ** 5)
+    return da * db * (3.0 * _pow(x2, 5) - 55.0 * _pow(x2, 4) * y2
+                      + 198.0 * _pow(x2, 3) * _pow(y2, 2)
+                      - 198.0 * _pow(x2, 2) * _pow(y2, 3)
+                      + 55.0 * x2 * _pow(y2, 4) - 3.0 * _pow(y2, 5))
 
 
 def closed_form_A12_B12(n: float, r: float, da: float, db: float):
     """Degree-12 coefficients (A_12, B_12) of the full residual on a
-    horizontal foliation."""
+    horizontal foliation; elementwise in r, da and db, with n a float."""
     if n == 0:
         raise ZeroOffset("degree-12 coefficients require n != 0")
-    scale = n ** 4 * r ** 12
+    scale = _pow(n, 4) * _pow(r, 12)
     return (C12_A * scale * degree12_poly_A(da, db),
             C12_B * scale * degree12_poly_B(da, db))
 
 
 def closed_form_A3_B3(m: float, r: float, da: float, db: float,
                       dda: float, ddb: float):
-    """Third coefficients of the n = 0 residual on a horizontal foliation."""
-    pref = -(1.0 + m) ** 2 * r ** 5 / 4.0
+    """Third coefficients of the n = 0 residual on a horizontal foliation,
+    elementwise."""
+    pref = -_pow(1.0 + m, 2) * _pow(r, 5) / 4.0
     A3 = pref * (dda * (da * da - db * db) - 2.0 * da * db * ddb)
     B3 = pref * (ddb * (da * da - db * db) + 2.0 * da * db * dda)
     return A3, B3

@@ -90,11 +90,12 @@ def _array_runs(rows: np.ndarray):
 
 
 def _list_runs(rows):
-    """(template, row count, cells) per run of rows with one template."""
-    for template, run in itertools.groupby(
-            rows, key=lambda row: ",".join(map(_cell, row)) + "\n"):
+    """(template, row count, cells) per run of rows with one template; each
+    cell is classified once, and the cells with an empty spec are dropped."""
+    for spec, run in itertools.groupby(rows, key=lambda row: tuple(map(_cell, row))):
         run = list(run)
-        yield template, len(run), tuple(x for row in run for x in row if _cell(x))
+        cells = tuple(x for row in run for kind, x in zip(spec, row) if kind)
+        yield ",".join(spec) + "\n", len(run), cells
 
 
 def write_csv(path, header, rows) -> None:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -160,6 +161,55 @@ def test_expressions_parsed_once_per_job(tmp_path, monkeypatch):
     assert main(["analyze", "--config", path, "--grid", "4x4",
                  "--out", str(tmp_path / "out")]) == 0
     assert len(parsed) == 6, parsed
+
+
+@pytest.mark.parametrize("base", [RIEMANN_TYPE, dict(CYCLIC, relation=[2.0, 0.0])],
+                         ids=["riemann-type", "cyclic"])
+def test_one_jet_grid_per_harmonics_job(tmp_path, monkeypatch, base):
+    """harmonics evaluates all of its circles as one jet grid."""
+    grids = []
+    build = cli.build_scene
+
+    def build_counted(cfg):
+        result = build(cfg)
+        partials = result.surface.partials
+
+        def counted(us, vs):
+            grids.append((len(us), len(vs)))
+            return partials(us, vs)
+
+        return dataclasses.replace(
+            result, surface=dataclasses.replace(result.surface, partials=counted))
+
+    monkeypatch.setattr(cli, "build_scene", build_counted)
+    path = write_config(tmp_path, base)
+    out = tmp_path / "out"
+    us = ",".join(repr(u) for u in np.linspace(0.2, 0.9, 8).tolist())
+    assert main(["harmonics", "--config", path, "--out", str(out), "--u-list=" + us]) == 0
+    assert grids == [(8, 64)]
+    _, cols = read_csv_columns(out / f"{base['name']}.harmonics.csv")
+    assert len(cols["u"]) == 8 * 13
+
+
+DEGENERATE_CIRCLE = dict(RIEMANN_TYPE, name="deg", params=dict(
+    RIEMANN_TYPE["params"], a=0.0, b=0.0, r="abs(u) + 1e-14"))
+
+
+@pytest.mark.parametrize("base, u_list, message", [
+    (RIEMANN_TYPE, "0.5,5.0", "u = 5.0 outside (-1.0, 1.0)"),
+    (RIEMANN_TYPE, "-0.5,0.0,-1.0", "u = -1.0 outside (-1.0, 1.0)"),
+    (DEGENERATE_CIRCLE, "0.5,0.0", "|Xu x Xv| = 1.000e-14 below 1e-12"),
+    # every circle's domain is checked before any jet is evaluated
+    (DEGENERATE_CIRCLE, "0.0,5.0", "u = 5.0 outside (-1.0, 1.0)"),
+], ids=["out-of-range-after-in-range", "range-end", "degenerate",
+        "out-of-range-after-degenerate"])
+def test_harmonics_bad_circle_exit_2(tmp_path, capsys, base, u_list, message):
+    path = write_config(tmp_path, base)
+    out = tmp_path / "out"
+    assert main(["harmonics", "--config", path, "--out", str(out),
+                 "--u-list=" + u_list]) == 2
+    assert capsys.readouterr().err == f"wlab: numerical failure: {message}\n"
+    assert not out.exists()
 
 
 def test_expression_test_point_inside_u_range(tmp_path):

@@ -1,5 +1,6 @@
 """Whole-grid jets: a grid evaluation agrees with its 1 x 1 evaluations,
-and the builders evaluate their u-only state once per u."""
+a batch of foliation circles with its circles one by one, and the builders
+evaluate their u-only state once per u."""
 import collections
 import functools
 import math
@@ -15,6 +16,7 @@ from wlab.generators import (
     gen_riemann_example,
     gen_rotational_lw,
 )
+from wlab.harmonics import circle_spectrum
 from wlab.meshio import surface_mesh
 from wlab.surface import (
     LWRelation,
@@ -88,6 +90,41 @@ def test_grid_matches_points(name, fu, fv):
             for f in JET_FIELDS:
                 assert getattr(point, f).shape == (3,)
                 np.testing.assert_array_equal(getattr(point, f), getattr(one, f)[0, 0])
+
+
+def _fd_torus():
+    """The torus fixture's finite-difference twin: known by its position only
+    (a formula, not the fixture's 1 x 1 jet grids), so its jets are finite
+    differences."""
+    def position(u, v):
+        rho = 2.0 + math.cos(u)
+        return np.array([rho * math.cos(v), rho * math.sin(v), math.sin(u)])
+    return ParamSurface((-1.0, 1.0), (0.0, 2.0 * math.pi), position, v_periodic=True)
+
+
+CIRCLE_SCENES = {name: SCENES[name] for name in (
+    "sphere", "cylinder", "torus", "catenoid", "rotational-lw", "riemann-example",
+    "riemann-type", "cyclic")}
+CIRCLE_SCENES["fd-torus"] = _fd_torus
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(CIRCLE_SCENES)), fu=fractions,
+       rel=st.sampled_from([LWRelation(0.5, 0.0), LWRelation(-1.0, 0.0),
+                            LWRelation(2.0, -1.0)]),
+       J=st.sampled_from([0, 3, 12, 40]))
+def test_circle_spectrum_batch_matches_circles(name, fu, rel, J):
+    """One jet grid over all circles gives each circle's spectrum bit for bit."""
+    surf = scene(name) if name in SCENES else CIRCLE_SCENES[name]()
+    u0, u1 = interior_grid(surf, 2, 2)[0]
+    us = u0 + (u1 - u0) * np.array(fu)
+    batch = circle_spectrum(surf, rel, us, J)
+    assert batch.A.shape == batch.B.shape == (len(us), max(J, 12) + 1)
+    for i, u in enumerate(us):
+        one = circle_spectrum(surf, rel, float(u), J)
+        assert one.A.shape == (max(J, 12) + 1,)
+        assert one.A.tobytes() == batch.A[i].tobytes()
+        assert one.B.tobytes() == batch.B[i].tobytes()
 
 
 def test_u_state_evaluated_once_per_u():

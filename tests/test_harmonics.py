@@ -109,6 +109,31 @@ class TestDegree12Polynomials:
             assert abs(val - s ** 12 * math.sin(12 * phi) / 4.0) < 1e-10 * s ** 12
 
 
+_ELEMENTWISE = {
+    "A3_B3": (closed_form_A3_B3, 6),
+    "A6_B6": (closed_form_A6_B6, 5),
+    "A4_B4_branch": (closed_form_A4_B4_branch, 5),
+    "A12_B12": (lambda *args: closed_form_A12_B12(-0.7, *args), 3),
+    "degree12_poly_A": (degree12_poly_A, 2),
+    "degree12_poly_B": (degree12_poly_B, 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(_ELEMENTWISE)),
+       elements=st.lists(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+                         min_size=1, max_size=9))
+def test_closed_forms_elementwise(name, elements):
+    """A closed form called on arrays equals its calls on each element's
+    floats bit for bit (the sign of zero included); n of A12_B12 stays a float."""
+    fn, arity = _ELEMENTWISE[name]
+    args = np.array(elements)[:, :arity]
+    batch = np.asarray(fn(*args.T), dtype=float)
+    each = np.stack([np.asarray(fn(*row.tolist()), dtype=float) for row in args], axis=-1)
+    assert batch.shape == each.shape
+    assert batch.tobytes() == each.tobytes()
+
+
 class TestDegreeBounds:
     def test_cyclic_reduced_degree_6(self):
         curve, data = generic_cyclic()
