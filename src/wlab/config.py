@@ -51,6 +51,8 @@ def parse_scalar_function(spec, where: str, test_u: float = 0.5):
     """A number becomes a constant; a string is an arithmetic expression in
     u (see _in_grammar), which evaluates elementwise on an array u."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        if not _finite(spec):
+            raise ConfigError(f"{where}: expected a finite number, got {spec!r}")
         value = float(spec)
         return lambda u: value
     if isinstance(spec, str):
@@ -142,6 +144,8 @@ class SceneConfig:
         _check_grid(self.grid)
         if self.relation is not None:
             m, n = self.relation
+            if not (_finite(m) and _finite(n)):
+                raise ConfigError(f"relation: expected finite [m, n], got {[m, n]}")
             if m == 0:
                 raise ConfigError("relation.m: violates the m != 0 constraint")
         if not isinstance(self.name, str) or not self.name:

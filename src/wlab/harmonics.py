@@ -3,8 +3,8 @@
 The polynomial residual of a foliated surface, restricted to a v-circle,
 is a trigonometric polynomial; its cos(jv)/sin(jv) coefficients are
 extracted exactly by discrete Fourier analysis on equispaced samples.
-Closed forms for the top coefficients, as coefficients of this package's
-residual and elementwise on arrays, are provided for comparison.
+Closed forms of the top coefficients, each a real prefactor times a
+complex power and elementwise on arrays, are provided for comparison.
 """
 from __future__ import annotations
 
@@ -26,21 +26,18 @@ from .surface import (
 
 DEFAULT_SAMPLES = 64
 
-# Prefactors of the degree-12 coefficients of the full polynomial residual
-# on a horizontal-circle foliation X = (a + r cos v, b + r sin v, u).  There
-# W = EG - F^2 = r^2 (1 + (a' cos v + b' sin v + r')^2) has degree 2 in v,
-# H1 degree 1 and W K1 degree 3, so n^4 W^6 is the residual's only term of
-# degree 12.  With z = a' + i b', a' cos v + b' sin v = Re(conj(z) e^{iv}),
-# and the top harmonic of n^4 W^6 is n^4 r^12 (Re(z^12) cos 12v
-# + Im(z^12) sin 12v) / 2^11: A_12 = n^4 r^12 A / 2048 and, since
-# degree12_poly_B is Im(z^12) / 4, B_12 = n^4 r^12 B / 512.
-C12_A = 1.0 / 2048.0
-C12_B = 1.0 / 512.0
-
-# Powers go through np.power, never **: on a float, ** is the C library's
-# pow, which differs in the last bit from numpy's SIMD power on arrays, and
-# a closed form must give on an array what it gives element by element.
+# A closed form must give on an array what it gives element by element.  So
+# powers go through np.power, never **: on a float, ** is the C library's
+# pow, which differs in the last bit from numpy's SIMD power on arrays.  And
+# complex products are real multiplies and adds (_cmul): numpy's complex
+# multiply and np.square on arrays differ from the per-element product too.
 _pow = np.power
+
+
+def _cmul(p, q):
+    """(re, im) of the product of two complex numbers given as (re, im)."""
+    (a, b), (c, d) = p, q
+    return a * c - b * d, a * d + b * c
 
 
 @dataclass(frozen=True)
@@ -105,62 +102,51 @@ def circle_spectrum(surface: ParamSurface, rel: LWRelation, u,
 
 def closed_form_A6_B6(m: float, kappa: float, r: float, beta: float,
                       gamma: float):
-    """Top coefficients of the n = 0 cyclic residual expansion, elementwise,
-    opposite in sign to the printed forms; checked against the DFT."""
-    k2r2 = kappa * kappa * r * r
-    A6 = (_pow(m - 1.0, 2) * _pow(kappa, 2) * _pow(r, 6) / 32.0
-          * (_pow(beta, 4) + _pow(gamma * gamma - k2r2, 2)
-             + beta * beta * (2.0 * k2r2 - 6.0 * gamma * gamma)))
-    B6 = (_pow(m - 1.0, 2) * beta * gamma * _pow(kappa, 2) * _pow(r, 6) / 8.0
-          * (beta * beta - gamma * gamma + k2r2))
-    return A6, B6
+    """Top coefficients of the n = 0 cyclic residual expansion, elementwise:
+    A6 + i B6 = (m - 1)^2 kappa^2 r^6 / 32 (w^2 + kappa^2 r^2)^2 with
+    w = beta + i gamma, opposite in sign to the printed forms; derived in
+    tests/test_closed_forms_symbolic.py."""
+    w2 = _cmul((beta, gamma), (beta, gamma))
+    t = (w2[0] + kappa * kappa * r * r, w2[1])
+    s = _cmul(t, t)
+    pref = _pow(m - 1.0, 2) * _pow(kappa, 2) * _pow(r, 6) / 32.0
+    return pref * s[0], pref * s[1]
 
 
 def closed_form_A4_B4_branch(m: float, kappa: float, r: float, alpha: float,
                              rp: float):
     """Fourth coefficients on the branch beta = 0, gamma = +kappa r, n = 0,
-    elementwise, opposite in sign to the printed forms; checked against the DFT."""
-    factor = 6.0 + m * (6.0 * m - 13.0)
-    A4 = factor * _pow(kappa, 4) * _pow(r, 8) * (alpha * alpha - rp * rp) / 8.0
-    B4 = -factor * alpha * _pow(kappa, 4) * _pow(r, 8) * rp / 4.0
-    return A4, B4
-
-
-def degree12_poly_A(da: float, db: float) -> float:
-    """Re((a' + i b')^12) expanded in even powers, elementwise."""
-    x2, y2 = da * da, db * db
-    return (_pow(x2, 6) - 66.0 * _pow(x2, 5) * y2 + 495.0 * _pow(x2, 4) * _pow(y2, 2)
-            - 924.0 * _pow(x2, 3) * _pow(y2, 3) + 495.0 * _pow(x2, 2) * _pow(y2, 4)
-            - 66.0 * x2 * _pow(y2, 5) + _pow(y2, 6))
-
-
-def degree12_poly_B(da: float, db: float) -> float:
-    """Im((a' + i b')^12) / 4, elementwise."""
-    x2, y2 = da * da, db * db
-    return da * db * (3.0 * _pow(x2, 5) - 55.0 * _pow(x2, 4) * y2
-                      + 198.0 * _pow(x2, 3) * _pow(y2, 2)
-                      - 198.0 * _pow(x2, 2) * _pow(y2, 3)
-                      + 55.0 * x2 * _pow(y2, 4) - 3.0 * _pow(y2, 5))
+    elementwise: A4 + i B4 = (6 - 13 m + 6 m^2) kappa^4 r^8 / 8
+    (alpha - i r')^2, opposite in sign to the printed forms; derived in
+    tests/test_closed_forms_symbolic.py."""
+    s = _cmul((alpha, -rp), (alpha, -rp))
+    pref = (6.0 + m * (6.0 * m - 13.0)) * _pow(kappa, 4) * _pow(r, 8) / 8.0
+    return pref * s[0], pref * s[1]
 
 
 def closed_form_A12_B12(n: float, r: float, da: float, db: float):
-    """Degree-12 coefficients (A_12, B_12) of the full residual on a
-    horizontal foliation; elementwise in r, da and db, with n a float."""
+    """(A_12, B_12) of the full residual on a horizontal foliation, derived in
+    tests/test_closed_forms_symbolic.py; elementwise in r, da and db, n a float.
+    On X = (a + r cos v, b + r sin v, u), W = r^2 (1 + (Re(conj(z) e^{iv}) + r')^2)
+    with z = a' + i b' has degree 2 in v, H1 degree 1 and W K1 degree 3, so the
+    top harmonic is that of n^4 W^6: A_12 + i B_12 = n^4 r^12 z^12 / 2048."""
     if n == 0:
         raise ZeroOffset("degree-12 coefficients require n != 0")
-    scale = _pow(n, 4) * _pow(r, 12)
-    return (C12_A * scale * degree12_poly_A(da, db),
-            C12_B * scale * degree12_poly_B(da, db))
+    z2 = _cmul((da, db), (da, db))
+    z4 = _cmul(z2, z2)
+    z12 = _cmul(_cmul(z4, z4), z4)
+    pref = _pow(n, 4) * _pow(r, 12) / 2048.0
+    return pref * z12[0], pref * z12[1]
 
 
 def closed_form_A3_B3(m: float, r: float, da: float, db: float,
                       dda: float, ddb: float):
     """Third coefficients of the n = 0 residual on a horizontal foliation,
-    elementwise."""
+    elementwise: A3 + i B3 = -(1 + m)^2 r^5 / 4 z'' z^2 with z = a' + i b';
+    derived in tests/test_closed_forms_symbolic.py."""
+    s = _cmul((dda, ddb), _cmul((da, db), (da, db)))
     pref = -_pow(1.0 + m, 2) * _pow(r, 5) / 4.0
-    A3 = pref * (dda * (da * da - db * db) - 2.0 * da * db * ddb)
-    B3 = pref * (ddb * (da * da - db * db) + 2.0 * da * db * dda)
-    return A3, B3
+    return pref * s[0], pref * s[1]
 
 
 @dataclass(frozen=True)

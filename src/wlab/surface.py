@@ -21,6 +21,7 @@ from .errors import (
     CurvatureInconsistency,
     DegenerateJet,
     InvalidParameter,
+    NonFiniteInput,
     OutOfDomain,
 )
 from .functions import _D1, _D2
@@ -181,17 +182,21 @@ def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
     has shape (3,); otherwise the fields have shape (len(u), len(v), 3) on
     the grid u x v (a float counts as a grid of one).  Uses the analytic
     grid function when present, otherwise 4th-order central finite
-    differences point by point.
+    differences point by point.  Raises NonFiniteInput at the first u of the
+    grid where a partial is NaN or infinite.
     """
     us = np.atleast_1d(np.asarray(u, dtype=float))
     vs = np.atleast_1d(np.asarray(v, dtype=float))
     _check_domain(surface, us, vs)
-    if surface.partials is not None:
-        parts = surface.partials(us, vs)
-    else:
-        points = [_fd_partials(surface, a, b) for a in us for b in vs]
-        parts = [np.reshape([pt[k] for pt in points], (len(us), len(vs), 3))
-                 for k in range(6)]
+    with np.errstate(all="ignore"):
+        if surface.partials is not None:
+            parts = surface.partials(us, vs)
+        else:
+            points = [_fd_partials(surface, a, b) for a in us for b in vs]
+            parts = [np.reshape([pt[k] for pt in points], (len(us), len(vs), 3))
+                     for k in range(6)]
+    bad_u = ~np.logical_and.reduce([np.isfinite(x).all(axis=(1, 2)) for x in parts])
+    _raise_first(bad_u, us, lambda x: NonFiniteInput(f"jet non-finite at u = {x}"))
     jet = JetPoint.from_partials(*parts)
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return JetPoint(*(getattr(jet, f.name)[0, 0] for f in fields(JetPoint)))

@@ -30,7 +30,7 @@ from wlab.generators import (
 )
 from wlab.harmonics import (
     circle_spectrum,
-    degree12_poly_A,
+    closed_form_A12_B12,
     extract_harmonics,
 )
 from wlab.surface import (
@@ -173,7 +173,8 @@ def test_criterion_4_coefficient_identities(rng):
     for _ in range(100):
         speed = rng.uniform(0.2, 2.0)
         phi = rng.uniform(0, 2 * math.pi)
-        val = degree12_poly_A(speed * math.cos(phi), speed * math.sin(phi))
+        val = 2048.0 * closed_form_A12_B12(1.0, 1.0, speed * math.cos(phi),
+                                           speed * math.sin(phi))[0]
         cheb = max(cheb, abs(val - speed ** 12 * math.cos(12 * phi)) / speed ** 12)
 
     ok = dev6 < 1e-7 and dev3 < 1e-7 and cheb < 1e-9

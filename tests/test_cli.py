@@ -141,13 +141,47 @@ RIEMANN_EXAMPLE = {"kind": "riemann-example", "name": "rex",
     (RIEMANN_EXAMPLE, "dr0", 1e300),
     (RIEMANN_EXAMPLE, "dr0", "0.1"),
     (RIEMANN_EXAMPLE, "dr0", math.nan),
+    (RIEMANN_TYPE, "a", math.nan),
+    (RIEMANN_TYPE, "r", math.inf),
+    (CYCLIC, "alpha", math.nan),
 ], ids=["cyclic-u-range-reversed", "riemann-type-u-range-reversed",
-        "dr0-past-blowup", "dr0-string", "dr0-nan"])
+        "dr0-past-blowup", "dr0-string", "dr0-nan", "function-nan", "function-inf",
+        "cyclic-function-nan"])
 def test_malformed_config_exit_1(tmp_path, capsys, base, key, value):
     bad = dict(base, params=dict(base["params"], **{key: value}))
     path = write_config(tmp_path, bad)
     assert main(["generate", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "harmonics", "fit"])
+@pytest.mark.parametrize("base, relation", [
+    (SPHERE, [math.nan, 0.3]),
+    (RIEMANN_TYPE, [1.5, math.inf]),
+], ids=["m-nan", "n-inf"])
+def test_non_finite_relation_exit_1(tmp_path, capsys, base, relation, command):
+    """JSON NaN and Infinity literals in the relation are config errors."""
+    path = write_config(tmp_path, dict(base, relation=relation))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    assert "wlab: config error: relation: expected finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_non_finite_jet_exit_2(tmp_path, capsys, command):
+    """A config function that is NaN inside its u range (u ** 1.5 for u < 0)
+    stops every subcommand with exit 2, naming the first u of its grid
+    where the jet is not finite, and writes no file."""
+    path = write_config(tmp_path, dict(
+        RIEMANN_TYPE, params=dict(RIEMANN_TYPE["params"], a="u ** 1.5"),
+        relation=[1.5, 0.3], grid=[6, 6]))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    found = re.fullmatch(r"wlab: numerical failure: jet non-finite at u = (\S+)\n",
+                         capsys.readouterr().err)
+    assert found and -1.0 < float(found.group(1)) < 0.0
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_expressions_parsed_once_per_job(tmp_path, monkeypatch):

@@ -13,16 +13,12 @@ from wlab.cyclic import (
 from wlab.errors import InsufficientSamples, ZeroOffset
 from wlab.generators import RiemannExampleParams, gen_riemann_example, gen_rotational_lw
 from wlab.harmonics import (
-    C12_A,
-    C12_B,
     circle_spectrum,
     closed_form_A12_B12,
     closed_form_A3_B3,
     closed_form_A4_B4_branch,
     closed_form_A6_B6,
     compare_coefficient,
-    degree12_poly_A,
-    degree12_poly_B,
     extract_harmonics,
 )
 from wlab.surface import LWRelation
@@ -91,31 +87,11 @@ class TestClosedFormSpotValues:
             closed_form_A12_B12(0.0, 1.0, 0.5, 0.5)
 
 
-class TestDegree12Polynomials:
-    def test_A_is_cos_multiple_angle(self, rng):
-        # Re((s e^{i phi})^12) = s^12 cos(12 phi)
-        for _ in range(100):
-            s = rng.uniform(0.2, 2.0)
-            phi = rng.uniform(0, 2 * math.pi)
-            val = degree12_poly_A(s * math.cos(phi), s * math.sin(phi))
-            assert abs(val - s ** 12 * math.cos(12 * phi)) < 1e-10 * s ** 12
-
-    def test_B_is_sin_multiple_angle(self, rng):
-        # Im((s e^{i phi})^12) / 4 = s^12 sin(12 phi) / 4
-        for _ in range(100):
-            s = rng.uniform(0.2, 2.0)
-            phi = rng.uniform(0, 2 * math.pi)
-            val = degree12_poly_B(s * math.cos(phi), s * math.sin(phi))
-            assert abs(val - s ** 12 * math.sin(12 * phi) / 4.0) < 1e-10 * s ** 12
-
-
 _ELEMENTWISE = {
     "A3_B3": (closed_form_A3_B3, 6),
     "A6_B6": (closed_form_A6_B6, 5),
     "A4_B4_branch": (closed_form_A4_B4_branch, 5),
     "A12_B12": (lambda *args: closed_form_A12_B12(-0.7, *args), 3),
-    "degree12_poly_A": (degree12_poly_A, 2),
-    "degree12_poly_B": (degree12_poly_B, 2),
 }
 
 
@@ -213,10 +189,6 @@ class TestCoefficientIdentities:
             ratios.append(report.ratio)
         # the derived prefactors make the ratio exactly 1 across the family
         assert np.abs(np.array(ratios) - 1.0).max() < 1e-6
-
-    def test_prefactor_constants(self):
-        assert C12_A == 1.0 / 2048.0
-        assert C12_B == 1.0 / 512.0
 
 
 def _signed(lo, hi):
