@@ -41,10 +41,7 @@ def _apply_overrides(cfg: SceneConfig, args) -> SceneConfig:
 
 
 def cmd_generate(cfg: SceneConfig, outdir: str, args) -> None:
-    result = build_scene(cfg)
-    nu, nv = cfg.grid
-    os.makedirs(outdir, exist_ok=True)
-    write_obj(os.path.join(outdir, f"{cfg.name}.obj"), result.surface, nu, nv)
+    result = cmd_export(cfg, outdir, args)
     meta = {"config": cfg.to_dict(), "truncated": result.truncated}
     atomic_write_text(os.path.join(outdir, f"{cfg.name}.meta.json"),
                       json.dumps(meta, indent=2, sort_keys=True) + "\n")
@@ -149,11 +146,12 @@ def cmd_fit(cfg: SceneConfig, outdir: str, args) -> None:
               ["labeling", "m", "n", "rms"], rows)
 
 
-def cmd_export(cfg: SceneConfig, outdir: str, args) -> None:
+def cmd_export(cfg: SceneConfig, outdir: str, args) -> SceneResult:
     result = build_scene(cfg)
     nu, nv = cfg.grid
     os.makedirs(outdir, exist_ok=True)
     write_obj(os.path.join(outdir, f"{cfg.name}.obj"), result.surface, nu, nv)
+    return result
 
 
 _COMMANDS = {"generate": cmd_generate, "analyze": cmd_analyze,

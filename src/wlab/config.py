@@ -9,7 +9,7 @@ from __future__ import annotations
 import ast
 import copy
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -93,8 +93,9 @@ def _require(params: dict, keys, where: str):
 
 
 def _finite(x) -> bool:
+    # exact for ints, so one beyond float range fails instead of overflowing
     return (not isinstance(x, bool) and isinstance(x, (int, float))
-            and math.isfinite(x))
+            and abs(x) <= sys.float_info.max)
 
 
 def _number(params: dict, key: str, where: str) -> float:
@@ -120,23 +121,23 @@ def _increasing(params: dict, key: str, where: str):
 
 def _check_grid(grid) -> None:
     nu, nv = grid
-    if not (isinstance(nu, int) and isinstance(nv, int) and nu >= 2 and nv >= 2):
+    if not all(isinstance(n, int) and 2 <= n <= sys.maxsize for n in (nu, nv)):
         raise ConfigError(f"grid: nu, nv must be integers >= 2, got {grid}")
 
 
 @dataclass
 class SceneConfig:
-    """A validated scene.  functions holds the parsed riemann-type or cyclic
-    expressions by key, each parsed once and test-evaluated at the middle of
-    u_range; build_scene uses them."""
+    """A validated scene.  args holds its builder arguments, checked and
+    converted once and keyed by the builders' parameter names; expressions
+    are parsed once and test-evaluated at the middle of u_range.
+    build_scene reads only args, to_dict only params."""
 
     kind: str
     params: dict = field(default_factory=dict)
     grid: tuple = (32, 32)
     relation: Optional[tuple] = None
     name: str = "surface"
-    functions: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
+    args: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -148,9 +149,10 @@ class SceneConfig:
                 raise ConfigError(f"relation: expected finite [m, n], got {[m, n]}")
             if m == 0:
                 raise ConfigError("relation.m: violates the m != 0 constraint")
+            self.relation = (float(m), float(n))
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("name: must be a non-empty string")
-        self._validate_params()
+        self.args = self._validate_params()
 
     def with_grid(self, grid) -> "SceneConfig":
         """This scene on another grid, without parsing its expressions again."""
@@ -159,13 +161,13 @@ class SceneConfig:
         cfg.grid = grid
         return cfg
 
-    def _parse(self, keys, where: str, u_range) -> None:
+    def _parse(self, keys, where: str, u_range) -> dict:
         mid = 0.5 * (u_range[0] + u_range[1])
-        self.functions = {key: parse_scalar_function(self.params[key], f"{where}.{key}",
-                                                     test_u=mid)
-                          for key in keys}
+        return {key: parse_scalar_function(self.params[key], f"{where}.{key}",
+                                           test_u=mid)
+                for key in keys}
 
-    def _validate_params(self):
+    def _validate_params(self) -> dict:
         p, kind = self.params, self.kind
         where = f"params[{kind}]"
         if kind == "fixture":
@@ -173,36 +175,36 @@ class SceneConfig:
             if p["shape"] not in FIXTURE_SHAPES:
                 raise ConfigError(f"{where}.shape: {p['shape']!r} not one of "
                                   f"{', '.join(FIXTURE_SHAPES)}")
-            if p["shape"] == "torus":
-                _require(p, ["radius_major", "radius_minor"], where)
-                _number(p, "radius_major", where)
-                _number(p, "radius_minor", where)
-            else:
-                _require(p, ["radius"], where)
-                _number(p, "radius", where)
-        elif kind == "riemann-type":
+            keys = (["radius_major", "radius_minor"] if p["shape"] == "torus"
+                    else ["radius"])
+            _require(p, keys, where)
+            return {"kind": p["shape"], **{k: _number(p, k, where) for k in keys}}
+        if kind == "riemann-type":
             _require(p, ["a", "b", "r", "u_range"], where)
-            self._parse(("a", "b", "r"), where, _increasing(p, "u_range", where))
-        elif kind == "riemann-example":
+            u_range = _increasing(p, "u_range", where)
+            return {**self._parse(("a", "b", "r"), where, u_range), "u_range": u_range}
+        if kind == "riemann-example":
             _require(p, ["lambda", "mu", "r0"], where)
-            for key in ("lambda", "mu", "r0"):
-                _number(p, key, where)
+            args = {"lam": _number(p, "lambda", where), "mu": _number(p, "mu", where),
+                    "r0": _number(p, "r0", where)}
             if "dr0" in p:
-                _number(p, "dr0", where)
+                args["dr0"] = _number(p, "dr0", where)
             if "u_range" in p:
-                _pair(p, "u_range", where)
-        elif kind == "rotational-lw":
+                args["u_range"] = _pair(p, "u_range", where)
+            return args
+        if kind == "rotational-lw":
             _require(p, ["rho0", "theta0", "s_range"], where)
-            _number(p, "rho0", where)
-            _number(p, "theta0", where)
-            _pair(p, "s_range", where)
+            args = {key: _number(p, key, where) for key in ("rho0", "theta0")}
+            args["s_range"] = _pair(p, "s_range", where)
             if self.relation is None:
                 raise ConfigError("relation: required for rotational-lw scenes")
-        elif kind == "cyclic":
-            _require(p, ["kappa", "sigma", "alpha", "beta", "gamma", "r",
-                         "u_range"], where)
-            self._parse(("kappa", "sigma", "alpha", "beta", "gamma", "r"), where,
-                        _increasing(p, "u_range", where))
+            return args
+        # cyclic
+        _require(p, ["kappa", "sigma", "alpha", "beta", "gamma", "r",
+                     "u_range"], where)
+        u_range = _increasing(p, "u_range", where)
+        return {**self._parse(("kappa", "sigma", "alpha", "beta", "gamma", "r"), where,
+                              u_range), "u_range": u_range}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneConfig":
@@ -217,12 +219,11 @@ class SceneConfig:
         if (not isinstance(grid, (list, tuple)) or len(grid) != 2):
             raise ConfigError(f"grid: expected [nu, nv], got {grid!r}")
         relation = d.get("relation")
-        if relation is not None:
-            if (not isinstance(relation, (list, tuple)) or len(relation) != 2 or
-                    any(isinstance(x, bool) or not isinstance(x, (int, float))
-                        for x in relation)):
-                raise ConfigError(f"relation: expected [m, n], got {relation!r}")
-            relation = (float(relation[0]), float(relation[1]))
+        if relation is not None and (
+                not isinstance(relation, (list, tuple)) or len(relation) != 2 or
+                any(isinstance(x, bool) or not isinstance(x, (int, float))
+                    for x in relation)):
+            raise ConfigError(f"relation: expected [m, n], got {relation!r}")
         params = d.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("params: must be an object")
@@ -250,4 +251,6 @@ def load_config(path) -> SceneConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # too many digits, too deep, not UTF-8
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     return SceneConfig.from_dict(data)

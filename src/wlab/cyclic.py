@@ -30,6 +30,8 @@ from .functions import SmoothFunction, as_smooth
 from .surface import ParamSurface, _point_of
 
 _RADIUS_SAMPLES = 257
+_CENTER_SAMPLES = 201
+_ROTATIONAL_TOL = 1e-12  # center total variation below which the surface is rotational
 
 
 @dataclass
@@ -91,13 +93,13 @@ class RiemannTypeSurface:
         self.b = as_smooth(self.b)
         self.r = as_smooth(self.r)
 
-    def center_total_variation(self, samples: int = 201) -> float:
-        us = np.linspace(self.u_range[0], self.u_range[1], samples)
+    def center_total_variation(self) -> float:
+        us = np.linspace(self.u_range[0], self.u_range[1], _CENTER_SAMPLES)
         a, b = self.a(us), self.b(us)
         return float(np.abs(np.diff(a)).sum() + np.abs(np.diff(b)).sum())
 
-    def is_rotational(self, tol: float = 1e-12) -> bool:
-        return self.center_total_variation() < tol
+    def is_rotational(self) -> bool:
+        return self.center_total_variation() < _ROTATIONAL_TOL
 
 
 class _DenseOde:

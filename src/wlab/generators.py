@@ -268,10 +268,9 @@ def gen_fixture(kind: str, **kw) -> ParamSurface:
 
     elif kind == "cylinder":
         radius = float(kw.pop("radius", 1.0))
-        height = float(kw.pop("height", 4.0))
-        if kw or radius <= 0 or height <= 0:
-            raise InvalidParameter("cylinder needs radius > 0 and height > 0")
-        u_range = (-height / 2.0, height / 2.0)
+        if kw or radius <= 0:
+            raise InvalidParameter("cylinder needs radius > 0")
+        u_range = (-2.0, 2.0)
         r, h = SmoothFunction.constant(radius), _HEIGHT_U
 
     elif kind == "torus":

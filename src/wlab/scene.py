@@ -36,37 +36,24 @@ def relation_of(cfg: SceneConfig) -> Optional[LWRelation]:
 
 
 def build_scene(cfg: SceneConfig) -> SceneResult:
-    p = cfg.params
+    args = cfg.args
     if cfg.kind == "fixture":
-        shape = p["shape"]
-        if shape == "torus":
-            surface = gen_fixture("torus", radius_major=p["radius_major"],
-                                  radius_minor=p["radius_minor"])
-        else:
-            surface = gen_fixture(shape, radius=p["radius"])
-        return SceneResult(surface)
+        return SceneResult(gen_fixture(**args))
 
     if cfg.kind == "riemann-type":
-        fns = cfg.functions
-        data = RiemannTypeSurface(fns["a"], fns["b"], fns["r"], tuple(p["u_range"]))
+        data = RiemannTypeSurface(**args)
         return SceneResult(build_riemann_type(data), riemann_data=data)
 
     if cfg.kind == "riemann-example":
-        params = RiemannExampleParams(
-            lam=p["lambda"], mu=p["mu"], r0=p["r0"], dr0=p.get("dr0", 0.0),
-            u_range=tuple(p.get("u_range", (-1.0, 1.0))))
-        data = gen_riemann_example(params)
+        data = gen_riemann_example(RiemannExampleParams(**args))
         return SceneResult(build_riemann_type(data), riemann_data=data,
                            truncated=data.truncated)
 
     if cfg.kind == "rotational-lw":
-        rel = relation_of(cfg)
-        profile, surface = gen_rotational_lw(rel, p["rho0"], p["theta0"],
-                                             tuple(p["s_range"]))
+        profile, surface = gen_rotational_lw(relation_of(cfg), **args)
         return SceneResult(surface, truncated=profile.truncated)
 
     # cyclic
-    fns = cfg.functions
-    curve = FrenetCurve(fns["kappa"], fns["sigma"], tuple(p["u_range"]))
-    data = CyclicFoliationData(fns["alpha"], fns["beta"], fns["gamma"], fns["r"])
+    curve = FrenetCurve(args["kappa"], args["sigma"], args["u_range"])
+    data = CyclicFoliationData(args["alpha"], args["beta"], args["gamma"], args["r"])
     return SceneResult(build_cyclic(curve, data), cyclic_data=(curve, data))

@@ -22,6 +22,8 @@ from wlab.config import (
 )
 from wlab.errors import ConfigError
 from wlab.meshio import obj_text, write_csv
+from wlab.scene import build_scene
+from wlab.surface import evaluate_jet, interior_grid
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -168,6 +170,106 @@ def test_non_finite_relation_exit_1(tmp_path, capsys, base, relation, command):
     assert not out.exists()
 
 
+HUGE = "9" * 400  # an integer far beyond float range
+
+
+def _with_literal(data, literal):
+    """The config text of data with its one "HUGE" string replaced by literal,
+    which json.dumps may refuse to write itself."""
+    return json.dumps(data).replace('"HUGE"', literal)
+
+
+@pytest.mark.parametrize("text", [
+    _with_literal(dict(SPHERE, relation=["HUGE", 0.0]), HUGE),
+    _with_literal(dict(SPHERE, params={"shape": "sphere", "radius": "HUGE"}), HUGE),
+    _with_literal(dict(RIEMANN_TYPE, params=dict(RIEMANN_TYPE["params"], a="HUGE")),
+                  HUGE),
+    _with_literal(dict(RIEMANN_TYPE, params=dict(RIEMANN_TYPE["params"],
+                                                 u_range=[-1.0, "HUGE"])), HUGE),
+    _with_literal(dict(RIEMANN_EXAMPLE, params=dict(RIEMANN_EXAMPLE["params"],
+                                                    dr0="HUGE")), "-" + HUGE),
+    _with_literal(dict(SPHERE, grid=["HUGE", 16]), HUGE),
+    _with_literal(dict(SPHERE, params={"shape": "sphere", "radius": "HUGE"}), "9" * 5000),
+    _with_literal(dict(SPHERE, params={"shape": "sphere", "radius": "HUGE"}),
+                  "[" * 100_000 + "]" * 100_000),
+    _with_literal(dict(SPHERE, name="HUGE"), '"\xff"'),
+], ids=["relation-m", "fixture-radius", "constant-function", "u-range-entry",
+        "dr0", "grid-entry", "5000-digits", "nested-100000-deep", "not-utf-8"])
+def test_hostile_config_exit_1(tmp_path, capsys, text):
+    """Integers beyond float range and files that the JSON reader cannot
+    hold are config errors, not tracebacks."""
+    path = tmp_path / "scene.json"
+    path.write_bytes(text.encode("latin-1"))  # "\xff" becomes a byte that is not UTF-8
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wlab: config error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+_HOSTILE = st.one_of(
+    st.integers(-10 ** 400, 10 ** 400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.text(max_size=6), st.none(),
+    st.lists(st.one_of(st.integers(-10 ** 400, 10 ** 400), st.floats()), max_size=3))
+
+
+def _slot(plain):
+    """A plain value three times in four, so that validation gets past the
+    earlier slots, else anything from _HOSTILE."""
+    return st.integers(0, 3).flatmap(lambda k: _HOSTILE if k == 3 else plain)
+
+
+_NUMBER = _slot(st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0)))
+_FUNCTION = _slot(st.one_of(st.floats(0.5, 2.0),
+                            st.sampled_from(["u", "1 + 0.1*sin(u)", "exp(-u) / 2"])))
+_PAIR = _slot(st.one_of(st.lists(_NUMBER, min_size=2, max_size=2),
+                       st.tuples(st.floats(-3.0, 0.0), st.floats(0.5, 3.0)).map(list)))
+
+
+@st.composite
+def _config_dicts(draw):
+    """Config dicts of every kind whose slots (relation, grid, radii,
+    riemann-example numbers, ranges and their entries, functions) are each
+    plain or hostile."""
+    kind = draw(st.sampled_from(config.KINDS))
+    params = {
+        "fixture": st.one_of(
+            st.fixed_dictionaries({"shape": st.sampled_from(["sphere", "cylinder",
+                                                            "catenoid"]),
+                                   "radius": _NUMBER}),
+            st.fixed_dictionaries({"shape": st.just("torus"), "radius_major": _NUMBER,
+                                   "radius_minor": _NUMBER})),
+        "riemann-type": st.fixed_dictionaries(
+            {"a": _FUNCTION, "b": _FUNCTION, "r": _FUNCTION, "u_range": _PAIR}),
+        "riemann-example": st.fixed_dictionaries(
+            {"lambda": _NUMBER, "mu": _NUMBER, "r0": _NUMBER},
+            optional={"dr0": _NUMBER, "u_range": _PAIR}),
+        "rotational-lw": st.fixed_dictionaries(
+            {"rho0": _NUMBER, "theta0": _NUMBER, "s_range": _PAIR}),
+        "cyclic": st.fixed_dictionaries(
+            {**{key: _FUNCTION for key in ("kappa", "sigma", "alpha", "beta", "gamma",
+                                           "r")},
+             "u_range": _PAIR}),
+    }[kind]
+    return draw(st.fixed_dictionaries(
+        {"kind": st.just(kind), "params": params,
+         "grid": st.lists(_slot(st.integers(2, 64)), min_size=2, max_size=2)},
+        optional={"relation": _PAIR}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_config_dicts())
+def test_config_rejected_or_round_trips(data):
+    """from_dict returns a config or raises ConfigError, never anything else;
+    an accepted config survives its canonical JSON unchanged."""
+    try:
+        cfg = SceneConfig.from_dict(data)
+    except ConfigError:
+        return
+    assert SceneConfig.from_dict(json.loads(canonical_dumps(cfg))) == cfg
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_non_finite_jet_exit_2(tmp_path, capsys, command):
     """A config function that is NaN inside its u range (u ** 1.5 for u < 0)
@@ -195,6 +297,22 @@ def test_expressions_parsed_once_per_job(tmp_path, monkeypatch):
     assert main(["analyze", "--config", path, "--grid", "4x4",
                  "--out", str(tmp_path / "out")]) == 0
     assert len(parsed) == 6, parsed
+
+
+@pytest.mark.parametrize("base", [SPHERE, TORUS, RIEMANN_TYPE, RIEMANN_EXAMPLE,
+                                  ROTATIONAL, CYCLIC],
+                         ids=["fixture", "torus", "riemann-type", "riemann-example",
+                              "rotational-lw", "cyclic"])
+def test_build_scene_reads_validated_args_only(base):
+    """build_scene builds from the arguments validation checked, not from
+    the raw params."""
+    cfg = SceneConfig.from_dict(base)
+    us, vs = interior_grid(build_scene(cfg).surface, 4, 5)
+    expected = evaluate_jet(build_scene(cfg).surface, us, vs)
+    cfg.params = {}
+    jet = evaluate_jet(build_scene(cfg).surface, us, vs)
+    for name in ("p", "xu", "xv", "xuu", "xuv", "xvv"):
+        np.testing.assert_array_equal(getattr(jet, name), getattr(expected, name))
 
 
 @pytest.mark.parametrize("base", [RIEMANN_TYPE, dict(CYCLIC, relation=[2.0, 0.0])],

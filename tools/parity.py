@@ -1,0 +1,125 @@
+#!/usr/bin/env python3
+"""Compare two wlab trees job by job on the benchmark workloads.
+
+    python3 tools/parity.py OLD_TREE NEW_TREE
+
+Runs every job of the sweep, fine-grid and mesh-export workloads (warm-up
+jobs included) at seeds 3, 5 and 7 through each tree's wlab.cli.main, all
+jobs of one tree in one fresh interpreter.  The jobs and the files each
+one writes come from this checkout's bench/workloads.py and bench/check.py.
+Prints each job whose exit code, stderr (with the work directory replaced)
+or sha256 of an output file differs, then a summary line; exits 0 only
+when no job differs.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH = os.path.join(ROOT, "bench")
+SEEDS = (3, 5, 7)
+WORK_MARK = "<work>"
+
+
+def _sha256(path: str):
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except FileNotFoundError:
+        return None
+
+
+def record(tree: str, path: str) -> None:
+    """Runs every job through tree's wlab.cli.main and writes, per job, its
+    exit code, stderr and output-file digests to path as JSON."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    sys.path[:0] = [src, BENCH]
+    import wlab.cli
+    from check import output_files
+    from workloads import WORKLOADS, make_workload
+
+    if os.path.dirname(os.path.abspath(wlab.__file__)) != os.path.join(src, "wlab"):
+        sys.exit(f"parity: imported wlab from {wlab.__file__}, not {src}")
+    results = {}
+    with tempfile.TemporaryDirectory(prefix="wlab-parity-") as work:
+        for name in WORKLOADS:
+            for seed in SEEDS:
+                w = make_workload(name, seed)
+                base = os.path.join(work, f"{name}-{seed}")
+                out = os.path.join(base, "out")
+                os.makedirs(out)
+                configs = {}
+                for scene in w.scenes:
+                    configs[scene.name] = os.path.join(base, scene.name + ".json")
+                    with open(configs[scene.name], "w", encoding="utf-8") as fh:
+                        fh.write(scene.text)
+                for i, job in enumerate(w.warmup_jobs() + w.jobs):
+                    files = output_files(job, out)
+                    for f in files:
+                        with contextlib.suppress(FileNotFoundError):
+                            os.remove(f)
+                    err = io.StringIO()
+                    with contextlib.redirect_stderr(err):
+                        try:
+                            code = wlab.cli.main(job.argv(configs[job.scene.name], out))
+                        except SystemExit as exc:
+                            code = exc.code
+                        except Exception as exc:  # a crash is a result to compare
+                            code = f"{type(exc).__name__}: {exc}"
+                    key = (f"{name}:{seed}:{i}:{job.scene.name}:{job.command}:"
+                           f"{job.grid[0]}x{job.grid[1]}")
+                    results[key] = {
+                        "exit": code,
+                        "stderr": err.getvalue().replace(work, WORK_MARK),
+                        "files": {os.path.basename(f): _sha256(f) for f in files},
+                    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(results, fh)
+
+
+def _run_tree(tree: str, path: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    # one thread, as in bench/run.py, so both trees sum in the same order
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--record", tree, path],
+                   env=env, check=True)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--record":
+        record(argv[1], argv[2])
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="wlab-parity-") as tmp:
+        old, new = (_run_tree(tree, os.path.join(tmp, f"{i}.json"))
+                    for i, tree in enumerate(argv))
+    differ = 0
+    for key in sorted(old.keys() | new.keys()):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        differ += 1
+        what = ("missing in one tree" if a is None or b is None else
+                ", ".join(f for f in ("exit", "stderr", "files") if a[f] != b[f]))
+        print(f"{key}: {what}")
+        if a is not None and b is not None:
+            for f in ("exit", "stderr", "files"):
+                if a[f] != b[f]:
+                    print(f"  old {f}: {a[f]!r}\n  new {f}: {b[f]!r}")
+    print(f"parity: {len(new)} jobs, {differ} differ")
+    return 0 if differ == 0 else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
