@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import harmonics as hm
-from .config import SceneConfig, load_config
+from .config import MAX_POINTS, SceneConfig, load_config
 from .errors import ConfigError, WlabError
 from .fitting import classify
 from .meshio import atomic_write_text, write_csv, write_obj
@@ -55,12 +55,11 @@ def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
     header = ["u", "v", "H", "K", "kappa1", "kappa2"]
     if rel is not None:
         header += ["res_linear", "res_signed", "res_poly"]
-    jet = evaluate_jet(result.surface, us, vs)
-    c = curvature(jet)
+    c = curvature(evaluate_jet(result.surface, us, vs))
     columns = [*np.meshgrid(us, vs, indexing="ij"), c.H, c.K, c.kappa1, c.kappa2]
     if rel is not None:
-        columns += [lw_residual_linear(c, rel), lw_residual_signed(jet, rel),
-                    lw_residual_poly(jet, rel)]
+        columns += [lw_residual_linear(c, rel), lw_residual_signed(c, rel),
+                    lw_residual_poly(c, rel)]
     rows = np.stack(columns, axis=-1).reshape(-1, len(columns))
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, f"{cfg.name}.analysis.csv"), header, rows)
@@ -109,6 +108,9 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
         lo, hi = result.surface.u_range
         pad = 0.1 * (hi - lo)
         us = np.linspace(lo + pad, hi - pad, 5)
+    N = hm.circle_samples(J)
+    if us.size * N > MAX_POINTS:
+        raise ConfigError(f"harmonics: {us.size} circles x {N} samples above {MAX_POINTS}")
     spectra = hm.circle_spectrum(result.surface, rel, us, J)
     j_closed, closed = _closed_form(result, rel, us, J) or (None, None)
     rows = []

@@ -19,6 +19,8 @@ from .errors import ConfigError
 
 KINDS = ("fixture", "cyclic", "riemann-type", "riemann-example", "rotational-lw")
 FIXTURE_SHAPES = ("sphere", "cylinder", "torus", "catenoid")
+# the most (u, v) points one job evaluates; analyze peaks near 1 GB at 2**20
+MAX_POINTS = 2 ** 22
 
 _EXPR_FUNCTIONS = {name: getattr(np, name) for name in
                    ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log",
@@ -123,6 +125,8 @@ def _check_grid(grid) -> None:
     nu, nv = grid
     if not all(isinstance(n, int) and 2 <= n <= sys.maxsize for n in (nu, nv)):
         raise ConfigError(f"grid: nu, nv must be integers >= 2, got {grid}")
+    if nu * nv > MAX_POINTS:
+        raise ConfigError(f"grid: nu * nv = {nu * nv} above {MAX_POINTS} points")
 
 
 @dataclass

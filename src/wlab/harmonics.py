@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import InsufficientSamples, ZeroOffset
 from .surface import (
-    JetPoint,
     LWRelation,
     ParamSurface,
+    curvature,
     evaluate_jet,
     lw_residual_poly,
     lw_residual_reduced,
@@ -51,6 +51,11 @@ class HarmonicSpectrum:
         return float(max(np.max(np.abs(self.A)), np.max(np.abs(self.B)), 0.0))
 
 
+def circle_samples(J: int) -> int:
+    """The equispaced v per circle of circle_spectrum up to harmonic J."""
+    return max(DEFAULT_SAMPLES, 2 * max(J, 12) + 2)
+
+
 def _sample_angles(N: int) -> np.ndarray:
     return 2.0 * math.pi * np.arange(N) / N
 
@@ -76,28 +81,21 @@ def extract_harmonics(f: Callable[[float], float], J: int = 12,
     return _spectrum(np.array([f(v) for v in _sample_angles(N)], dtype=float), J)
 
 
-def foliation_residual(jet: JetPoint, rel: LWRelation):
-    """Residual whose v-expansion is analyzed: the once-squared form for
-    n = 0 (degree <= 6 on cyclic, <= 3 on horizontal foliations), the full
-    twice-squared polynomial otherwise (degree <= 12)."""
-    if rel.n == 0:
-        return lw_residual_reduced(jet, rel)
-    return lw_residual_poly(jet, rel)
-
-
 def circle_spectrum(surface: ParamSurface, rel: LWRelation, u,
                     J: int) -> HarmonicSpectrum:
     """Spectrum of the residual on the u-circles from one jet grid.
 
-    u is a float or a 1-d array, as in evaluate_jet; A and B have shape
-    (J'+1,) or (len(u), J'+1), J' = max(J, 12), from N = max(DEFAULT_SAMPLES,
-    2 J' + 2) equispaced v, so the pass rule of compare_coefficient sees the
-    same spectrum scale whatever J is asked for.
+    The residual is the once-squared form for n = 0 (degree <= 6 on
+    cyclic, <= 3 on horizontal foliations), the full twice-squared
+    polynomial otherwise (degree <= 12).  u is a float or a 1-d array, as
+    in evaluate_jet; A and B have shape (J'+1,) or (len(u), J'+1),
+    J' = max(J, 12), from N = circle_samples(J) equispaced v, so the pass
+    rule of compare_coefficient sees the same spectrum scale whatever J is
+    asked for.
     """
-    J = max(J, 12)
-    jet = evaluate_jet(surface, u, _sample_angles(max(DEFAULT_SAMPLES, 2 * J + 2)))
-    samples = foliation_residual(jet, rel)
-    return _spectrum(samples if np.ndim(u) else samples[0], J)
+    c = curvature(evaluate_jet(surface, u, _sample_angles(circle_samples(J))))
+    samples = lw_residual_reduced(c, rel) if rel.n == 0 else lw_residual_poly(c, rel)
+    return _spectrum(samples if np.ndim(u) else samples[0], max(J, 12))
 
 
 def closed_form_A6_B6(m: float, kappa: float, r: float, beta: float,

@@ -4,10 +4,11 @@ Conventions used throughout: the unit normal is N = Xu x Xv / |Xu x Xv|,
 kappa1 is the larger principal curvature, and all lengths are in abstract
 units.  H and K come from the determinant forms (triple products of the
 jet); kappa1,2 = H +- the half-gap of the shape operator in an orthonormal
-tangent frame, which stays accurate to roundoff at umbilic points.  Every
-type here is immutable and every function pure, and the functions of a
-jet work elementwise on one point or a whole (u, v) grid (see
-evaluate_jet).
+tangent frame, which stays accurate to roundoff at umbilic points.
+curvature reads a jet once, and the LW residuals are functions of the
+CurvatureData it returns.  Every type here is immutable and every
+function pure, and the functions of a jet work elementwise on one point
+or a whole (u, v) grid (see evaluate_jet).
 """
 from __future__ import annotations
 
@@ -120,8 +121,9 @@ class FundamentalForms:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Mean/Gauss curvature, ordered principal curvatures and the
-    determinant-based numerators H1 (of 2 W^{3/2} H) and K1 (of W^2 K)."""
+    """Mean/Gauss curvature, ordered principal curvatures, the
+    determinant-based numerators H1 (of 2 W^{3/2} H) and K1 (of W^2 K),
+    W = EG - F^2 and the frame half-gap (kappa1 - kappa2) / 2."""
 
     H: float
     K: float
@@ -129,6 +131,8 @@ class CurvatureData:
     kappa2: float
     H1: float
     K1: float
+    W: float
+    gap: float
 
 
 @dataclass(frozen=True)
@@ -213,26 +217,6 @@ def fundamental_forms(jet: JetPoint) -> FundamentalForms:
     return FundamentalForms(E, F, G, e, f, g, E * G - F * F)
 
 
-def _jet_products(jet: JetPoint):
-    """Return (E, F, G, d1, d2, d3) with d_i = (Xu x Xv) . (Xuu, Xuv, Xvv)."""
-    cross = np.cross(jet.xu, jet.xv)
-    return (_dot(jet.xu, jet.xu), _dot(jet.xu, jet.xv), _dot(jet.xv, jet.xv),
-            _dot(cross, jet.xuu), _dot(cross, jet.xuv), _dot(cross, jet.xvv))
-
-
-def _invariants(E, F, G, d1, d2, d3):
-    """(W, H1, K1) from the products returned by _jet_products."""
-    W = E * G - F * F
-    H1 = G * d1 - 2.0 * F * d2 + E * d3
-    K1 = d1 * d3 - d2 * d2
-    return W, H1, K1
-
-
-def _determinant_invariants(jet: JetPoint):
-    """Return (W, H1, K1) built from triple products of the jet."""
-    return _invariants(*_jet_products(jet))
-
-
 def _frame_half_gap(E, F, W, d1, d2, d3):
     """(kappa1 - kappa2) / 2 = hypot((a - c) / 2, b), where [[a, b], [b, c]]
     is the shape operator in the orthonormal frame e1 = Xu / sqrt(E),
@@ -249,28 +233,32 @@ def _frame_half_gap(E, F, W, d1, d2, d3):
     return np.hypot(0.5 * (a - c), b)
 
 
-def _check_metric(W) -> None:
-    _raise_first(W <= 0, W, lambda x: DegenerateJet(f"W = {x:.3e} not positive"))
-
-
 def curvature(jet: JetPoint) -> CurvatureData:
-    """Mean, Gauss and ordered principal curvatures, elementwise over the
-    points of the jet.
+    """Mean, Gauss and ordered principal curvatures and the invariants the
+    LW residuals are built from, elementwise over the points of the jet.
 
-    H and K come from the determinant forms; kappa1,2 = H +- the frame
-    half-gap (see _frame_half_gap).  Raises DegenerateJet when W <= 0 and
-    CurvatureInconsistency when H^2 - K lies below -_DISCRIMINANT_CLAMP.
+    With d_i = (Xu x Xv) . (Xuu, Xuv, Xvv), H and K come from the
+    determinant forms H1 = G d1 - 2 F d2 + E d3 and K1 = d1 d3 - d2^2;
+    kappa1,2 = H +- the frame half-gap (see _frame_half_gap).  Raises
+    DegenerateJet when W <= 0 and CurvatureInconsistency when H^2 - K lies
+    below -_DISCRIMINANT_CLAMP (H^2 + |K|): the roundoff of H^2 - K grows
+    with H^2 + |K|, so the clamp scales with the surface.
     """
-    E, F, G, d1, d2, d3 = _jet_products(jet)
-    W, H1, K1 = _invariants(E, F, G, d1, d2, d3)
-    _check_metric(W)
+    E, F, G = _dot(jet.xu, jet.xu), _dot(jet.xu, jet.xv), _dot(jet.xv, jet.xv)
+    cross = np.cross(jet.xu, jet.xv)
+    d1, d2, d3 = _dot(cross, jet.xuu), _dot(cross, jet.xuv), _dot(cross, jet.xvv)
+    W = E * G - F * F
+    _raise_first(W <= 0, W, lambda x: DegenerateJet(f"W = {x:.3e} not positive"))
+    H1 = G * d1 - 2.0 * F * d2 + E * d3
+    K1 = d1 * d3 - d2 * d2
     H = H1 / (2.0 * W ** 1.5)
     K = K1 / (W * W)
     disc = H * H - K
-    _raise_first(disc < -_DISCRIMINANT_CLAMP, disc, lambda x: CurvatureInconsistency(
-        f"H^2 - K = {x:.3e} below clamp -{_DISCRIMINANT_CLAMP}"))
-    root = _frame_half_gap(E, F, W, d1, d2, d3)
-    return CurvatureData(H, K, H + root, H - root, H1, K1)
+    _raise_first(disc < -_DISCRIMINANT_CLAMP * (H * H + np.abs(K)), disc,
+                 lambda x: CurvatureInconsistency(
+                     f"H^2 - K = {x:.3e} below clamp -{_DISCRIMINANT_CLAMP} (H^2 + |K|)"))
+    gap = _frame_half_gap(E, F, W, d1, d2, d3)
+    return CurvatureData(H, K, H + gap, H - gap, H1, K1, W, gap)
 
 
 def lw_residual_linear(c: CurvatureData, rel: LWRelation):
@@ -278,48 +266,41 @@ def lw_residual_linear(c: CurvatureData, rel: LWRelation):
     return c.kappa1 - rel.m * c.kappa2 - rel.n
 
 
-def lw_residual_signed(jet: JetPoint, rel: LWRelation):
+def lw_residual_signed(c: CurvatureData, rel: LWRelation):
     """(1-m) H1 - 2 W^{3/2} n + (1+m) sqrt(H1^2 - 4 W K1).
 
     Vanishes exactly when the larger-root labeling satisfies the relation.
     The root is evaluated as 2 W^{3/2} times the frame half-gap, the same
     one curvature uses, so it does not lose half its digits at umbilics.
-    Raises DegenerateJet when W <= 0.
     """
-    E, F, G, d1, d2, d3 = _jet_products(jet)
-    W, H1, K1 = _invariants(E, F, G, d1, d2, d3)
-    _check_metric(W)
-    w32 = W ** 1.5
-    root = 2.0 * w32 * _frame_half_gap(E, F, W, d1, d2, d3)
-    return (1.0 - rel.m) * H1 - 2.0 * w32 * rel.n + (1.0 + rel.m) * root
+    w32 = c.W ** 1.5
+    root = 2.0 * w32 * c.gap
+    return (1.0 - rel.m) * c.H1 - 2.0 * w32 * rel.n + (1.0 + rel.m) * root
 
 
-def lw_residual_poly(jet: JetPoint, rel: LWRelation):
+def lw_residual_poly(c: CurvatureData, rel: LWRelation):
     """The twice-squared polynomial residual.
 
     (-m H1^2 + (1+m)^2 W K1 + n^2 W^3)^2 - n^2 (1-m)^2 H1^2 W^3.
     Zero whenever either labeling satisfies the relation; the converse does
     not hold (squaring introduces extraneous roots).
     """
-    W, H1, K1 = _determinant_invariants(jet)
     m, n = rel.m, rel.n
-    inner = -m * H1 * H1 + (1.0 + m) ** 2 * W * K1 + n * n * W ** 3
-    return inner * inner - n * n * (1.0 - m) ** 2 * H1 * H1 * W ** 3
+    inner = -m * c.H1 * c.H1 + (1.0 + m) ** 2 * c.W * c.K1 + n * n * c.W ** 3
+    return inner * inner - n * n * (1.0 - m) ** 2 * c.H1 * c.H1 * c.W ** 3
 
 
-def lw_residual_poly_scale(jet: JetPoint, rel: LWRelation):
-    """Natural magnitude scale of lw_residual_poly at this jet (for relative
-    comparisons): sum of absolute values of its constituent terms."""
-    W, H1, K1 = _determinant_invariants(jet)
+def lw_residual_poly_scale(c: CurvatureData, rel: LWRelation):
+    """Natural magnitude scale of lw_residual_poly at this point (for
+    relative comparisons): sum of absolute values of its constituent terms."""
     m, n = rel.m, rel.n
-    inner = abs(m) * H1 * H1 + (1.0 + m) ** 2 * abs(W * K1) + n * n * abs(W) ** 3
-    return inner * inner + n * n * (1.0 - m) ** 2 * H1 * H1 * abs(W) ** 3
+    inner = abs(m) * c.H1 * c.H1 + (1.0 + m) ** 2 * abs(c.W * c.K1) + n * n * abs(c.W) ** 3
+    return inner * inner + n * n * (1.0 - m) ** 2 * c.H1 * c.H1 * abs(c.W) ** 3
 
 
-def lw_residual_reduced(jet: JetPoint, rel: LWRelation):
+def lw_residual_reduced(c: CurvatureData, rel: LWRelation):
     """The once-squared form -m H1^2 + (1+m)^2 W K1, valid when n = 0."""
-    W, H1, K1 = _determinant_invariants(jet)
-    return -rel.m * H1 * H1 + (1.0 + rel.m) ** 2 * W * K1
+    return -rel.m * c.H1 * c.H1 + (1.0 + rel.m) ** 2 * c.W * c.K1
 
 
 def finite_difference_twin(surface: ParamSurface) -> ParamSurface:
@@ -348,7 +329,7 @@ def interior_grid(surface: ParamSurface, nu: int, nv: int):
 
 def transformed(surface: ParamSurface, rotation: np.ndarray,
                translation: np.ndarray) -> ParamSurface:
-    """Apply a rigid motion x -> R x + t to a surface (used by invariance tests)."""
+    """Apply x -> R x + t to a surface: a rigid motion, or a scaling R = lam I."""
     R = np.asarray(rotation, dtype=float)
     t = np.asarray(translation, dtype=float)
 

@@ -193,11 +193,14 @@ def _with_literal(data, literal):
     _with_literal(dict(SPHERE, params={"shape": "sphere", "radius": "HUGE"}),
                   "[" * 100_000 + "]" * 100_000),
     _with_literal(dict(SPHERE, name="HUGE"), '"\xff"'),
+    json.dumps(dict(SPHERE, grid=[2 ** 62, 2])),
 ], ids=["relation-m", "fixture-radius", "constant-function", "u-range-entry",
-        "dr0", "grid-entry", "5000-digits", "nested-100000-deep", "not-utf-8"])
+        "dr0", "grid-entry", "5000-digits", "nested-100000-deep", "not-utf-8",
+        "grid-points"])
 def test_hostile_config_exit_1(tmp_path, capsys, text):
-    """Integers beyond float range and files that the JSON reader cannot
-    hold are config errors, not tracebacks."""
+    """Integers beyond float range, files that the JSON reader cannot hold
+    and grids of more than config.MAX_POINTS points are config errors, not
+    tracebacks."""
     path = tmp_path / "scene.json"
     path.write_bytes(text.encode("latin-1"))  # "\xff" becomes a byte that is not UTF-8
     out = tmp_path / "out"
@@ -413,8 +416,13 @@ def test_cyclic_transport_exit_2(tmp_path, capsys, params, message):
     (ROTATIONAL, ["fit", "--tol", "nan"]),
     (ROTATIONAL, ["fit", "--tol", "0"]),
     (ROTATIONAL, ["fit", "--tol=-1e-6"]),
+    # more points than config.MAX_POINTS, refused before any array is made
+    (RIEMANN_TYPE, ["analyze", "--grid", "100000000000000x2"]),
+    (RIEMANN_TYPE, ["harmonics", "--max-harmonic", "100000000000000"]),
+    (RIEMANN_TYPE, ["harmonics", "--max-harmonic", str(2 ** 62)]),
 ], ids=["u-list-text", "u-list-nan", "u-list-inf", "max-harmonic-negative",
-        "tol-nan", "tol-zero", "tol-negative"])
+        "tol-nan", "tol-zero", "tol-negative", "grid-points", "max-harmonic-points",
+        "max-harmonic-2-62"])
 def test_bad_cli_argument_exit_1(tmp_path, capsys, base, argv):
     path = write_config(tmp_path, base)
     assert main(argv + ["--config", path, "--out", str(tmp_path / "out")]) == 1

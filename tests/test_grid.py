@@ -29,7 +29,7 @@ from wlab.surface import (
 from conftest import generic_cyclic, generic_riemann_type
 
 JET_FIELDS = ("p", "xu", "xv", "xuu", "xuv", "xvv", "normal")
-CURVATURE_FIELDS = ("H", "K", "kappa1", "kappa2", "H1", "K1")
+CURVATURE_FIELDS = ("H", "K", "kappa1", "kappa2", "H1", "K1", "W", "gap")
 
 
 def _turned_torus():

@@ -1,8 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from wlab.cyclic import build_cyclic, build_riemann_type
 from wlab.errors import DegenerateJet, InvalidParameter, OutOfDomain
 from wlab.generators import gen_fixture
 from wlab.surface import (
@@ -21,7 +24,7 @@ from wlab.surface import (
     lw_residual_signed,
     transformed,
 )
-from conftest import make_lw_jet
+from conftest import generic_cyclic, generic_riemann_type, make_lw_jet
 
 
 def plane():
@@ -204,6 +207,9 @@ class TestCurvature:
             assert c.kappa1 >= c.kappa2
             assert abs(c.H - 0.5 * (c.kappa1 + c.kappa2)) < 1e-10 * max(abs(c.H), 1)
             assert abs(c.K - c.kappa1 * c.kappa2) < 1e-10 * max(abs(c.K), 1)
+            assert abs(c.W - ff.W) < 1e-12 * ff.W
+            assert abs(c.gap - 0.5 * (c.kappa1 - c.kappa2)) \
+                < 1e-12 * max(abs(c.kappa1), abs(c.kappa2), 1)
 
     def test_rigid_motion_invariance(self, rng):
         surf = gen_fixture("torus")
@@ -241,6 +247,38 @@ class TestCurvature:
             assert abs(c.kappa1 - c.kappa2) < 1e-12 * max(abs(c.kappa1), 1.0)
 
 
+SCALE_SCENES = {
+    **{shape: functools.partial(gen_fixture, shape)
+       for shape in ("sphere", "cylinder", "torus", "catenoid")},
+    "riemann-type": lambda: build_riemann_type(generic_riemann_type()),
+    "cyclic": lambda: build_cyclic(*generic_cyclic()),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def scale_scene(name):
+    return SCALE_SCENES[name]()
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SCALE_SCENES)), k=st.integers(-4, 2),
+       nu=st.integers(2, 8), nv=st.integers(2, 8))
+@example(name="sphere", k=-2, nu=8, nv=8)  # H^2 - K = -3.6e-12 from roundoff
+def test_curvature_scale_invariance(name, k, nu, nv):
+    """The surface scaled by lam = 10^k has kappa1,2 / lam and K / lam^2,
+    to roundoff of the unscaled kappa scale, and curvature raises nowhere
+    on it: the discriminant clamp is relative to H^2 + |K|."""
+    surf = scale_scene(name)
+    lam = 10.0 ** k
+    us, vs = interior_grid(surf, nu, nv)
+    c0 = curvature(evaluate_jet(surf, us, vs))
+    c1 = curvature(evaluate_jet(transformed(surf, lam * np.eye(3), np.zeros(3)), us, vs))
+    scale = max(np.abs(c0.kappa1).max(), np.abs(c0.kappa2).max())
+    assert np.abs(lam * c1.kappa1 - c0.kappa1).max() <= 1e-12 * scale
+    assert np.abs(lam * c1.kappa2 - c0.kappa2).max() <= 1e-12 * scale
+    assert np.abs(lam * lam * c1.K - c0.K).max() <= 1e-12 * scale * scale
+
+
 class TestLWRelation:
     def test_zero_slope_rejected(self):
         with pytest.raises(InvalidParameter):
@@ -276,12 +314,12 @@ class TestResiduals:
             # an umbilic is a few eps, so the residual stays at roundoff
             # (~4e-14 of this scale); sqrt(H1^2 - 4 W K1) would give ~1e-7.
             tol = 1e-10 * fundamental_forms(jet).W ** 1.5 * max(abs(c.kappa1), 1.0)
-            assert abs(lw_residual_signed(jet, rel)) < tol
+            assert abs(lw_residual_signed(c, rel)) < tol
 
     def test_signed_catenoid(self):
         surf = gen_fixture("catenoid", radius=1.0)
-        jet = evaluate_jet(surf, 0.5, 1.0)
-        assert abs(lw_residual_signed(jet, LWRelation(-1.0, 0.0))) < 1e-10
+        c = curvature(evaluate_jet(surf, 0.5, 1.0))
+        assert abs(lw_residual_signed(c, LWRelation(-1.0, 0.0))) < 1e-10
 
     def test_signed_duplicate_oracle(self, rng):
         surf = gen_fixture("torus")
@@ -289,7 +327,7 @@ class TestResiduals:
         for _ in range(20):
             jet = evaluate_jet(surf, rng.uniform(0, 2 * math.pi),
                                rng.uniform(0, 2 * math.pi))
-            a = lw_residual_signed(jet, rel)
+            a = lw_residual_signed(curvature(jet), rel)
             b = duplicate_signed(jet, rel)
             assert abs(a - b) < 1e-9 * max(abs(a), 1.0)
 
@@ -299,7 +337,7 @@ class TestResiduals:
         for _ in range(20):
             jet = evaluate_jet(surf, rng.uniform(0, 2 * math.pi),
                                rng.uniform(0, 2 * math.pi))
-            a = lw_residual_poly(jet, rel)
+            a = lw_residual_poly(curvature(jet), rel)
             b = duplicate_poly(jet, rel)
             assert abs(a - b) < 1e-9 * max(abs(a), 1.0)
 
@@ -309,28 +347,28 @@ class TestResiduals:
             if abs(m) < 0.05:
                 continue
             n = rng.uniform(-2, 2)
-            jet = make_lw_jet(rng, m, n)
+            c = curvature(make_lw_jet(rng, m, n))
             rel = LWRelation(m, n)
-            res = lw_residual_poly(jet, rel)
-            assert abs(res) < 1e-9 * max(lw_residual_poly_scale(jet, rel), 1e-300)
+            res = lw_residual_poly(c, rel)
+            assert abs(res) < 1e-9 * max(lw_residual_poly_scale(c, rel), 1e-300)
 
     def test_poly_vanishes_for_swapped_labeling(self, rng):
         # kappa2 = m kappa1 + n also kills the squared residual
         for _ in range(50):
             m = rng.uniform(0.2, 3)
             n = rng.uniform(-2, 2)
-            jet = make_lw_jet(rng, m, n)
-            res = lw_residual_poly(jet, LWRelation(m, n))
-            assert abs(res) < 1e-9 * max(lw_residual_poly_scale(jet, LWRelation(m, n)), 1e-300)
+            c = curvature(make_lw_jet(rng, m, n))
+            res = lw_residual_poly(c, LWRelation(m, n))
+            assert abs(res) < 1e-9 * max(lw_residual_poly_scale(c, LWRelation(m, n)), 1e-300)
 
     def test_reduced_matches_poly_for_zero_offset(self, rng):
         surf = gen_fixture("torus")
         rel = LWRelation(2.0, 0.0)
         for _ in range(10):
-            jet = evaluate_jet(surf, rng.uniform(0, 2 * math.pi),
-                               rng.uniform(0, 2 * math.pi))
-            reduced = lw_residual_reduced(jet, rel)
-            assert abs(lw_residual_poly(jet, rel) - reduced ** 2) \
+            c = curvature(evaluate_jet(surf, rng.uniform(0, 2 * math.pi),
+                                       rng.uniform(0, 2 * math.pi)))
+            reduced = lw_residual_reduced(c, rel)
+            assert abs(lw_residual_poly(c, rel) - reduced ** 2) \
                 < 1e-9 * max(reduced ** 2, 1.0)
 
     def test_regularity_on_grid(self):

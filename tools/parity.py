@@ -8,12 +8,14 @@ jobs included) at seeds 3, 5 and 7 through each tree's wlab.cli.main, all
 jobs of one tree in one fresh interpreter.  The jobs and the files each
 one writes come from this checkout's bench/workloads.py and bench/check.py.
 Prints each job whose exit code, stderr (with the work directory replaced)
-or sha256 of an output file differs, then a summary line; exits 0 only
+or sha256 of an output file differs, then a summary line with the line
+totals of both trees' src/wlab/*.py, as wc -l counts them; exits 0 only
 when no job differs.
 """
 from __future__ import annotations
 
 import contextlib
+import glob
 import hashlib
 import io
 import json
@@ -34,6 +36,15 @@ def _sha256(path: str):
             return hashlib.sha256(fh.read()).hexdigest()
     except FileNotFoundError:
         return None
+
+
+def _src_lines(tree: str) -> int:
+    """Newlines in tree's src/wlab/*.py, the total of wc -l."""
+    total = 0
+    for name in glob.glob(os.path.join(tree, "src", "wlab", "*.py")):
+        with open(name, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def record(tree: str, path: str) -> None:
@@ -117,7 +128,8 @@ def main(argv) -> int:
             for f in ("exit", "stderr", "files"):
                 if a[f] != b[f]:
                     print(f"  old {f}: {a[f]!r}\n  new {f}: {b[f]!r}")
-    print(f"parity: {len(new)} jobs, {differ} differ")
+    lines = " -> ".join(str(_src_lines(tree)) for tree in argv)
+    print(f"parity: {len(new)} jobs, {differ} differ; src/wlab/*.py lines {lines}")
     return 0 if differ == 0 else 1
 
 
