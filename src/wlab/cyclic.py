@@ -27,7 +27,7 @@ from .errors import (
     RadiusNotPositive,
 )
 from .functions import SmoothFunction, as_smooth
-from .surface import ParamSurface, _point_of
+from .surface import ParamSurface
 
 _RADIUS_SAMPLES = 257
 _CENTER_SAMPLES = 201
@@ -298,8 +298,7 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
                + ru * nb2)
         return c + ru * w, xu, ru * w_v, xuu, xuv, -ru * w
 
-    return ParamSurface(tuple(curve.u_range), (0.0, 2.0 * math.pi), _point_of(jets),
-                        jets, v_periodic=True)
+    return ParamSurface(tuple(curve.u_range), jets)
 
 
 def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
@@ -330,8 +329,7 @@ def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
                 vec(-r1 * sv, r1 * cv, 0.0),
                 vec(-r0 * cv, -r0 * sv, 0.0))
 
-    return ParamSurface(tuple(u_range), (0.0, 2.0 * math.pi), _point_of(jets),
-                        jets, v_periodic=True)
+    return ParamSurface(tuple(u_range), jets)
 
 
 _HEIGHT_U = SmoothFunction(lambda u: u, lambda u: 1.0, lambda u: 0.0)

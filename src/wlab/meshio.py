@@ -12,12 +12,13 @@ target directory followed by an atomic rename.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import tempfile
 
 import numpy as np
 
-from .surface import ParamSurface, evaluate_jet
+from .surface import ParamSurface, evaluate_jet, interior_grid
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -35,15 +36,10 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def obj_grid(surface: ParamSurface, nu: int, nv: int):
-    """Vertex parameter grid for export: u inset by the jet margin, v over
-    the full closed range (seam vertices duplicated so that vertex and face
-    counts stay nu*nv and 2 (nu-1)(nv-1))."""
-    margin = 4.0 * surface.fd_step()
-    u0, u1 = surface.u_range
-    us = np.linspace(u0 + margin, u1 - margin, nu)
-    v0, v1 = surface.v_range
-    vs = np.linspace(v0, v1, nv)
-    return us, vs
+    """Vertex parameter grid for export: the u of interior_grid, v over the
+    closed period [0, 2 pi] (seam vertices duplicated so that vertex and
+    face counts stay nu*nv and 2 (nu-1)(nv-1))."""
+    return interior_grid(surface, nu, nv)[0], np.linspace(0.0, 2.0 * math.pi, nv)
 
 
 def surface_mesh(surface: ParamSurface, nu: int, nv: int):

@@ -27,8 +27,9 @@ from .errors import (
 )
 from .functions import _D1, _D2
 
-Vec3Fn = Callable[[float, float], np.ndarray]
-# jets(us, vs) -> (p, xu, xv, xuu, xuv, xvv), each of shape (len(us), len(vs), 3)
+# Grid functions of (us, vs): position -> (len(us), len(vs), 3), and
+# jets -> (p, xu, xv, xuu, xuv, xvv), each of that shape
+_PositionFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 _JetsFn = Callable[[np.ndarray, np.ndarray], tuple]
 
 _DEGENERACY_EPS = 1e-12
@@ -37,34 +38,25 @@ _DISCRIMINANT_CLAMP = 1e-12
 
 @dataclass(frozen=True)
 class ParamSurface:
-    """Evaluatable map (u, v) -> R^3 over a closed parameter rectangle.
+    """A surface foliated by circles, as a map (u, v) -> R^3 on grids.
 
-    ``partials`` is the analytic grid function jets(us, vs).  When it is
-    None, jets fall back to 4th-order central finite differences of
-    ``position`` with step ``1e-4 * max(1, extent)``; evaluation then needs
-    a margin of two steps from the boundary.  ``v_periodic`` marks surfaces
-    closed in v (foliated and rotational surfaces), for which the v domain
-    check is skipped.
+    u in the open interval ``u_range`` picks the circle and v turns it, with
+    period 2 pi, so every v is in the domain.  ``partials`` is the analytic
+    grid function jets(us, vs).  A surface without it gives the grid
+    function ``position(us, vs)`` instead, and its jets are 4th-order central
+    finite differences with step ``1e-4 * max(1, extent)``; evaluation then
+    needs a u margin of two steps from the ends of ``u_range``.
     """
 
     u_range: tuple
-    v_range: tuple
-    position: Vec3Fn
     partials: Optional[_JetsFn] = None
-    v_periodic: bool = False
+    position: Optional[_PositionFn] = None
 
     def extent(self) -> float:
-        return max(self.u_range[1] - self.u_range[0],
-                   self.v_range[1] - self.v_range[0])
+        return max(self.u_range[1] - self.u_range[0], 2.0 * math.pi)
 
     def fd_step(self) -> float:
         return 1e-4 * max(1.0, self.extent())
-
-
-def _point_of(jets: _JetsFn) -> Vec3Fn:
-    """Scalar position (u, v) -> p read off a grid function's 1 x 1 grid."""
-    return lambda u, v: jets(np.array([u], dtype=float),
-                             np.array([v], dtype=float))[0][0, 0]
 
 
 def _raise_first(bad, values, make) -> None:
@@ -147,36 +139,28 @@ class LWRelation:
             raise InvalidParameter("LWRelation: m must be nonzero (m != 0)")
 
 
-def _check_domain(surface: ParamSurface, us: np.ndarray, vs: np.ndarray) -> None:
-    """OutOfDomain for the first point of the grid us x vs, in row-major
-    order, that lies outside the margin-shrunk rectangle (u checked first)."""
+def _check_domain(surface: ParamSurface, us: np.ndarray) -> None:
+    """OutOfDomain for the first u of the grid outside u_range shrunk by
+    the FD margin; v is periodic, so it is never out of the domain."""
     margin = 2.0 * surface.fd_step() if surface.partials is None else 0.0
     u0, u1 = surface.u_range
-    bad_u = ~((u0 + margin < us) & (us < u1 - margin))
-    if not surface.v_periodic and not bad_u[0]:
-        v0, v1 = surface.v_range
-        _raise_first(~((v0 + margin < vs) & (vs < v1 - margin)), vs,
-                     lambda v: OutOfDomain(
-                         f"v = {v} outside ({v0 + margin}, {v1 - margin})"))
-    _raise_first(bad_u, us, lambda u: OutOfDomain(
-        f"u = {u} outside ({u0 + margin}, {u1 - margin})"))
+    _raise_first(~((u0 + margin < us) & (us < u1 - margin)), us,
+                 lambda u: OutOfDomain(f"u = {u} outside ({u0 + margin}, {u1 - margin})"))
 
 
-def _fd_partials(surface: ParamSurface, u: float, v: float):
-    """(p, xu, xv, xuu, xuv, xvv) at one point by 4th-order central
-    differences of the position."""
-    pos = surface.position
+def _fd_partials(surface: ParamSurface, us: np.ndarray, vs: np.ndarray):
+    """(p, xu, xv, xuu, xuv, xvv) on the grid us x vs by 4th-order central
+    differences of the position: one shifted position grid per point of
+    the 5 x 5 stencil."""
     h = surface.fd_step()
-
-    def at(du, dv):
-        return np.asarray(pos(u + du * h, v + dv * h), dtype=float)
-
-    xu = sum(c * at(k, 0) for k, c in _D1) / (12.0 * h)
-    xv = sum(c * at(0, k) for k, c in _D1) / (12.0 * h)
-    xuu = sum(c * at(k, 0) for k, c in _D2) / (12.0 * h * h)
-    xvv = sum(c * at(0, k) for k, c in _D2) / (12.0 * h * h)
-    xuv = sum(ci * cj * at(i, j) for i, ci in _D1 for j, cj in _D1) / (144.0 * h * h)
-    return at(0, 0), xu, xv, xuu, xuv, xvv
+    at = {(i, j): np.asarray(surface.position(us + i * h, vs + j * h), dtype=float)
+          for i in range(-2, 3) for j in range(-2, 3)}
+    xu = sum(c * at[k, 0] for k, c in _D1) / (12.0 * h)
+    xv = sum(c * at[0, k] for k, c in _D1) / (12.0 * h)
+    xuu = sum(c * at[k, 0] for k, c in _D2) / (12.0 * h * h)
+    xvv = sum(c * at[0, k] for k, c in _D2) / (12.0 * h * h)
+    xuv = sum(ci * cj * at[i, j] for i, ci in _D1 for j, cj in _D1) / (144.0 * h * h)
+    return at[0, 0], xu, xv, xuu, xuv, xvv
 
 
 def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
@@ -186,19 +170,18 @@ def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
     has shape (3,); otherwise the fields have shape (len(u), len(v), 3) on
     the grid u x v (a float counts as a grid of one).  Uses the analytic
     grid function when present, otherwise 4th-order central finite
-    differences point by point.  Raises NonFiniteInput at the first u of the
-    grid where a partial is NaN or infinite.
+    differences of the position grid (see _fd_partials).  Raises
+    OutOfDomain at the first u outside the domain and NonFiniteInput at the
+    first u of the grid where a partial is NaN or infinite.
     """
     us = np.atleast_1d(np.asarray(u, dtype=float))
     vs = np.atleast_1d(np.asarray(v, dtype=float))
-    _check_domain(surface, us, vs)
+    _check_domain(surface, us)
     with np.errstate(all="ignore"):
         if surface.partials is not None:
             parts = surface.partials(us, vs)
         else:
-            points = [_fd_partials(surface, a, b) for a in us for b in vs]
-            parts = [np.reshape([pt[k] for pt in points], (len(us), len(vs), 3))
-                     for k in range(6)]
+            parts = _fd_partials(surface, us, vs)
     bad_u = ~np.logical_and.reduce([np.isfinite(x).all(axis=(1, 2)) for x in parts])
     _raise_first(bad_u, us, lambda x: NonFiniteInput(f"jet non-finite at u = {x}"))
     jet = JetPoint.from_partials(*parts)
@@ -304,27 +287,18 @@ def lw_residual_reduced(c: CurvatureData, rel: LWRelation):
 
 
 def finite_difference_twin(surface: ParamSurface) -> ParamSurface:
-    """Same surface with the analytic supplier dropped (forces FD jets)."""
-    return ParamSurface(surface.u_range, surface.v_range, surface.position,
-                        partials=None, v_periodic=surface.v_periodic)
+    """Same surface known by its position grid only (forces FD jets)."""
+    return ParamSurface(surface.u_range,
+                        position=lambda us, vs: surface.partials(us, vs)[0])
 
 
 def interior_grid(surface: ParamSurface, nu: int, nv: int):
-    """(us, vs) strictly inside the evaluable domain.
-
-    u is inset by twice the FD margin; v covers a full period endpoint-free
-    for periodic surfaces, otherwise it is inset like u.
-    """
+    """(us, vs) strictly inside the evaluable domain: u inset from both
+    ends by twice the FD margin, v a full period without its endpoint."""
     margin = 4.0 * surface.fd_step()
     u0, u1 = surface.u_range
-    us = np.linspace(u0 + margin, u1 - margin, nu)
-    if surface.v_periodic:
-        v0 = surface.v_range[0]
-        vs = v0 + np.arange(nv) * (2.0 * math.pi / nv)
-    else:
-        v0, v1 = surface.v_range
-        vs = np.linspace(v0 + margin, v1 - margin, nv)
-    return us, vs
+    return (np.linspace(u0 + margin, u1 - margin, nu),
+            np.arange(nv) * (2.0 * math.pi / nv))
 
 
 def transformed(surface: ParamSurface, rotation: np.ndarray,
@@ -333,17 +307,17 @@ def transformed(surface: ParamSurface, rotation: np.ndarray,
     R = np.asarray(rotation, dtype=float)
     t = np.asarray(translation, dtype=float)
 
-    def pos(u, v):
-        return R @ np.asarray(surface.position(u, v), dtype=float) + t
+    def move(x):
+        # R x summed in a fixed order, like _dot
+        return (x[..., 0, None] * R[:, 0] + x[..., 1, None] * R[:, 1]
+                + x[..., 2, None] * R[:, 2])
 
-    jets = None
-    if surface.partials is not None:
-        def jets(us, vs):
-            # R x summed in a fixed order, like _dot
-            moved = [x[..., 0, None] * R[:, 0] + x[..., 1, None] * R[:, 1]
-                     + x[..., 2, None] * R[:, 2] for x in surface.partials(us, vs)]
-            moved[0] = moved[0] + t
-            return tuple(moved)
+    if surface.partials is None:
+        return ParamSurface(surface.u_range,
+                            position=lambda us, vs: move(surface.position(us, vs)) + t)
 
-    return ParamSurface(surface.u_range, surface.v_range, pos, jets,
-                        surface.v_periodic)
+    def jets(us, vs):
+        p, *rest = surface.partials(us, vs)
+        return (move(p) + t, *map(move, rest))
+
+    return ParamSurface(surface.u_range, jets)

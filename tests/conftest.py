@@ -41,6 +41,12 @@ def make_lw_jet(rng, m, n):
     return JetPoint.from_partials(rng.normal(size=3), xu, xv, xuu, xuv, xvv)
 
 
+def grid_position(f):
+    """Grid position (us, vs) -> (len(us), len(vs), 3) of a surface given by
+    a scalar formula f(u, v) -> (3,), evaluated point by point."""
+    return lambda us, vs: np.array([[f(u, v) for v in vs] for u in us], dtype=float)
+
+
 def generic_cyclic():
     """Cyclic surface with no special symmetry, used by harmonic tests."""
     kappa = lambda u: 1.0 + 0.2 * np.sin(u)

@@ -113,7 +113,7 @@ class TestBuildCyclic:
         for u in (0.7, 2.0, 4.5):
             c, (t, n, b) = state(u)[9:12], _frame(state(u))
             for v in np.linspace(0, 2 * math.pi, 32, endpoint=False):
-                X = surf.position(u, v)
+                X = evaluate_jet(surf, u, v).p
                 assert abs(np.linalg.norm(X - c) - 0.5) < 1e-10
                 assert abs((X - c) @ t) < 1e-10
 
@@ -125,7 +125,7 @@ class TestBuildCyclic:
             c, (t, n, b) = state(u)[9:12], _frame(state(u))
             r = data.r(u)
             for v in np.linspace(0, 2 * math.pi, 32, endpoint=False):
-                X = surf.position(u, v)
+                X = evaluate_jet(surf, u, v).p
                 assert abs(np.linalg.norm(X - c) - r) < 1e-10
                 assert abs((X - c) @ t) < 1e-10
 
@@ -180,7 +180,7 @@ class TestBuildRiemannType:
         data = RiemannTypeSurface(np.sin, np.cos, lambda u: 1 + 0.1 * u, (0.0, 1.0))
         surf = build_riemann_type(data)
         for u, v in [(0.2, 0.0), (0.8, 3.0)]:
-            assert surf.position(u, v)[2] == u
+            assert evaluate_jet(surf, u, v).p[2] == u
 
     def test_rotational_flag(self):
         rot = RiemannTypeSurface(0.3, -0.2, 1.0, (-1.0, 1.0))

@@ -23,10 +23,11 @@ from wlab.surface import (
     ParamSurface,
     curvature,
     evaluate_jet,
+    finite_difference_twin,
     interior_grid,
     transformed,
 )
-from conftest import generic_cyclic, generic_riemann_type
+from conftest import generic_cyclic, generic_riemann_type, grid_position
 
 JET_FIELDS = ("p", "xu", "xv", "xuu", "xuv", "xvv", "normal")
 CURVATURE_FIELDS = ("H", "K", "kappa1", "kappa2", "H1", "K1", "W", "gap")
@@ -47,9 +48,8 @@ SCENES = {
         RiemannExampleParams(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0)))),
     "riemann-type": lambda: build_riemann_type(generic_riemann_type()),
     "cyclic": lambda: build_cyclic(*generic_cyclic()),
-    "fd-saddle": lambda: ParamSurface(
-        (-1.0, 1.0), (-1.0, 1.0),
-        lambda u, v: np.array([u, v, u * u - 0.5 * v * v + 0.3 * u * v])),
+    "fd-saddle": lambda: ParamSurface((-1.0, 1.0), position=grid_position(
+        lambda u, v: np.array([u, v, u * u - 0.5 * v * v + 0.3 * u * v]))),
     "transformed-torus": _turned_torus,
 }
 
@@ -70,9 +70,8 @@ fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5)
 @given(name=st.sampled_from(sorted(SCENES)), fu=fractions, fv=fractions)
 def test_grid_matches_points(name, fu, fv):
     surf = scene(name)
-    (u0, u1), (v0, v1) = (ends[[0, -1]] for ends in interior_grid(surf, 2, 2))
-    if surf.v_periodic:
-        v0, v1 = 0.0, 2.0 * math.pi
+    u0, u1 = interior_grid(surf, 2, 2)[0]
+    v0, v1 = 0.0, 2.0 * math.pi
     us = u0 + (u1 - u0) * np.array(fu)
     vs = v0 + (v1 - v0) * np.array(fv)
     grid = evaluate_jet(surf, us, vs)
@@ -94,12 +93,12 @@ def test_grid_matches_points(name, fu, fv):
 
 def _fd_torus():
     """The torus fixture's finite-difference twin: known by its position only
-    (a formula, not the fixture's 1 x 1 jet grids), so its jets are finite
+    (a formula, not the fixture's jet grids), so its jets are finite
     differences."""
     def position(u, v):
         rho = 2.0 + math.cos(u)
         return np.array([rho * math.cos(v), rho * math.sin(v), math.sin(u)])
-    return ParamSurface((-1.0, 1.0), (0.0, 2.0 * math.pi), position, v_periodic=True)
+    return ParamSurface((-1.0, 1.0), position=grid_position(position))
 
 
 CIRCLE_SCENES = {name: SCENES[name] for name in (
@@ -149,3 +148,19 @@ def test_u_state_evaluated_once_per_u():
         run()
         assert 0 < counts["r"] <= 10 * 16
         assert counts["a"] <= 10 * 16 and counts["b"] <= 10 * 16
+
+
+def test_fd_jet_one_position_grid_per_stencil_point():
+    """A finite-difference jet reads one shifted position grid per point of
+    the 5 x 5 stencil, whatever the grid size (a per-point stencil makes 35
+    position calls per grid point)."""
+    twin = finite_difference_twin(scene("torus"))
+    shapes = []
+
+    def position(us, vs):
+        shapes.append((len(us), len(vs)))
+        return twin.position(us, vs)
+
+    surf = ParamSurface(twin.u_range, position=position)
+    evaluate_jet(surf, *interior_grid(surf, 7, 6))
+    assert shapes == [(7, 6)] * 25
