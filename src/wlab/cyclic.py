@@ -15,10 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-# Not called here: bench/tracing.py rebinds cyclic.solve_ivp to count ODE
-# solves per layer, so the name must stay bound until the tracer hooks
-# the Magnus transport instead.
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .errors import (
     InvalidParameter,
@@ -32,6 +28,15 @@ from .surface import ParamSurface
 _RADIUS_SAMPLES = 257
 _CENTER_SAMPLES = 201
 _ROTATIONAL_TOL = 1e-12  # center total variation below which the surface is rotational
+
+
+def __getattr__(name):
+    """cyclic.solve_ivp, loaded on access: bench/tracing.py rebinds it,
+    though nothing here calls it, and scipy is too slow to import eagerly."""
+    if name != "solve_ivp":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.integrate import solve_ivp
+    return solve_ivp
 
 
 @dataclass

@@ -8,13 +8,11 @@ relation, integrated as an ODE; and a small set of closed-form test fixtures.
 """
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
-from scipy.special import ellipj, ellipkm1, elliprd, elliprf
 
 from .cyclic import _HEIGHT_U, RiemannTypeSurface, _DenseOde, _horizontal_circles
 from .errors import (
@@ -30,6 +28,25 @@ _ODE_TOL = 1e-10
 _COLLAPSE_EPS = 1e-8
 _BLOWUP_LIMIT = 1e8
 _ZERO = SmoothFunction.constant(0.0)
+# Bound on first use, since importing scipy costs more than most jobs and only
+# gen_riemann_example and gen_rotational_lw call it.
+_SCIPY = {"solve_ivp": "scipy.integrate", "brentq": "scipy.optimize",
+          **dict.fromkeys(("ellipj", "ellipkm1", "elliprd", "elliprf"), "scipy.special")}
+
+
+def _bind_scipy() -> None:
+    """Bind each name of _SCIPY that is not bound yet (a rebound one stays)."""
+    for name, home in _SCIPY.items():
+        if name not in globals():
+            globals()[name] = getattr(importlib.import_module(home), name)
+
+
+def __getattr__(name):
+    """A scipy name read as a module attribute (PEP 562), bound first."""
+    if name not in _SCIPY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_scipy()
+    return globals()[name]
 
 
 @dataclass
@@ -94,6 +111,7 @@ def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
     """
     if p.r0 <= _COLLAPSE_EPS:
         raise RadiusCollapse(f"initial radius {p.r0} at or below {_COLLAPSE_EPS}")
+    _bind_scipy()
     c = p.lam * p.lam + p.mu * p.mu
     s0 = p.r0 * p.r0
     k = (p.dr0 * p.dr0 + 1.0 - c * s0 * s0) / s0
@@ -222,6 +240,7 @@ def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
 
     axis.terminal = True
 
+    _bind_scipy()
     sol = solve_ivp(rhs, (s0, s1), np.array([rho0, 0.0, theta0]),
                     method="RK45", rtol=_ODE_TOL, atol=_ODE_TOL,
                     dense_output=True, events=[axis])

@@ -713,3 +713,40 @@ def test_module_runs_cli(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 1
     assert "config error" in proc.stderr
+
+
+# Run in a fresh interpreter: in this one, other tests have imported scipy
+# and bound the generators' scipy names, which would hide a name read
+# before it is bound.
+_COLD_START = """
+import sys
+import wlab.cli
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+assert not loaded, f"import wlab.cli loaded {loaded[:3]}"
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    code = wlab.cli.main(["generate", "--config", config, "--out", out])
+    assert code == 0, f"{config}: exit {code}"
+"""
+
+
+def _tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_cold_start_loads_scipy_on_first_use(tmp_path):
+    """import wlab.cli leaves scipy unloaded, and the two generators that
+    call it bind its names on first use, writing the in-process bytes."""
+    configs = [write_config(tmp_path, base, f"{base['name']}.json")
+               for base in (RIEMANN_EXAMPLE, ROTATIONAL)]
+    argv = []
+    for config in configs:
+        name = os.path.basename(config)
+        argv += [config, str(tmp_path / "cold" / name)]
+        assert main(["generate", "--config", config,
+                     "--out", str(tmp_path / "warm" / name)]) == 0
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    cold, warm = _tree_bytes(tmp_path / "cold"), _tree_bytes(tmp_path / "warm")
+    assert len(cold) >= 2 and cold == warm

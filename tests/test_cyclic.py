@@ -141,9 +141,9 @@ class TestBuildCyclic:
             for name in ("xu", "xv", "xuu", "xuv", "xvv"):
                 a = getattr(ja, name)
                 f = getattr(jf, name)
-                # the frame field is itself an ODE interpolant, so the FD
-                # twin only agrees to the dense-output accuracy
-                assert np.abs(a - f).max() < 1e-5 * max(np.abs(a).max(), 1.0)
+                # the bound of test_fd_twin_matches_analytic_jets; this
+                # scene reads under 8e-8 of scale over 400 random points
+                assert np.abs(a - f).max() < 1e-6 * max(np.abs(a).max(), 1.0)
 
     def test_radius_not_positive(self):
         curve = FrenetCurve(1.0, 0.0, (0.0, 2.0))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 
+from wlab import cyclic, generators
 from wlab.cyclic import build_riemann_type
 from wlab.errors import AxisCollision, InvalidParameter, RadiusCollapse
 from wlab.generators import (
@@ -257,6 +258,22 @@ def _reference_radius_ode(p: RiemannExampleParams, us):
             assert sol.success, sol.message
             out[:, idx] = sol.y
     return out
+
+
+def test_rotational_solve_calls_rebound_solve_ivp(monkeypatch):
+    """generators.solve_ivp and cyclic.solve_ivp resolve as attributes,
+    and the rotational solve calls whatever generators.solve_ivp is bound
+    to when it runs, as outside-in tracing that rebinds it needs."""
+    assert cyclic.solve_ivp is solve_ivp and generators.solve_ivp is solve_ivp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "solve_ivp", counting)
+    gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))
+    assert calls == [(0.0, 1.0)]
 
 
 class TestClosedFormRiemannExample:

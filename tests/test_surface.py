@@ -438,3 +438,31 @@ class TestResiduals:
             for v in vs:
                 jet = evaluate_jet(surf, u, v)
                 assert np.linalg.norm(np.cross(jet.xu, jet.xv)) > 1e-12
+
+
+def reflected(surf):
+    """X(-u, v) on (-hi, -lo): the grid jets of surf at -u with the odd
+    u-derivatives Xu and Xuv negated."""
+    lo, hi = surf.u_range
+
+    def jets(us, vs):
+        p, xu, xv, xuu, xuv, xvv = surf.partials(-us, vs)
+        return p, -xu, xv, xuu, -xuv, xvv
+
+    return ParamSurface((-hi, -lo), partials=jets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(surf=FD_SCENES, nu=st.integers(2, 8), nv=st.integers(2, 8))
+def test_u_reflection_flips_mean_curvature(surf, nu, nv):
+    """u -> -u flips the normal: H changes sign, K and W stay, and
+    (kappa1, kappa2) become (-kappa2, -kappa1), to 1e-12 of scale."""
+    us, vs = interior_grid(surf, nu, nv)
+    c0 = curvature(evaluate_jet(surf, us, vs))
+    c1 = curvature(evaluate_jet(reflected(surf), -us, vs))
+    scale = max(np.abs(c0.kappa1).max(), np.abs(c0.kappa2).max())
+    assert np.abs(c1.H + c0.H).max() <= 1e-12 * scale
+    assert np.abs(c1.kappa1 + c0.kappa2).max() <= 1e-12 * scale
+    assert np.abs(c1.kappa2 + c0.kappa1).max() <= 1e-12 * scale
+    assert np.abs(c1.K - c0.K).max() <= 1e-12 * scale * scale
+    assert np.abs(c1.W - c0.W).max() <= 1e-12 * np.abs(c0.W).max()

@@ -9,8 +9,9 @@ jobs of one tree in one fresh interpreter.  The jobs and the files each
 one writes come from this checkout's bench/workloads.py and bench/check.py.
 Prints each job whose exit code, stderr (with the work directory replaced)
 or sha256 of an output file differs, then a summary line with the line
-totals of both trees' src/wlab/*.py, as wc -l counts them; exits 0 only
-when no job differs.
+totals of both trees' src/wlab/*.py, as wc -l counts them, and the CPU
+time of `import wlab.cli` in a fresh interpreter per tree (median of 3)
+with whether that import loaded scipy; exits 0 only when no job differs.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -28,6 +30,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 SEEDS = (3, 5, 7)
 WORK_MARK = "<work>"
+IMPORT_PROBES = 3
+_IMPORT_PROBE = ("import sys, time; t = time.process_time(); import wlab.cli; "
+                 "print(time.process_time() - t, 'scipy' in sys.modules)")
 
 
 def _sha256(path: str):
@@ -95,14 +100,29 @@ def record(tree: str, path: str) -> None:
         json.dump(results, fh)
 
 
-def _run_tree(tree: str, path: str) -> dict:
+def _env() -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     # one thread, as in bench/run.py, so both trees sum in the same order
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
+
+
+def _run_tree(tree: str, path: str) -> dict:
     subprocess.run([sys.executable, os.path.abspath(__file__), "--record", tree, path],
-                   env=env, check=True)
+                   env=_env(), check=True)
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _import_cost(tree: str) -> str:
+    """Median CPU seconds of `import wlab.cli` from tree's src/ over
+    IMPORT_PROBES fresh interpreters, and whether it loaded scipy."""
+    env = dict(_env(), PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    runs = [subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+            for _ in range(IMPORT_PROBES)]
+    scipy = "scipy" if runs[0][1] == "True" else "no scipy"
+    return f"{statistics.median(float(r[0]) for r in runs):.2f} s ({scipy})"
 
 
 def main(argv) -> int:
@@ -129,7 +149,9 @@ def main(argv) -> int:
                 if a[f] != b[f]:
                     print(f"  old {f}: {a[f]!r}\n  new {f}: {b[f]!r}")
     lines = " -> ".join(str(_src_lines(tree)) for tree in argv)
-    print(f"parity: {len(new)} jobs, {differ} differ; src/wlab/*.py lines {lines}")
+    imports = " -> ".join(_import_cost(tree) for tree in argv)
+    print(f"parity: {len(new)} jobs, {differ} differ; src/wlab/*.py lines {lines}; "
+          f"import wlab.cli CPU {imports}")
     return 0 if differ == 0 else 1
 
 
