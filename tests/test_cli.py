@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -609,6 +610,19 @@ class TestGenerate:
         out = tmp_path / "out"
         main(["generate", "--config", path, "--out", str(out)])
         assert sorted(os.listdir(out)) == ["ball.meta.json", "ball.obj"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_output_files_honour_umask(self, tmp_path, umask, mode):
+        path = write_config(tmp_path, SPHERE)
+        out = tmp_path / "out"
+        old = os.umask(umask)
+        try:
+            assert main(["generate", "--config", path, "--out", str(out)]) == 0
+            assert main(["analyze", "--config", path, "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {name: stat.S_IMODE(os.stat(out / name).st_mode) for name in os.listdir(out)}
+        assert modes == {"ball.obj": mode, "ball.meta.json": mode, "ball.analysis.csv": mode}
 
 
 class TestAnalyze:
