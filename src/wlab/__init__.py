@@ -30,7 +30,6 @@ from .harmonics import (
     closed_form_A6_B6,
     closed_form_A12_B12,
     compare_coefficient,
-    extract_harmonics,
 )
 from .generators import (
     RiemannExampleParams,

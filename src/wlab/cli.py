@@ -134,8 +134,7 @@ def cmd_fit(cfg: SceneConfig, outdir: str, args) -> None:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"--tol: expected a finite number > 0, got {args.tol}")
     result = build_scene(cfg)
-    report = classify(result.surface, grid=cfg.grid,
-                      riemann_data=result.riemann_data, lw_tol=args.tol)
+    report = classify(result.surface, grid=cfg.grid, lw_tol=args.tol)
     os.makedirs(outdir, exist_ok=True)
     atomic_write_text(os.path.join(outdir, f"{cfg.name}.report.txt"),
                       report.to_text())

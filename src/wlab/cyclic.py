@@ -26,8 +26,6 @@ from .functions import SmoothFunction, as_smooth
 from .surface import ParamSurface
 
 _RADIUS_SAMPLES = 257
-_CENTER_SAMPLES = 201
-_ROTATIONAL_TOL = 1e-12  # center total variation below which the surface is rotational
 
 
 def __getattr__(name):
@@ -97,14 +95,6 @@ class RiemannTypeSurface:
         self.a = as_smooth(self.a)
         self.b = as_smooth(self.b)
         self.r = as_smooth(self.r)
-
-    def center_total_variation(self) -> float:
-        us = np.linspace(self.u_range[0], self.u_range[1], _CENTER_SAMPLES)
-        a, b = self.a(us), self.b(us)
-        return float(np.abs(np.diff(a)).sum() + np.abs(np.diff(b)).sum())
-
-    def is_rotational(self) -> bool:
-        return self.center_total_variation() < _ROTATIONAL_TOL
 
 
 class _DenseOde:

@@ -13,7 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclic import RiemannTypeSurface
 from .errors import (
     InsufficientSpread,
     InvalidParameter,
@@ -95,14 +94,10 @@ class ClassificationReport:
     lw_rms: float
     fit_as_given: Optional[LwFit]
     fit_swapped: Optional[LwFit]
-    is_rotational: Optional[bool]
+    is_rotational: bool
     is_minimal: bool
     is_riemann_type_minimal: bool
     verdict: str
-
-    def best_fit(self) -> Optional[LwFit]:
-        fits = [f for f in (self.fit_as_given, self.fit_swapped) if f is not None]
-        return min(fits, key=lambda f: f.rms) if fits else None
 
     def to_text(self) -> str:
         lines = [f"verdict: {self.verdict}",
@@ -134,24 +129,19 @@ def _v_independent(values: np.ndarray, scale: float) -> bool:
 
 
 def classify(surface: ParamSurface, grid=(25, 25),
-             riemann_data: Optional[RiemannTypeSurface] = None,
              lw_tol: float = 1e-6) -> ClassificationReport:
     """Sample curvature, fit the linear relation and issue a verdict.
 
-    Rotational symmetry is decided by the total variation of the center
-    curve when riemann_data is given, otherwise by v-independence of the
-    sampled principal curvatures (v is the circular parameter of every
-    surface built by this package).
+    Rotational symmetry is decided by v-independence of the sampled
+    principal curvatures to 1e-7 of their scale (v is the circular
+    parameter of every surface built by this package).
     """
     samples, H, shape = sample_curvatures(surface, grid)
     scale = samples.scale()
     k1 = samples.kappa1.reshape(shape)
     k2 = samples.kappa2.reshape(shape)
 
-    if riemann_data is not None:
-        rotational = riemann_data.is_rotational()
-    else:
-        rotational = _v_independent(k1, scale) and _v_independent(k2, scale)
+    rotational = _v_independent(k1, scale) and _v_independent(k2, scale)
     minimal = bool(np.max(np.abs(H)) < 1e-6 * max(scale, 1e-300))
 
     fit_given = fit_swapped = None

@@ -205,13 +205,6 @@ class RotationalProfile:
         rho, _, th = self.state(s)
         return np.sin(th) / rho
 
-    def curvature_samples(self, ns: int = 50):
-        """(kappa_meridian, kappa_parallel) arrays on an interior sample grid."""
-        s0, s1 = self.s_range
-        pad = 1e-3 * (s1 - s0)
-        ss = np.linspace(s0 + pad, s1 - pad, ns)
-        return ss, self.kappa_meridian(ss), self.kappa_parallel(ss)
-
 
 def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
                       s_range: tuple):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -72,13 +71,6 @@ def _spectrum(samples: np.ndarray, J: int) -> HarmonicSpectrum:
     B = -2.0 * F.imag[..., :J + 1] / N
     B[..., 0] = 0.0
     return HarmonicSpectrum(A, B)
-
-
-def extract_harmonics(f: Callable[[float], float], J: int = 12,
-                      N: int = DEFAULT_SAMPLES) -> HarmonicSpectrum:
-    """DFT coefficient extraction of a scalar function of v sampled at N
-    equispaced points; exact for trig polynomials of degree <= N/2 - 1."""
-    return _spectrum(np.array([f(v) for v in _sample_angles(N)], dtype=float), J)
 
 
 def circle_spectrum(surface: ParamSurface, rel: LWRelation, u,
@@ -167,14 +159,14 @@ def compare_coefficient(spectrum: HarmonicSpectrum, u: float, j: int,
 
     Passes if the DFT/closed-form ratio is 1 to 1e-7 and the harmonic is
     that multiple of the closed form to 1e-7 of the spectrum scale.  When
-    the closed form is ~0, passes if the harmonic is < 1e-8 of the
-    spectrum scale.
+    the closed form is at most 1e-14 of the spectrum scale, passes if the
+    harmonic is < 1e-8 of that scale.
     """
     dft_A, dft_B = float(spectrum.A[j]), float(spectrum.B[j])
     closed_A, closed_B = float(closed_value[0]), float(closed_value[1])
     scale = spectrum.scale()
 
-    if max(abs(closed_A), abs(closed_B)) <= 1e-14 * max(scale, 1.0):
+    if max(abs(closed_A), abs(closed_B)) <= 1e-14 * scale:
         passed = max(abs(dft_A), abs(dft_B)) < 1e-8 * max(scale, 1e-300)
         ratio = math.nan
     else:

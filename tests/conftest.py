@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from wlab.cyclic import CyclicFoliationData, FrenetCurve, RiemannTypeSurface
+from wlab.functions import SmoothFunction
 from wlab.surface import JetPoint
 
 
@@ -65,6 +67,27 @@ def generic_riemann_type():
                               lambda u: 0.3 * u + 0.1 * np.cos(u),
                               lambda u: 1.0 + 0.1 * np.sin(u),
                               (-1.0, 1.0))
+
+
+def wave(c0, c1, c2, w):
+    """c0 + c1 u + c2 sin(w u) with exact derivatives."""
+    return SmoothFunction(lambda u: c0 + c1 * u + c2 * np.sin(w * u),
+                          lambda u: c1 + c2 * w * np.cos(w * u),
+                          lambda u: -c2 * w * w * np.sin(w * u))
+
+
+def signed(lo, hi):
+    """Floats of magnitude in [lo, hi], of either sign."""
+    return st.builds(lambda sign, x: sign * x, st.sampled_from((-1.0, 1.0)),
+                     st.floats(lo, hi))
+
+
+def interior_s(profile, ns=50):
+    """ns arc lengths across a rotational profile's range, 1e-3 of it in
+    from either end."""
+    s0, s1 = profile.s_range
+    pad = 1e-3 * (s1 - s0)
+    return np.linspace(s0 + pad, s1 - pad, ns)
 
 
 @pytest.fixture

@@ -29,9 +29,10 @@ from wlab.generators import (
     gen_rotational_lw,
 )
 from wlab.harmonics import (
+    _sample_angles,
+    _spectrum,
     circle_spectrum,
     closed_form_A12_B12,
-    extract_harmonics,
 )
 from wlab.surface import (
     LWRelation,
@@ -42,7 +43,7 @@ from wlab.surface import (
     lw_residual_poly,
     lw_residual_poly_scale,
 )
-from conftest import generic_cyclic, generic_riemann_type, make_lw_jet
+from conftest import generic_cyclic, generic_riemann_type, interior_s, make_lw_jet
 
 
 def report(name, ok, detail=""):
@@ -119,8 +120,8 @@ def test_criterion_3_harmonic_exactness(rng):
         B = rng.normal(size=13)
         B[0] = 0.0
         js = np.arange(13)
-        f = lambda v: A @ np.cos(js * v) + B @ np.sin(js * v)
-        s = extract_harmonics(f, J=12, N=64)
+        vs = _sample_angles(64)
+        s = _spectrum(A @ np.cos(np.outer(js, vs)) + B @ np.sin(np.outer(js, vs)), 12)
         worst = max(worst, np.abs(s.A - A).max(), np.abs(s.B - B).max())
 
     curve, data = generic_cyclic()
@@ -200,7 +201,8 @@ def test_criterion_6_rotational_generator():
     worst_res = worst_fit = 0.0
     for m, n in ((-1.0, 1.0), (2.0, -1.0), (0.5, 0.3)):
         profile, surf = gen_rotational_lw(LWRelation(m, n), 1.0, 0.3, (0.0, 1.0))
-        _, km, kp = profile.curvature_samples(50)
+        ss = interior_s(profile)
+        km, kp = profile.kappa_meridian(ss), profile.kappa_parallel(ss)
         worst_res = max(worst_res, np.abs(km - (m * kp + n)).max())
         fit_given, fit_swapped = fit_lw(CurvatureSampleSet(km, kp))
         best = min((f for f in (fit_given, fit_swapped) if f is not None),
@@ -221,8 +223,7 @@ def test_criterion_7_classification():
     verdicts["catenoid"] = classify(gen_fixture("catenoid", radius=1.0)).verdict
     verdicts["cylinder"] = classify(gen_fixture("cylinder", radius=1.0)).verdict
     data = gen_riemann_example(RiemannExampleParams(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
-    verdicts["riemann"] = classify(build_riemann_type(data),
-                                   riemann_data=data).verdict
+    verdicts["riemann"] = classify(build_riemann_type(data)).verdict
     generic = RiemannTypeSurface(SmoothFunction(np.sin, np.cos,
                                                 lambda u: -np.sin(u)),
                                  0.0, 1.0, (-1.0, 1.0))

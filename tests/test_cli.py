@@ -702,6 +702,31 @@ class TestFitCommand:
         ms = [float(x) for x in cols["m"]]
         assert any(abs(m - 2.0) < 1e-4 or abs(m - 0.5) < 1e-4 for m in ms)
 
+    def test_tilted_cylinder_rotational(self, tmp_path):
+        # a unit cylinder whose axis is tilted by 1e-9: the curvatures do
+        # not depend on v, so no center drift may make it a counterexample
+        # to the classification
+        tilted = {"kind": "riemann-type", "name": "tilt", "relation": [1.5, 1.0],
+                  "params": {"a": "1e-9*u", "b": "0", "r": "1", "u_range": [-1.0, 1.0]}}
+        out = tmp_path / "out"
+        assert main(["fit", "--config", write_config(tmp_path, tilted),
+                     "--out", str(out)]) == 0
+        text = (out / "tilt.report.txt").read_text()
+        assert "rotational: True" in text
+        assert "verdict: rotational LW surface" in text
+
+    def test_drifting_center_not_rotational(self, tmp_path):
+        # the benchmark workloads' riemann-type drift: a linear term plus a wave
+        drift = dict(RIEMANN_TYPE, params={
+            "a": "0.3*u + 0.1*sin(2.5*u)", "b": "0.1*u + 0.1*cos(2.5*u)",
+            "r": "1.4 + 0.05*sin(u)", "u_range": [-0.6, 0.6]})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", write_config(tmp_path, drift),
+                     "--out", str(out)]) == 0
+        text = (out / "rt.report.txt").read_text()
+        assert "rotational: False" in text
+        assert "verdict: not LW of Riemann-type" in text
+
 
 class TestExportCommand:
     def test_obj_only(self, tmp_path):

@@ -18,6 +18,7 @@ from wlab.errors import (
     NumericalError,
     RadiusNotPositive,
 )
+from wlab.fitting import VERDICT_NOT_LW, classify
 from wlab.functions import SmoothFunction, as_smooth
 from wlab.harmonics import circle_spectrum
 from wlab.surface import (
@@ -184,10 +185,11 @@ class TestBuildRiemannType:
 
     def test_rotational_flag(self):
         rot = RiemannTypeSurface(0.3, -0.2, 1.0, (-1.0, 1.0))
-        assert rot.is_rotational()
+        assert classify(build_riemann_type(rot)).is_rotational
         non = RiemannTypeSurface(np.sin, 0.0, 1.0, (-1.0, 1.0))
-        assert not non.is_rotational()
-        assert non.center_total_variation() > 0.1
+        report = classify(build_riemann_type(non))
+        assert not report.is_rotational
+        assert report.verdict == VERDICT_NOT_LW
 
     def test_radius_not_positive(self):
         with pytest.raises(RadiusNotPositive):

@@ -8,6 +8,7 @@ from scipy.integrate import OdeSolution, solve_ivp
 from wlab import cyclic, generators
 from wlab.cyclic import build_riemann_type
 from wlab.errors import AxisCollision, InvalidParameter, RadiusCollapse
+from wlab.fitting import classify
 from wlab.generators import (
     RiemannExampleParams,
     gen_fixture,
@@ -16,6 +17,7 @@ from wlab.generators import (
 )
 from wlab.meshio import obj_grid
 from wlab.surface import LWRelation, curvature, evaluate_jet, interior_grid
+from conftest import interior_s
 
 
 class TestRiemannExample:
@@ -25,14 +27,14 @@ class TestRiemannExample:
         assert not data.truncated
         for u in np.linspace(-1.0, 1.0, 21):
             assert abs(data.r(u) - math.cosh(u)) < 1e-8
-        assert data.is_rotational()
+        assert classify(build_riemann_type(data)).is_rotational
 
     def test_minimal_surface(self):
         data = gen_riemann_example(
             RiemannExampleParams(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
         assert not data.truncated
-        assert not data.is_rotational()
         surf = build_riemann_type(data)
+        assert not classify(surf).is_rotational
         worst = 0.0
         for u in np.linspace(-0.95, 0.95, 40):
             for v in np.linspace(0, 2 * math.pi, 40, endpoint=False):
@@ -94,7 +96,8 @@ class TestRotationalLw:
     def test_relation_holds_pointwise(self, m, n):
         rel = LWRelation(m, n)
         profile, surf = gen_rotational_lw(rel, 1.0, 0.3, (0.0, 1.0))
-        ss, km, kp = profile.curvature_samples(50)
+        ss = interior_s(profile)
+        km, kp = profile.kappa_meridian(ss), profile.kappa_parallel(ss)
         assert np.abs(km - (m * kp + n)).max() < 1e-12
         np.testing.assert_array_equal(km, [profile.kappa_meridian(s) for s in ss])
         np.testing.assert_array_equal(kp, [profile.kappa_parallel(s) for s in ss])
@@ -305,5 +308,5 @@ class TestClosedFormRiemannExample:
         exact = rn * np.cosh((us - un) / rn)
         assert np.abs(data.r(us) / exact - 1.0).max() < 1e-12
         assert np.abs(data.r.d1(us) - np.sinh((us - un) / rn)).max() < 1e-12 * exact.max()
-        assert data.is_rotational()
+        assert classify(build_riemann_type(data)).is_rotational
         assert not np.any(data.a(us)) and not np.any(data.b(us))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,55 +5,58 @@ from hypothesis import given, settings, strategies as st
 from wlab.cyclic import (
     CyclicFoliationData,
     FrenetCurve,
+    RiemannTypeSurface,
     build_cyclic,
     build_riemann_type,
 )
 from wlab.errors import InsufficientSamples, ZeroOffset
+from wlab.functions import SmoothFunction
 from wlab.generators import RiemannExampleParams, gen_riemann_example, gen_rotational_lw
 from wlab.harmonics import (
+    DEFAULT_SAMPLES,
+    HarmonicSpectrum,
+    _sample_angles,
+    _spectrum,
     circle_spectrum,
     closed_form_A12_B12,
     closed_form_A3_B3,
     closed_form_A4_B4_branch,
     closed_form_A6_B6,
     compare_coefficient,
-    extract_harmonics,
 )
 from wlab.surface import LWRelation
-from conftest import generic_cyclic, generic_riemann_type
+from conftest import generic_cyclic, generic_riemann_type, signed
 
 
 class TestExtractHarmonics:
+    """DFT extraction: _spectrum of f sampled at _sample_angles(N)."""
+
     def test_single_cosine(self):
-        s = extract_harmonics(lambda v: math.cos(3 * v), J=6)
+        s = _spectrum(np.cos(3 * _sample_angles(DEFAULT_SAMPLES)), 6)
         expect = np.zeros(7)
         expect[3] = 1.0
         assert np.abs(s.A - expect).max() < 1e-14
         assert np.abs(s.B).max() < 1e-14
 
     def test_offset_sine(self):
-        s = extract_harmonics(lambda v: 2.0 + math.sin(v), J=4)
+        s = _spectrum(2.0 + np.sin(_sample_angles(DEFAULT_SAMPLES)), 4)
         assert abs(s.A[0] - 2.0) < 1e-14
         assert abs(s.B[1] - 1.0) < 1e-14
         assert abs(s.A[1:]).max() < 1e-14
 
     def test_random_trig_polynomials_exact(self, rng):
+        jv = np.outer(np.arange(13), _sample_angles(64))
         for _ in range(10):
             A = rng.normal(size=13)
             B = rng.normal(size=13)
             B[0] = 0.0
-            js = np.arange(13)
-
-            def f(v):
-                return A @ np.cos(js * v) + B @ np.sin(js * v)
-
-            s = extract_harmonics(f, J=12, N=64)
+            s = _spectrum(A @ np.cos(jv) + B @ np.sin(jv), 12)
             assert np.abs(s.A - A).max() < 1e-12
             assert np.abs(s.B - B).max() < 1e-12
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamples):
-            extract_harmonics(np.cos, J=12, N=24)
+            _spectrum(np.cos(_sample_angles(24)), 12)
 
 
 class TestClosedFormSpotValues:
@@ -191,14 +192,46 @@ class TestCoefficientIdentities:
         assert np.abs(np.array(ratios) - 1.0).max() < 1e-6
 
 
-def _signed(lo, hi):
-    return st.builds(lambda sign, x: sign * x, st.sampled_from((-1.0, 1.0)),
-                     st.floats(lo, hi))
+def _scaled(lam, f, d1, d2):
+    """lam f(u / lam) with its exact derivatives: the profile function of a
+    scene scaled by lam."""
+    return SmoothFunction(lambda u: lam * f(u / lam), lambda u: d1(u / lam),
+                          lambda u: d2(u / lam) / lam)
+
+
+@pytest.mark.parametrize("k", range(-8, 4))
+def test_riemann_type_rows_scale_invariant(k):
+    """The closed-form rows of a riemann-type scene scaled by lam = 10^k
+    (n -> n / lam) pass at every k: the zero branch of compare_coefficient
+    is relative to the spectrum scale, with no absolute floor."""
+    lam = 10.0 ** k
+    data = RiemannTypeSurface(
+        _scaled(lam, lambda u: 0.7 * u + 0.3 * np.sin(1.7 * u),
+                lambda u: 0.7 + 0.51 * np.cos(1.7 * u),
+                lambda u: -0.867 * np.sin(1.7 * u)),
+        _scaled(lam, lambda u: 0.3 * u + 0.2 * np.cos(1.7 * u),
+                lambda u: 0.3 - 0.34 * np.sin(1.7 * u),
+                lambda u: -0.578 * np.cos(1.7 * u)),
+        _scaled(lam, lambda u: 1.1 + 0.2 * np.sin(u), lambda u: 0.2 * np.cos(u),
+                lambda u: -0.2 * np.sin(u)),
+        (-lam, lam))
+    surf = build_riemann_type(data)
+    us = lam * np.linspace(-0.8, 0.8, 5)
+    r, da, db = data.r(us), data.a.d1(us), data.b.d1(us)
+    dda, ddb = data.a.d2(us), data.b.d2(us)
+    rows = {12: (LWRelation(1.5, 0.4 / lam), closed_form_A12_B12(0.4 / lam, r, da, db)),
+            3: (LWRelation(1.5, 0.0), closed_form_A3_B3(1.5, r, da, db, dda, ddb))}
+    for j, (rel, (closed_A, closed_B)) in rows.items():
+        spectra = circle_spectrum(surf, rel, us, j)
+        for i, u in enumerate(us):
+            report = compare_coefficient(HarmonicSpectrum(spectra.A[i], spectra.B[i]),
+                                         u, j, (closed_A[i], closed_B[i]))
+            assert report.passed, report
 
 
 _WOBBLE = st.floats(-0.1, 0.1)
-_CYCLIC = dict(k=_signed(0.5, 0.8), dk=_WOBBLE, sigma=_signed(0.1, 0.5),
-               a=_signed(1.3, 1.6), da=_WOBBLE, r=st.floats(0.8, 1.0), dr=_WOBBLE,
+_CYCLIC = dict(k=signed(0.5, 0.8), dk=_WOBBLE, sigma=signed(0.1, 0.5),
+               a=signed(1.3, 1.6), da=_WOBBLE, r=st.floats(0.8, 1.0), dr=_WOBBLE,
                u=st.floats(0.3, 1.7))
 
 
@@ -223,8 +256,8 @@ class TestClosedFormsAreResidualCoefficients:
         return build_cyclic(curve, data), curve, data
 
     @settings(max_examples=30, deadline=None)
-    @given(m=st.sampled_from((2.0, -0.5, 3.0, 0.7)), beta=_signed(1.0, 2.0),
-           gamma=_signed(1.0, 2.0), **_CYCLIC)
+    @given(m=st.sampled_from((2.0, -0.5, 3.0, 0.7)), beta=signed(1.0, 2.0),
+           gamma=signed(1.0, 2.0), **_CYCLIC)
     def test_A6_B6(self, m, beta, gamma, k, dk, sigma, a, da, r, dr, u):
         surf, curve, data = self._scene(k, dk, sigma, a, da, r, dr, beta, gamma)
         rel = LWRelation(m, 0.0)

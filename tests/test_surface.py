@@ -13,7 +13,6 @@ from wlab.cyclic import (
     build_riemann_type,
 )
 from wlab.errors import DegenerateJet, InvalidParameter, OutOfDomain
-from wlab.functions import SmoothFunction
 from wlab.generators import gen_fixture
 from wlab.surface import (
     JetPoint,
@@ -31,7 +30,13 @@ from wlab.surface import (
     lw_residual_signed,
     transformed,
 )
-from conftest import generic_cyclic, generic_riemann_type, grid_position, make_lw_jet
+from conftest import (
+    generic_cyclic,
+    generic_riemann_type,
+    grid_position,
+    make_lw_jet,
+    wave,
+)
 
 
 def plane():
@@ -282,24 +287,17 @@ def test_curvature_scale_invariance(name, k, nu, nv):
     assert np.abs(lam * lam * c1.K - c0.K).max() <= 1e-12 * scale * scale
 
 
-def _wave(c0, c1, c2, w):
-    """c0 + c1 u + c2 sin(w u) with exact derivatives."""
-    return SmoothFunction(lambda u: c0 + c1 * u + c2 * np.sin(w * u),
-                          lambda u: c1 + c2 * w * np.cos(w * u),
-                          lambda u: -c2 * w * w * np.sin(w * u))
-
-
 # Scene ranges: riemann-type centers drift by up to 2 u plus a wave of
 # amplitude 0.5 and radii stay in [0.2, 2.4]; on cyclic scenes
 # alpha > r kappa keeps the jet regular.
-drifts = st.builds(_wave, st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
+drifts = st.builds(wave, st.floats(-1.0, 1.0), st.floats(-2.0, 2.0),
                   st.floats(-0.5, 0.5), st.floats(0.5, 3.0))
-radii = st.builds(_wave, st.floats(0.6, 2.0), st.just(0.0),
+radii = st.builds(wave, st.floats(0.6, 2.0), st.just(0.0),
                   st.floats(-0.4, 0.4), st.floats(0.5, 3.0))
 
 
 def _bounded(lo, hi):
-    return st.builds(_wave, st.floats(lo, hi), st.just(0.0),
+    return st.builds(wave, st.floats(lo, hi), st.just(0.0),
                      st.floats(-0.1, 0.1), st.floats(0.5, 3.0))
 
 
