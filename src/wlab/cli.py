@@ -112,18 +112,20 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
     if us.size * N > MAX_POINTS:
         raise ConfigError(f"harmonics: {us.size} circles x {N} samples above {MAX_POINTS}")
     spectra = hm.circle_spectrum(result.surface, rel, us, J)
+    # u, j, dft_A, dft_B, closed_A, closed_B, ratio per circle and harmonic;
+    # NaN (an empty cell) where a harmonic has no closed form
+    table = np.full((us.size, J + 1, 7), math.nan)
+    table[..., 0] = us[:, None]
+    table[..., 1] = np.arange(J + 1)
+    table[..., 2] = spectra.A[:, :J + 1]
+    table[..., 3] = spectra.B[:, :J + 1]
+    passed = np.full((us.size, J + 1), "", dtype="<U5")   # the pass column
     j_closed, closed = _closed_form(result, rel, us, J) or (None, None)
-    rows = []
-    for i, u in enumerate(us.tolist()):
-        spectrum = hm.HarmonicSpectrum(spectra.A[i], spectra.B[i])
-        for j in range(J + 1):
-            if j != j_closed:
-                rows.append([u, j, float(spectrum.A[j]), float(spectrum.B[j]),
-                             math.nan, math.nan, math.nan, ""])
-            else:
-                report = hm.compare_coefficient(spectrum, u, j, (closed[0][i], closed[1][i]))
-                rows.append([u, j, report.dft_A, report.dft_B, report.closed_A,
-                             report.closed_B, report.ratio, str(report.passed)])
+    if j_closed is not None:
+        ratio, passed[:, j_closed] = hm.compare_coefficient(spectra, j_closed, closed)
+        table[:, j_closed, 4:] = np.column_stack((*closed, ratio))
+    rows = [[*cells, p] for cells, p in zip(table.reshape(-1, 7).tolist(),
+                                            passed.ravel().tolist())]
     os.makedirs(outdir, exist_ok=True)
     write_csv(os.path.join(outdir, f"{cfg.name}.harmonics.csv"),
               ["u", "j", "dft_A", "dft_B", "closed_A", "closed_B", "ratio", "pass"],

@@ -46,8 +46,10 @@ class HarmonicSpectrum:
     A: np.ndarray
     B: np.ndarray
 
-    def scale(self) -> float:
-        return float(max(np.max(np.abs(self.A)), np.max(np.abs(self.B)), 0.0))
+    def scale(self):
+        """Largest |A_j|, |B_j| per circle: a float for one circle, an array
+        over the circles of a batch."""
+        return np.maximum(np.abs(self.A).max(axis=-1), np.abs(self.B).max(axis=-1))
 
 
 def circle_samples(J: int) -> int:
@@ -139,42 +141,29 @@ def closed_form_A3_B3(m: float, r: float, da: float, db: float,
     return pref * s[0], pref * s[1]
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
-    """Comparison of one DFT-extracted harmonic with its closed form."""
+def compare_coefficient(spectrum: HarmonicSpectrum, j: int, closed):
+    """Compare harmonic j of every circle of a spectrum with its closed form.
 
-    u: float
-    j: int
-    dft_A: float
-    dft_B: float
-    closed_A: float
-    closed_B: float
-    ratio: float
-    passed: bool
-
-
-def compare_coefficient(spectrum: HarmonicSpectrum, u: float, j: int,
-                        closed_value) -> CoefficientReport:
-    """Compare the j-th harmonic of an extracted spectrum with a closed form.
-
-    Passes if the DFT/closed-form ratio is 1 to 1e-7 and the harmonic is
-    that multiple of the closed form to 1e-7 of the spectrum scale.  When
-    the closed form is at most 1e-14 of the spectrum scale, passes if the
-    harmonic is < 1e-8 of that scale.
+    closed is (A_j, B_j), each a float or an array over the circles.  A
+    circle passes if the DFT/closed-form ratio is 1 to 1e-7 and the harmonic
+    is that multiple of the closed form to 1e-7 of the circle's spectrum
+    scale.  When the closed form is at most 1e-14 of that scale, it passes
+    if the harmonic is < 1e-8 of the scale, and its ratio is NaN.  Returns
+    (ratio, passed): arrays over the circles, or a float and a bool for the
+    spectrum of one circle.
     """
-    dft_A, dft_B = float(spectrum.A[j]), float(spectrum.B[j])
-    closed_A, closed_B = float(closed_value[0]), float(closed_value[1])
+    dft_A, dft_B = spectrum.A[..., j], spectrum.B[..., j]
+    closed_A, closed_B = closed
+    size_A, size_B = np.abs(closed_A), np.abs(closed_B)
     scale = spectrum.scale()
-
-    if max(abs(closed_A), abs(closed_B)) <= 1e-14 * scale:
-        passed = max(abs(dft_A), abs(dft_B)) < 1e-8 * max(scale, 1e-300)
-        ratio = math.nan
-    else:
-        if abs(closed_A) >= abs(closed_B):
-            ratio = dft_A / closed_A
-        else:
-            ratio = dft_B / closed_B
-        err = math.hypot(dft_A - ratio * closed_A, dft_B - ratio * closed_B)
-        consistent = err < 1e-7 * max(scale, 1e-300)
-        passed = consistent and abs(ratio - 1.0) < 1e-7
-    return CoefficientReport(u, j, dft_A, dft_B, closed_A, closed_B, ratio, passed)
+    floor = np.maximum(scale, 1e-300)
+    zero = np.maximum(size_A, size_B) <= 1e-14 * scale
+    with np.errstate(all="ignore"):   # inf and NaN ratios, silent as in float division
+        ratio = np.where(size_A >= size_B, dft_A / closed_A, dft_B / closed_B)
+        err = np.hypot(dft_A - ratio * closed_A, dft_B - ratio * closed_B)
+        passed = np.where(zero, np.maximum(np.abs(dft_A), np.abs(dft_B)) < 1e-8 * floor,
+                          (err < 1e-7 * floor) & (np.abs(ratio - 1.0) < 1e-7))
+    ratio = np.where(zero, np.nan, ratio)
+    if ratio.ndim == 0:
+        return float(ratio), bool(passed)
+    return ratio, passed

@@ -74,7 +74,8 @@ def _dot(a, b):
 
 @dataclass(frozen=True)
 class JetPoint:
-    """Position, partials up to second order and the unit normal.
+    """Position, partials up to second order, the unit normal and the
+    normal's unscaled direction cross = Xu x Xv.
 
     Each field has shape (3,) at a point, or (nu, nv, 3) on a grid.
     """
@@ -86,6 +87,7 @@ class JetPoint:
     xuv: np.ndarray
     xvv: np.ndarray
     normal: np.ndarray
+    cross: np.ndarray
 
     @classmethod
     def from_partials(cls, p, xu, xv, xuu, xuv, xvv) -> "JetPoint":
@@ -94,7 +96,7 @@ class JetPoint:
         norm = np.sqrt(_dot(cross, cross))
         _raise_first(norm < _DEGENERACY_EPS, norm, lambda x: DegenerateJet(
             f"|Xu x Xv| = {x:.3e} below {_DEGENERACY_EPS}"))
-        return cls(*arrs, cross / norm[..., None])
+        return cls(*arrs, cross / norm[..., None], cross)
 
 
 @dataclass(frozen=True)
@@ -228,8 +230,7 @@ def curvature(jet: JetPoint) -> CurvatureData:
     with H^2 + |K|, so the clamp scales with the surface.
     """
     E, F, G = _dot(jet.xu, jet.xu), _dot(jet.xu, jet.xv), _dot(jet.xv, jet.xv)
-    cross = np.cross(jet.xu, jet.xv)
-    d1, d2, d3 = _dot(cross, jet.xuu), _dot(cross, jet.xuv), _dot(cross, jet.xvv)
+    d1, d2, d3 = (_dot(jet.cross, x) for x in (jet.xuu, jet.xuv, jet.xvv))
     W = E * G - F * F
     _raise_first(W <= 0, W, lambda x: DegenerateJet(f"W = {x:.3e} not positive"))
     H1 = G * d1 - 2.0 * F * d2 + E * d3

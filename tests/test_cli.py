@@ -685,6 +685,24 @@ class TestHarmonicsCommand:
         assert len(rows) == 2
         assert all(abs(r - 1.0) < 1e-7 and p == "True" for r, p in rows), rows
 
+    @pytest.mark.parametrize("relation, options, j, tail", [
+        ([1.5, 0.0], ["--u-list=-0.5,0.0,0.5", "--max-harmonic", "4"], "3", ",-0,-0,,True"),
+        ([1.5, 0.4], ["--u-list=-0.5,0.5"], "12", ",0,0,,True"),
+    ], ids=["A3-B3", "A12-B12"])
+    def test_zero_closed_form_rows(self, tmp_path, relation, options, j, tail):
+        """On a centered scene (a = b = 0) the closed form is exactly zero: its
+        rows keep the closed form's signed zeros, an empty ratio cell and the
+        zero-branch pass."""
+        scene = dict(RIEMANN_TYPE, relation=relation, params=dict(
+            RIEMANN_TYPE["params"], a=0.0, b=0.0, r="1 + 0.2*sin(u)"))
+        out = tmp_path / "out"
+        assert main(["harmonics", "--config", write_config(tmp_path, scene),
+                     "--out", str(out), *options]) == 0
+        lines = (out / "rt.harmonics.csv").read_text().splitlines()[1:]
+        checked = [line for line in lines if line.split(",")[1] == j]
+        assert len(checked) == options[0].count(",") + 1
+        assert all(line.endswith(tail) for line in checked), checked
+
     def test_requires_relation(self, tmp_path, capsys):
         path = write_config(tmp_path, CATENOID)
         assert main(["harmonics", "--config", path, "--out", str(tmp_path)]) == 1

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,8 +148,8 @@ class TestCoefficientIdentities:
         for u in np.linspace(0.3, 1.7, 5):
             closed = closed_form_A6_B6(rel.m, curve.kappa(u), data.r(u),
                                        data.beta(u), data.gamma(u))
-            report = compare_coefficient(circle_spectrum(surf, rel, u, 6), u, 6, closed)
-            assert report.passed, report
+            ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 6), 6, closed)
+            assert passed, (u, ratio)
 
     def test_cyclic_A4_B4_branch_ratio(self):
         # branch beta = 0, gamma = kappa r of the cyclic family
@@ -162,8 +164,8 @@ class TestCoefficientIdentities:
         for u in np.linspace(0.3, 1.7, 5):
             closed = closed_form_A4_B4_branch(rel.m, kappa(u), r(u),
                                               alpha(u), rp(u))
-            report = compare_coefficient(circle_spectrum(surf, rel, u, 4), u, 4, closed)
-            assert report.passed, report
+            ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 4), 4, closed)
+            assert passed, (u, ratio)
 
     def test_riemann_type_A3_B3(self):
         data = generic_riemann_type()
@@ -173,8 +175,8 @@ class TestCoefficientIdentities:
             closed = closed_form_A3_B3(rel.m, data.r(u),
                                        data.a.d1(u), data.b.d1(u),
                                        data.a.d2(u), data.b.d2(u))
-            report = compare_coefficient(circle_spectrum(surf, rel, u, 3), u, 3, closed)
-            assert report.passed, report
+            ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 3), 3, closed)
+            assert passed, (u, ratio)
 
     def test_riemann_type_A12_B12(self):
         data = generic_riemann_type()
@@ -184,10 +186,10 @@ class TestCoefficientIdentities:
         for u in np.linspace(-0.8, 0.8, 5):
             A12, B12 = closed_form_A12_B12(rel.n, data.r(u),
                                            data.a.d1(u), data.b.d1(u))
-            report = compare_coefficient(circle_spectrum(surf, rel, u, 12), u, 12,
-                                         (A12, B12))
-            assert report.passed, report
-            ratios.append(report.ratio)
+            ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 12), 12,
+                                                (A12, B12))
+            assert passed, (u, ratio)
+            ratios.append(ratio)
         # the derived prefactors make the ratio exactly 1 across the family
         assert np.abs(np.array(ratios) - 1.0).max() < 1e-6
 
@@ -222,11 +224,74 @@ def test_riemann_type_rows_scale_invariant(k):
     rows = {12: (LWRelation(1.5, 0.4 / lam), closed_form_A12_B12(0.4 / lam, r, da, db)),
             3: (LWRelation(1.5, 0.0), closed_form_A3_B3(1.5, r, da, db, dda, ddb))}
     for j, (rel, (closed_A, closed_B)) in rows.items():
-        spectra = circle_spectrum(surf, rel, us, j)
-        for i, u in enumerate(us):
-            report = compare_coefficient(HarmonicSpectrum(spectra.A[i], spectra.B[i]),
-                                         u, j, (closed_A[i], closed_B[i]))
-            assert report.passed, report
+        ratio, passed = compare_coefficient(circle_spectrum(surf, rel, us, j), j,
+                                            (closed_A, closed_B))
+        assert passed.all(), (j, ratio, passed)
+
+
+def _pass_rule(A, B, j, closed_A, closed_B):
+    """(ratio, passed) of the README pass rule on one circle, in plain floats."""
+    scale = max(max(map(abs, A)), max(map(abs, B)))
+    floor = max(scale, 1e-300)
+    dft_A, dft_B = A[j], B[j]
+    if max(abs(closed_A), abs(closed_B)) <= 1e-14 * scale:
+        return math.nan, max(abs(dft_A), abs(dft_B)) < 1e-8 * floor
+    ratio = dft_A / closed_A if abs(closed_A) >= abs(closed_B) else dft_B / closed_B
+    err = math.hypot(dft_A - ratio * closed_A, dft_B - ratio * closed_B)
+    return ratio, err < 1e-7 * floor and abs(ratio - 1.0) < 1e-7
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _circle(draw, j):
+    """(A, B, closed_A, closed_B) of one circle, its 13 coefficients at scale
+    10^k, with a closed form of harmonic j that is random, exactly +-0,
+    around and below 1e-14 of the scale, a tie |A| = |B|, or the DFT over
+    (1 + delta) for a delta near +-1e-7 per coefficient."""
+    lam = 10.0 ** draw(st.integers(-30, 10))
+    A, B = (np.array(draw(st.lists(_UNIT, min_size=13, max_size=13))) * lam
+            for _ in "AB")
+    case = draw(st.sampled_from(("random", "zero", "tiny", "tie", "near")))
+    closed = [draw(_UNIT) * lam, draw(_UNIT) * lam]
+    if case in ("zero", "tiny"):
+        A[j], B[j] = (draw(_UNIT) * 10.0 ** draw(st.integers(-12, -6)) * lam
+                      for _ in "AB")
+        scale = max(np.abs(A).max(), np.abs(B).max())
+        closed = ([draw(st.sampled_from((0.0, -0.0))) for _ in "AB"] if case == "zero"
+                  else [draw(_UNIT) * 10.0 ** draw(st.integers(-16, -13)) * scale
+                        for _ in "AB"])
+    elif case == "tie":
+        closed[1] = draw(st.sampled_from((1.0, -1.0))) * closed[0]
+    elif case == "near":  # a delta per coefficient: the ratio and the consistency bound
+        A[j], B[j] = (c * (1.0 + draw(st.sampled_from((1.0, -1.0)))
+                           * draw(st.floats(0.9e-7, 1.1e-7))) for c in closed)
+    return A, B, float(closed[0]), float(closed[1])
+
+
+@st.composite
+def _batch(draw):
+    j = draw(st.integers(0, 12))
+    return j, draw(st.lists(_circle(j), min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=_batch())
+def test_compare_coefficient_batched_matches_per_circle(batch):
+    """Each circle of one batched compare_coefficient call gets the (ratio,
+    passed) of a one-circle call and of the pass rule in plain floats (ratios
+    compared NaN-aware, the sign of zero included)."""
+    j, circles = batch
+    A, B, closed_A, closed_B = (np.array(x) for x in zip(*circles))
+    ratio, passed = compare_coefficient(HarmonicSpectrum(A, B), j, (closed_A, closed_B))
+    assert ratio.shape == passed.shape == (len(circles),)
+    for i, (a, b, ca, cb) in enumerate(circles):
+        one = compare_coefficient(HarmonicSpectrum(a, b), j, (ca, cb))
+        assert type(one[0]) is float and type(one[1]) is bool
+        expect = _pass_rule(a.tolist(), b.tolist(), j, ca, cb)
+        for got in ((float(ratio[i]), bool(passed[i])), one):
+            assert (repr(got[0]), got[1]) == (repr(expect[0]), expect[1]), (i, got, expect)
 
 
 _WOBBLE = st.floats(-0.1, 0.1)
@@ -262,8 +327,8 @@ class TestClosedFormsAreResidualCoefficients:
         surf, curve, data = self._scene(k, dk, sigma, a, da, r, dr, beta, gamma)
         rel = LWRelation(m, 0.0)
         closed = closed_form_A6_B6(m, curve.kappa(u), data.r(u), beta, gamma)
-        report = compare_coefficient(circle_spectrum(surf, rel, u, 6), u, 6, closed)
-        assert report.passed, report
+        ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 6), 6, closed)
+        assert passed, (u, ratio)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.sampled_from((2.0, -0.5, 3.0)), **_CYCLIC)
@@ -272,8 +337,8 @@ class TestClosedFormsAreResidualCoefficients:
         rel = LWRelation(m, 0.0)
         closed = closed_form_A4_B4_branch(m, curve.kappa(u), data.r(u),
                                           data.alpha(u), -dr * np.sin(u))
-        report = compare_coefficient(circle_spectrum(surf, rel, u, 4), u, 4, closed)
-        assert report.passed, report
+        ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 4), 4, closed)
+        assert passed, (u, ratio)
 
 
 class TestSpecialSpectra:

@@ -120,6 +120,18 @@ class TestEvaluateJet:
         jet = evaluate_jet(unit_sphere(), 0.4, 1.0)
         assert abs(np.linalg.norm(jet.normal) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("u, v", [(0.4, 1.0), (np.linspace(-1.0, 1.0, 3),
+                                                   np.linspace(0.0, 6.0, 4))],
+                             ids=["point", "grid"])
+    def test_cross_is_the_unscaled_normal(self, u, v):
+        """jet.cross, which curvature reads, is np.cross(Xu, Xv) bit for bit,
+        and the normal is its direction."""
+        jet = evaluate_jet(gen_fixture("catenoid", radius=1.3), u, v)
+        assert jet.cross.shape == jet.normal.shape == np.shape(jet.p)
+        assert jet.cross.tobytes() == np.cross(jet.xu, jet.xv).tobytes()
+        norm = np.linalg.norm(jet.cross, axis=-1, keepdims=True)
+        np.testing.assert_allclose(jet.normal, jet.cross / norm, rtol=0, atol=1e-15)
+
     def test_fd_partials_match_analytic(self, rng):
         surf = gen_fixture("catenoid", radius=1.0)
         twin = finite_difference_twin(surf)

@@ -52,9 +52,13 @@ def _src_lines(tree: str) -> int:
     return total
 
 
-def record(tree: str, path: str) -> None:
-    """Runs every job through tree's wlab.cli.main and writes, per job, its
-    exit code, stderr and output-file digests to path as JSON."""
+def run_jobs(tree: str):
+    """Runs every job of the workloads at SEEDS, warm-up jobs included,
+    through tree's wlab.cli.main, imported into this interpreter, in one
+    temporary work directory.  Yields per job its key, exit code (or the
+    exception of a crash), stderr with the work directory replaced by
+    WORK_MARK, and the paths of the files it writes; the files are there
+    until the next job runs."""
     src = os.path.join(os.path.abspath(tree), "src")
     sys.path[:0] = [src, BENCH]
     import wlab.cli
@@ -63,7 +67,6 @@ def record(tree: str, path: str) -> None:
 
     if os.path.dirname(os.path.abspath(wlab.__file__)) != os.path.join(src, "wlab"):
         sys.exit(f"parity: imported wlab from {wlab.__file__}, not {src}")
-    results = {}
     with tempfile.TemporaryDirectory(prefix="wlab-parity-") as work:
         for name in WORKLOADS:
             for seed in SEEDS:
@@ -91,11 +94,15 @@ def record(tree: str, path: str) -> None:
                             code = f"{type(exc).__name__}: {exc}"
                     key = (f"{name}:{seed}:{i}:{job.scene.name}:{job.command}:"
                            f"{job.grid[0]}x{job.grid[1]}")
-                    results[key] = {
-                        "exit": code,
-                        "stderr": err.getvalue().replace(work, WORK_MARK),
-                        "files": {os.path.basename(f): _sha256(f) for f in files},
-                    }
+                    yield key, code, err.getvalue().replace(work, WORK_MARK), files
+
+
+def record(tree: str, path: str) -> None:
+    """Runs every job through tree's wlab.cli.main and writes, per job, its
+    exit code, stderr and output-file digests to path as JSON."""
+    results = {key: {"exit": code, "stderr": stderr,
+                     "files": {os.path.basename(f): _sha256(f) for f in files}}
+               for key, code, stderr, files in run_jobs(tree)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
