@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error (a malformed config or argument),
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -15,7 +14,7 @@ import sys
 import numpy as np
 
 from . import harmonics as hm
-from .config import MAX_POINTS, SceneConfig, load_config
+from .config import MAX_POINTS, SceneConfig, canonical_dumps, load_config
 from .errors import ConfigError, WlabError
 from .fitting import classify
 from .meshio import atomic_write_text, write_csv, write_obj
@@ -44,7 +43,7 @@ def cmd_generate(cfg: SceneConfig, outdir: str, args) -> None:
     result = cmd_export(cfg, outdir, args)
     meta = {"config": cfg.to_dict(), "truncated": result.truncated}
     atomic_write_text(os.path.join(outdir, f"{cfg.name}.meta.json"),
-                      json.dumps(meta, indent=2, sort_keys=True) + "\n")
+                      canonical_dumps(meta))
 
 
 def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError
+from .functions import SmoothFunction
 
 KINDS = ("fixture", "cyclic", "riemann-type", "riemann-example", "rotational-lw")
 FIXTURE_SHAPES = ("sphere", "cylinder", "torus", "catenoid")
@@ -50,13 +51,13 @@ def _in_grammar(node) -> bool:
 
 
 def parse_scalar_function(spec, where: str, test_u: float = 0.5):
-    """A number becomes a constant; a string is an arithmetic expression in
-    u (see _in_grammar), which evaluates elementwise on an array u."""
+    """A number becomes a constant, whose derivatives are exactly 0; a
+    string is an arithmetic expression in u (see _in_grammar), which
+    evaluates elementwise on an array u."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         if not _finite(spec):
             raise ConfigError(f"{where}: expected a finite number, got {spec!r}")
-        value = float(spec)
-        return lambda u: value
+        return SmoothFunction.constant(spec)
     if isinstance(spec, str):
         try:
             tree = ast.parse(spec, filename=f"<{where}>", mode="eval")
@@ -243,8 +244,9 @@ class SceneConfig:
         return d
 
 
-def canonical_dumps(cfg: SceneConfig) -> str:
-    return json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n"
+def canonical_dumps(obj: dict) -> str:
+    """The JSON text wlab writes: indented by 2, keys sorted, one final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path) -> SceneConfig:

@@ -11,13 +11,11 @@ transported frame numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    InvalidParameter,
     NonFiniteInput,
     NumericalError,
     RadiusNotPositive,
@@ -39,30 +37,20 @@ def __getattr__(name):
 
 @dataclass
 class FrenetCurve:
-    """Curvature/torsion data and initial frame of a base curve Gamma(u).
+    """Curvature and torsion of a base curve Gamma(u) in arc length u.
 
-    u is the arc-length parameter; the initial data is given at u_range[0].
+    The curve starts at the origin with the standard basis as its Frenet
+    frame at u_range[0]; surface.transformed places it anywhere else.
     Immutable by convention after construction.
     """
 
     kappa: object
     sigma: object
     u_range: tuple
-    point0: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    tangent0: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    normal0: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    binormal0: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
 
     def __post_init__(self):
         self.kappa = as_smooth(self.kappa)
         self.sigma = as_smooth(self.sigma)
-        self.point0 = np.asarray(self.point0, dtype=float)
-        self.tangent0 = np.asarray(self.tangent0, dtype=float)
-        self.normal0 = np.asarray(self.normal0, dtype=float)
-        self.binormal0 = np.asarray(self.binormal0, dtype=float)
-        frame = np.stack([self.tangent0, self.normal0, self.binormal0])
-        if np.max(np.abs(frame @ frame.T - np.eye(3))) > 1e-8:
-            raise InvalidParameter("initial Frenet frame is not orthonormal")
 
 
 @dataclass
@@ -141,12 +129,11 @@ _MAGNUS_START_STEPS = 16
 _MAGNUS_MAX_STEPS = 4096
 
 
-def _generators(curve: FrenetCurve, data: Optional[CyclicFoliationData], us):
+def _generators(curve: FrenetCurve, data: CyclicFoliationData, us):
     """M(u) at the 1-d array us, shape (len(us), 4, 4): one array call per
     function; NonFiniteInput names the first u where one is not finite."""
-    fns = {"kappa": curve.kappa, "sigma": curve.sigma}
-    if data is not None:
-        fns.update(alpha=data.alpha, beta=data.beta, gamma=data.gamma)
+    fns = {"kappa": curve.kappa, "sigma": curve.sigma, "alpha": data.alpha,
+           "beta": data.beta, "gamma": data.gamma}
     with np.errstate(all="ignore"):
         vals = np.stack([f(us) for f in fns.values()])
     finite = np.isfinite(vals)
@@ -157,8 +144,7 @@ def _generators(curve: FrenetCurve, data: Optional[CyclicFoliationData], us):
     m = np.zeros((len(us), 4, 4))
     m[:, 0, 1], m[:, 1, 0] = vals[0], -vals[0]
     m[:, 1, 2], m[:, 2, 1] = vals[1], -vals[1]
-    if data is not None:
-        m[:, 3, :3] = vals[2:].T
+    m[:, 3, :3] = vals[2:].T
     return m
 
 
@@ -198,11 +184,10 @@ def _knot_states(curve, data, y0, u0, h, n) -> np.ndarray:
     return np.concatenate([y0[None], prod @ y0])
 
 
-def transport(curve: FrenetCurve,
-              data: Optional[CyclicFoliationData] = None) -> _DenseOde:
-    """Dense state (t, n, b, c)(u) of the frame and the center (c stays at
-    point0 without data), from uniform order-4 Magnus steps: a _DenseOde
-    of the 12 components on curve.u_range.
+def transport(curve: FrenetCurve, data: CyclicFoliationData) -> _DenseOde:
+    """Dense state (t, n, b, c)(u) of the frame and the center, started at
+    the standard basis and the origin, from uniform order-4 Magnus steps: a
+    _DenseOde of the 12 components on curve.u_range.
 
     The step count doubles until n and 2n steps agree at the shared knots
     to _MAGNUS_TOL after Richardson's /15; past _MAGNUS_MAX_STEPS this
@@ -211,8 +196,6 @@ def transport(curve: FrenetCurve,
     """
     u0, u1 = curve.u_range
     y0 = np.eye(4)
-    y0[:3, :3] = np.stack([curve.tangent0, curve.normal0, curve.binormal0])
-    y0[3, :3] = curve.point0
     n = _MAGNUS_START_STEPS
     coarse = _knot_states(curve, data, y0, u0, (u1 - u0) / n, n)
     while True:

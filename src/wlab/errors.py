@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
-ConfigError maps to CLI exit code 1 (validation), NumericalError and its
-subclasses to exit code 2.
+ConfigError and its subclasses map to CLI exit code 1 (validation); every
+other WlabError maps to exit code 2, NumericalError and its subclasses as
+well as OutOfDomain, InsufficientSamples and ZeroOffset, which do not
+derive from NumericalError.
 """
 
 

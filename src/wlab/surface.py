@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,22 +41,13 @@ class ParamSurface:
     """A surface foliated by circles, as a map (u, v) -> R^3 on grids.
 
     u in the open interval ``u_range`` picks the circle and v turns it, with
-    period 2 pi, so every v is in the domain.  ``partials`` is the analytic
-    grid function jets(us, vs).  A surface without it gives the grid
-    function ``position(us, vs)`` instead, and its jets are 4th-order central
-    finite differences with step ``1e-4 * max(1, extent)``; evaluation then
-    needs a u margin of two steps from the ends of ``u_range``.
+    period 2 pi, so every v is in the domain.  ``partials`` is the grid
+    function jets(us, vs); finite_difference_surface makes one from a
+    position grid function.
     """
 
     u_range: tuple
-    partials: Optional[_JetsFn] = None
-    position: Optional[_PositionFn] = None
-
-    def extent(self) -> float:
-        return max(self.u_range[1] - self.u_range[0], 2.0 * math.pi)
-
-    def fd_step(self) -> float:
-        return 1e-4 * max(1.0, self.extent())
+    partials: _JetsFn
 
 
 def _raise_first(bad, values, make) -> None:
@@ -142,27 +133,36 @@ class LWRelation:
 
 
 def _check_domain(surface: ParamSurface, us: np.ndarray) -> None:
-    """OutOfDomain for the first u of the grid outside u_range shrunk by
-    the FD margin; v is periodic, so it is never out of the domain."""
-    margin = 2.0 * surface.fd_step() if surface.partials is None else 0.0
+    """OutOfDomain for the first u of the grid outside u_range; v is
+    periodic, so it is never out of the domain."""
     u0, u1 = surface.u_range
-    _raise_first(~((u0 + margin < us) & (us < u1 - margin)), us,
-                 lambda u: OutOfDomain(f"u = {u} outside ({u0 + margin}, {u1 - margin})"))
+    _raise_first(~((u0 < us) & (us < u1)), us,
+                 lambda u: OutOfDomain(f"u = {u} outside ({u0}, {u1})"))
 
 
-def _fd_partials(surface: ParamSurface, us: np.ndarray, vs: np.ndarray):
-    """(p, xu, xv, xuu, xuv, xvv) on the grid us x vs by 4th-order central
-    differences of the position: one shifted position grid per point of
-    the 5 x 5 stencil."""
-    h = surface.fd_step()
-    at = {(i, j): np.asarray(surface.position(us + i * h, vs + j * h), dtype=float)
-          for i in range(-2, 3) for j in range(-2, 3)}
-    xu = sum(c * at[k, 0] for k, c in _D1) / (12.0 * h)
-    xv = sum(c * at[0, k] for k, c in _D1) / (12.0 * h)
-    xuu = sum(c * at[k, 0] for k, c in _D2) / (12.0 * h * h)
-    xvv = sum(c * at[0, k] for k, c in _D2) / (12.0 * h * h)
-    xuv = sum(ci * cj * at[i, j] for i, ci in _D1 for j, cj in _D1) / (144.0 * h * h)
-    return at[0, 0], xu, xv, xuu, xuv, xvv
+def _fd_step(u_range) -> float:
+    """Finite-difference step on u_range: 1e-4 max(1, span, 2 pi)."""
+    return 1e-4 * max(1.0, u_range[1] - u_range[0], 2.0 * math.pi)
+
+
+def finite_difference_surface(u_range, position: _PositionFn) -> ParamSurface:
+    """The surface of the grid function position(us, vs), with jets from
+    4th-order central differences of step h = _fd_step(u_range): one
+    shifted position grid per point of the 5 x 5 stencil.  Its domain is
+    u_range shrunk by the stencil's reach, 2 h, at both ends."""
+    h = _fd_step(u_range)
+
+    def jets(us, vs):
+        at = {(i, j): np.asarray(position(us + i * h, vs + j * h), dtype=float)
+              for i in range(-2, 3) for j in range(-2, 3)}
+        xu = sum(c * at[k, 0] for k, c in _D1) / (12.0 * h)
+        xv = sum(c * at[0, k] for k, c in _D1) / (12.0 * h)
+        xuu = sum(c * at[k, 0] for k, c in _D2) / (12.0 * h * h)
+        xvv = sum(c * at[0, k] for k, c in _D2) / (12.0 * h * h)
+        xuv = sum(ci * cj * at[i, j] for i, ci in _D1 for j, cj in _D1) / (144.0 * h * h)
+        return at[0, 0], xu, xv, xuu, xuv, xvv
+
+    return ParamSurface((u_range[0] + 2.0 * h, u_range[1] - 2.0 * h), jets)
 
 
 def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
@@ -170,20 +170,16 @@ def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
 
     u and v are floats or 1-d arrays.  For two floats every JetPoint field
     has shape (3,); otherwise the fields have shape (len(u), len(v), 3) on
-    the grid u x v (a float counts as a grid of one).  Uses the analytic
-    grid function when present, otherwise 4th-order central finite
-    differences of the position grid (see _fd_partials).  Raises
-    OutOfDomain at the first u outside the domain and NonFiniteInput at the
-    first u of the grid where a partial is NaN or infinite.
+    the grid u x v (a float counts as a grid of one), from one call of
+    surface.partials.  Raises OutOfDomain at the first u outside the domain
+    and NonFiniteInput at the first u of the grid where a partial is NaN or
+    infinite.
     """
     us = np.atleast_1d(np.asarray(u, dtype=float))
     vs = np.atleast_1d(np.asarray(v, dtype=float))
     _check_domain(surface, us)
     with np.errstate(all="ignore"):
-        if surface.partials is not None:
-            parts = surface.partials(us, vs)
-        else:
-            parts = _fd_partials(surface, us, vs)
+        parts = surface.partials(us, vs)
     bad_u = ~np.logical_and.reduce([np.isfinite(x).all(axis=(1, 2)) for x in parts])
     _raise_first(bad_u, us, lambda x: NonFiniteInput(f"jet non-finite at u = {x}"))
     jet = JetPoint.from_partials(*parts)
@@ -289,14 +285,15 @@ def lw_residual_reduced(c: CurvatureData, rel: LWRelation):
 
 def finite_difference_twin(surface: ParamSurface) -> ParamSurface:
     """Same surface known by its position grid only (forces FD jets)."""
-    return ParamSurface(surface.u_range,
-                        position=lambda us, vs: surface.partials(us, vs)[0])
+    return finite_difference_surface(surface.u_range,
+                                     lambda us, vs: surface.partials(us, vs)[0])
 
 
 def interior_grid(surface: ParamSurface, nu: int, nv: int):
-    """(us, vs) strictly inside the evaluable domain: u inset from both
-    ends by twice the FD margin, v a full period without its endpoint."""
-    margin = 4.0 * surface.fd_step()
+    """(us, vs) strictly inside the domain: u inset from both ends by
+    4 _fd_step(u_range), which keeps it inside the finite-difference twin's
+    domain too, v a full period without its endpoint."""
+    margin = 4.0 * _fd_step(surface.u_range)
     u0, u1 = surface.u_range
     return (np.linspace(u0 + margin, u1 - margin, nu),
             np.arange(nv) * (2.0 * math.pi / nv))
@@ -312,10 +309,6 @@ def transformed(surface: ParamSurface, rotation: np.ndarray,
         # R x summed in a fixed order, like _dot
         return (x[..., 0, None] * R[:, 0] + x[..., 1, None] * R[:, 1]
                 + x[..., 2, None] * R[:, 2])
-
-    if surface.partials is None:
-        return ParamSurface(surface.u_range,
-                            position=lambda us, vs: move(surface.position(us, vs)) + t)
 
     def jets(us, vs):
         p, *rest = surface.partials(us, vs)

@@ -248,10 +248,10 @@ def test_criterion_8_cli_io(tmp_path):
                                        "radius_minor": 1.0},
          "grid": [16, 24], "name": "donut"}))
     cfg = load_config(str(cfg_path))
-    text = canonical_dumps(cfg)
+    text = canonical_dumps(cfg.to_dict())
     canon = tmp_path / "canon.json"
     canon.write_text(text)
-    round_trip = canonical_dumps(load_config(str(canon))) == text
+    round_trip = canonical_dumps(load_config(str(canon)).to_dict()) == text
 
     out = tmp_path / "out"
     code = main(["generate", "--config", str(cfg_path), "--out", str(out)])

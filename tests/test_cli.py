@@ -21,7 +21,9 @@ from wlab.config import (
     load_config,
     parse_scalar_function,
 )
+from wlab.cyclic import CyclicFoliationData, FrenetCurve, build_cyclic
 from wlab.errors import ConfigError
+from wlab.functions import SmoothFunction, as_smooth
 from wlab.meshio import obj_text, write_csv
 from wlab.scene import build_scene
 from wlab.surface import evaluate_jet, interior_grid
@@ -64,10 +66,10 @@ class TestConfig:
     def test_round_trip_byte_exact(self, tmp_path):
         path = write_config(tmp_path, SPHERE)
         cfg = load_config(path)
-        text = canonical_dumps(cfg)
+        text = canonical_dumps(cfg.to_dict())
         path2 = tmp_path / "canon.json"
         path2.write_text(text)
-        assert canonical_dumps(load_config(str(path2))) == text
+        assert canonical_dumps(load_config(str(path2)).to_dict()) == text
 
     def test_m_zero_rejected(self):
         with pytest.raises(ConfigError, match="m != 0"):
@@ -123,6 +125,19 @@ class TestConfig:
         us = np.linspace(-1.0, 1.0, 7)
         np.testing.assert_array_equal(np.broadcast_to(fn(us), us.shape),
                                       [fn(u) for u in us])
+
+    @pytest.mark.parametrize("value", [0.3, 1.234567, -2.718281, 0.481516, 2])
+    def test_number_is_an_exact_constant(self, value):
+        """A number's derivatives are exactly 0; the 4th-order stencil of a
+        constant callable leaves roundoff in most of them (up to 2.2e-8 in
+        d2 for these values)."""
+        fn = as_smooth(parse_scalar_function(value, "params.alpha"))
+        us = np.linspace(-1.0, 1.0, 7)
+        assert fn(0.5) == value
+        np.testing.assert_array_equal(fn(us), np.full(7, value))
+        for d in (fn.d1, fn.d2):
+            assert d(0.5) == 0.0
+            np.testing.assert_array_equal(d(us), np.zeros(7))
 
     def test_diagnostics_carry_location(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -271,7 +286,7 @@ def test_config_rejected_or_round_trips(data):
         cfg = SceneConfig.from_dict(data)
     except ConfigError:
         return
-    assert SceneConfig.from_dict(json.loads(canonical_dumps(cfg))) == cfg
+    assert SceneConfig.from_dict(json.loads(canonical_dumps(cfg.to_dict()))) == cfg
 
 
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
@@ -317,6 +332,22 @@ def test_build_scene_reads_validated_args_only(base):
     jet = evaluate_jet(build_scene(cfg).surface, us, vs)
     for name in ("p", "xu", "xv", "xuu", "xuv", "xvv"):
         np.testing.assert_array_equal(getattr(jet, name), getattr(expected, name))
+
+
+def test_cyclic_numbers_are_exact_constants():
+    """A cyclic config whose sigma, alpha, beta, gamma and r are numbers
+    gives the jets of the surface built from SmoothFunction.constant, bit
+    for bit."""
+    params = dict(CYCLIC["params"], alpha=1.734521)
+    result = build_scene(SceneConfig.from_dict(dict(CYCLIC, params=params)))
+    curve = FrenetCurve(result.cyclic_data[0].kappa, SmoothFunction.constant(0.3),
+                        (0.0, 2.0))
+    data = CyclicFoliationData(*map(SmoothFunction.constant, (1.734521, 0.2, 0.3, 0.5)))
+    us, vs = interior_grid(result.surface, 6, 7)
+    got = evaluate_jet(result.surface, us, vs)
+    want = evaluate_jet(build_cyclic(curve, data), us, vs)
+    for name in ("p", "xu", "xv", "xuu", "xuv", "xvv"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("base", [RIEMANN_TYPE, dict(CYCLIC, relation=[2.0, 0.0])],

@@ -26,8 +26,12 @@ from wlab.surface import (
     curvature,
     evaluate_jet,
     finite_difference_twin,
+    transformed,
 )
 from conftest import generic_cyclic
+
+# a center that stays at the origin: transport of the frame alone
+FRAME_ONLY = CyclicFoliationData(0.0, 0.0, 0.0, 1.0)
 
 
 class TestSmoothFunction:
@@ -49,40 +53,42 @@ def _frame(state):
 class TestIntegrateFrenet:
     def test_unit_circle_closure(self):
         curve = FrenetCurve(1.0, 0.0, (0.0, 2 * math.pi))
-        t, n, b = _frame(transport(curve)(2 * math.pi))
-        assert np.abs(t - curve.tangent0).max() < 1e-8
-        assert np.abs(n - curve.normal0).max() < 1e-8
-        assert np.abs(b - curve.binormal0).max() < 1e-8
+        t, n, b = _frame(transport(curve, FRAME_ONLY)(2 * math.pi))
+        assert np.abs(t - [1.0, 0.0, 0.0]).max() < 1e-8
+        assert np.abs(n - [0.0, 1.0, 0.0]).max() < 1e-8
+        assert np.abs(b - [0.0, 0.0, 1.0]).max() < 1e-8
 
     def test_straight_line_constant_frame(self):
         curve = FrenetCurve(0.0, 0.0, (0.0, 3.0))
-        state = transport(curve)
+        state = transport(curve, FRAME_ONLY)
         for u in (0.5, 1.7, 2.9):
             t, n, b = _frame(state(u))
-            assert np.abs(t - curve.tangent0).max() < 1e-12
+            assert np.abs(t - [1.0, 0.0, 0.0]).max() < 1e-12
 
     def test_helix_closed_form(self):
+        # the helix about the z axis has the frame F0 (rows t0, n0, b0) at
+        # u = 0; the transported frame starts at I, so it is the closed
+        # form turned by F0^T: t(u) = F0 t_ex(u)
         k = s = 0.5
         w = math.sqrt(k * k + s * s)
         a = k / (w * w)
         h = s / (w * w)
         t0 = np.array([0.0, a * w, h * w])
         n0 = np.array([-1.0, 0.0, 0.0])
-        curve = FrenetCurve(k, s, (0.0, 5.0), point0=[a, 0, 0], tangent0=t0,
-                            normal0=n0, binormal0=np.cross(t0, n0))
-        state = transport(curve)
+        F0 = np.stack([t0, n0, np.cross(t0, n0)])
+        state = transport(FrenetCurve(k, s, (0.0, 5.0)), FRAME_ONLY)
         for u in (1.0, 2.5, 4.9):
             t, n, b = _frame(state(u))
             t_ex = np.array([-a * w * math.sin(w * u), a * w * math.cos(w * u),
                              h * w])
             n_ex = np.array([-math.cos(w * u), -math.sin(w * u), 0.0])
-            assert np.abs(t - t_ex).max() < 1e-8
-            assert np.abs(n - n_ex).max() < 1e-8
-            assert np.abs(b - np.cross(t_ex, n_ex)).max() < 1e-8
+            assert np.abs(t - F0 @ t_ex).max() < 1e-8
+            assert np.abs(n - F0 @ n_ex).max() < 1e-8
+            assert np.abs(b - F0 @ np.cross(t_ex, n_ex)).max() < 1e-8
 
     def test_frame_transport_orthogonality(self):
         curve, _ = generic_cyclic()
-        state = transport(FrenetCurve(curve.kappa, curve.sigma, (0.0, 10.0)))
+        state = transport(FrenetCurve(curve.kappa, curve.sigma, (0.0, 10.0)), FRAME_ONLY)
         for u in np.linspace(0, 10, 41):
             t, n, b = _frame(state(u))
             assert abs(t @ n) < 1e-8 and abs(t @ b) < 1e-8 and abs(n @ b) < 1e-8
@@ -93,7 +99,7 @@ class TestIntegrateFrenet:
     def test_singular_kappa(self):
         curve = FrenetCurve(lambda u: 1.0 / (u - 0.5), 0.0, (0.0, 1.0))
         with pytest.raises(NumericalError):
-            transport(curve)
+            transport(curve, FRAME_ONLY)
 
 
 class TestBuildCyclic:
@@ -197,15 +203,6 @@ class TestBuildRiemannType:
                 RiemannTypeSurface(0.0, 0.0, np.sin, (-1.0, 1.0)))
 
 
-def _helix_curve():
-    k = s = 0.5
-    w = math.sqrt(k * k + s * s)
-    t0 = np.array([0.0, k / w, s / w])
-    n0 = np.array([-1.0, 0.0, 0.0])
-    return FrenetCurve(k, s, (0.0, 5.0), point0=[k / (w * w), 0, 0], tangent0=t0,
-                       normal0=n0, binormal0=np.cross(t0, n0))
-
-
 def _sweep_shaped(k0, k1, s0, s1, alpha, b0, b1, g0, g1, u1):
     """Cyclic data shaped like the benchmark's random cyclic scenes."""
     curve = FrenetCurve(lambda u: k0 + k1 * np.sin(u), lambda u: s0 + s1 * np.cos(u),
@@ -217,7 +214,8 @@ def _sweep_shaped(k0, k1, s0, s1, alpha, b0, b1, g0, g1, u1):
 
 TRANSPORT_SCENES = {
     "generic": generic_cyclic,
-    "helix": lambda: (_helix_curve(), CyclicFoliationData(1.0, 0.2, -0.3, 0.5)),
+    "helix": lambda: (FrenetCurve(0.5, 0.5, (0.0, 5.0)),
+                      CyclicFoliationData(1.0, 0.2, -0.3, 0.5)),
     "sweep-low": lambda: _sweep_shaped(0.5, 0.05, 0.1, 0.05, 1.6, 0.1, 0.02,
                                        0.2, 0.02, 1.5),
     "sweep-high": lambda: _sweep_shaped(1.2, 0.3, 0.5, 0.2, 2.4, 0.4, 0.1,
@@ -227,8 +225,9 @@ TRANSPORT_SCENES = {
 }
 
 
-def _reference_state(curve, data, us):
-    """(t, n, b, c) at us from DOP853 at rtol = atol = 1e-13."""
+def _reference_state(curve, data, us, frame0=np.eye(3), point0=np.zeros(3)):
+    """(t, n, b, c) at us from DOP853 at rtol = atol = 1e-13, started at
+    the frame with rows frame0 and the center point0."""
 
     def rhs(u, y):
         k, s = curve.kappa(u), curve.sigma(u)
@@ -237,7 +236,7 @@ def _reference_state(curve, data, us):
                                data.alpha(u) * t + data.beta(u) * n
                                + data.gamma(u) * b])
 
-    y0 = np.concatenate([curve.tangent0, curve.normal0, curve.binormal0, curve.point0])
+    y0 = np.concatenate([*frame0, point0])
     sol = solve_ivp(rhs, curve.u_range, y0, method="DOP853", rtol=1e-13, atol=1e-13,
                     dense_output=True)
     return sol.sol(us)
@@ -285,19 +284,24 @@ def _rotation(q):
 @given(q=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
        .filter(lambda q: np.linalg.norm(q) > 0.1),
        shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
-def test_rigid_motion_of_initial_data(q, shift):
-    """Moving the initial frame and point by (Q, shift) moves the surface by
-    it and leaves H, K, kappa1 and kappa2 unchanged."""
+def test_placed_curve_is_a_rigid_motion(q, shift):
+    """transformed(build_cyclic(curve, data), Q, shift) is the surface whose
+    frame and center start at rows Q^T and shift: it matches the surface
+    assembled from the DOP853 reference started there, and H, K, kappa1
+    and kappa2 are those of the unmoved surface."""
     Q, shift = _rotation(q), np.asarray(shift)
     curve, data = generic_cyclic()
-    moved = FrenetCurve(curve.kappa, curve.sigma, curve.u_range,
-                        point0=Q @ curve.point0 + shift, tangent0=Q @ curve.tangent0,
-                        normal0=Q @ curve.normal0, binormal0=Q @ curve.binormal0)
+    surf = build_cyclic(curve, data)
     us, vs = np.linspace(0.1, 1.9, 7), np.linspace(0.0, 2 * math.pi, 9)
-    ja = evaluate_jet(build_cyclic(curve, data), us, vs)
-    jb = evaluate_jet(build_cyclic(moved, data), us, vs)
-    size = np.abs(ja.p).max()
-    assert np.abs(jb.p - (ja.p @ Q.T + shift)).max() <= 1e-12 * max(size, np.abs(shift).max())
+    ja = evaluate_jet(surf, us, vs)
+    jb = evaluate_jet(transformed(surf, Q, shift), us, vs)
+    ref = _reference_state(curve, data, us, frame0=Q.T, point0=shift).T
+    n0, b0, c0 = (ref[:, None, i:i + 3] for i in (3, 6, 9))
+    r = data.r(us)[:, None, None]
+    cv, sv = np.cos(vs)[:, None], np.sin(vs)[:, None]
+    for got, want in ((jb.p, c0 + r * (cv * n0 + sv * b0)),
+                      (jb.xv, r * (-sv * n0 + cv * b0))):
+        assert np.abs(got - want).max() <= 5e-11 * max(np.abs(want).max(), 1.0)
     ca, cb = curvature(ja), curvature(jb)
     for name in ("H", "K", "kappa1", "kappa2"):
         a, b = getattr(ca, name), getattr(cb, name)

@@ -20,10 +20,9 @@ from wlab.harmonics import circle_spectrum
 from wlab.meshio import surface_mesh
 from wlab.surface import (
     LWRelation,
-    ParamSurface,
     curvature,
     evaluate_jet,
-    finite_difference_twin,
+    finite_difference_surface,
     interior_grid,
     transformed,
 )
@@ -48,7 +47,7 @@ SCENES = {
         RiemannExampleParams(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0)))),
     "riemann-type": lambda: build_riemann_type(generic_riemann_type()),
     "cyclic": lambda: build_cyclic(*generic_cyclic()),
-    "fd-saddle": lambda: ParamSurface((-1.0, 1.0), position=grid_position(
+    "fd-saddle": lambda: finite_difference_surface((-1.0, 1.0), grid_position(
         lambda u, v: np.array([u, v, u * u - 0.5 * v * v + 0.3 * u * v]))),
     "transformed-torus": _turned_torus,
 }
@@ -98,7 +97,7 @@ def _fd_torus():
     def position(u, v):
         rho = 2.0 + math.cos(u)
         return np.array([rho * math.cos(v), rho * math.sin(v), math.sin(u)])
-    return ParamSurface((-1.0, 1.0), position=grid_position(position))
+    return finite_difference_surface((-1.0, 1.0), grid_position(position))
 
 
 CIRCLE_SCENES = {name: SCENES[name] for name in (
@@ -154,13 +153,13 @@ def test_fd_jet_one_position_grid_per_stencil_point():
     """A finite-difference jet reads one shifted position grid per point of
     the 5 x 5 stencil, whatever the grid size (a per-point stencil makes 35
     position calls per grid point)."""
-    twin = finite_difference_twin(scene("torus"))
+    torus = scene("torus")
     shapes = []
 
     def position(us, vs):
         shapes.append((len(us), len(vs)))
-        return twin.position(us, vs)
+        return torus.partials(us, vs)[0]
 
-    surf = ParamSurface(twin.u_range, position=position)
+    surf = finite_difference_surface(torus.u_range, position)
     evaluate_jet(surf, *interior_grid(surf, 7, 6))
     assert shapes == [(7, 6)] * 25

@@ -20,6 +20,7 @@ from wlab.surface import (
     ParamSurface,
     curvature,
     evaluate_jet,
+    finite_difference_surface,
     finite_difference_twin,
     fundamental_forms,
     interior_grid,
@@ -40,19 +41,19 @@ from conftest import (
 
 
 def plane():
-    return ParamSurface((-1.0, 1.0), position=grid_position(
+    return finite_difference_surface((-1.0, 1.0), grid_position(
         lambda u, v: np.array([u, v, 0.0])))
 
 
 def unit_sphere():
-    return ParamSurface((-1.3, 1.3), position=grid_position(
+    return finite_difference_surface((-1.3, 1.3), grid_position(
         lambda u, v: np.array([math.cos(u) * math.cos(v),
                                math.cos(u) * math.sin(v),
                                math.sin(u)])))
 
 
 def catenoid_fd():
-    return ParamSurface((-1.5, 1.5), position=grid_position(
+    return finite_difference_surface((-1.5, 1.5), grid_position(
         lambda u, v: np.array([math.cosh(u) * math.cos(v),
                                math.cosh(u) * math.sin(v), u])))
 
@@ -111,7 +112,7 @@ class TestEvaluateJet:
             evaluate_jet(plane(), 0.9999999, 0.0)  # inside the FD margin
 
     def test_degenerate_jet(self):
-        surf = ParamSurface((-1.0, 1.0), position=grid_position(
+        surf = finite_difference_surface((-1.0, 1.0), grid_position(
             lambda u, v: np.array([u ** 3, v, 0.0])))
         with pytest.raises(DegenerateJet):
             evaluate_jet(surf, 0.0, 0.0)
@@ -163,7 +164,7 @@ class TestFundamentalForms:
 
     def test_cylinder_radius_two(self):
         # oracle by hand differentiation: E=1, G=4, F=0, e=f=0, |g|=2
-        surf = ParamSurface((-1.0, 1.0), position=grid_position(
+        surf = finite_difference_surface((-1.0, 1.0), grid_position(
             lambda u, v: np.array([2 * math.cos(v), 2 * math.sin(v), u])))
         ff = fundamental_forms(evaluate_jet(surf, 0.0, 1.0))
         assert abs(ff.E - 1) < 1e-8

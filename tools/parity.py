@@ -8,13 +8,16 @@ jobs included) at seeds 3, 5 and 7 through each tree's wlab.cli.main, all
 jobs of one tree in one fresh interpreter.  The jobs and the files each
 one writes come from this checkout's bench/workloads.py and bench/check.py.
 Prints each job whose exit code, stderr (with the work directory replaced)
-or sha256 of an output file differs, then a summary line with the line
-totals of both trees' src/wlab/*.py, as wc -l counts them, and the CPU
-time of `import wlab.cli` in a fresh interpreter per tree (median of 3)
-with whether that import loaded scipy; exits 0 only when no job differs.
+or sha256 of an output file differs, with its scene kind; when any job
+differs, a count per (workload, scene kind, command); then a summary line
+with the line totals of both trees' src/wlab/*.py, as wc -l counts them,
+and the CPU time of `import wlab.cli` in a fresh interpreter per tree
+(median of 3) with whether that import loaded scipy; exits 0 only when no
+job differs.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import glob
 import hashlib
@@ -30,6 +33,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "bench")
 SEEDS = (3, 5, 7)
 WORK_MARK = "<work>"
+COMPARED = ("exit", "stderr", "files")
 IMPORT_PROBES = 3
 _IMPORT_PROBE = ("import sys, time; t = time.process_time(); import wlab.cli; "
                  "print(time.process_time() - t, 'scipy' in sys.modules)")
@@ -55,10 +59,10 @@ def _src_lines(tree: str) -> int:
 def run_jobs(tree: str):
     """Runs every job of the workloads at SEEDS, warm-up jobs included,
     through tree's wlab.cli.main, imported into this interpreter, in one
-    temporary work directory.  Yields per job its key, exit code (or the
-    exception of a crash), stderr with the work directory replaced by
-    WORK_MARK, and the paths of the files it writes; the files are there
-    until the next job runs."""
+    temporary work directory.  Yields per job its key, its (workload, scene
+    kind, command), exit code (or the exception of a crash), stderr with
+    the work directory replaced by WORK_MARK, and the paths of the files it
+    writes; the files are there until the next job runs."""
     src = os.path.join(os.path.abspath(tree), "src")
     sys.path[:0] = [src, BENCH]
     import wlab.cli
@@ -94,15 +98,17 @@ def run_jobs(tree: str):
                             code = f"{type(exc).__name__}: {exc}"
                     key = (f"{name}:{seed}:{i}:{job.scene.name}:{job.command}:"
                            f"{job.grid[0]}x{job.grid[1]}")
-                    yield key, code, err.getvalue().replace(work, WORK_MARK), files
+                    yield (key, [name, job.scene.kind, job.command], code,
+                           err.getvalue().replace(work, WORK_MARK), files)
 
 
 def record(tree: str, path: str) -> None:
     """Runs every job through tree's wlab.cli.main and writes, per job, its
-    exit code, stderr and output-file digests to path as JSON."""
-    results = {key: {"exit": code, "stderr": stderr,
+    (workload, scene kind, command), exit code, stderr and output-file
+    digests to path as JSON."""
+    results = {key: {"group": group, "exit": code, "stderr": stderr,
                      "files": {os.path.basename(f): _sha256(f) for f in files}}
-               for key, code, stderr, files in run_jobs(tree)}
+               for key, group, code, stderr, files in run_jobs(tree)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
 
@@ -142,24 +148,28 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory(prefix="wlab-parity-") as tmp:
         old, new = (_run_tree(tree, os.path.join(tmp, f"{i}.json"))
                     for i, tree in enumerate(argv))
-    differ = 0
+    differ = collections.Counter()
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
-        if a == b:
+        both = a is not None and b is not None
+        if both and all(a[f] == b[f] for f in COMPARED):
             continue
-        differ += 1
-        what = ("missing in one tree" if a is None or b is None else
-                ", ".join(f for f in ("exit", "stderr", "files") if a[f] != b[f]))
-        print(f"{key}: {what}")
-        if a is not None and b is not None:
-            for f in ("exit", "stderr", "files"):
+        workload, kind, command = (a or b)["group"]
+        differ[workload, kind, command] += 1
+        what = ("missing in one tree" if not both else
+                ", ".join(f for f in COMPARED if a[f] != b[f]))
+        print(f"{key} ({kind}): {what}")
+        if both:
+            for f in COMPARED:
                 if a[f] != b[f]:
                     print(f"  old {f}: {a[f]!r}\n  new {f}: {b[f]!r}")
+    for (workload, kind, command), count in sorted(differ.items()):
+        print(f"differ: {workload} {kind} {command}: {count}")
     lines = " -> ".join(str(_src_lines(tree)) for tree in argv)
     imports = " -> ".join(_import_cost(tree) for tree in argv)
-    print(f"parity: {len(new)} jobs, {differ} differ; src/wlab/*.py lines {lines}; "
-          f"import wlab.cli CPU {imports}")
-    return 0 if differ == 0 else 1
+    print(f"parity: {len(new)} jobs, {sum(differ.values())} differ; "
+          f"src/wlab/*.py lines {lines}; import wlab.cli CPU {imports}")
+    return 0 if not differ else 1
 
 
 if __name__ == "__main__":
