@@ -15,8 +15,7 @@ from .surface import (
     lw_residual_signed,
 )
 from .cyclic import (
-    CyclicFoliationData,
-    FrenetCurve,
+    CyclicSurface,
     RiemannTypeSurface,
     build_cyclic,
     build_riemann_type,
@@ -32,7 +31,6 @@ from .harmonics import (
     compare_coefficient,
 )
 from .generators import (
-    RiemannExampleParams,
     RotationalProfile,
     gen_fixture,
     gen_riemann_example,

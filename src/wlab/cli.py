@@ -39,11 +39,20 @@ def _apply_overrides(cfg: SceneConfig, args) -> SceneConfig:
     return cfg
 
 
+def _out_path(outdir: str, cfg: SceneConfig, suffix: str) -> str:
+    """outdir/<name>.<suffix>, creating outdir first; a directory that
+    cannot be created is a ConfigError naming --out."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot create {outdir}: {exc.strerror}") from None
+    return os.path.join(outdir, f"{cfg.name}.{suffix}")
+
+
 def cmd_generate(cfg: SceneConfig, outdir: str, args) -> None:
     result = cmd_export(cfg, outdir, args)
     meta = {"config": cfg.to_dict(), "truncated": result.truncated}
-    atomic_write_text(os.path.join(outdir, f"{cfg.name}.meta.json"),
-                      canonical_dumps(meta))
+    atomic_write_text(_out_path(outdir, cfg, "meta.json"), canonical_dumps(meta))
 
 
 def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
@@ -60,8 +69,7 @@ def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
         columns += [lw_residual_linear(c, rel), lw_residual_signed(c, rel),
                     lw_residual_poly(c, rel)]
     rows = np.stack(columns, axis=-1).reshape(-1, len(columns))
-    os.makedirs(outdir, exist_ok=True)
-    write_csv(os.path.join(outdir, f"{cfg.name}.analysis.csv"), header, rows)
+    write_csv(_out_path(outdir, cfg, "analysis.csv"), header, rows)
 
 
 def _closed_form(result: SceneResult, rel, us: np.ndarray, J: int):
@@ -74,9 +82,9 @@ def _closed_form(result: SceneResult, rel, us: np.ndarray, J: int):
             return 12, hm.closed_form_A12_B12(rel.n, r, da, db)
         return 3, hm.closed_form_A3_B3(rel.m, r, da, db, data.a.d2(us), data.b.d2(us))
     if result.cyclic_data is not None and rel.n == 0 and J >= 6:
-        curve, fol = result.cyclic_data
-        return 6, hm.closed_form_A6_B6(rel.m, curve.kappa(us), fol.r(us),
-                                       fol.beta(us), fol.gamma(us))
+        cyc = result.cyclic_data
+        return 6, hm.closed_form_A6_B6(rel.m, cyc.kappa(us), cyc.r(us),
+                                       cyc.beta(us), cyc.gamma(us))
     return None
 
 
@@ -125,8 +133,7 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
         table[:, j_closed, 4:] = np.column_stack((*closed, ratio))
     rows = [[*cells, p] for cells, p in zip(table.reshape(-1, 7).tolist(),
                                             passed.ravel().tolist())]
-    os.makedirs(outdir, exist_ok=True)
-    write_csv(os.path.join(outdir, f"{cfg.name}.harmonics.csv"),
+    write_csv(_out_path(outdir, cfg, "harmonics.csv"),
               ["u", "j", "dft_A", "dft_B", "closed_A", "closed_B", "ratio", "pass"],
               rows)
 
@@ -136,23 +143,19 @@ def cmd_fit(cfg: SceneConfig, outdir: str, args) -> None:
         raise ConfigError(f"--tol: expected a finite number > 0, got {args.tol}")
     result = build_scene(cfg)
     report = classify(result.surface, grid=cfg.grid, lw_tol=args.tol)
-    os.makedirs(outdir, exist_ok=True)
-    atomic_write_text(os.path.join(outdir, f"{cfg.name}.report.txt"),
-                      report.to_text())
+    atomic_write_text(_out_path(outdir, cfg, "report.txt"), report.to_text())
     rows = []
     for labeling, fit in (("as_given", report.fit_as_given),
                           ("swapped", report.fit_swapped)):
         if fit is not None:
             rows.append([labeling, fit.m, fit.n, fit.rms])
-    write_csv(os.path.join(outdir, f"{cfg.name}.fit.csv"),
-              ["labeling", "m", "n", "rms"], rows)
+    write_csv(_out_path(outdir, cfg, "fit.csv"), ["labeling", "m", "n", "rms"], rows)
 
 
 def cmd_export(cfg: SceneConfig, outdir: str, args) -> SceneResult:
     result = build_scene(cfg)
     nu, nv = cfg.grid
-    os.makedirs(outdir, exist_ok=True)
-    write_obj(os.path.join(outdir, f"{cfg.name}.obj"), result.surface, nu, nv)
+    write_obj(_out_path(outdir, cfg, "obj"), result.surface, nu, nv)
     return result
 
 

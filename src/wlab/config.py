@@ -9,6 +9,7 @@ from __future__ import annotations
 import ast
 import copy
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -157,6 +158,10 @@ class SceneConfig:
             self.relation = (float(m), float(n))
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("name: must be a non-empty string")
+        # the name is a file name inside --out, never a path
+        if any(c and c in self.name for c in ("/", os.sep, os.altsep, "\0")):
+            raise ConfigError(f"name: must not contain a path separator or NUL, "
+                              f"got {self.name!r}")
         self.args = self._validate_params()
 
     def with_grid(self, grid) -> "SceneConfig":

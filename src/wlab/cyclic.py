@@ -36,37 +36,27 @@ def __getattr__(name):
 
 
 @dataclass
-class FrenetCurve:
-    """Curvature and torsion of a base curve Gamma(u) in arc length u.
+class CyclicSurface:
+    """A one-parameter family of circles along a base curve Gamma(u) in arc
+    length u, with curvature kappa and torsion sigma: the circle at u has
+    radius r(u) and lies in the normal plane of Gamma at its center c(u),
+    whose velocity is c' = alpha t + beta n + gamma b.
 
     The curve starts at the origin with the standard basis as its Frenet
     frame at u_range[0]; surface.transformed places it anywhere else.
-    Immutable by convention after construction.
     """
 
     kappa: object
     sigma: object
-    u_range: tuple
-
-    def __post_init__(self):
-        self.kappa = as_smooth(self.kappa)
-        self.sigma = as_smooth(self.sigma)
-
-
-@dataclass
-class CyclicFoliationData:
-    """Center velocity components c' = alpha t + beta n + gamma b and radius r(u)."""
-
     alpha: object
     beta: object
     gamma: object
     r: object
+    u_range: tuple
 
     def __post_init__(self):
-        self.alpha = as_smooth(self.alpha)
-        self.beta = as_smooth(self.beta)
-        self.gamma = as_smooth(self.gamma)
-        self.r = as_smooth(self.r)
+        for name in ("kappa", "sigma", "alpha", "beta", "gamma", "r"):
+            setattr(self, name, as_smooth(getattr(self, name)))
 
 
 @dataclass
@@ -129,11 +119,11 @@ _MAGNUS_START_STEPS = 16
 _MAGNUS_MAX_STEPS = 4096
 
 
-def _generators(curve: FrenetCurve, data: CyclicFoliationData, us):
+def _generators(data: CyclicSurface, us):
     """M(u) at the 1-d array us, shape (len(us), 4, 4): one array call per
     function; NonFiniteInput names the first u where one is not finite."""
-    fns = {"kappa": curve.kappa, "sigma": curve.sigma, "alpha": data.alpha,
-           "beta": data.beta, "gamma": data.gamma}
+    fns = {name: getattr(data, name)
+           for name in ("kappa", "sigma", "alpha", "beta", "gamma")}
     with np.errstate(all="ignore"):
         vals = np.stack([f(us) for f in fns.values()])
     finite = np.isfinite(vals)
@@ -148,7 +138,7 @@ def _generators(curve: FrenetCurve, data: CyclicFoliationData, us):
     return m
 
 
-def _magnus_steps(curve, data, u, h) -> np.ndarray:
+def _magnus_steps(data, u, h) -> np.ndarray:
     """exp(Omega) of the steps [u, u + h] (1-d arrays), shape (len(u), 4, 4).
 
     Omega = h/2 (M1 + M2) + (sqrt 3/12) h^2 [M2, M1] from the two Gauss
@@ -157,7 +147,7 @@ def _magnus_steps(curve, data, u, h) -> np.ndarray:
     + B Omega^2 + C Omega^3 is exact, with B = (1 - cos theta)/theta^2 and
     C = (theta - sin theta)/theta^3 (series below theta = 1e-4).
     """
-    m = _generators(curve, data, (u[:, None] + h[:, None] * _GAUSS).ravel())
+    m = _generators(data, (u[:, None] + h[:, None] * _GAUSS).ravel())
     m1, m2 = m[0::2], m[1::2]
     h = h[:, None, None]
     omega = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * (m2 @ m1 - m1 @ m2)
@@ -173,10 +163,10 @@ def _magnus_steps(curve, data, u, h) -> np.ndarray:
             + C[:, None, None] * (omega2 @ omega))
 
 
-def _knot_states(curve, data, y0, u0, h, n) -> np.ndarray:
+def _knot_states(data, y0, u0, h, n) -> np.ndarray:
     """Y at the n + 1 knots u0 + k h: prefix products of the n steps,
     taken in log2(n) batched matmuls (Hillis-Steele scan)."""
-    prod = _magnus_steps(curve, data, u0 + h * np.arange(n), np.full(n, h))
+    prod = _magnus_steps(data, u0 + h * np.arange(n), np.full(n, h))
     d = 1
     while d < n:
         prod[d:] = prod[d:] @ prod[:-d]
@@ -184,24 +174,24 @@ def _knot_states(curve, data, y0, u0, h, n) -> np.ndarray:
     return np.concatenate([y0[None], prod @ y0])
 
 
-def transport(curve: FrenetCurve, data: CyclicFoliationData) -> _DenseOde:
+def transport(data: CyclicSurface) -> _DenseOde:
     """Dense state (t, n, b, c)(u) of the frame and the center, started at
     the standard basis and the origin, from uniform order-4 Magnus steps: a
-    _DenseOde of the 12 components on curve.u_range.
+    _DenseOde of the 12 components on data.u_range.
 
     The step count doubles until n and 2n steps agree at the shared knots
     to _MAGNUS_TOL after Richardson's /15; past _MAGNUS_MAX_STEPS this
     raises NumericalError.  Dense output is one partial step from the knot
     at or below each u.
     """
-    u0, u1 = curve.u_range
+    u0, u1 = data.u_range
     y0 = np.eye(4)
     n = _MAGNUS_START_STEPS
-    coarse = _knot_states(curve, data, y0, u0, (u1 - u0) / n, n)
+    coarse = _knot_states(data, y0, u0, (u1 - u0) / n, n)
     while True:
         n *= 2
         h = (u1 - u0) / n
-        knots = _knot_states(curve, data, y0, u0, h, n)
+        knots = _knot_states(data, y0, u0, h, n)
         # per coarse knot, spaced 2 h
         err = (np.abs(knots[::2] - coarse) / np.maximum(1.0, np.abs(knots[::2]))
                ).max(axis=(1, 2)) / 15.0
@@ -210,7 +200,7 @@ def transport(curve: FrenetCurve, data: CyclicFoliationData) -> _DenseOde:
         if 2 * n > _MAGNUS_MAX_STEPS:
             first = u0 + 2.0 * h * int(np.argmax(~(err <= _MAGNUS_TOL)))
             raise NumericalError(
-                f"frame transport on {curve.u_range} missed tolerance {_MAGNUS_TOL} "
+                f"frame transport on {data.u_range} missed tolerance {_MAGNUS_TOL} "
                 f"with {n} steps (error estimate {err.max():.3g}, first over it "
                 f"at u = {first:.6g})")
         coarse = knots
@@ -218,7 +208,7 @@ def transport(curve: FrenetCurve, data: CyclicFoliationData) -> _DenseOde:
     def states(uc):
         k = np.clip(((uc - u0) / h).astype(int), 0, n - 1)
         start = u0 + h * k
-        y = _magnus_steps(curve, data, start, uc - start) @ knots[k]
+        y = _magnus_steps(data, start, uc - start) @ knots[k]
         return y[:, :, :3].reshape(len(uc), 12).T
 
     return _DenseOde(states, (u0, u1))
@@ -231,17 +221,16 @@ def _check_radius(r: SmoothFunction, u_range) -> None:
         raise RadiusNotPositive(f"min r = {vals.min():.3e} on {u_range}")
 
 
-def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
+def build_cyclic(data: CyclicSurface) -> ParamSurface:
     """Surface X(u, v) = c(u) + r(u) (cos v n(u) + sin v b(u)).
 
     The frame and the center are integrated jointly; all partials are
     expressed through the Frenet equations, so no frame quantity is ever
     differentiated numerically.
     """
-    _check_radius(data.r, curve.u_range)
-    dense = transport(curve, data)
-
-    kappa, sigma = curve.kappa, curve.sigma
+    _check_radius(data.r, data.u_range)
+    dense = transport(data)
+    kappa, sigma = data.kappa, data.sigma
     alpha, beta, gamma, r = data.alpha, data.beta, data.gamma, data.r
 
     def jets(us, vs):
@@ -276,7 +265,7 @@ def build_cyclic(curve: FrenetCurve, data: CyclicFoliationData) -> ParamSurface:
                + ru * nb2)
         return c + ru * w, xu, ru * w_v, xuu, xuv, -ru * w
 
-    return ParamSurface(tuple(curve.u_range), jets)
+    return ParamSurface(tuple(data.u_range), jets)
 
 
 def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,

@@ -49,33 +49,6 @@ def __getattr__(name):
     return globals()[name]
 
 
-@dataclass
-class RiemannExampleParams:
-    """Constants and initial data of the radius ODE.
-
-    lam and mu are the horizontal drift constants (a' = lam r^2,
-    b' = mu r^2); the initial radius r0 and slope dr0 are taken at u = 0
-    clamped into u_range.
-    """
-
-    lam: float = 0.0
-    mu: float = 0.0
-    r0: float = 1.0
-    dr0: float = 0.0
-    u_range: tuple = (-1.0, 1.0)
-
-    def __post_init__(self):
-        if self.lam < 0 or self.mu < 0:
-            raise InvalidParameter("lam and mu must be nonnegative")
-        if self.r0 <= 0:
-            raise InvalidParameter("r0 must be positive")
-        if self.r0 + abs(self.dr0) >= _BLOWUP_LIMIT:
-            # the initial state already lies past the blow-up event
-            raise InvalidParameter(f"r0 + |dr0| must stay below {_BLOWUP_LIMIT:g}")
-        if self.u_range[1] <= self.u_range[0]:
-            raise InvalidParameter("empty u_range")
-
-
 def _jacobi_near_pole(x, m1, quarter):
     """nc, |sc| and dc of |x| for the parameter m = 1 - m1.
 
@@ -93,8 +66,14 @@ def _jacobi_near_pole(x, m1, quarter):
             np.where(far, k1, dn) / den)
 
 
-def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
+def gen_riemann_example(lam: float = 0.0, mu: float = 0.0, r0: float = 1.0,
+                        dr0: float = 0.0, u_range: tuple = (-1.0, 1.0)
+                        ) -> RiemannTypeSurface:
     """The Riemann-example system in closed form.
+
+    lam and mu are the horizontal drift constants (a' = lam r^2,
+    b' = mu r^2); the initial radius r0 and slope dr0 are taken at u = 0
+    clamped into u_range.
 
     The radius equation has the first integral r'^2 = (s - e1)(c s + 1/e1),
     s = r^2, c = lam^2 + mu^2, e1 the squared neck radius.  So r = r_n nc x
@@ -109,18 +88,27 @@ def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
     requested endpoint.  A radius at or below 1e-8 in range raises
     RadiusCollapse.
     """
-    if p.r0 <= _COLLAPSE_EPS:
-        raise RadiusCollapse(f"initial radius {p.r0} at or below {_COLLAPSE_EPS}")
+    if lam < 0 or mu < 0:
+        raise InvalidParameter("lam and mu must be nonnegative")
+    if r0 <= 0:
+        raise InvalidParameter("r0 must be positive")
+    if r0 + abs(dr0) >= _BLOWUP_LIMIT:
+        # the initial state already lies past the blow-up event
+        raise InvalidParameter(f"r0 + |dr0| must stay below {_BLOWUP_LIMIT:g}")
+    if u_range[1] <= u_range[0]:
+        raise InvalidParameter("empty u_range")
+    if r0 <= _COLLAPSE_EPS:
+        raise RadiusCollapse(f"initial radius {r0} at or below {_COLLAPSE_EPS}")
     _bind_scipy()
-    c = p.lam * p.lam + p.mu * p.mu
-    s0 = p.r0 * p.r0
-    k = (p.dr0 * p.dr0 + 1.0 - c * s0 * s0) / s0
+    c = lam * lam + mu * mu
+    s0 = r0 * r0
+    k = (dr0 * dr0 + 1.0 - c * s0 * s0) / s0
     q = math.hypot(k, 2.0 * math.sqrt(c))
     e1 = 2.0 / (k + q) if k > 0 else (q - k) / (2.0 * c)  # root of c s^2 + k s = 1
     rn, omega = math.sqrt(e1), math.sqrt(c * e1 + 1.0 / e1)
     if not math.isfinite(omega * e1):
-        raise NumericalError(f"closed form overflows at lam = {p.lam}, mu = {p.mu}, "
-                             f"r0 = {p.r0}, dr0 = {p.dr0}")
+        raise NumericalError(f"closed form overflows at lam = {lam}, mu = {mu}, "
+                             f"r0 = {r0}, dr0 = {dr0}")
     m1 = c * e1 * e1 / (1.0 + c * e1 * e1)
     quarter = float(ellipkm1(m1))
 
@@ -131,7 +119,7 @@ def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
         return x + t ** 3 / 3.0 * elliprd(1.0 + t * t, 1.0 + m1 * t * t, 1.0)
 
     # sc x0 = |dr0| / (r0 omega dn x0), and r0^2 omega^2 dn^2 x0 = c e1 s0 + 1
-    t0 = math.copysign(abs(p.dr0) / math.sqrt(c * e1 * s0 + 1.0), p.dr0)
+    t0 = math.copysign(abs(dr0) / math.sqrt(c * e1 * s0 + 1.0), dr0)
     x0 = x_of(t0)
     i0 = nc2_integral(x0, t0)
 
@@ -140,10 +128,10 @@ def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
 
     rb = brentq(blowup, rn, _BLOWUP_LIMIT)
     xb = x_of(math.sqrt((rb - rn) * (rb + rn)) / rn)
-    anchor = min(max(0.0, p.u_range[0]), p.u_range[1])
-    lo = float(max(p.u_range[0], anchor - (xb + x0) / omega))
-    hi = float(min(p.u_range[1], anchor + (xb - x0) / omega))
-    truncated = lo > p.u_range[0] or hi < p.u_range[1]
+    anchor = min(max(0.0, u_range[0]), u_range[1])
+    lo = float(max(u_range[0], anchor - (xb + x0) / omega))
+    hi = float(min(u_range[1], anchor + (xb - x0) / omega))
+    truncated = lo > u_range[0] or hi < u_range[1]
 
     def evaluate(u):
         """(r, r', S) at u clamped into [lo, hi], with S(anchor) = 0."""
@@ -168,7 +156,7 @@ def gen_riemann_example(p: RiemannExampleParams) -> RiemannTypeSurface:
                               lambda u: 2.0 * k * state(u)[0] * state(u)[1])
 
     r_fn = SmoothFunction(lambda u: state(u)[0], lambda u: state(u)[1], d2r)
-    return RiemannTypeSurface(drift(p.lam), drift(p.mu), r_fn, (lo, hi),
+    return RiemannTypeSurface(drift(lam), drift(mu), r_fn, (lo, hi),
                               truncated=truncated)
 
 
@@ -177,8 +165,8 @@ class RotationalProfile:
     """Arc-length profile (rho(s), z(s)) with tangent angle theta(s).
 
     rho' = cos theta, z' = sin theta, so rho'^2 + z'^2 = 1 identically.
-    kappa_meridian = theta' and kappa_parallel = sin theta / rho with the
-    parametrization X(s, v) = (rho cos v, rho sin v, z).  The methods take
+    kappa_meridian = theta' and the parallel curvature is sin theta / rho, with
+    the parametrization X(s, v) = (rho cos v, rho sin v, z).  The methods take
     a float s or a 1-d array of s values.
     """
 
@@ -200,10 +188,6 @@ class RotationalProfile:
     def kappa_meridian(self, s):
         rho, _, th = self.state(s)
         return self.rel.m * np.sin(th) / rho + self.rel.n
-
-    def kappa_parallel(self, s):
-        rho, _, th = self.state(s)
-        return np.sin(th) / rho
 
 
 def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,

@@ -5,19 +5,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .config import SceneConfig
-from .cyclic import (
-    CyclicFoliationData,
-    FrenetCurve,
-    RiemannTypeSurface,
-    build_cyclic,
-    build_riemann_type,
-)
-from .generators import (
-    RiemannExampleParams,
-    gen_fixture,
-    gen_riemann_example,
-    gen_rotational_lw,
-)
+from .cyclic import CyclicSurface, RiemannTypeSurface, build_cyclic, build_riemann_type
+from .generators import gen_fixture, gen_riemann_example, gen_rotational_lw
 from .surface import LWRelation, ParamSurface
 
 
@@ -25,7 +14,7 @@ from .surface import LWRelation, ParamSurface
 class SceneResult:
     surface: ParamSurface
     riemann_data: Optional[RiemannTypeSurface] = None
-    cyclic_data: Optional[tuple[FrenetCurve, CyclicFoliationData]] = None
+    cyclic_data: Optional[CyclicSurface] = None
     truncated: bool = False
 
 
@@ -45,7 +34,7 @@ def build_scene(cfg: SceneConfig) -> SceneResult:
         return SceneResult(build_riemann_type(data), riemann_data=data)
 
     if cfg.kind == "riemann-example":
-        data = gen_riemann_example(RiemannExampleParams(**args))
+        data = gen_riemann_example(**args)
         return SceneResult(build_riemann_type(data), riemann_data=data,
                            truncated=data.truncated)
 
@@ -54,6 +43,5 @@ def build_scene(cfg: SceneConfig) -> SceneResult:
         return SceneResult(surface, truncated=profile.truncated)
 
     # cyclic
-    curve = FrenetCurve(args["kappa"], args["sigma"], args["u_range"])
-    data = CyclicFoliationData(args["alpha"], args["beta"], args["gamma"], args["r"])
-    return SceneResult(build_cyclic(curve, data), cyclic_data=(curve, data))
+    data = CyclicSurface(**args)
+    return SceneResult(build_cyclic(data), cyclic_data=data)

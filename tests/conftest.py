@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from wlab.cyclic import CyclicFoliationData, FrenetCurve, RiemannTypeSurface
+from wlab.cyclic import CyclicSurface, RiemannTypeSurface
 from wlab.functions import SmoothFunction
 from wlab.surface import JetPoint
 
@@ -53,12 +53,12 @@ def generic_cyclic():
     """Cyclic surface with no special symmetry, used by harmonic tests."""
     kappa = lambda u: 1.0 + 0.2 * np.sin(u)
     sigma = lambda u: 0.3 + 0.1 * np.cos(u)
-    curve = FrenetCurve(kappa, sigma, (0.0, 2.0))
-    data = CyclicFoliationData(lambda u: 0.8 + 0.0 * u,
-                               lambda u: 0.25 + 0.05 * np.sin(u),
-                               lambda u: 0.4 + 0.1 * np.cos(u),
-                               lambda u: 1.0 + 0.1 * np.cos(u))
-    return curve, data
+    return CyclicSurface(kappa, sigma,
+                         lambda u: 0.8 + 0.0 * u,
+                         lambda u: 0.25 + 0.05 * np.sin(u),
+                         lambda u: 0.4 + 0.1 * np.cos(u),
+                         lambda u: 1.0 + 0.1 * np.cos(u),
+                         (0.0, 2.0))
 
 
 def generic_riemann_type():

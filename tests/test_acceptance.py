@@ -22,12 +22,7 @@ from wlab.fitting import (
     fit_lw,
 )
 from wlab.functions import SmoothFunction
-from wlab.generators import (
-    RiemannExampleParams,
-    gen_fixture,
-    gen_riemann_example,
-    gen_rotational_lw,
-)
+from wlab.generators import gen_fixture, gen_riemann_example, gen_rotational_lw
 from wlab.harmonics import (
     _sample_angles,
     _spectrum,
@@ -124,8 +119,7 @@ def test_criterion_3_harmonic_exactness(rng):
         s = _spectrum(A @ np.cos(np.outer(js, vs)) + B @ np.sin(np.outer(js, vs)), 12)
         worst = max(worst, np.abs(s.A - A).max(), np.abs(s.B - B).max())
 
-    curve, data = generic_cyclic()
-    cyc = build_cyclic(curve, data)
+    cyc = build_cyclic(generic_cyclic())
     tail6 = 0.0
     for u in (0.5, 1.0, 1.5):
         s = circle_spectrum(cyc, LWRelation(2.0, 0.0), u, 20)
@@ -146,13 +140,13 @@ def test_criterion_3_harmonic_exactness(rng):
 def test_criterion_4_coefficient_identities(rng):
     from wlab.harmonics import closed_form_A3_B3, closed_form_A6_B6
 
-    curve, data = generic_cyclic()
-    cyc = build_cyclic(curve, data)
+    data = generic_cyclic()
+    cyc = build_cyclic(data)
     rel = LWRelation(2.0, 0.0)
     ratios6 = []
     for u in np.linspace(0.3, 1.7, 5):
         s = circle_spectrum(cyc, rel, u, 12)
-        A6, B6 = closed_form_A6_B6(rel.m, curve.kappa(u), data.r(u),
+        A6, B6 = closed_form_A6_B6(rel.m, data.kappa(u), data.r(u),
                                    data.beta(u), data.gamma(u))
         ratios6.append(s.A[6] / A6 if abs(A6) >= abs(B6) else s.B[6] / B6)
     dev6 = np.abs(np.array(ratios6) / ratios6[0] - 1.0).max()
@@ -185,11 +179,11 @@ def test_criterion_4_coefficient_identities(rng):
 
 
 def test_criterion_5_riemann_examples():
-    data = gen_riemann_example(RiemannExampleParams(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
+    data = gen_riemann_example(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
     surf = build_riemann_type(data)
     worst_H = grid_worst(surf, lambda j: abs(curvature(j).H), 40, 40)
 
-    cat = gen_riemann_example(RiemannExampleParams(0.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
+    cat = gen_riemann_example(0.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
     cosh_err = max(abs(cat.r(u) - math.cosh(u))
                    for u in np.linspace(-1.0, 1.0, 41))
     ok = worst_H < 1e-6 and cosh_err < 1e-8
@@ -202,7 +196,8 @@ def test_criterion_6_rotational_generator():
     for m, n in ((-1.0, 1.0), (2.0, -1.0), (0.5, 0.3)):
         profile, surf = gen_rotational_lw(LWRelation(m, n), 1.0, 0.3, (0.0, 1.0))
         ss = interior_s(profile)
-        km, kp = profile.kappa_meridian(ss), profile.kappa_parallel(ss)
+        rho, _, theta = profile.state(ss)
+        km, kp = profile.kappa_meridian(ss), np.sin(theta) / rho
         worst_res = max(worst_res, np.abs(km - (m * kp + n)).max())
         fit_given, fit_swapped = fit_lw(CurvatureSampleSet(km, kp))
         best = min((f for f in (fit_given, fit_swapped) if f is not None),
@@ -222,7 +217,7 @@ def test_criterion_7_classification():
     verdicts["sphere"] = classify(gen_fixture("sphere", radius=1.0)).verdict
     verdicts["catenoid"] = classify(gen_fixture("catenoid", radius=1.0)).verdict
     verdicts["cylinder"] = classify(gen_fixture("cylinder", radius=1.0)).verdict
-    data = gen_riemann_example(RiemannExampleParams(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
+    data = gen_riemann_example(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
     verdicts["riemann"] = classify(build_riemann_type(data)).verdict
     generic = RiemannTypeSurface(SmoothFunction(np.sin, np.cos,
                                                 lambda u: -np.sin(u)),

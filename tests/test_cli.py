@@ -21,7 +21,7 @@ from wlab.config import (
     load_config,
     parse_scalar_function,
 )
-from wlab.cyclic import CyclicFoliationData, FrenetCurve, build_cyclic
+from wlab.cyclic import CyclicSurface, build_cyclic
 from wlab.errors import ConfigError
 from wlab.functions import SmoothFunction, as_smooth
 from wlab.meshio import obj_text, write_csv
@@ -340,12 +340,12 @@ def test_cyclic_numbers_are_exact_constants():
     for bit."""
     params = dict(CYCLIC["params"], alpha=1.734521)
     result = build_scene(SceneConfig.from_dict(dict(CYCLIC, params=params)))
-    curve = FrenetCurve(result.cyclic_data[0].kappa, SmoothFunction.constant(0.3),
-                        (0.0, 2.0))
-    data = CyclicFoliationData(*map(SmoothFunction.constant, (1.734521, 0.2, 0.3, 0.5)))
+    data = CyclicSurface(result.cyclic_data.kappa,
+                         *map(SmoothFunction.constant, (0.3, 1.734521, 0.2, 0.3, 0.5)),
+                         (0.0, 2.0))
     us, vs = interior_grid(result.surface, 6, 7)
     got = evaluate_jet(result.surface, us, vs)
-    want = evaluate_jet(build_cyclic(curve, data), us, vs)
+    want = evaluate_jet(build_cyclic(data), us, vs)
     for name in ("p", "xu", "xv", "xuu", "xuv", "xvv"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
@@ -406,21 +406,59 @@ def test_expression_test_point_inside_u_range(tmp_path):
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("params, code", [
-    ({"r0": 1e-9}, 2),
-    ({"r0": 0.01, "dr0": -1e7}, 2),  # the neck radius is about 1e-9
-    ({"lambda": 1e-9, "mu": 0.0, "u_range": [-30.0, 30.0]}, 0),
-], ids=["r0-collapsed", "neck-collapsed", "long-range-small-lambda"])
-def test_riemann_example_exit_codes(tmp_path, capsys, params, code):
+@pytest.mark.parametrize("params, code, err", [
+    ({"r0": 1e-9}, 2, r"wlab: numerical failure: .*radius.*\n"),
+    # the neck radius is about 1e-9
+    ({"r0": 0.01, "dr0": -1e7}, 2, r"wlab: numerical failure: .*radius.*\n"),
+    ({"lambda": 1e-9, "mu": 0.0, "u_range": [-30.0, 30.0]}, 0, ""),
+    ({"lambda": -1.0}, 1, r"wlab: config error: lam and mu must be nonnegative\n"),
+    ({"mu": -0.5}, 1, r"wlab: config error: lam and mu must be nonnegative\n"),
+    ({"r0": 0.0}, 1, r"wlab: config error: r0 must be positive\n"),
+    ({"r0": 1.0, "dr0": 1e8}, 1,
+     r"wlab: config error: r0 \+ \|dr0\| must stay below 1e\+08\n"),
+    ({"u_range": [1.0, 1.0]}, 1, r"wlab: config error: empty u_range\n"),
+], ids=["r0-collapsed", "neck-collapsed", "long-range-small-lambda", "lambda-negative",
+        "mu-negative", "r0-zero", "past-blowup", "u-range-empty"])
+def test_riemann_example_exit_codes(tmp_path, capsys, params, code, err):
     path = write_config(tmp_path, dict(RIEMANN_EXAMPLE,
                                        params=dict(RIEMANN_EXAMPLE["params"], **params)))
     out = tmp_path / "out"
     assert main(["generate", "--config", path, "--out", str(out)]) == code
+    assert re.fullmatch(err, capsys.readouterr().err)
     if code == 0:
         assert json.loads((out / "rex.meta.json").read_text())["truncated"] is True
     else:
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "radius" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["/escaped", "../up", "sub/dir", "nul\0name"],
+                         ids=["absolute", "parent", "subdirectory", "nul"])
+def test_name_with_path_separator_exit_1(tmp_path, capsys, name):
+    """A config name is a file name inside --out: one that holds a path
+    separator or a NUL is a config error, and nothing is written."""
+    if name.startswith("/"):
+        name = str(tmp_path) + name
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    path = write_config(workdir, dict(SPHERE, name=name))
+    out = workdir / "out"
+    assert main(["analyze", "--config", path, "--out", str(out)]) == 1
+    assert re.fullmatch(r"wlab: config error: name: .*\n", capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scene.json", "work"]
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["is-a-file", "under-a-file"])
+def test_unusable_out_exit_1(tmp_path, capsys, under_file):
+    """An --out that is a file, or lies under one, is a config error that
+    names --out, not a traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    out = blocker / "sub" if under_file else blocker
+    path = write_config(tmp_path, SPHERE)
+    assert main(["analyze", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"wlab: config error: --out: cannot create .*\n", err), err
+    assert blocker.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("params, message", [

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from wlab.cyclic import (
-    CyclicFoliationData,
-    FrenetCurve,
+    CyclicSurface,
     RiemannTypeSurface,
     build_cyclic,
     build_riemann_type,
@@ -30,8 +29,11 @@ from wlab.surface import (
 )
 from conftest import generic_cyclic
 
-# a center that stays at the origin: transport of the frame alone
-FRAME_ONLY = CyclicFoliationData(0.0, 0.0, 0.0, 1.0)
+
+def frame_only(kappa, sigma, u_range):
+    """A cyclic surface whose center stays at the origin: transport of the
+    frame alone."""
+    return CyclicSurface(kappa, sigma, 0.0, 0.0, 0.0, 1.0, u_range)
 
 
 class TestSmoothFunction:
@@ -52,15 +54,13 @@ def _frame(state):
 
 class TestIntegrateFrenet:
     def test_unit_circle_closure(self):
-        curve = FrenetCurve(1.0, 0.0, (0.0, 2 * math.pi))
-        t, n, b = _frame(transport(curve, FRAME_ONLY)(2 * math.pi))
+        t, n, b = _frame(transport(frame_only(1.0, 0.0, (0.0, 2 * math.pi)))(2 * math.pi))
         assert np.abs(t - [1.0, 0.0, 0.0]).max() < 1e-8
         assert np.abs(n - [0.0, 1.0, 0.0]).max() < 1e-8
         assert np.abs(b - [0.0, 0.0, 1.0]).max() < 1e-8
 
     def test_straight_line_constant_frame(self):
-        curve = FrenetCurve(0.0, 0.0, (0.0, 3.0))
-        state = transport(curve, FRAME_ONLY)
+        state = transport(frame_only(0.0, 0.0, (0.0, 3.0)))
         for u in (0.5, 1.7, 2.9):
             t, n, b = _frame(state(u))
             assert np.abs(t - [1.0, 0.0, 0.0]).max() < 1e-12
@@ -76,7 +76,7 @@ class TestIntegrateFrenet:
         t0 = np.array([0.0, a * w, h * w])
         n0 = np.array([-1.0, 0.0, 0.0])
         F0 = np.stack([t0, n0, np.cross(t0, n0)])
-        state = transport(FrenetCurve(k, s, (0.0, 5.0)), FRAME_ONLY)
+        state = transport(frame_only(k, s, (0.0, 5.0)))
         for u in (1.0, 2.5, 4.9):
             t, n, b = _frame(state(u))
             t_ex = np.array([-a * w * math.sin(w * u), a * w * math.cos(w * u),
@@ -87,8 +87,8 @@ class TestIntegrateFrenet:
             assert np.abs(b - F0 @ np.cross(t_ex, n_ex)).max() < 1e-8
 
     def test_frame_transport_orthogonality(self):
-        curve, _ = generic_cyclic()
-        state = transport(FrenetCurve(curve.kappa, curve.sigma, (0.0, 10.0)), FRAME_ONLY)
+        data = generic_cyclic()
+        state = transport(frame_only(data.kappa, data.sigma, (0.0, 10.0)))
         for u in np.linspace(0, 10, 41):
             t, n, b = _frame(state(u))
             assert abs(t @ n) < 1e-8 and abs(t @ b) < 1e-8 and abs(n @ b) < 1e-8
@@ -97,26 +97,23 @@ class TestIntegrateFrenet:
         assert np.abs(F @ F.transpose(0, 2, 1) - np.eye(3)).max() < 1e-8
 
     def test_singular_kappa(self):
-        curve = FrenetCurve(lambda u: 1.0 / (u - 0.5), 0.0, (0.0, 1.0))
+        data = frame_only(lambda u: 1.0 / (u - 0.5), 0.0, (0.0, 1.0))
         with pytest.raises(NumericalError):
-            transport(curve, FRAME_ONLY)
+            transport(data)
 
 
 class TestBuildCyclic:
     def test_cylinder_flat(self):
         # straight base curve, constant radius: circular cylinder
-        curve = FrenetCurve(0.0, 0.0, (0.0, 3.0))
-        data = CyclicFoliationData(1.0, 0.0, 0.0, 1.0)
-        surf = build_cyclic(curve, data)
+        surf = build_cyclic(CyclicSurface(0.0, 0.0, 1.0, 0.0, 0.0, 1.0, (0.0, 3.0)))
         for u, v in [(0.5, 0.3), (1.5, 2.0), (2.5, 5.0)]:
             c = curvature(evaluate_jet(surf, u, v))
             assert abs(c.K) < 1e-10
 
     def test_tube_circles(self):
-        curve = FrenetCurve(1.0, 0.0, (0.0, 2 * math.pi))
-        data = CyclicFoliationData(1.0, 0.0, 0.0, 0.5)
-        surf = build_cyclic(curve, data)
-        state = transport(curve, data)
+        data = CyclicSurface(1.0, 0.0, 1.0, 0.0, 0.0, 0.5, (0.0, 2 * math.pi))
+        surf = build_cyclic(data)
+        state = transport(data)
         for u in (0.7, 2.0, 4.5):
             c, (t, n, b) = state(u)[9:12], _frame(state(u))
             for v in np.linspace(0, 2 * math.pi, 32, endpoint=False):
@@ -125,9 +122,9 @@ class TestBuildCyclic:
                 assert abs((X - c) @ t) < 1e-10
 
     def test_foliation_property_generic(self):
-        curve, data = generic_cyclic()
-        surf = build_cyclic(curve, data)
-        state = transport(curve, data)
+        data = generic_cyclic()
+        surf = build_cyclic(data)
+        state = transport(data)
         for u in (0.5, 1.0, 1.5):
             c, (t, n, b) = state(u)[9:12], _frame(state(u))
             r = data.r(u)
@@ -137,8 +134,7 @@ class TestBuildCyclic:
                 assert abs((X - c) @ t) < 1e-10
 
     def test_analytic_vs_fd_partials(self, rng):
-        curve, data = generic_cyclic()
-        surf = build_cyclic(curve, data)
+        surf = build_cyclic(generic_cyclic())
         twin = finite_difference_twin(surf)
         for _ in range(20):
             u = rng.uniform(0.2, 1.8)
@@ -153,10 +149,9 @@ class TestBuildCyclic:
                 assert np.abs(a - f).max() < 1e-6 * max(np.abs(a).max(), 1.0)
 
     def test_radius_not_positive(self):
-        curve = FrenetCurve(1.0, 0.0, (0.0, 2.0))
-        data = CyclicFoliationData(1.0, 0.0, 0.0, lambda u: 1.0 - u)
+        data = CyclicSurface(1.0, 0.0, 1.0, 0.0, 0.0, lambda u: 1.0 - u, (0.0, 2.0))
         with pytest.raises(RadiusNotPositive):
-            build_cyclic(curve, data)
+            build_cyclic(data)
 
 
 class TestBuildRiemannType:
@@ -205,17 +200,14 @@ class TestBuildRiemannType:
 
 def _sweep_shaped(k0, k1, s0, s1, alpha, b0, b1, g0, g1, u1):
     """Cyclic data shaped like the benchmark's random cyclic scenes."""
-    curve = FrenetCurve(lambda u: k0 + k1 * np.sin(u), lambda u: s0 + s1 * np.cos(u),
-                        (0.0, u1))
-    data = CyclicFoliationData(alpha, lambda u: b0 + b1 * np.sin(u),
-                               lambda u: g0 + g1 * np.cos(u), 0.5)
-    return curve, data
+    return CyclicSurface(lambda u: k0 + k1 * np.sin(u), lambda u: s0 + s1 * np.cos(u),
+                         alpha, lambda u: b0 + b1 * np.sin(u),
+                         lambda u: g0 + g1 * np.cos(u), 0.5, (0.0, u1))
 
 
 TRANSPORT_SCENES = {
     "generic": generic_cyclic,
-    "helix": lambda: (FrenetCurve(0.5, 0.5, (0.0, 5.0)),
-                      CyclicFoliationData(1.0, 0.2, -0.3, 0.5)),
+    "helix": lambda: CyclicSurface(0.5, 0.5, 1.0, 0.2, -0.3, 0.5, (0.0, 5.0)),
     "sweep-low": lambda: _sweep_shaped(0.5, 0.05, 0.1, 0.05, 1.6, 0.1, 0.02,
                                        0.2, 0.02, 1.5),
     "sweep-high": lambda: _sweep_shaped(1.2, 0.3, 0.5, 0.2, 2.4, 0.4, 0.1,
@@ -225,19 +217,19 @@ TRANSPORT_SCENES = {
 }
 
 
-def _reference_state(curve, data, us, frame0=np.eye(3), point0=np.zeros(3)):
+def _reference_state(data, us, frame0=np.eye(3), point0=np.zeros(3)):
     """(t, n, b, c) at us from DOP853 at rtol = atol = 1e-13, started at
     the frame with rows frame0 and the center point0."""
 
     def rhs(u, y):
-        k, s = curve.kappa(u), curve.sigma(u)
+        k, s = data.kappa(u), data.sigma(u)
         t, n, b = y[0:3], y[3:6], y[6:9]
         return np.concatenate([k * n, -k * t + s * b, -s * n,
                                data.alpha(u) * t + data.beta(u) * n
                                + data.gamma(u) * b])
 
     y0 = np.concatenate([*frame0, point0])
-    sol = solve_ivp(rhs, curve.u_range, y0, method="DOP853", rtol=1e-13, atol=1e-13,
+    sol = solve_ivp(rhs, data.u_range, y0, method="DOP853", rtol=1e-13, atol=1e-13,
                     dense_output=True)
     return sol.sol(us)
 
@@ -245,10 +237,10 @@ def _reference_state(curve, data, us, frame0=np.eye(3), point0=np.zeros(3)):
 class TestMagnusTransport:
     @pytest.mark.parametrize("scene", sorted(TRANSPORT_SCENES))
     def test_against_dop853(self, scene):
-        curve, data = TRANSPORT_SCENES[scene]()
-        state = transport(curve, data)
-        us = np.linspace(*curve.u_range, 37)
-        ref = _reference_state(curve, data, us)
+        data = TRANSPORT_SCENES[scene]()
+        state = transport(data)
+        us = np.linspace(*data.u_range, 37)
+        ref = _reference_state(data, us)
         for i, u in enumerate(us):
             y = state(u)
             assert np.all(np.abs(y - ref[:, i]) <= 5e-11 * np.maximum(1.0, np.abs(ref[:, i]))), u
@@ -258,8 +250,7 @@ class TestMagnusTransport:
     def test_zero_band_on_cyclic_circles(self):
         # n = 0: the reduced residual has degree 6 in v, so harmonics 7..12
         # are zero in exact arithmetic and measure the frame's roundoff
-        surf = build_cyclic(FrenetCurve(0.7, 0.3, (0.0, 4.0)),
-                            CyclicFoliationData(1.5, 0.3, 0.4, 0.5))
+        surf = build_cyclic(CyclicSurface(0.7, 0.3, 1.5, 0.3, 0.4, 0.5, (0.0, 4.0)))
         for m in (2.0, 0.5, 3.0):
             for u in np.linspace(0.1, 3.9, 39):
                 sp = circle_spectrum(surf, LWRelation(m, 0.0), u, 12)
@@ -267,10 +258,9 @@ class TestMagnusTransport:
                 assert band <= 2e-15 * sp.scale(), (m, u, band / sp.scale())
 
     def test_non_finite_names_first_u(self):
-        curve = FrenetCurve(1.0, 0.0, (0.0, 2.0))
-        data = CyclicFoliationData(1.0, 0.0, lambda u: np.sqrt(u - 1.0), 0.5)
+        data = CyclicSurface(1.0, 0.0, 1.0, 0.0, lambda u: np.sqrt(u - 1.0), 0.5, (0.0, 2.0))
         with pytest.raises(NonFiniteInput, match=r"gamma non-finite at u = 0\.0"):
-            build_cyclic(curve, data)
+            build_cyclic(data)
 
 
 def _rotation(q):
@@ -285,17 +275,17 @@ def _rotation(q):
        .filter(lambda q: np.linalg.norm(q) > 0.1),
        shift=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
 def test_placed_curve_is_a_rigid_motion(q, shift):
-    """transformed(build_cyclic(curve, data), Q, shift) is the surface whose
+    """transformed(build_cyclic(data), Q, shift) is the surface whose
     frame and center start at rows Q^T and shift: it matches the surface
     assembled from the DOP853 reference started there, and H, K, kappa1
     and kappa2 are those of the unmoved surface."""
     Q, shift = _rotation(q), np.asarray(shift)
-    curve, data = generic_cyclic()
-    surf = build_cyclic(curve, data)
+    data = generic_cyclic()
+    surf = build_cyclic(data)
     us, vs = np.linspace(0.1, 1.9, 7), np.linspace(0.0, 2 * math.pi, 9)
     ja = evaluate_jet(surf, us, vs)
     jb = evaluate_jet(transformed(surf, Q, shift), us, vs)
-    ref = _reference_state(curve, data, us, frame0=Q.T, point0=shift).T
+    ref = _reference_state(data, us, frame0=Q.T, point0=shift).T
     n0, b0, c0 = (ref[:, None, i:i + 3] for i in (3, 6, 9))
     r = data.r(us)[:, None, None]
     cv, sv = np.cos(vs)[:, None], np.sin(vs)[:, None]

@@ -19,12 +19,7 @@ from wlab.fitting import (
     fit_lw,
     sample_curvatures,
 )
-from wlab.generators import (
-    RiemannExampleParams,
-    gen_fixture,
-    gen_riemann_example,
-    gen_rotational_lw,
-)
+from wlab.generators import gen_fixture, gen_riemann_example, gen_rotational_lw
 from wlab.surface import LWRelation, transformed
 from conftest import generic_riemann_type, signed, wave
 
@@ -103,8 +98,7 @@ class TestClassify:
         assert abs(best.n) < 1e-6
 
     def test_riemann_example_verdict(self):
-        data = gen_riemann_example(
-            RiemannExampleParams(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
+        data = gen_riemann_example(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
         report = classify(build_riemann_type(data))
         assert report.verdict == VERDICT_RIEMANN
         assert report.is_minimal and not report.is_rotational
@@ -151,8 +145,7 @@ def _build(scene):
         return gen_fixture(scene[1])
     if scene[0] == "riemann-example":
         _, (lam, mu), r0, dr0 = scene
-        return build_riemann_type(gen_riemann_example(
-            RiemannExampleParams(lam, mu, r0, dr0, (-0.6, 0.6))))
+        return build_riemann_type(gen_riemann_example(lam, mu, r0, dr0, (-0.6, 0.6)))
     _, (a1, a2, b1, b2), r0, r2, w = scene
     return build_riemann_type(RiemannTypeSurface(
         wave(0.3, a1, a2, w), wave(-0.2, b1, b2, w), wave(r0, 0.0, r2, 1.0),

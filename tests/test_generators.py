@@ -9,12 +9,7 @@ from wlab import cyclic, generators
 from wlab.cyclic import build_riemann_type
 from wlab.errors import AxisCollision, InvalidParameter, RadiusCollapse
 from wlab.fitting import classify
-from wlab.generators import (
-    RiemannExampleParams,
-    gen_fixture,
-    gen_riemann_example,
-    gen_rotational_lw,
-)
+from wlab.generators import gen_fixture, gen_riemann_example, gen_rotational_lw
 from wlab.meshio import obj_grid
 from wlab.surface import LWRelation, curvature, evaluate_jet, interior_grid
 from conftest import interior_s
@@ -22,16 +17,14 @@ from conftest import interior_s
 
 class TestRiemannExample:
     def test_catenoid_degeneration(self):
-        data = gen_riemann_example(
-            RiemannExampleParams(0.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
+        data = gen_riemann_example(0.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
         assert not data.truncated
         for u in np.linspace(-1.0, 1.0, 21):
             assert abs(data.r(u) - math.cosh(u)) < 1e-8
         assert classify(build_riemann_type(data)).is_rotational
 
     def test_minimal_surface(self):
-        data = gen_riemann_example(
-            RiemannExampleParams(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
+        data = gen_riemann_example(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
         assert not data.truncated
         surf = build_riemann_type(data)
         assert not classify(surf).is_rotational
@@ -42,30 +35,29 @@ class TestRiemannExample:
         assert worst < 1e-6
 
     def test_drift_swap_symmetry(self):
-        d1 = gen_riemann_example(RiemannExampleParams(0.7, 0.2, 1.0, 0.0, (-1.0, 1.0)))
-        d2 = gen_riemann_example(RiemannExampleParams(0.2, 0.7, 1.0, 0.0, (-1.0, 1.0)))
+        d1 = gen_riemann_example(0.7, 0.2, 1.0, 0.0, (-1.0, 1.0))
+        d2 = gen_riemann_example(0.2, 0.7, 1.0, 0.0, (-1.0, 1.0))
         for u in (-0.8, -0.2, 0.5, 0.9):
             assert abs(d1.r(u) - d2.r(u)) < 1e-9
             assert abs(d1.a(u) - d2.b(u)) < 1e-9
             assert abs(d1.b(u) - d2.a(u)) < 1e-9
 
     def test_independent_integration_oracle(self):
-        p = RiemannExampleParams(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0))
-        data = gen_riemann_example(p)
-        lm2 = p.lam ** 2 + p.mu ** 2
+        lam, mu, r0, dr0 = 0.5, 0.3, 1.0, 0.2
+        data = gen_riemann_example(lam, mu, r0, dr0, (-1.0, 1.0))
+        lm2 = lam ** 2 + mu ** 2
 
         def rhs(u, y):
             r, rp = y
             return [rp, (1.0 + lm2 * r ** 4 + rp * rp) / r]
 
         for end in (-1.0, 1.0):
-            sol = solve_ivp(rhs, (0.0, end), [p.r0, p.dr0], method="DOP853",
+            sol = solve_ivp(rhs, (0.0, end), [r0, dr0], method="DOP853",
                             rtol=1e-12, atol=1e-12)
             assert abs(data.r(end) - sol.y[0, -1]) < 1e-8
 
     def test_derivatives_consistent(self):
-        data = gen_riemann_example(
-            RiemannExampleParams(1.0, 0.5, 1.0, 0.0, (-1.0, 1.0)))
+        data = gen_riemann_example(1.0, 0.5, 1.0, 0.0, (-1.0, 1.0))
         h = 1e-5
         for u in (-0.5, 0.0, 0.4):
             fd = (data.r(u + h) - data.r(u - h)) / (2 * h)
@@ -75,20 +67,22 @@ class TestRiemannExample:
             assert abs(data.a.d1(u) - 1.0 * data.r(u) ** 2) < 1e-12
 
     def test_truncation_on_blowup(self):
-        data = gen_riemann_example(
-            RiemannExampleParams(3.0, 0.0, 1.0, 0.0, (-40.0, 40.0)))
+        data = gen_riemann_example(3.0, 0.0, 1.0, 0.0, (-40.0, 40.0))
         assert data.truncated
         assert data.u_range[1] - data.u_range[0] < 80.0
 
     def test_initial_radius_collapse(self):
         with pytest.raises(RadiusCollapse):
-            gen_riemann_example(RiemannExampleParams(1.0, 0.0, 1e-9))
+            gen_riemann_example(1.0, 0.0, 1e-9)
 
     def test_invalid_params(self):
         with pytest.raises(InvalidParameter):
-            RiemannExampleParams(-1.0, 0.0)
+            gen_riemann_example(-1.0, 0.0)
         with pytest.raises(InvalidParameter):
-            RiemannExampleParams(0.0, 0.0, 1.0, 0.0, (1.0, 1.0))
+            gen_riemann_example(0.0, 0.0, 1.0, 0.0, (1.0, 1.0))
+        # the parameter checks come before the collapse check
+        with pytest.raises(InvalidParameter, match="empty u_range"):
+            gen_riemann_example(1.0, 0.0, 1e-9, 0.0, (1.0, 1.0))
 
 
 class TestRotationalLw:
@@ -97,10 +91,15 @@ class TestRotationalLw:
         rel = LWRelation(m, n)
         profile, surf = gen_rotational_lw(rel, 1.0, 0.3, (0.0, 1.0))
         ss = interior_s(profile)
-        km, kp = profile.kappa_meridian(ss), profile.kappa_parallel(ss)
+
+        def kappa_parallel(s):
+            rho, _, theta = profile.state(s)
+            return np.sin(theta) / rho
+
+        km, kp = profile.kappa_meridian(ss), kappa_parallel(ss)
         assert np.abs(km - (m * kp + n)).max() < 1e-12
         np.testing.assert_array_equal(km, [profile.kappa_meridian(s) for s in ss])
-        np.testing.assert_array_equal(kp, [profile.kappa_parallel(s) for s in ss])
+        np.testing.assert_array_equal(kp, [kappa_parallel(s) for s in ss])
         for s in (0.2, 0.5, 0.8):
             c = curvature(evaluate_jet(surf, s, 1.3))
             res = min(abs(c.kappa1 - m * c.kappa2 - n),
@@ -220,8 +219,8 @@ class TestDenseLookups:
     SURFACES = {
         "rotational-lw": (0.5, lambda: gen_rotational_lw(
             LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))[1]),
-        "riemann-example": (0.4, lambda: build_riemann_type(gen_riemann_example(
-            RiemannExampleParams(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0))))),
+        "riemann-example": (0.4, lambda: build_riemann_type(
+            gen_riemann_example(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0)))),
     }
 
     @pytest.mark.parametrize("kind", sorted(SURFACES))
@@ -241,22 +240,23 @@ class TestDenseLookups:
         assert len(calls) <= 1
 
 
-def _reference_radius_ode(p: RiemannExampleParams, us):
+def _reference_radius_ode(lam, mu, r0, dr0, u_range, us):
     """(r, r', a, b) at us from a tight DOP853 integration of the radius ODE
-    outward from the anchor, u = 0 clamped into u_range."""
-    lm2 = p.lam ** 2 + p.mu ** 2
+    of gen_riemann_example(lam, mu, r0, dr0, u_range) outward from the
+    anchor, u = 0 clamped into u_range."""
+    lm2 = lam ** 2 + mu ** 2
 
     def rhs(u, y):
         r, rp = y[0], y[1]
-        return [rp, (1.0 + lm2 * r ** 4 + rp * rp) / r, p.lam * r * r, p.mu * r * r]
+        return [rp, (1.0 + lm2 * r ** 4 + rp * rp) / r, lam * r * r, mu * r * r]
 
-    anchor = min(max(0.0, p.u_range[0]), p.u_range[1])
+    anchor = min(max(0.0, u_range[0]), u_range[1])
     out = np.empty((4, len(us)))
     for side in (us < anchor, us >= anchor):
         idx = np.flatnonzero(side)
         if idx.size:
             idx = idx[np.argsort(np.abs(us[idx] - anchor))]  # outward
-            sol = solve_ivp(rhs, (anchor, us[idx[-1]]), [p.r0, p.dr0, 0.0, 0.0],
+            sol = solve_ivp(rhs, (anchor, us[idx[-1]]), [r0, dr0, 0.0, 0.0],
                             method="DOP853", rtol=1e-13, atol=1e-13, t_eval=us[idx])
             assert sol.success, sol.message
             out[:, idx] = sol.y
@@ -288,12 +288,12 @@ class TestClosedFormRiemannExample:
                              ids=["short", "long-truncated"])
     @pytest.mark.parametrize("lam", [1.0, 1e-2, 1e-4, 1e-6, 1e-8])
     def test_matches_reference_ode(self, lam, u_range):
-        p = RiemannExampleParams(lam, 0.5 * lam, 0.9, -0.15, u_range)
-        data = gen_riemann_example(p)
+        p = (lam, 0.5 * lam, 0.9, -0.15, u_range)
+        data = gen_riemann_example(*p)
         assert data.truncated == (u_range[1] == 30.0)
         surf = build_riemann_type(data)
         for us in (interior_grid(surf, 33, 8)[0], obj_grid(surf, 33, 8)[0]):
-            ref = _reference_radius_ode(p, us)
+            ref = _reference_radius_ode(*p, us)
             got = np.array([data.r(us), data.r.d1(us), data.a(us), data.b(us)])
             scale = np.maximum(1.0, np.abs(ref))
             assert (np.abs(got - ref) / scale).max() < 1e-8
@@ -301,7 +301,7 @@ class TestClosedFormRiemannExample:
     @pytest.mark.parametrize("u_range", [(-1.0, 1.0), (-30.0, 30.0)])
     def test_catenoid_limit(self, u_range):
         r0, dr0 = 0.8, 0.3
-        data = gen_riemann_example(RiemannExampleParams(0.0, 0.0, r0, dr0, u_range))
+        data = gen_riemann_example(0.0, 0.0, r0, dr0, u_range)
         rn = r0 / math.sqrt(1.0 + dr0 * dr0)
         un = -rn * math.asinh(dr0)
         us = np.linspace(*data.u_range, 101)

@@ -10,12 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from wlab.cyclic import RiemannTypeSurface, build_cyclic, build_riemann_type
 from wlab.fitting import sample_curvatures
-from wlab.generators import (
-    RiemannExampleParams,
-    gen_fixture,
-    gen_riemann_example,
-    gen_rotational_lw,
-)
+from wlab.generators import gen_fixture, gen_riemann_example, gen_rotational_lw
 from wlab.harmonics import circle_spectrum
 from wlab.meshio import surface_mesh
 from wlab.surface import (
@@ -43,10 +38,10 @@ SCENES = {
        for shape in ("sphere", "cylinder", "torus", "catenoid")},
     "rotational-lw": lambda: gen_rotational_lw(
         LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))[1],
-    "riemann-example": lambda: build_riemann_type(gen_riemann_example(
-        RiemannExampleParams(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0)))),
+    "riemann-example": lambda: build_riemann_type(
+        gen_riemann_example(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0))),
     "riemann-type": lambda: build_riemann_type(generic_riemann_type()),
-    "cyclic": lambda: build_cyclic(*generic_cyclic()),
+    "cyclic": lambda: build_cyclic(generic_cyclic()),
     "fd-saddle": lambda: finite_difference_surface((-1.0, 1.0), grid_position(
         lambda u, v: np.array([u, v, u * u - 0.5 * v * v + 0.3 * u * v]))),
     "transformed-torus": _turned_torus,

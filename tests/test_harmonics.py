@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlab.cyclic import (
-    CyclicFoliationData,
-    FrenetCurve,
+    CyclicSurface,
     RiemannTypeSurface,
     build_cyclic,
     build_riemann_type,
 )
 from wlab.errors import InsufficientSamples, ZeroOffset
 from wlab.functions import SmoothFunction
-from wlab.generators import RiemannExampleParams, gen_riemann_example, gen_rotational_lw
+from wlab.generators import gen_riemann_example, gen_rotational_lw
 from wlab.harmonics import (
     DEFAULT_SAMPLES,
     HarmonicSpectrum,
@@ -115,8 +114,7 @@ def test_closed_forms_elementwise(name, elements):
 
 class TestDegreeBounds:
     def test_cyclic_reduced_degree_6(self):
-        curve, data = generic_cyclic()
-        surf = build_cyclic(curve, data)
+        surf = build_cyclic(generic_cyclic())
         rel = LWRelation(2.0, 0.0)
         for u in (0.5, 1.0, 1.5):
             s = circle_spectrum(surf, rel, u, 20)
@@ -142,11 +140,11 @@ class TestDegreeBounds:
 
 class TestCoefficientIdentities:
     def test_cyclic_A6_B6_family_ratio(self):
-        curve, data = generic_cyclic()
-        surf = build_cyclic(curve, data)
+        data = generic_cyclic()
+        surf = build_cyclic(data)
         rel = LWRelation(2.0, 0.0)
         for u in np.linspace(0.3, 1.7, 5):
-            closed = closed_form_A6_B6(rel.m, curve.kappa(u), data.r(u),
+            closed = closed_form_A6_B6(rel.m, data.kappa(u), data.r(u),
                                        data.beta(u), data.gamma(u))
             ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 6), 6, closed)
             assert passed, (u, ratio)
@@ -154,12 +152,11 @@ class TestCoefficientIdentities:
     def test_cyclic_A4_B4_branch_ratio(self):
         # branch beta = 0, gamma = kappa r of the cyclic family
         kappa = lambda u: 1.0 + 0.2 * np.sin(u)
-        curve = FrenetCurve(kappa, lambda u: 0.3 + 0.1 * np.cos(u), (0.0, 2.0))
         r = lambda u: 1.0 + 0.1 * np.cos(u)
         rp = lambda u: -0.1 * np.sin(u)
         alpha = lambda u: 0.8 + 0.05 * np.sin(u)
-        data = CyclicFoliationData(alpha, 0.0, lambda u: kappa(u) * r(u), r)
-        surf = build_cyclic(curve, data)
+        surf = build_cyclic(CyclicSurface(kappa, lambda u: 0.3 + 0.1 * np.cos(u), alpha,
+                                          0.0, lambda u: kappa(u) * r(u), r, (0.0, 2.0)))
         rel = LWRelation(2.0, 0.0)
         for u in np.linspace(0.3, 1.7, 5):
             closed = closed_form_A4_B4_branch(rel.m, kappa(u), r(u),
@@ -314,28 +311,28 @@ class TestClosedFormsAreResidualCoefficients:
     def _scene(k, dk, sigma, a, da, r, dr, beta, gamma):
         kappa = lambda u: k + dk * np.sin(u)
         radius = lambda u: r + dr * np.cos(u)
-        curve = FrenetCurve(kappa, sigma, (0.0, 2.0))
         if gamma is None:  # the A4/B4 branch gamma = +kappa r
             gamma = lambda u: kappa(u) * radius(u)
-        data = CyclicFoliationData(lambda u: a + da * np.sin(u), beta, gamma, radius)
-        return build_cyclic(curve, data), curve, data
+        data = CyclicSurface(kappa, sigma, lambda u: a + da * np.sin(u), beta, gamma,
+                             radius, (0.0, 2.0))
+        return build_cyclic(data), data
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.sampled_from((2.0, -0.5, 3.0, 0.7)), beta=signed(1.0, 2.0),
            gamma=signed(1.0, 2.0), **_CYCLIC)
     def test_A6_B6(self, m, beta, gamma, k, dk, sigma, a, da, r, dr, u):
-        surf, curve, data = self._scene(k, dk, sigma, a, da, r, dr, beta, gamma)
+        surf, data = self._scene(k, dk, sigma, a, da, r, dr, beta, gamma)
         rel = LWRelation(m, 0.0)
-        closed = closed_form_A6_B6(m, curve.kappa(u), data.r(u), beta, gamma)
+        closed = closed_form_A6_B6(m, data.kappa(u), data.r(u), beta, gamma)
         ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 6), 6, closed)
         assert passed, (u, ratio)
 
     @settings(max_examples=30, deadline=None)
     @given(m=st.sampled_from((2.0, -0.5, 3.0)), **_CYCLIC)
     def test_A4_B4_branch(self, m, k, dk, sigma, a, da, r, dr, u):
-        surf, curve, data = self._scene(k, dk, sigma, a, da, r, dr, 0.0, None)
+        surf, data = self._scene(k, dk, sigma, a, da, r, dr, 0.0, None)
         rel = LWRelation(m, 0.0)
-        closed = closed_form_A4_B4_branch(m, curve.kappa(u), data.r(u),
+        closed = closed_form_A4_B4_branch(m, data.kappa(u), data.r(u),
                                           data.alpha(u), -dr * np.sin(u))
         ratio, passed = compare_coefficient(circle_spectrum(surf, rel, u, 4), 4, closed)
         assert passed, (u, ratio)
@@ -343,8 +340,7 @@ class TestClosedFormsAreResidualCoefficients:
 
 class TestSpecialSpectra:
     def test_riemann_example_minimal_relation_zero_spectrum(self):
-        data = gen_riemann_example(
-            RiemannExampleParams(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0)))
+        data = gen_riemann_example(1.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
         surf = build_riemann_type(data)
         rel = LWRelation(-1.0, 0.0)
         for u in (-0.5, 0.0, 0.5):

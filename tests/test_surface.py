@@ -6,8 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from wlab.cyclic import (
-    CyclicFoliationData,
-    FrenetCurve,
+    CyclicSurface,
     RiemannTypeSurface,
     build_cyclic,
     build_riemann_type,
@@ -272,7 +271,7 @@ SCALE_SCENES = {
     **{shape: functools.partial(gen_fixture, shape)
        for shape in ("sphere", "cylinder", "torus", "catenoid")},
     "riemann-type": lambda: build_riemann_type(generic_riemann_type()),
-    "cyclic": lambda: build_cyclic(*generic_cyclic()),
+    "cyclic": lambda: build_cyclic(generic_cyclic()),
 }
 
 
@@ -318,8 +317,7 @@ FD_SCENES = st.one_of(
     st.sampled_from(["sphere", "cylinder", "torus", "catenoid"]).map(gen_fixture),
     st.builds(lambda a, b, r: build_riemann_type(RiemannTypeSurface(a, b, r, (-1.0, 1.0))),
               drifts, drifts, radii),
-    st.builds(lambda k, s, al, be, ga, r: build_cyclic(FrenetCurve(k, s, (0.0, 2.0)),
-                                                       CyclicFoliationData(al, be, ga, r)),
+    st.builds(lambda *fns: build_cyclic(CyclicSurface(*fns, (0.0, 2.0))),
               _bounded(0.2, 1.0), _bounded(-0.5, 0.5), _bounded(1.6, 3.0),
               _bounded(-0.5, 0.5), _bounded(-0.5, 0.5), _bounded(0.3, 1.0)),
 )
