@@ -2,13 +2,11 @@
 
 from .surface import (
     CurvatureData,
-    FundamentalForms,
     JetPoint,
     LWRelation,
     ParamSurface,
     curvature,
     evaluate_jet,
-    fundamental_forms,
     lw_residual_linear,
     lw_residual_poly,
     lw_residual_reduced,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import harmonics as hm
 from .config import MAX_POINTS, SceneConfig, canonical_dumps, load_config
-from .errors import ConfigError, WlabError
+from .errors import ConfigError, OutputError, WlabError
 from .fitting import classify
 from .meshio import atomic_write_text, write_csv, write_obj
 from .scene import SceneResult, build_scene, relation_of
@@ -202,6 +202,9 @@ def main(argv=None) -> int:
         _COMMANDS[args.command](cfg, args.out, args)
     except ConfigError as exc:
         print(f"wlab: config error: {exc}", file=sys.stderr)
+        return 1
+    except OutputError as exc:
+        print(f"wlab: output error: {exc}", file=sys.stderr)
         return 1
     except WlabError as exc:
         print(f"wlab: numerical failure: {exc}", file=sys.stderr)

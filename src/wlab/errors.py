@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-ConfigError and its subclasses map to CLI exit code 1 (validation); every
-other WlabError maps to exit code 2, NumericalError and its subclasses as
+ConfigError and its subclasses map to CLI exit code 1 (validation), and so
+does OutputError (an output file that cannot be written); every other
+WlabError maps to exit code 2, NumericalError and its subclasses as
 well as OutOfDomain, InsufficientSamples and ZeroOffset, which do not
 derive from NumericalError.
 """
@@ -17,6 +18,10 @@ class ConfigError(WlabError):
 
 class InvalidParameter(ConfigError):
     """A constructor argument violates its documented constraint."""
+
+
+class OutputError(WlabError):
+    """An output file could not be written (an OSError on the way)."""
 
 
 class NumericalError(WlabError):

@@ -4,7 +4,8 @@ Builds Riemann minimal examples (and their catenoid degeneration), whose
 radius equation r r'' = 1 + (lambda^2 + mu^2) r^4 + r'^2 with horizontal
 center drift a' = lambda r^2, b' = mu r^2 is solved in closed form by
 Jacobi elliptic functions; rotational profiles obeying a linear curvature
-relation, integrated as an ODE; and a small set of closed-form test fixtures.
+relation, from the relation's first integral; and a small set of closed-form
+test fixtures.
 """
 from __future__ import annotations
 
@@ -24,13 +25,13 @@ from .errors import (
 from .functions import SmoothFunction
 from .surface import LWRelation, ParamSurface
 
-_ODE_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 _COLLAPSE_EPS = 1e-8
 _BLOWUP_LIMIT = 1e8
 _ZERO = SmoothFunction.constant(0.0)
 # Bound on first use, since importing scipy costs more than most jobs and only
-# gen_riemann_example and gen_rotational_lw call it.
-_SCIPY = {"solve_ivp": "scipy.integrate", "brentq": "scipy.optimize",
+# gen_riemann_example calls it.
+_SCIPY = {"brentq": "scipy.optimize",
           **dict.fromkeys(("ellipj", "ellipkm1", "elliprd", "elliprf"), "scipy.special")}
 
 
@@ -42,7 +43,12 @@ def _bind_scipy() -> None:
 
 
 def __getattr__(name):
-    """A scipy name read as a module attribute (PEP 562), bound first."""
+    """A scipy name read as a module attribute (PEP 562), bound first.
+    generators.solve_ivp, which nothing here calls, is loaded on access only:
+    bench/tracing.py rebinds it."""
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
     if name not in _SCIPY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _bind_scipy()
@@ -167,7 +173,8 @@ class RotationalProfile:
     rho' = cos theta, z' = sin theta, so rho'^2 + z'^2 = 1 identically.
     kappa_meridian = theta' and the parallel curvature is sin theta / rho, with
     the parametrization X(s, v) = (rho cos v, rho sin v, z).  The methods take
-    a float s or a 1-d array of s values.
+    a float s or a 1-d array of s values; dense(s) has the rows rho, z, theta,
+    sin theta and cos theta.
     """
 
     rel: LWRelation
@@ -186,18 +193,304 @@ class RotationalProfile:
         return self.dense(s)[2]
 
     def kappa_meridian(self, s):
-        rho, _, th = self.state(s)
-        return self.rel.m * np.sin(th) / rho + self.rel.n
+        y = self.dense(s)
+        return self.rel.m * y[3] / y[0] + self.rel.n
+
+
+# Along a profile rho' = cos theta, so the relation theta' = m sin(theta) / rho
+# + n reads d(sin theta)/d rho = m sin(theta) / rho + n, and sin theta = f(rho)
+# in closed form (Kenmotsu's quadrature, Tohoku Math. J. 32, 1980): through a
+# point (rho_b, f_b) of the profile, f = f_b t^m + n rho expm1((m - 1) ln t)
+# / (m - 1) with t = rho / rho_b.  Between turning points, where |f| = 1, rho
+# is monotone, s = int d rho / sqrt(1 - f^2) and z = int f ds.  A branch is
+# cut into pieces whose parameter p takes out their endpoint singularities:
+# rho = rho_t cosh p or rho_t / cosh p from a turning point rho_t, and rho =
+# e^p elsewhere, where p runs to -inf at the axis (f is not analytic at rho =
+# 0).  A piece holds the Chebyshev series of s and z in p, interpolated at
+# _NODES first-kind points, and is halved until the tail of the series of ds
+# is below _TAIL_TOL of its largest coefficient.
+_NODES = 32
+_TAIL_TOL = 1e-14
+_MAX_HALVINGS = 12
+_NEWTON_STEPS = 20
+_MAX_BRANCHES = 100_000
+_TURN, _LOG = 1.0, 2.0
+_CHEB_K = np.arange(_NODES + 1)
+_CHEB_X = -np.cos(np.pi * (np.arange(_NODES) + 0.5) / _NODES)  # ascending
+_CHEB_T = np.cos(np.outer(np.arccos(_CHEB_X), _CHEB_K))  # T_k at the nodes
+
+
+def _chebyshev_tables():
+    """Node values to the interpolant's coefficients, and to the coefficients
+    of its antiderivative that vanishes at -1."""
+    to_coef = _CHEB_T[:, :_NODES].T * (2.0 / _NODES)
+    to_coef[0] *= 0.5
+    # T_0 -> T_1, T_1 -> T_2 / 4, T_k -> T_(k+1) / 2(k+1) - T_(k-1) / 2(k-1)
+    integrate = np.zeros((_NODES + 1, _NODES))
+    k = np.arange(1, _NODES)
+    integrate[1, 0] = 1.0
+    integrate[k + 1, k] = 0.5 / (k + 1)
+    integrate[k[1:] - 1, k[1:]] -= 0.5 / (k[1:] - 1)
+    integrate[0] = -((-1.0) ** _CHEB_K[1:]) @ integrate[1:]
+    return to_coef, integrate @ to_coef
+
+
+_TO_COEF, _TO_INT = _chebyshev_tables()
+
+
+def _log1p_ratio(x: float) -> float:
+    return math.log1p(x) / x if x else 1.0
+
+
+def _turn_map(turn, rho0: float, rho1: float) -> tuple:
+    """The piece from rho0 to rho1 about the turning point turn = (rho_t,
+    f_t): rho = rho_t cosh p beyond a minimum of rho, rho_t / cosh p before
+    a maximum, so that p^2 goes like |rho - rho_t| at the turning point and
+    like |ln rho| towards the axis."""
+    rho_t, f_t = turn
+    d = math.copysign(1.0, (rho0 - rho_t) + (rho1 - rho_t))
+
+    def p(rho):  # acosh(1 + x) without cancellation
+        x = abs(rho - rho_t) / min(rho, rho_t)
+        return math.log1p(x + math.sqrt(x * (x + 2.0)))
+
+    return (_TURN, p(rho0), p(rho1), d, rho_t, f_t)
+
+
+class _FirstIntegralProfile:
+    """The profile started at (rho0, 0, theta0), as a table of pieces.
+
+    states(s) gives (rho, z, theta, sin theta, cos theta) at arc lengths s in
+    [0, length] from the start, for a whole array of s at once.  length is
+    shorter than asked, and truncated is set, when the profile reaches the
+    axis rho = _COLLAPSE_EPS first.
+    """
+
+    def __init__(self, m: float, n: float, rho0: float, theta0: float, length: float):
+        self.m, self.n = m, n
+        self.length, self.truncated = length, False
+        f, c = math.sin(theta0), math.cos(theta0)
+        # f from the start everywhere: a profile re-based at each turning
+        # point would carry the roundoff of each base to the next one
+        self._rho0, self._f0 = rho0, f
+        self._critical = self._critical_point()
+        turning = abs(f) == 1.0
+        self.cylinder = None
+        if turning:  # rho'' = -sin(theta) theta' picks the direction
+            slope = m * f / rho0 + n
+            if slope == 0.0:
+                self.cylinder = (rho0, f, theta0)
+                return
+            sigma = -math.copysign(1.0, f * slope)
+        else:
+            sigma = math.copysign(1.0, c)
+        # on a branch, theta = base + sigma atan2(sin theta, |cos theta|)
+        base = math.pi * round((theta0 - sigma * math.atan2(f, abs(c))) / math.pi)
+        rows, coef = [], []
+        rho, left, z = rho0, length, 0.0
+        for _ in range(_MAX_BRANCHES):
+            # a turning point up to 2 left away ends the branch; otherwise
+            # the next singular point is at least left beyond its end
+            reach = max(rho + sigma * 2.0 * left, _COLLAPSE_EPS)
+            end, f_end = self._turning_point(rho, f, sigma, reach)
+            if f_end is None:
+                end = max(rho + sigma * left, _COLLAPSE_EPS)
+            # the turning point at or behind the start, when it is nearer
+            # than the end: the branch is mapped from there
+            anchor = (rho, f) if turning else self._turning_point(
+                rho, f, -sigma, max(2.0 * rho - end, _COLLAPSE_EPS))
+            ds, dz = self._branch(rows, coef, (rho, f, anchor), (end, f_end),
+                                  (sigma, base, length - left, z))
+            if f_end is None or ds >= left:
+                if end == _COLLAPSE_EPS and ds < left:
+                    self.length, self.truncated = length - left + ds, True
+                break
+            left, z = left - ds, z + dz
+            base += sigma * f_end * math.pi
+            rho, f, turning, sigma = end, f_end, True, -sigma
+        else:
+            raise NumericalError(f"rotational profile turns more than {_MAX_BRANCHES} times")
+        (self._kind, self._p0, self._p1, self._d, self._rho_b, self._f_b,
+         self._sigma, self._base, self._s, self._z) = np.array(rows).T
+        self._bs, self._bz, self._cs, cum = (np.array(c) for c in zip(*coef))
+        # where Newton starts: s at the ends and nodes of every piece
+        ends = (self._s + self._bs.sum(axis=1))[:, None]
+        self._s_table = np.hstack([self._s[:, None], self._s[:, None] + cum, ends]).ravel()
+        x = np.concatenate([[-1.0], _CHEB_X, [1.0]])
+        self._g_table = (np.arange(len(rows))[:, None] + 0.5 * (x + 1.0)).ravel()
+
+    def _f(self, rho: float) -> float:
+        """f at rho; the exponents stop at 700, where |f| is far past 1."""
+        rho_b, f_b = self._rho0, self._f0
+        x = (rho - rho_b) / rho_b  # 1 + x loses digits as x goes to -1
+        m, u = self.m, math.log1p(x) if x > -0.5 else math.log(rho / rho_b)
+        e = u if m == 1.0 else math.expm1(min((m - 1.0) * u, 700.0)) / (m - 1.0)
+        return f_b * math.exp(min(m * u, 700.0)) + self.n * rho * e
+
+    def _critical_point(self):
+        """The one rho > 0 where f' = m f / rho + n vanishes, or None."""
+        m, n, rho_b, f_b = self.m, self.n, self._rho0, self._f0
+        if n == 0.0:
+            return None
+        ratio = f_b / (n * rho_b)
+        y = (m - 1.0) * ratio  # f' = 0 where (rho / rho_b)^(m - 1) = 1 / (m (1 + y))
+        if m > 0.0 and y > -1.0:
+            lam = -(_log1p_ratio(m - 1.0) + ratio * _log1p_ratio(y))
+        elif m < 0.0 and y < -1.0:
+            lam = -math.log(m * (1.0 + y)) / (m - 1.0)
+        else:
+            return None
+        return rho_b * math.exp(min(lam, 700.0))
+
+    def _turning_point(self, rho: float, f: float, sigma: float, reach: float):
+        """(rho_t, f(rho_t) = +-1) for the first turning point past rho on the
+        way to reach, or (None, None).  f has one critical point at most, so
+        it is monotone on either side of it."""
+        crit = self._critical
+        stops = [reach]
+        if crit is not None and sigma * (crit - rho) > 0.0 and sigma * (reach - crit) > 0.0:
+            stops.insert(0, crit)
+        a, fa = rho, f
+        for b in stops:
+            fb = self._f(b)
+            for side in (1.0, -1.0):
+                if (fa - side) * (fb - side) < 0.0 or fa != fb == side:
+                    return self._root(a, b, side), side
+            a, fa = b, fb
+        return None, None
+
+    def _root(self, a: float, b: float, side: float) -> float:
+        """Newton for f = side, kept inside the bracket [a, b], bisecting
+        when a step would leave it; f' = m f / rho + n."""
+        fa = self._f(a) - side
+        x = b
+        for _ in range(200):
+            fx = self._f(x) - side
+            if fx == 0.0:
+                break
+            if (fx > 0.0) == (fa > 0.0):
+                a, fa = x, fx
+            else:
+                b = x
+            slope = self.m * (fx + side) / x + self.n
+            step = x - fx / slope if slope else a
+            if not min(a, b) < step < max(a, b):
+                step = 0.5 * (a + b)
+            if abs(step - x) <= 4.0 * _EPS * x:
+                return step
+            x = step
+        return x
+
+    def _branch(self, rows, coef, start, end, placing):
+        """Appends the pieces of the branch from start = (rho, f, (rho_a,
+        f_a) of a turning point at or behind rho, or (None, None)) to end =
+        (rho, f = +-1 at a turning point, else None) to rows and coef;
+        placing = (sigma, theta base, s, z) at its start.  Returns the
+        branch's (ds, dz)."""
+        rho, f, anchor = start
+        rho_e, f_e = end
+        sigma, base, s, z = placing
+        if anchor[1] is not None and f_e is not None:  # turning at both ends: halve
+            mid = 0.5 * (rho + rho_e)
+            maps = [_turn_map(anchor, rho, mid), _turn_map(end, mid, rho_e)]
+        elif f_e is not None:
+            maps = [_turn_map(end, rho, rho_e)]
+        elif anchor[1] is not None:
+            maps = [_turn_map(anchor, rho, rho_e)]
+        else:
+            maps = [(_LOG, math.log(rho), math.log(rho_e), 0.0, rho, f)]
+        s0, z0 = s, z
+        for kind, p0, p1, d, rho_b, f_b in maps:
+            for q0, q1, nodes, series in self._pieces(kind, p0, p1, d, rho_b, f_b, 0):
+                ints = nodes @ _TO_INT.T  # s and z from the piece's start
+                rows.append((kind, q0, q1, d, rho_b, f_b, sigma, base, s, z))
+                coef.append((ints[0], ints[1], series, ints[0] @ _CHEB_T.T))
+                s, z = s + ints[0].sum(), z + ints[1].sum()
+        return s - s0, z - z0
+
+    def _pieces(self, kind, p0, p1, d, rho_b, f_b, halvings):
+        """[(p0, p1, ds and dz at the nodes, Chebyshev series of ds)] of the
+        map from p0 to p1, halved until the series converges."""
+        p = p0 + (p1 - p0) * 0.5 * (_CHEB_X + 1.0)
+        _, jac, f, q = self._geometry(kind, d, rho_b, f_b, p)
+        ds = jac * (0.5 * abs(p1 - p0)) / np.sqrt(q)
+        series = _TO_COEF @ ds
+        if halvings < _MAX_HALVINGS and \
+                np.abs(series[-3:]).max() > _TAIL_TOL * np.abs(series).max():
+            mid = 0.5 * (p0 + p1)
+            return (self._pieces(kind, p0, mid, d, rho_b, f_b, halvings + 1)
+                    + self._pieces(kind, mid, p1, d, rho_b, f_b, halvings + 1))
+        return [(p0, p1, np.stack([ds, f * ds]), series)]
+
+    def _geometry(self, kind, d, rho_b, f_b, p):
+        """rho, |d rho / dp|, f and 1 - f^2 at parameters p of pieces, from
+        each piece's base; the arguments are floats or arrays shaped like p.
+        At a turning point (|f_b| = 1), 1 - f^2 = (1 - f_b f)(1 + f_b f)
+        keeps its relative accuracy as it goes to 0."""
+        turn = kind == _TURN
+        sh = np.sinh(0.5 * p)
+        u = np.where(turn, d * np.log1p(2.0 * sh * sh), p - np.log(rho_b))  # ln(rho / rho_b)
+        rho = rho_b * np.exp(u)
+        jac = rho * np.where(turn, np.tanh(p), 1.0)
+        delta = f_b * np.expm1(self.m * u) + self._linear_term(rho, u)  # f - f_b
+        f = f_b + delta
+        q = np.where(np.abs(f_b) == 1.0, -f_b * delta * (2.0 + f_b * delta),
+                     (1.0 - f) * (1.0 + f))
+        return rho, jac, f, np.maximum(q, 0.0)
+
+    def _linear_term(self, rho, u):
+        """n rho expm1((m - 1) u) / (m - 1), at u = ln(rho / rho_b)."""
+        m = self.m
+        return self.n * rho * (u if m == 1.0 else np.expm1((m - 1.0) * u) / (m - 1.0))
+
+    def _f_array(self, rho):
+        """f at an array of rho, from the start: its relative accuracy holds
+        as f goes to 0 at the axis."""
+        u = np.log(rho / self._rho0)
+        return self._f0 * np.exp(self.m * u) + self._linear_term(rho, u)
+
+    def states(self, s: np.ndarray) -> np.ndarray:
+        """Rows rho, z, theta, sin theta and cos theta at the 1-d array s:
+        per element, Newton for the piece parameter whose s is that element,
+        started from the node table and frozen once its step is below 4 ulp,
+        so an element gets the same bits alone as in any array."""
+        if self.cylinder is not None:
+            rho0, f, theta0 = self.cylinder
+            one = np.ones_like(s)
+            return np.stack([rho0 * one, f * s, theta0 * one, f * one, 0.0 * one])
+        g = np.interp(s, self._s_table, self._g_table)
+        i = np.minimum(g.astype(int), len(self._s) - 1)
+        x = 2.0 * (g - i) - 1.0
+        bs, cs, target = self._bs[i], self._cs[i], s - self._s[i]
+        done = np.zeros(len(s), dtype=bool)
+        for _ in range(_NEWTON_STEPS):
+            t = np.cos(np.outer(np.arccos(x), _CHEB_K))
+            ds = (t[:, :-1] * cs).sum(axis=1)  # 0 only on a piece shorter than an ulp
+            step = np.divide((t * bs).sum(axis=1) - target, ds, out=np.zeros_like(ds),
+                             where=ds != 0.0)
+            x = np.where(done, x, np.clip(x - step, -1.0, 1.0))
+            done |= np.abs(step) <= 4.0 * _EPS
+            if done.all():
+                break
+        t = np.cos(np.outer(np.arccos(x), _CHEB_K))
+        p0, p1, sigma = self._p0[i], self._p1[i], self._sigma[i]
+        rho, _, _, q = self._geometry(self._kind[i], self._d[i], self._rho_b[i], self._f_b[i],
+                                      p0 + (p1 - p0) * 0.5 * (x + 1.0))
+        f, root = self._f_array(rho), np.sqrt(q)
+        return np.stack([rho, self._z[i] + (t * self._bz[i]).sum(axis=1),
+                         self._base[i] + sigma * np.arctan2(f, root), f, sigma * root])
 
 
 def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
                       s_range: tuple):
     """Profile curve whose meridian curvature is m * (parallel) + n.
 
-    Integrates rho' = cos theta, z' = sin theta,
-    theta' = m sin(theta)/rho + n from s_range[0].  If the profile reaches
-    the axis the integration stops and a truncated partial profile is
-    returned (flag set) rather than raising.
+    The profile of rho' = cos theta, z' = sin theta,
+    theta' = m sin(theta)/rho + n from (rho0, 0, theta0) at s_range[0] comes
+    from its first integral sin theta = f(rho) (see _FirstIntegralProfile),
+    one evaluation per array of s.  If the profile reaches the axis it stops
+    there and a truncated partial profile is returned (flag set) rather than
+    raising.
 
     Returns (profile, surface).
     """
@@ -206,34 +499,15 @@ def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
     s0, s1 = s_range
     if s1 <= s0:
         raise InvalidParameter("empty s_range")
-
-    def rhs(s, y):
-        rho, z, th = y
-        return np.array([math.cos(th), math.sin(th),
-                         rel.m * math.sin(th) / rho + rel.n])
-
-    def axis(s, y):
-        return y[0] - _COLLAPSE_EPS
-
-    axis.terminal = True
-
-    _bind_scipy()
-    sol = solve_ivp(rhs, (s0, s1), np.array([rho0, 0.0, theta0]),
-                    method="RK45", rtol=_ODE_TOL, atol=_ODE_TOL,
-                    dense_output=True, events=[axis])
-    if not sol.success and not len(sol.t_events[0]):
-        raise NumericalError(f"profile integration failed: {sol.message}")
-    truncated = bool(len(sol.t_events[0])) or not sol.success
-    reached = float(sol.t[-1])
-    achieved = (s0, reached)
-
-    dense = _DenseOde(lambda s: np.stack([sol.sol(x) for x in s], axis=-1), achieved)
-    profile = RotationalProfile(rel, achieved, dense, truncated=truncated)
-    theta, dtheta = profile.theta, profile.kappa_meridian  # theta' = kappa_meridian
-    rho = SmoothFunction(profile.rho, lambda s: np.cos(theta(s)),
-                         lambda s: -dtheta(s) * np.sin(theta(s)))
-    z = SmoothFunction(lambda s: dense(s)[1], lambda s: np.sin(theta(s)),
-                       lambda s: dtheta(s) * np.cos(theta(s)))
+    first = _FirstIntegralProfile(rel.m, rel.n, rho0, theta0, s1 - s0)
+    achieved = (s0, s0 + first.length if first.truncated else s1)
+    dense = _DenseOde(lambda s: first.states(s - s0), achieved)
+    profile = RotationalProfile(rel, achieved, dense, truncated=first.truncated)
+    kappa = profile.kappa_meridian  # theta'
+    rho = SmoothFunction(profile.rho, lambda s: dense(s)[4],
+                         lambda s: -kappa(s) * dense(s)[3])
+    z = SmoothFunction(lambda s: dense(s)[1], lambda s: dense(s)[3],
+                       lambda s: kappa(s) * dense(s)[4])
     return profile, _horizontal_circles(_ZERO, _ZERO, rho, z, achieved)
 
 

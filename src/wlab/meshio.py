@@ -22,6 +22,7 @@ import os
 
 import numpy as np
 
+from .errors import OutputError
 from .surface import ParamSurface, evaluate_jet, interior_grid
 
 # Vertex count from which obj_text builds its text with numpy: the "%"
@@ -49,15 +50,20 @@ def _new_file(directory: str):
 
 
 def atomic_write_text(path, text: str) -> None:
+    """text to a new file in path's directory, renamed over path.  On any
+    error the new file is removed; an OSError is raised as OutputError."""
     path = os.fspath(path)
-    fd, tmp = _new_file(os.path.dirname(path) or ".")
+    tmp = None
     try:
+        fd, tmp = _new_file(os.path.dirname(path) or ".")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

@@ -1,4 +1,4 @@
-"""Parametric surfaces: jets, fundamental forms, curvature, LW residuals.
+"""Parametric surfaces: jets, curvature, LW residuals.
 
 Conventions used throughout: the unit normal is N = Xu x Xv / |Xu x Xv|,
 kappa1 is the larger principal curvature, and all lengths are in abstract
@@ -91,24 +91,11 @@ class JetPoint:
 
 
 @dataclass(frozen=True)
-class FundamentalForms:
-    """E, F, G, e, f, g and W = EG - F^2: floats at a point, (nu, nv)
-    arrays on a grid (likewise for CurvatureData)."""
-
-    E: float
-    F: float
-    G: float
-    e: float
-    f: float
-    g: float
-    W: float
-
-
-@dataclass(frozen=True)
 class CurvatureData:
     """Mean/Gauss curvature, ordered principal curvatures, the
     determinant-based numerators H1 (of 2 W^{3/2} H) and K1 (of W^2 K),
-    W = EG - F^2 and the frame half-gap (kappa1 - kappa2) / 2."""
+    W = EG - F^2 and the frame half-gap (kappa1 - kappa2) / 2: floats at a
+    point, (nu, nv) arrays on a grid."""
 
     H: float
     K: float
@@ -186,16 +173,6 @@ def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
     if np.ndim(u) == 0 and np.ndim(v) == 0:
         return JetPoint(*(getattr(jet, f.name)[0, 0] for f in fields(JetPoint)))
     return jet
-
-
-def fundamental_forms(jet: JetPoint) -> FundamentalForms:
-    E = _dot(jet.xu, jet.xu)
-    F = _dot(jet.xu, jet.xv)
-    G = _dot(jet.xv, jet.xv)
-    e = _dot(jet.normal, jet.xuu)
-    f = _dot(jet.normal, jet.xuv)
-    g = _dot(jet.normal, jet.xvv)
-    return FundamentalForms(E, F, G, e, f, g, E * G - F * F)
 
 
 def _frame_half_gap(E, F, W, d1, d2, d3):

@@ -1,10 +1,37 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from wlab.cyclic import CyclicSurface, RiemannTypeSurface
 from wlab.functions import SmoothFunction
-from wlab.surface import JetPoint
+from wlab.surface import JetPoint, _dot
+
+
+@dataclass(frozen=True)
+class FundamentalForms:
+    """E, F, G, e, f, g and W = EG - F^2 of a jet: floats at a point,
+    (nu, nv) arrays on a grid.  curvature() needs none of them; the tests
+    use them as an independent route to the curvatures."""
+
+    E: float
+    F: float
+    G: float
+    e: float
+    f: float
+    g: float
+    W: float
+
+
+def fundamental_forms(jet: JetPoint) -> FundamentalForms:
+    E = _dot(jet.xu, jet.xu)
+    F = _dot(jet.xu, jet.xv)
+    G = _dot(jet.xv, jet.xv)
+    e = _dot(jet.normal, jet.xuu)
+    f = _dot(jet.normal, jet.xuv)
+    g = _dot(jet.normal, jet.xvv)
+    return FundamentalForms(E, F, G, e, f, g, E * G - F * F)
 
 
 def make_lw_jet(rng, m, n):

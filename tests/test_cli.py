@@ -461,6 +461,20 @@ def test_unusable_out_exit_1(tmp_path, capsys, under_file):
     assert blocker.read_text() == "keep\n"
 
 
+def test_name_too_long_exit_1(tmp_path):
+    """A name the file system cannot take (300 bytes, above the common
+    255-byte limit) is one output-error line and exit 1, not a traceback,
+    and the new file the write started is gone from --out."""
+    path = write_config(tmp_path, dict(SPHERE, name="a" * 300))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "wlab.cli", "analyze", "--config", path,
+                           "--out", str(out)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.returncode == 1
+    assert re.fullmatch(r"wlab: output error: cannot write .*\n", proc.stderr), proc.stderr
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("params, message", [
     ({"gamma": "sqrt(u - 1)"}, r"gamma non-finite at u = (\S+)"),
     ({"kappa": "1/(u - 0.55)"}, r"missed tolerance .* with 4096 steps"),
@@ -860,8 +874,9 @@ def _tree_bytes(root):
 
 
 def test_cold_start_loads_scipy_on_first_use(tmp_path):
-    """import wlab.cli leaves scipy unloaded, and the two generators that
-    call it bind its names on first use, writing the in-process bytes."""
+    """import wlab.cli leaves scipy unloaded, and the riemann-example
+    generator binds its names on first use; both scenes write the
+    in-process bytes."""
     configs = [write_config(tmp_path, base, f"{base['name']}.json")
                for base in (RIEMANN_EXAMPLE, ROTATIONAL)]
     argv = []
@@ -876,3 +891,18 @@ def test_cold_start_loads_scipy_on_first_use(tmp_path):
     assert proc.returncode == 0, proc.stderr
     cold, warm = _tree_bytes(tmp_path / "cold"), _tree_bytes(tmp_path / "warm")
     assert len(cold) >= 2 and cold == warm
+
+
+def test_rotational_job_loads_no_scipy(tmp_path):
+    """A rotational-lw profile comes from its first integral: a fresh
+    interpreter runs a rotational-lw analyze without loading scipy."""
+    config = write_config(tmp_path, ROTATIONAL)
+    script = (
+        "import sys, wlab.cli\n"
+        "code = wlab.cli.main(['analyze', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "print(code, loaded[:3])\n")
+    proc = subprocess.run([sys.executable, "-c", script, config, str(tmp_path / "out")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert proc.stdout == "0 []\n", proc.stderr

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 
 from wlab import cyclic, generators
@@ -12,7 +12,7 @@ from wlab.fitting import classify
 from wlab.generators import gen_fixture, gen_riemann_example, gen_rotational_lw
 from wlab.meshio import obj_grid
 from wlab.surface import LWRelation, curvature, evaluate_jet, interior_grid
-from conftest import interior_s
+from conftest import interior_s, signed
 
 
 class TestRiemannExample:
@@ -142,6 +142,13 @@ class TestRotationalLw:
         with pytest.raises(InvalidParameter):
             gen_rotational_lw(LWRelation(1.0, 0.0), 1.0, 0.0, (1.0, 0.0))
 
+    def test_range_below_an_ulp_of_rho0(self):
+        # rho0 + length rounds to rho0: the start state, not NaN
+        profile, _ = gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1e-17))
+        np.testing.assert_allclose(profile.dense(np.array([0.0, 1e-17])).T,
+                                   [[1.0, 0.0, 0.3, math.sin(0.3), math.cos(0.3)]] * 2,
+                                   rtol=0, atol=1e-16)
+
     @settings(max_examples=40, deadline=None)
     @given(m=st.one_of(st.just(1.0), st.floats(-2.5, -0.2), st.floats(0.2, 0.8),
                        st.floats(1.2, 2.5)),
@@ -162,7 +169,65 @@ class TestRotationalLw:
         else:
             weight = rho ** m
             c = (sin - n * rho / (1.0 - m)) / weight
-        assert np.abs((c - c[0]) * weight).max() < 1e-8
+        assert np.abs((c - c[0]) * weight).max() < 1e-13
+
+    def test_cylinder(self):
+        # a turning point where f' = m sin(theta)/rho + n = 0 stays one
+        profile, surf = gen_rotational_lw(LWRelation(1.0, -1.0), 1.0, math.pi / 2,
+                                          (0.0, 2.0))
+        ss = np.linspace(0.0, 2.0, 9)
+        rho, z, theta = profile.state(ss)
+        assert not profile.truncated and profile.s_range == (0.0, 2.0)
+        np.testing.assert_array_equal(rho, 1.0)
+        np.testing.assert_array_equal(theta, math.pi / 2)
+        np.testing.assert_allclose(z, ss, rtol=0, atol=1e-15)
+        c = curvature(evaluate_jet(surf, 0.7, 1.1))
+        assert sorted([c.kappa1, c.kappa2]) == pytest.approx([0.0, 1.0], abs=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.one_of(st.just(1.0), st.floats(0.99, 1.01), signed(0.4, 2.5)),
+           n=st.floats(-0.8, 0.8), rho0=st.floats(1.0, 1.5),
+           theta0=st.one_of(st.floats(-0.8, 0.8), st.sampled_from((-math.pi / 2, math.pi / 2)),
+                            st.floats(-math.pi, math.pi)),
+           length=st.floats(0.5, 6.0))
+    @example(m=1.0, n=0.0, rho0=1.0, theta0=math.pi / 2, length=3.0)  # the sphere
+    @example(m=2.0, n=-1.0, rho0=1.0, theta0=0.3, length=6.0)  # turns, then the axis
+    @example(m=-1.0, n=2.0, rho0=1.0, theta0=0.3, length=6.0)  # four turning points
+    @example(m=-0.31777434674116084, n=0.5781694659055012, rho0=1.6112982697195024,
+             theta0=2.3450448994699853, length=6.383156695045027)  # turns 4e-7 from the axis
+    @example(m=0.47322536610808114, n=-0.7700792192429594, rho0=1.1321575851632755,
+             theta0=1.567120418672343, length=3.7773152912036303)  # starts 1e-5 past a turn
+    def test_matches_dop853(self, m, n, rho0, theta0, length):
+        """rho, z, sin theta and cos theta match DOP853 to 1e-10 of scale,
+        at its turning points and down to rho = 1e-6; below that, with
+        0 < m < 1, sin theta is so steep in rho that the two sides' last-bit
+        differences in rho move it by more.  Where rho <= 1e-2, down to the
+        axis, kappa_meridian matches the first integral's m C rho^(m-1) +
+        n / (1 - m), or C + n (1 + ln rho) at m = 1, to 1e-12 of the sum of
+        the terms' magnitudes."""
+        profile, _ = gen_rotational_lw(LWRelation(m, n), rho0, theta0, (0.0, length))
+        sol = _reference_profile(m, n, rho0, theta0, length)
+        end = profile.s_range[1]
+        assert profile.truncated == (sol.status == 1)
+        assert abs(end - sol.t[-1]) <= 1e-9
+        ss = np.concatenate([np.linspace(0.0, min(end, sol.t[-1]), 301),
+                             sol.t_events[1][sol.t_events[1] < end]])
+        got, ref = profile.dense(ss), sol.sol(ss)
+        keep = ref[0] >= 1e-6
+        scale = max(1.0, np.abs(ref[:2]).max())
+        for a, b in ((got[0], ref[0]), (got[1], ref[1]), (got[3], ref[2]), (got[4], ref[3])):
+            assert np.abs(a - b)[keep].max() <= 1e-10 * scale
+        near = np.concatenate([ss, end - np.logspace(-8.0, -2.0, 25)])
+        near = near[(near >= 0.0) & (profile.rho(near) <= 1e-2)]
+        rho, f0 = profile.rho(near), math.sin(theta0)
+        if m == 1.0:
+            c = f0 / rho0 - n * math.log(rho0)
+            terms = (np.full_like(rho, c + n), n * np.log(rho))
+        else:
+            c = (f0 - n * rho0 / (1.0 - m)) / rho0 ** m
+            terms = (m * c * rho ** (m - 1.0), np.full_like(rho, n / (1.0 - m)))
+        err = np.abs(profile.kappa_meridian(near) - terms[0] - terms[1])
+        assert np.all(err <= 1e-12 * (np.abs(terms[0]) + np.abs(terms[1])))
 
 
 class TestFixtures:
@@ -239,6 +304,27 @@ class TestDenseLookups:
             evaluate_jet(surf, u, v)
         assert len(calls) <= 1
 
+    def test_one_first_integral_evaluation_per_distinct_u(self, monkeypatch):
+        """A rotational jet evaluates its first-integral profile once per
+        distinct u array: once for a circle of 16 v at one u, once for a
+        grid, once more for a grid at other u."""
+        calls = []
+        states = generators._FirstIntegralProfile.states
+
+        def counted(profile, s):
+            calls.append(len(s))
+            return states(profile, s)
+
+        monkeypatch.setattr(generators._FirstIntegralProfile, "states", counted)
+        _, surf = gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))
+        for v in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
+            evaluate_jet(surf, 0.5, v)
+        assert calls == [1]
+        vs = np.linspace(0.0, 2 * math.pi, 5)
+        for us in (np.linspace(0.1, 0.9, 7), np.linspace(0.1, 0.9, 7), np.linspace(0.2, 0.8, 3)):
+            evaluate_jet(surf, us, vs)
+        assert calls == [1, 7, 3]
+
 
 def _reference_radius_ode(lam, mu, r0, dr0, u_range, us):
     """(r, r', a, b) at us from a tight DOP853 integration of the radius ODE
@@ -263,10 +349,37 @@ def _reference_radius_ode(lam, mu, r0, dr0, u_range, us):
     return out
 
 
-def test_rotational_solve_calls_rebound_solve_ivp(monkeypatch):
-    """generators.solve_ivp and cyclic.solve_ivp resolve as attributes,
-    and the rotational solve calls whatever generators.solve_ivp is bound
-    to when it runs, as outside-in tracing that rebinds it needs."""
+def _reference_profile(m, n, rho0, theta0, length):
+    """Dense (rho, z, sin theta, cos theta) of the rotational profile from
+    DOP853 at rtol = 1e-13 with steps of at most 0.01 (its dense output
+    between longer steps is off by up to 4e-11), stopped at the axis rho =
+    1e-8 like the generator; t_events[1] holds the turning points, where
+    cos theta = 0.  sin theta is a state of its own, with an absolute
+    tolerance of 1e-30: a theta near pi could not hold the 1e-16 of sin
+    theta that m < 0 grows to 1 near the axis."""
+    def rhs(s, y):
+        rho, _, sin, cos = y
+        dtheta = m * sin / rho + n
+        return [cos, sin, cos * dtheta, -sin * dtheta]
+
+    def axis(s, y):
+        return y[0] - 1e-8
+
+    def turn(s, y):
+        return y[3]
+
+    axis.terminal = True
+    sol = solve_ivp(rhs, (0.0, length), [rho0, 0.0, math.sin(theta0), math.cos(theta0)],
+                    method="DOP853", rtol=1e-13, atol=[1e-13, 1e-13, 1e-30, 1e-13],
+                    max_step=0.01, dense_output=True, events=[axis, turn])
+    assert sol.status >= 0, sol.message
+    return sol
+
+
+def test_solve_ivp_resolves_but_rotational_solve_does_not_call_it(monkeypatch):
+    """generators.solve_ivp and cyclic.solve_ivp resolve as attributes, as
+    outside-in tracing that rebinds them needs; the rotational profile comes
+    from its first integral and calls neither."""
     assert cyclic.solve_ivp is solve_ivp and generators.solve_ivp is solve_ivp
     calls = []
 
@@ -275,8 +388,9 @@ def test_rotational_solve_calls_rebound_solve_ivp(monkeypatch):
         return solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(generators, "solve_ivp", counting)
+    monkeypatch.setattr(cyclic, "solve_ivp", counting)
     gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))
-    assert calls == [(0.0, 1.0)]
+    assert calls == []
 
 
 class TestClosedFormRiemannExample:

@@ -21,7 +21,6 @@ from wlab.surface import (
     evaluate_jet,
     finite_difference_surface,
     finite_difference_twin,
-    fundamental_forms,
     interior_grid,
     lw_residual_linear,
     lw_residual_poly,
@@ -31,6 +30,7 @@ from wlab.surface import (
     transformed,
 )
 from conftest import (
+    fundamental_forms,
     generic_cyclic,
     generic_riemann_type,
     grid_position,

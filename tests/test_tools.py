@@ -83,3 +83,36 @@ def test_obj_text_sweep_runs():
         for path in ("percent", "vector"):
             assert size[path]["q1_ms"] <= size[path]["median_ms"] <= size[path]["q3_ms"]
     assert sorted(result["tracemalloc_peak_mb_96x96"]) == ["percent", "vector"]
+
+
+def test_parity_csv_moves_per_column():
+    """The largest absolute and relative move of each numeric column that
+    moved, and a flag for a changed pass cell and for a cell that is a
+    number in one text only."""
+    old = "u,H,pass\n0.5,2,True\n1,-4,\n1.5,1e-3,False\n"
+    new = "u,H,pass\n0.5,2.5,True\n1,-4.1,\n1.5,nan,True\n"
+    moves, flags = parity.csv_moves(old, new)
+    assert moves == {"H": (0.5, 0.2)}
+    assert flags == ["row 3 pass: 'False' -> 'True'"]
+    moves, flags = parity.csv_moves(old, new.replace("nan", ""))
+    assert flags == ["row 3 H: '1e-3' -> ''", "row 3 pass: 'False' -> 'True'"]
+    assert parity.csv_moves(old, old) == ({}, [])
+    assert parity.csv_moves(old, old + "2,0,\n") == ({}, ["rows 3 -> 4"])
+
+
+def test_parity_text_flags():
+    """A changed verdict or True/False report line, or a changed truncated
+    value, is flagged; a moved fit number is not."""
+    report = ("verdict: rotational LW surface\nis_LW: True (rms residual 1e-16)\n"
+              "fit (k1 = m k2 + n): m = 0.5, n = 0.5, rms = 1.8e-16\n")
+    moved = report.replace("1.8e-16", "2.1e-16").replace("1e-16)", "3e-16)")
+    assert parity.text_flags("a.report.txt", report, moved) == []
+    flipped = report.replace("rotational LW surface", "not LW").replace("True", "False")
+    assert parity.text_flags("a.report.txt", report, flipped) == [
+        "'verdict: rotational LW surface' -> 'verdict: not LW'",
+        "'is_LW: True (rms residual 1e-16)' -> 'is_LW: False (rms residual 1e-16)'"]
+    meta = '{"config": {}, "truncated": false}\n'
+    assert parity.text_flags("a.meta.json", meta, meta.replace("false", "true")) == [
+        "truncated: False -> True"]
+    assert parity.text_flags("a.meta.json", meta, meta) == []
+    assert parity.text_flags("a.meta.json", meta, None) == ["written by one tree only"]

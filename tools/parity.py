@@ -8,17 +8,22 @@ jobs included) at seeds 3, 5 and 7 through each tree's wlab.cli.main, all
 jobs of one tree in one fresh interpreter.  The jobs and the files each
 one writes come from this checkout's bench/workloads.py and bench/check.py.
 Prints each job whose exit code, stderr (with the work directory replaced)
-or sha256 of an output file differs, with its scene kind; when any job
-differs, a count per (workload, scene kind, command); then a summary line
-with the line totals of both trees' src/wlab/*.py, as wc -l counts them,
-and the CPU time of `import wlab.cli` in a fresh interpreter per tree
-(median of 3) with whether that import loaded scipy; exits 0 only when no
-job differs.
+or sha256 of an output file differs, with its scene kind.  Under it, for
+each output CSV that differs, the largest absolute and relative move of
+each numeric column that moved; and a FLAG line for each changed `pass`
+cell, report verdict or True/False line, or metadata `truncated` value.
+When any job differs, it then prints a count per (workload, scene kind,
+command) and the largest move per (scene kind, CSV, column) over all
+jobs; then a summary line with the line totals of both trees'
+src/wlab/*.py, as wc -l counts them, and the CPU time of `import wlab.cli`
+in a fresh interpreter per tree (median of 3) with whether that import
+loaded scipy; exits 0 only when no job differs.
 """
 from __future__ import annotations
 
 import collections
 import contextlib
+import csv
 import glob
 import hashlib
 import io
@@ -35,6 +40,8 @@ SEEDS = (3, 5, 7)
 WORK_MARK = "<work>"
 COMPARED = ("exit", "stderr", "files")
 IMPORT_PROBES = 3
+# outputs kept as text, so that a difference can be read column by column
+TEXT_SUFFIXES = (".csv", ".report.txt", ".meta.json")
 _IMPORT_PROBE = ("import sys, time; t = time.process_time(); import wlab.cli; "
                  "print(time.process_time() - t, 'scipy' in sys.modules)")
 
@@ -102,15 +109,77 @@ def run_jobs(tree: str):
                            err.getvalue().replace(work, WORK_MARK), files)
 
 
+def _text(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 def record(tree: str, path: str) -> None:
     """Runs every job through tree's wlab.cli.main and writes, per job, its
-    (workload, scene kind, command), exit code, stderr and output-file
-    digests to path as JSON."""
+    (workload, scene kind, command), exit code, stderr, output-file digests
+    and the text of its CSV, report and metadata files to path as JSON."""
     results = {key: {"group": group, "exit": code, "stderr": stderr,
-                     "files": {os.path.basename(f): _sha256(f) for f in files}}
+                     "files": {os.path.basename(f): _sha256(f) for f in files},
+                     "texts": {os.path.basename(f): _text(f) for f in files
+                               if f.endswith(TEXT_SUFFIXES)}}
                for key, group, code, stderr, files in run_jobs(tree)}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(results, fh)
+
+
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_moves(old: str, new: str):
+    """({column: (largest absolute move, largest relative move)} over the
+    numeric cells of two CSV texts, columns that did not move left out;
+    [flag]) for each changed `pass` cell, changed row count or header, and
+    cell that is a number in one text only.  The relative move of a cell is
+    |a - b| / max(|a|, |b|)."""
+    a_rows, b_rows = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
+    if not a_rows or not b_rows or a_rows[0] != b_rows[0]:
+        return {}, ["header changed"]
+    header, moves, flags = a_rows[0], {}, []
+    if len(a_rows) != len(b_rows):
+        flags.append(f"rows {len(a_rows) - 1} -> {len(b_rows) - 1}")
+    for row, (ra, rb) in enumerate(zip(a_rows[1:], b_rows[1:]), 1):
+        for column, ca, cb in zip(header, ra, rb):
+            if ca == cb:
+                continue
+            x, y = _number(ca), _number(cb)
+            if column == "pass" or (x is None) != (y is None):
+                flags.append(f"row {row} {column}: {ca!r} -> {cb!r}")
+            elif x is not None:
+                big = max(abs(x), abs(y))
+                move = (abs(x - y), abs(x - y) / big if big else 0.0)
+                best = moves.get(column, (0.0, 0.0))
+                moves[column] = (max(best[0], move[0]), max(best[1], move[1]))
+    return moves, flags
+
+
+def text_flags(name: str, old, new) -> list:
+    """Changed verdict or True/False lines of a report, or a changed
+    `truncated` value of a metadata file."""
+    if old is None or new is None:
+        return [] if old == new else ["written by one tree only"]
+    if name.endswith(".meta.json"):
+        a, b = json.loads(old).get("truncated"), json.loads(new).get("truncated")
+        return [] if a == b else [f"truncated: {a} -> {b}"]
+    if name.endswith(".report.txt"):
+        def decision(line):  # the verdict, or the True/False that opens a value
+            word = line.partition(": ")[2].split(" ")[0]
+            return line if line.startswith("verdict:") else word in ("True", "False") and word
+
+        return [f"{la!r} -> {lb!r}" for la, lb in zip(old.splitlines(), new.splitlines())
+                if decision(la) != decision(lb)]
+    return []
 
 
 def _env() -> dict:
@@ -148,7 +217,7 @@ def main(argv) -> int:
     with tempfile.TemporaryDirectory(prefix="wlab-parity-") as tmp:
         old, new = (_run_tree(tree, os.path.join(tmp, f"{i}.json"))
                     for i, tree in enumerate(argv))
-    differ = collections.Counter()
+    differ, largest = collections.Counter(), {}
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
         both = a is not None and b is not None
@@ -159,12 +228,33 @@ def main(argv) -> int:
         what = ("missing in one tree" if not both else
                 ", ".join(f for f in COMPARED if a[f] != b[f]))
         print(f"{key} ({kind}): {what}")
-        if both:
-            for f in COMPARED:
-                if a[f] != b[f]:
-                    print(f"  old {f}: {a[f]!r}\n  new {f}: {b[f]!r}")
+        if not both:
+            continue
+        for f in ("exit", "stderr"):
+            if a[f] != b[f]:
+                print(f"  old {f}: {a[f]!r}\n  new {f}: {b[f]!r}")
+        for name in sorted(a["texts"].keys() | b["texts"].keys()):
+            ta, tb = a["texts"].get(name), b["texts"].get(name)
+            if ta == tb:
+                continue
+            flags = text_flags(name, ta, tb)
+            if name.endswith(".csv") and ta is not None and tb is not None:
+                moves, flags = csv_moves(ta, tb)
+                if moves:
+                    print(f"  {name} (largest absolute/relative move): " + ", ".join(
+                        f"{c} {m[0]:.2g}/{m[1]:.2g}" for c, m in moves.items()))
+                for column, move in moves.items():
+                    group = (kind, name.rpartition(".")[0].rpartition(".")[2], column)
+                    best = largest.get(group, ((0.0, ""), (0.0, "")))
+                    largest[group] = tuple(max(old_best, (new_move, key))
+                                           for old_best, new_move in zip(best, move))
+            for flag in flags:
+                print(f"  FLAG {name}: {flag}")
     for (workload, kind, command), count in sorted(differ.items()):
         print(f"differ: {workload} {kind} {command}: {count}")
+    for (kind, csv_name, column), (absolute, relative) in sorted(largest.items()):
+        print(f"largest move: {kind} {csv_name}.csv {column}: {absolute[0]:.3g} absolute "
+              f"({absolute[1]}), {relative[0]:.3g} relative ({relative[1]})")
     lines = " -> ".join(str(_src_lines(tree)) for tree in argv)
     imports = " -> ".join(_import_cost(tree) for tree in argv)
     print(f"parity: {len(new)} jobs, {sum(differ.values())} differ; "
