@@ -104,18 +104,21 @@ class _DenseOde:
         return y
 
 
-# Order-4 Magnus transport of the affine state Y = [[F, 0], [c, 1]], F with
+# Order-6 Magnus transport of the affine state Y = [[F, 0], [c, 1]], F with
 # rows t, n, b: Y' = M(u) Y with M = [[K, 0], [w, 0]], K the Frenet skew
 # matrix of kappa and sigma and w = (alpha, beta, gamma), so the frame and
 # the center are one linear ODE.  Each step is an exponential of a skew
 # generator, so the frame stays orthonormal to roundoff (Iserles,
-# Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta Numerica 2000).
-_GAUSS = np.array([0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0])
+# Munthe-Kaas, Norsett and Zanna, "Lie-group methods", Acta Numerica 2000;
+# the step is that of Blanes, Casas, Oteo and Ros, "The Magnus expansion and
+# some of its applications", Phys. Rep. 470, 2009).
+_GAUSS3 = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
 _MAGNUS_TOL = 1e-11     # Richardson error estimate, relative to max(1, |Y|)
 _MAGNUS_START_STEPS = 16
 # Memory grows with the cap: the last doubling holds (steps, 4, 4) prefix
-# products and temporaries.  On a pole no step count resolves, a CLI run
-# peaked at 88 MB with this cap and at 150 MB with 65,536.
+# products, the generators at 3 nodes a step and the step's temporaries.
+# On a pole no step count resolves, a CLI generate run peaked at 38 MB with
+# this cap and at 148 MB with 65,536.
 _MAGNUS_MAX_STEPS = 4096
 
 
@@ -138,19 +141,33 @@ def _generators(data: CyclicSurface, us):
     return m
 
 
+def _bracket(a, b):
+    return a @ b - b @ a
+
+
 def _magnus_steps(data, u, h) -> np.ndarray:
     """exp(Omega) of the steps [u, u + h] (1-d arrays), shape (len(u), 4, 4).
 
-    Omega = h/2 (M1 + M2) + (sqrt 3/12) h^2 [M2, M1] from the two Gauss
-    nodes.  Omega = [[A, 0], [v, 0]] with A skew, so Omega^3 carries
-    A^3 = -theta^2 A and the Rodrigues form exp(Omega) = I + Omega
-    + B Omega^2 + C Omega^3 is exact, with B = (1 - cos theta)/theta^2 and
-    C = (theta - sin theta)/theta^3 (series below theta = 1e-4).
+    Omega is the order-6 Magnus step from the three Gauss nodes, with
+    generators A1, A2, A3: alpha1 = h A2, alpha2 = (sqrt 15 h/3)(A3 - A1),
+    alpha3 = (10 h/3)(A3 - 2 A2 + A1), C1 = [alpha1, alpha2],
+    C2 = -[alpha1, 2 alpha3 + C1]/60 and Omega = alpha1 + alpha3/12
+    + [-20 alpha1 - alpha3 + C1, alpha2 + C2]/240.  Commutators of
+    [[A, 0], [v, 0]] forms with A skew are of that form, so Omega is, and
+    Omega^3 carries A^3 = -theta^2 A: the Rodrigues form exp(Omega) = I
+    + Omega + B Omega^2 + C Omega^3 is exact, with B = (1 - cos theta)/theta^2
+    and C = (theta - sin theta)/theta^3 (series below theta = 1e-4).
     """
-    m = _generators(data, (u[:, None] + h[:, None] * _GAUSS).ravel())
-    m1, m2 = m[0::2], m[1::2]
+    m = _generators(data, (u[:, None] + h[:, None] * _GAUSS3).ravel())
+    a1, a2, a3 = m[0::3], m[1::3], m[2::3]
     h = h[:, None, None]
-    omega = 0.5 * h * (m1 + m2) + (math.sqrt(3.0) / 12.0 * h * h) * (m2 @ m1 - m1 @ m2)
+    alpha1 = h * a2
+    alpha2 = (math.sqrt(15.0) / 3.0 * h) * (a3 - a1)
+    alpha3 = (10.0 / 3.0 * h) * (a3 - 2.0 * a2 + a1)
+    c1 = _bracket(alpha1, alpha2)
+    c2 = -_bracket(alpha1, 2.0 * alpha3 + c1) / 60.0
+    omega = (alpha1 + alpha3 / 12.0
+             + _bracket(-20.0 * alpha1 - alpha3 + c1, alpha2 + c2) / 240.0)
     theta2 = 0.5 * np.einsum("nij,nij->n", omega[:, :3, :3], omega[:, :3, :3])
     theta = np.sqrt(theta2)
     small = theta < 1e-4
@@ -176,11 +193,11 @@ def _knot_states(data, y0, u0, h, n) -> np.ndarray:
 
 def transport(data: CyclicSurface) -> _DenseOde:
     """Dense state (t, n, b, c)(u) of the frame and the center, started at
-    the standard basis and the origin, from uniform order-4 Magnus steps: a
+    the standard basis and the origin, from uniform order-6 Magnus steps: a
     _DenseOde of the 12 components on data.u_range.
 
     The step count doubles until n and 2n steps agree at the shared knots
-    to _MAGNUS_TOL after Richardson's /15; past _MAGNUS_MAX_STEPS this
+    to _MAGNUS_TOL after Richardson's /63; past _MAGNUS_MAX_STEPS this
     raises NumericalError.  Dense output is one partial step from the knot
     at or below each u.
     """
@@ -194,7 +211,7 @@ def transport(data: CyclicSurface) -> _DenseOde:
         knots = _knot_states(data, y0, u0, h, n)
         # per coarse knot, spaced 2 h
         err = (np.abs(knots[::2] - coarse) / np.maximum(1.0, np.abs(knots[::2]))
-               ).max(axis=(1, 2)) / 15.0
+               ).max(axis=(1, 2)) / 63.0
         if err.max() <= _MAGNUS_TOL:
             break
         if 2 * n > _MAGNUS_MAX_STEPS:

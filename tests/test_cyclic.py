@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 from wlab.cyclic import (
     CyclicSurface,
     RiemannTypeSurface,
+    _magnus_steps,
     build_cyclic,
     build_riemann_type,
     transport,
@@ -243,9 +245,39 @@ class TestMagnusTransport:
         ref = _reference_state(data, us)
         for i, u in enumerate(us):
             y = state(u)
-            assert np.all(np.abs(y - ref[:, i]) <= 5e-11 * np.maximum(1.0, np.abs(ref[:, i]))), u
+            assert np.all(np.abs(y - ref[:, i]) <= 1e-11 * np.maximum(1.0, np.abs(ref[:, i]))), u
             F = y[:9].reshape(3, 3)
             assert np.abs(F @ F.T - np.eye(3)).max() <= 1e-13, u
+
+    @pytest.mark.parametrize("scene", ["generic", "sweep-low", "sweep-mid", "sweep-high"])
+    def test_accepts_at_64_steps_or_fewer(self, scene):
+        """transport evaluates kappa once per doubling level, at every node
+        of its steps, from 16 steps up to the level it accepts; order-6 steps
+        meet the tolerance by 64 steps on these scenes (order 4 needs
+        128-512)."""
+        data = TRANSPORT_SCENES[scene]()
+        sizes = []
+
+        def counting(u, kappa=data.kappa):
+            sizes.append(np.size(u))
+            return kappa(u)
+
+        transport(dataclasses.replace(data, kappa=counting))
+        assert 16 * sizes[-1] // sizes[0] <= 64, sizes
+
+    def test_single_step_error_is_order_7(self):
+        """One step of order 6 from the identity is off DOP853 by O(h^7):
+        halving h shrinks the error by at least 2^6.5 on a scene whose
+        generators do not commute (order 4 shrinks it by about 2^5)."""
+        data = generic_cyclic()
+        u0, errs = 0.3, []
+        for h in (0.4, 0.2, 0.1):
+            y = _magnus_steps(data, np.array([u0]), np.array([h]))[0]
+            ref = _reference_state(dataclasses.replace(data, u_range=(u0, u0 + h)),
+                                   np.array([u0 + h]))[:, 0]
+            errs.append(np.abs(y[:, :3].reshape(12) - ref).max())
+        for big, small in zip(errs, errs[1:]):
+            assert big / small >= 2.0 ** 6.5, errs
 
     def test_zero_band_on_cyclic_circles(self):
         # n = 0: the reduced residual has degree 6 in v, so harmonics 7..12
