@@ -197,7 +197,8 @@ def transport(data: CyclicSurface) -> _DenseOde:
     _DenseOde of the 12 components on data.u_range.
 
     The step count doubles until n and 2n steps agree at the shared knots
-    to _MAGNUS_TOL after Richardson's /63; past _MAGNUS_MAX_STEPS this
+    to _MAGNUS_TOL after Richardson's /63, which assumes smooth
+    coefficients (a kink in kappa can pass it); past _MAGNUS_MAX_STEPS this
     raises NumericalError.  Dense output is one partial step from the knot
     at or below each u.
     """

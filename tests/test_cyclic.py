@@ -216,7 +216,18 @@ TRANSPORT_SCENES = {
                                         0.5, 0.1, 2.5),
     "sweep-mid": lambda: _sweep_shaped(0.8, 0.2, 0.3, 0.1, 2.0, 0.25, 0.05,
                                        0.35, 0.06, 2.0),
+    # kappa = 0.8 + 0.5 abs(u - 0.36) in a config: at 128 and 256 steps the
+    # kink lies between a knot and the first Gauss node of its step, so the
+    # nodes of both levels see only the branch right of it
+    "kink": lambda: CyclicSurface(lambda u: 0.8 + 0.5 * np.abs(u - 0.36),
+                                  lambda u: 0.3 + 0.1 * np.cos(u), 2.0,
+                                  lambda u: 0.2 + 0.05 * np.sin(u), 0.3, 0.5, (0.0, 2.0)),
 }
+_KINK_XFAIL = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="known limitation: the step-doubling estimate assumes smooth "
+           "coefficients; on the kink scene 128 and 256 steps agree to "
+           "roundoff while both are off by 3e-7")
 
 
 def _reference_state(data, us, frame0=np.eye(3), point0=np.zeros(3)):
@@ -237,7 +248,9 @@ def _reference_state(data, us, frame0=np.eye(3), point0=np.zeros(3)):
 
 
 class TestMagnusTransport:
-    @pytest.mark.parametrize("scene", sorted(TRANSPORT_SCENES))
+    @pytest.mark.parametrize("scene", [pytest.param(name, marks=_KINK_XFAIL)
+                                       if name == "kink" else name
+                                       for name in sorted(TRANSPORT_SCENES)])
     def test_against_dop853(self, scene):
         data = TRANSPORT_SCENES[scene]()
         state = transport(data)

@@ -2,17 +2,16 @@
 """CPU of one benchmark pass per scene kind and command, for two wlab trees.
 
     python3 tools/kind_cpu.py OLD_TREE NEW_TREE --workload W --seed N
-        [--kind K] [--rounds 5] [--passes 3] [--json PATH]
+        [--rounds 5] [--passes 3] [--json PATH]
 
 Each round runs both trees, each in a fresh interpreter, and alternates
 which tree goes first.  An interpreter imports its tree's wlab.cli, runs the
 workload's warm-up jobs and one untimed pass, then --passes timed passes of
-the workload's jobs (only those of scene kind K with --kind) through
-wlab.cli.main, and sums the CPU time (time.process_time) of each (scene
-kind, command) per pass; a round's reading is the median over its passes.
-The jobs come from this checkout's bench/workloads.py, as in
-tools/parity.py, and the exit codes and output files are not checked (see
-tools/parity.py and bench/check.py for that).
+the workload's jobs, and sums the CPU time (time.process_time) of each
+(scene kind, command) per pass; a round's reading is the median over its
+passes.  The jobs come from this checkout's bench/workloads.py and run
+through the job runner of tools/parity.py; their exit codes and output
+files are not checked (tools/parity.py and bench/check.py do that).
 
 Prints, per (scene kind, command) and per scene kind, the job count, each
 tree's median over the rounds with the range of the rounds in brackets,
@@ -25,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
-import io
 import json
 import os
 import statistics
@@ -35,62 +32,49 @@ import sys
 import tempfile
 import time
 
-from parity import _env as parity_env  # one BLAS thread, no PYTHONPATH
+import parity
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH = os.path.join(ROOT, "bench")
 ALL = "all"
 
 
-def record(tree: str, workload: str, seed: int, kind, passes: int) -> dict:
+def record(tree: str, workload: str, seed: int, passes: int) -> dict:
     """{"kind:command": [CPU seconds of each timed pass]} for tree, all
     jobs in this interpreter, the per-kind total under command ALL."""
-    src = os.path.join(os.path.abspath(tree), "src")
-    sys.path[:0] = [src, BENCH]
-    import wlab.cli
+    cli = parity.load_tree(tree)
     from workloads import make_workload
 
-    if os.path.dirname(os.path.abspath(wlab.__file__)) != os.path.join(src, "wlab"):
-        sys.exit(f"kind_cpu: imported wlab from {wlab.__file__}, not {src}")
     w = make_workload(workload, seed)
-    jobs = [job for job in w.jobs if kind in (None, job.scene.kind)]
     readings = collections.defaultdict(list)
     with tempfile.TemporaryDirectory(prefix="wlab-kind-cpu-") as work:
+        configs = parity.write_configs(w, work)
         out = os.path.join(work, "out")
-        configs = {}
-        for scene in w.scenes:
-            configs[scene.name] = os.path.join(work, scene.name + ".json")
-            with open(configs[scene.name], "w", encoding="utf-8") as fh:
-                fh.write(scene.text)
 
         def run_pass(batch) -> dict:
             cpu = collections.Counter()
             for job in batch:
-                argv = job.argv(configs[job.scene.name], out)
-                with contextlib.redirect_stderr(io.StringIO()):
-                    t0 = time.process_time()
-                    with contextlib.suppress(SystemExit):
-                        wlab.cli.main(argv)
-                    seconds = time.process_time() - t0
+                t0 = time.process_time()
+                parity.run_job(cli, job, configs, out)
+                seconds = time.process_time() - t0
                 cpu[f"{job.scene.kind}:{job.command}"] += seconds
                 cpu[f"{job.scene.kind}:{ALL}"] += seconds
             return cpu
 
         run_pass(w.warmup_jobs())
-        run_pass(jobs)
+        run_pass(w.jobs)
         for _ in range(passes):
-            for key, seconds in run_pass(jobs).items():
+            for key, seconds in run_pass(w.jobs).items():
                 readings[key].append(seconds)
-    counts = collections.Counter(f"{job.scene.kind}:{job.command}" for job in jobs)
-    counts.update(f"{job.scene.kind}:{ALL}" for job in jobs)
+    counts = collections.Counter(f"{job.scene.kind}:{job.command}" for job in w.jobs)
+    counts.update(f"{job.scene.kind}:{ALL}" for job in w.jobs)
     return {"jobs": dict(counts), "cpu_s": dict(readings)}
 
 
 def _run_tree(tree: str, args) -> dict:
     argv = [sys.executable, os.path.abspath(__file__), "--record", tree,
             "--workload", args.workload, "--seed", str(args.seed),
-            "--passes", str(args.passes)] + (["--kind", args.kind] if args.kind else [])
-    proc = subprocess.run(argv, env=parity_env(), check=True, capture_output=True, text=True)
+            "--passes", str(args.passes)]
+    proc = subprocess.run(argv, env=parity._env(), check=True, capture_output=True,
+                          text=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
@@ -99,7 +83,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("trees", nargs="+", metavar="TREE")
     p.add_argument("--workload", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--kind", help="time only the jobs of this scene kind")
     p.add_argument("--rounds", type=int, default=5)
     p.add_argument("--passes", type=int, default=3)
     p.add_argument("--json", metavar="PATH", help="write every reading to PATH")
@@ -110,7 +93,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv) -> int:
     args = _parser().parse_args(argv)
     if args.record:
-        result = record(args.trees[0], args.workload, args.seed, args.kind, args.passes)
+        result = record(args.trees[0], args.workload, args.seed, args.passes)
         print(json.dumps(result))
         return 0
     if len(args.trees) != 2 or min(args.rounds, args.passes) < 1:

@@ -63,6 +63,43 @@ def _src_lines(tree: str) -> int:
     return total
 
 
+def load_tree(tree: str):
+    """tree's wlab.cli, imported into this interpreter with this checkout's
+    bench/ on sys.path; exits when wlab is imported from elsewhere."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    sys.path[:0] = [src, BENCH]
+    import wlab.cli
+
+    if os.path.dirname(os.path.abspath(wlab.__file__)) != os.path.join(src, "wlab"):
+        sys.exit(f"{os.path.basename(sys.argv[0])}: imported wlab from {wlab.__file__}, "
+                 f"not {src}")
+    return wlab.cli
+
+
+def write_configs(w, base: str) -> dict:
+    """{scene name: path} of the config files of workload w, written to base."""
+    configs = {}
+    for scene in w.scenes:
+        configs[scene.name] = os.path.join(base, scene.name + ".json")
+        with open(configs[scene.name], "w", encoding="utf-8") as fh:
+            fh.write(scene.text)
+    return configs
+
+
+def run_job(cli, job, configs: dict, out: str):
+    """(exit code, or the exception of a crash; stderr) of job, run through
+    cli.main with its scene's config from configs and its outputs in out."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(job.argv(configs[job.scene.name], out))
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # a crash is a result to compare
+            code = f"{type(exc).__name__}: {exc}"
+    return code, err.getvalue()
+
+
 def run_jobs(tree: str):
     """Runs every job of the workloads at SEEDS, warm-up jobs included,
     through tree's wlab.cli.main, imported into this interpreter, in one
@@ -70,14 +107,10 @@ def run_jobs(tree: str):
     kind, command), exit code (or the exception of a crash), stderr with
     the work directory replaced by WORK_MARK, and the paths of the files it
     writes; the files are there until the next job runs."""
-    src = os.path.join(os.path.abspath(tree), "src")
-    sys.path[:0] = [src, BENCH]
-    import wlab.cli
+    cli = load_tree(tree)
     from check import output_files
     from workloads import WORKLOADS, make_workload
 
-    if os.path.dirname(os.path.abspath(wlab.__file__)) != os.path.join(src, "wlab"):
-        sys.exit(f"parity: imported wlab from {wlab.__file__}, not {src}")
     with tempfile.TemporaryDirectory(prefix="wlab-parity-") as work:
         for name in WORKLOADS:
             for seed in SEEDS:
@@ -85,28 +118,17 @@ def run_jobs(tree: str):
                 base = os.path.join(work, f"{name}-{seed}")
                 out = os.path.join(base, "out")
                 os.makedirs(out)
-                configs = {}
-                for scene in w.scenes:
-                    configs[scene.name] = os.path.join(base, scene.name + ".json")
-                    with open(configs[scene.name], "w", encoding="utf-8") as fh:
-                        fh.write(scene.text)
+                configs = write_configs(w, base)
                 for i, job in enumerate(w.warmup_jobs() + w.jobs):
                     files = output_files(job, out)
                     for f in files:
                         with contextlib.suppress(FileNotFoundError):
                             os.remove(f)
-                    err = io.StringIO()
-                    with contextlib.redirect_stderr(err):
-                        try:
-                            code = wlab.cli.main(job.argv(configs[job.scene.name], out))
-                        except SystemExit as exc:
-                            code = exc.code
-                        except Exception as exc:  # a crash is a result to compare
-                            code = f"{type(exc).__name__}: {exc}"
+                    code, stderr = run_job(cli, job, configs, out)
                     key = (f"{name}:{seed}:{i}:{job.scene.name}:{job.command}:"
                            f"{job.grid[0]}x{job.grid[1]}")
                     yield (key, [name, job.scene.kind, job.command], code,
-                           err.getvalue().replace(work, WORK_MARK), files)
+                           stderr.replace(work, WORK_MARK), files)
 
 
 def _text(path: str):
