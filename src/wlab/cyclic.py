@@ -76,8 +76,10 @@ class RiemannTypeSurface:
 
 
 class _DenseOde:
-    """Dense ODE output: states(uc) maps a 1-d array of u values, clamped
-    to u_range, to the states, shape (dim, len(uc)).
+    """A dense state, clamped and cached: states(uc) maps a 1-d array of u
+    values, clamped to u_range, to the states, shape (dim, len(uc)).  It
+    wraps the Magnus transport, the Riemann examples' closed form and the
+    rotational profiles' piece table.
 
     u is a float (the state has shape (dim,)) or a 1-d array (shape
     (dim, len(u))).  The last (u, y) pair is remembered, so the functions

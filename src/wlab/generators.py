@@ -9,9 +9,7 @@ test fixtures.
 """
 from __future__ import annotations
 
-import importlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,30 +27,15 @@ _EPS = float(np.finfo(float).eps)
 _COLLAPSE_EPS = 1e-8
 _BLOWUP_LIMIT = 1e8
 _ZERO = SmoothFunction.constant(0.0)
-# Bound on first use, since importing scipy costs more than most jobs and only
-# gen_riemann_example calls it.
-_SCIPY = {"brentq": "scipy.optimize",
-          **dict.fromkeys(("ellipj", "ellipkm1", "elliprd", "elliprf"), "scipy.special")}
-
-
-def _bind_scipy() -> None:
-    """Bind each name of _SCIPY that is not bound yet (a rebound one stays)."""
-    for name, home in _SCIPY.items():
-        if name not in globals():
-            globals()[name] = getattr(importlib.import_module(home), name)
 
 
 def __getattr__(name):
-    """A scipy name read as a module attribute (PEP 562), bound first.
-    generators.solve_ivp, which nothing here calls, is loaded on access only:
-    bench/tracing.py rebinds it."""
-    if name == "solve_ivp":
-        from scipy.integrate import solve_ivp
-        return solve_ivp
-    if name not in _SCIPY:
+    """generators.solve_ivp, loaded on access: bench/tracing.py rebinds it,
+    though nothing here calls it, and scipy is too slow to import eagerly."""
+    if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind_scipy()
-    return globals()[name]
+    from scipy.integrate import solve_ivp
+    return solve_ivp
 
 
 def _jacobi_near_pole(x, m1, quarter):
@@ -63,6 +46,8 @@ def _jacobi_near_pole(x, m1, quarter):
     dn = sqrt(m1) nd y (DLMF Table 22.4.3), which keeps their relative
     accuracy up to the pole.  The quarter period is infinite when m1 = 0.
     """
+    from scipy.special import ellipj
+
     ax = np.abs(x)
     far = ax > 0.5 * quarter
     sn, cn, dn, _ = ellipj(np.where(far, quarter - ax, ax), 1.0 - m1)
@@ -105,7 +90,10 @@ def gen_riemann_example(lam: float = 0.0, mu: float = 0.0, r0: float = 1.0,
         raise InvalidParameter("empty u_range")
     if r0 <= _COLLAPSE_EPS:
         raise RadiusCollapse(f"initial radius {r0} at or below {_COLLAPSE_EPS}")
-    _bind_scipy()
+    # imported here: scipy costs more than most jobs, and only this scene kind uses it
+    from scipy.optimize import brentq
+    from scipy.special import ellipkm1, elliprd, elliprf
+
     c = lam * lam + mu * mu
     s0 = r0 * r0
     k = (dr0 * dr0 + 1.0 - c * s0 * s0) / s0
@@ -164,37 +152,6 @@ def gen_riemann_example(lam: float = 0.0, mu: float = 0.0, r0: float = 1.0,
     r_fn = SmoothFunction(lambda u: state(u)[0], lambda u: state(u)[1], d2r)
     return RiemannTypeSurface(drift(lam), drift(mu), r_fn, (lo, hi),
                               truncated=truncated)
-
-
-@dataclass
-class RotationalProfile:
-    """Arc-length profile (rho(s), z(s)) with tangent angle theta(s).
-
-    rho' = cos theta, z' = sin theta, so rho'^2 + z'^2 = 1 identically.
-    kappa_meridian = theta' and the parallel curvature is sin theta / rho, with
-    the parametrization X(s, v) = (rho cos v, rho sin v, z).  The methods take
-    a float s or a 1-d array of s values; dense(s) has the rows rho, z, theta,
-    sin theta and cos theta.
-    """
-
-    rel: LWRelation
-    s_range: tuple
-    dense: object
-    truncated: bool = False
-
-    def state(self, s):
-        y = self.dense(s)
-        return y[0], y[1], y[2]
-
-    def rho(self, s):
-        return self.dense(s)[0]
-
-    def theta(self, s):
-        return self.dense(s)[2]
-
-    def kappa_meridian(self, s):
-        y = self.dense(s)
-        return self.rel.m * y[3] / y[0] + self.rel.n
 
 
 # Along a profile rho' = cos theta, so the relation theta' = m sin(theta) / rho
@@ -257,29 +214,40 @@ def _turn_map(turn, rho0: float, rho1: float) -> tuple:
     return (_TURN, p(rho0), p(rho1), d, rho_t, f_t)
 
 
-class _FirstIntegralProfile:
-    """The profile started at (rho0, 0, theta0), as a table of pieces.
+class RotationalProfile:
+    """Arc-length profile (rho(s), z(s)) with tangent angle theta(s), started
+    at (rho0, 0, theta0) at s_range[0], as a table of pieces.
 
-    states(s) gives (rho, z, theta, sin theta, cos theta) at arc lengths s in
-    [0, length] from the start, for a whole array of s at once.  length is
-    shorter than asked, and truncated is set, when the profile reaches the
-    axis rho = _COLLAPSE_EPS first.
+    rho' = cos theta, z' = sin theta, so rho'^2 + z'^2 = 1 identically.
+    kappa_meridian = theta' and the parallel curvature is sin theta / rho, with
+    the parametrization X(s, v) = (rho cos v, rho sin v, z).  The methods take
+    a float s or a 1-d array of s values; dense(s) has the rows rho, z, theta,
+    sin theta and cos theta.  s_range is the range reached: shorter than
+    asked, with truncated set, when the profile reaches the axis rho =
+    _COLLAPSE_EPS first.
     """
 
-    def __init__(self, m: float, n: float, rho0: float, theta0: float, length: float):
-        self.m, self.n = m, n
-        self.length, self.truncated = length, False
+    def __init__(self, rel: LWRelation, rho0: float, theta0: float, s_range: tuple):
+        if rho0 <= _COLLAPSE_EPS:
+            raise AxisCollision(f"rho0 = {rho0} at or below {_COLLAPSE_EPS}")
+        s0, s1 = s_range
+        if s1 <= s0:
+            raise InvalidParameter("empty s_range")
+        m, n, length = rel.m, rel.n, s1 - s0
+        self.rel, self.truncated, self._cylinder = rel, False, None
+        # built over the range asked; a truncation narrows both
+        self.s_range = (s0, s1)
+        self.dense = _DenseOde(lambda s: self._states(s - s0), self.s_range)
         f, c = math.sin(theta0), math.cos(theta0)
         # f from the start everywhere: a profile re-based at each turning
         # point would carry the roundoff of each base to the next one
         self._rho0, self._f0 = rho0, f
         self._critical = self._critical_point()
         turning = abs(f) == 1.0
-        self.cylinder = None
         if turning:  # rho'' = -sin(theta) theta' picks the direction
             slope = m * f / rho0 + n
             if slope == 0.0:
-                self.cylinder = (rho0, f, theta0)
+                self._cylinder = (rho0, f, theta0)
                 return
             sigma = -math.copysign(1.0, f * slope)
         else:
@@ -303,7 +271,8 @@ class _FirstIntegralProfile:
                                   (sigma, base, length - left, z))
             if f_end is None or ds >= left:
                 if end == _COLLAPSE_EPS and ds < left:
-                    self.length, self.truncated = length - left + ds, True
+                    self.truncated = True
+                    self.s_range = self.dense.u_range = (s0, s0 + (length - left + ds))
                 break
             left, z = left - ds, z + dz
             base += sigma * f_end * math.pi
@@ -319,17 +288,24 @@ class _FirstIntegralProfile:
         x = np.concatenate([[-1.0], _CHEB_X, [1.0]])
         self._g_table = (np.arange(len(rows))[:, None] + 0.5 * (x + 1.0)).ravel()
 
+    def rho(self, s):
+        return self.dense(s)[0]
+
+    def kappa_meridian(self, s):
+        y = self.dense(s)
+        return self.rel.m * y[3] / y[0] + self.rel.n
+
     def _f(self, rho: float) -> float:
         """f at rho; the exponents stop at 700, where |f| is far past 1."""
         rho_b, f_b = self._rho0, self._f0
         x = (rho - rho_b) / rho_b  # 1 + x loses digits as x goes to -1
-        m, u = self.m, math.log1p(x) if x > -0.5 else math.log(rho / rho_b)
+        m, u = self.rel.m, math.log1p(x) if x > -0.5 else math.log(rho / rho_b)
         e = u if m == 1.0 else math.expm1(min((m - 1.0) * u, 700.0)) / (m - 1.0)
-        return f_b * math.exp(min(m * u, 700.0)) + self.n * rho * e
+        return f_b * math.exp(min(m * u, 700.0)) + self.rel.n * rho * e
 
     def _critical_point(self):
         """The one rho > 0 where f' = m f / rho + n vanishes, or None."""
-        m, n, rho_b, f_b = self.m, self.n, self._rho0, self._f0
+        m, n, rho_b, f_b = self.rel.m, self.rel.n, self._rho0, self._f0
         if n == 0.0:
             return None
         ratio = f_b / (n * rho_b)
@@ -372,7 +348,7 @@ class _FirstIntegralProfile:
                 a, fa = x, fx
             else:
                 b = x
-            slope = self.m * (fx + side) / x + self.n
+            slope = self.rel.m * (fx + side) / x + self.rel.n
             step = x - fx / slope if slope else a
             if not min(a, b) < step < max(a, b):
                 step = 0.5 * (a + b)
@@ -432,7 +408,7 @@ class _FirstIntegralProfile:
         u = np.where(turn, d * np.log1p(2.0 * sh * sh), p - np.log(rho_b))  # ln(rho / rho_b)
         rho = rho_b * np.exp(u)
         jac = rho * np.where(turn, np.tanh(p), 1.0)
-        delta = f_b * np.expm1(self.m * u) + self._linear_term(rho, u)  # f - f_b
+        delta = f_b * np.expm1(self.rel.m * u) + self._linear_term(rho, u)  # f - f_b
         f = f_b + delta
         q = np.where(np.abs(f_b) == 1.0, -f_b * delta * (2.0 + f_b * delta),
                      (1.0 - f) * (1.0 + f))
@@ -440,22 +416,23 @@ class _FirstIntegralProfile:
 
     def _linear_term(self, rho, u):
         """n rho expm1((m - 1) u) / (m - 1), at u = ln(rho / rho_b)."""
-        m = self.m
-        return self.n * rho * (u if m == 1.0 else np.expm1((m - 1.0) * u) / (m - 1.0))
+        m = self.rel.m
+        return self.rel.n * rho * (u if m == 1.0 else np.expm1((m - 1.0) * u) / (m - 1.0))
 
     def _f_array(self, rho):
         """f at an array of rho, from the start: its relative accuracy holds
         as f goes to 0 at the axis."""
         u = np.log(rho / self._rho0)
-        return self._f0 * np.exp(self.m * u) + self._linear_term(rho, u)
+        return self._f0 * np.exp(self.rel.m * u) + self._linear_term(rho, u)
 
-    def states(self, s: np.ndarray) -> np.ndarray:
-        """Rows rho, z, theta, sin theta and cos theta at the 1-d array s:
-        per element, Newton for the piece parameter whose s is that element,
-        started from the node table and frozen once its step is below 4 ulp,
-        so an element gets the same bits alone as in any array."""
-        if self.cylinder is not None:
-            rho0, f, theta0 = self.cylinder
+    def _states(self, s: np.ndarray) -> np.ndarray:
+        """Rows rho, z, theta, sin theta and cos theta at the 1-d array s of
+        arc lengths from the start: per element, Newton for the piece
+        parameter whose s is that element, started from the node table and
+        frozen once its step is below 4 ulp, so an element gets the same bits
+        alone as in any array."""
+        if self._cylinder is not None:
+            rho0, f, theta0 = self._cylinder
             one = np.ones_like(s)
             return np.stack([rho0 * one, f * s, theta0 * one, f * one, 0.0 * one])
         g = np.interp(s, self._s_table, self._g_table)
@@ -487,28 +464,20 @@ def gen_rotational_lw(rel: LWRelation, rho0: float, theta0: float,
 
     The profile of rho' = cos theta, z' = sin theta,
     theta' = m sin(theta)/rho + n from (rho0, 0, theta0) at s_range[0] comes
-    from its first integral sin theta = f(rho) (see _FirstIntegralProfile),
+    from its first integral sin theta = f(rho) (see RotationalProfile),
     one evaluation per array of s.  If the profile reaches the axis it stops
     there and a truncated partial profile is returned (flag set) rather than
     raising.
 
     Returns (profile, surface).
     """
-    if rho0 <= _COLLAPSE_EPS:
-        raise AxisCollision(f"rho0 = {rho0} at or below {_COLLAPSE_EPS}")
-    s0, s1 = s_range
-    if s1 <= s0:
-        raise InvalidParameter("empty s_range")
-    first = _FirstIntegralProfile(rel.m, rel.n, rho0, theta0, s1 - s0)
-    achieved = (s0, s0 + first.length if first.truncated else s1)
-    dense = _DenseOde(lambda s: first.states(s - s0), achieved)
-    profile = RotationalProfile(rel, achieved, dense, truncated=first.truncated)
-    kappa = profile.kappa_meridian  # theta'
+    profile = RotationalProfile(rel, rho0, theta0, s_range)
+    dense, kappa = profile.dense, profile.kappa_meridian  # kappa = theta'
     rho = SmoothFunction(profile.rho, lambda s: dense(s)[4],
                          lambda s: -kappa(s) * dense(s)[3])
     z = SmoothFunction(lambda s: dense(s)[1], lambda s: dense(s)[3],
                        lambda s: kappa(s) * dense(s)[4])
-    return profile, _horizontal_circles(_ZERO, _ZERO, rho, z, achieved)
+    return profile, _horizontal_circles(_ZERO, _ZERO, rho, z, profile.s_range)
 
 
 def _meridian_circle(center: float, radius: float):

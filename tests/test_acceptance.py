@@ -196,7 +196,7 @@ def test_criterion_6_rotational_generator():
     for m, n in ((-1.0, 1.0), (2.0, -1.0), (0.5, 0.3)):
         profile, surf = gen_rotational_lw(LWRelation(m, n), 1.0, 0.3, (0.0, 1.0))
         ss = interior_s(profile)
-        rho, _, theta = profile.state(ss)
+        rho, _, theta = profile.dense(ss)[:3]
         km, kp = profile.kappa_meridian(ss), np.sin(theta) / rho
         worst_res = max(worst_res, np.abs(km - (m * kp + n)).max())
         fit_given, fit_swapped = fit_lw(CurvatureSampleSet(km, kp))

@@ -875,7 +875,7 @@ def _tree_bytes(root):
 
 def test_cold_start_loads_scipy_on_first_use(tmp_path):
     """import wlab.cli leaves scipy unloaded, and the riemann-example
-    generator binds its names on first use; both scenes write the
+    generator imports them on first use; both scenes write the
     in-process bytes."""
     configs = [write_config(tmp_path, base, f"{base['name']}.json")
                for base in (RIEMANN_EXAMPLE, ROTATIONAL)]

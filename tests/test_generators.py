@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate import solve_ivp
 
 from wlab import cyclic, generators
 from wlab.cyclic import build_riemann_type
@@ -93,7 +93,7 @@ class TestRotationalLw:
         ss = interior_s(profile)
 
         def kappa_parallel(s):
-            rho, _, theta = profile.state(s)
+            rho, _, theta = profile.dense(s)[:3]
             return np.sin(theta) / rho
 
         km, kp = profile.kappa_meridian(ss), kappa_parallel(ss)
@@ -114,7 +114,7 @@ class TestRotationalLw:
         assert abs(profile.s_range[1] - math.pi / 2) < 1e-6
         for s in (0.3, 0.8, 1.3):
             assert abs(profile.rho(s) - math.cos(s)) < 1e-8
-            assert abs(profile.theta(s) - (s + math.pi / 2)) < 1e-8
+            assert abs(profile.dense(s)[2] - (s + math.pi / 2)) < 1e-8
 
     def test_sphere_profile_m_minus_1(self):
         profile, surf = gen_rotational_lw(LWRelation(-1.0, 2.0), 1.0,
@@ -128,7 +128,7 @@ class TestRotationalLw:
         profile, _ = gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 2.0))
         h = 1e-5
         for s in (0.5, 1.0, 1.5):
-            rho, z, th = profile.state(s)
+            rho, z, th = profile.dense(s)[:3]
             drho = (profile.dense(s + h)[0] - profile.dense(s - h)[0]) / (2 * h)
             dz = (profile.dense(s + h)[1] - profile.dense(s - h)[1]) / (2 * h)
             assert abs(drho - math.cos(th)) < 1e-7
@@ -149,6 +149,19 @@ class TestRotationalLw:
                                    [[1.0, 0.0, 0.3, math.sin(0.3), math.cos(0.3)]] * 2,
                                    rtol=0, atol=1e-16)
 
+    @pytest.mark.parametrize("length", [1.0, 6.0])
+    def test_offset_start(self, length):
+        """A profile started at s = 2 is the one started at s = 0, moved by
+        2: the same truncation, the range moved by 2 and the same bits at
+        dyadic s, where (s + 2) - 2 == s."""
+        rel = LWRelation(2.0, -1.0)
+        at0, _ = gen_rotational_lw(rel, 1.0, 0.3, (0.0, length))
+        at2, _ = gen_rotational_lw(rel, 1.0, 0.3, (2.0, 2.0 + length))
+        assert at0.truncated == at2.truncated == (length == 6.0)  # 6 reaches the axis
+        assert at2.s_range == (2.0, 2.0 + at0.s_range[1])
+        ss = np.arange(0.0, at0.s_range[1], 1.0 / 64.0)
+        np.testing.assert_array_equal(at0.dense(ss), at2.dense(ss + 2.0))
+
     @settings(max_examples=40, deadline=None)
     @given(m=st.one_of(st.just(1.0), st.floats(-2.5, -0.2), st.floats(0.2, 0.8),
                        st.floats(1.2, 2.5)),
@@ -161,7 +174,7 @@ class TestRotationalLw:
         # error in sin theta; it is taken away from the axis, where theta'
         # is singular.
         profile, _ = gen_rotational_lw(LWRelation(m, n), rho0, theta0, (0.0, length))
-        rho, _, theta = profile.state(np.linspace(*profile.s_range, 200))
+        rho, _, theta = profile.dense(np.linspace(*profile.s_range, 200))[:3]
         keep = rho > 0.1
         rho, sin = rho[keep], np.sin(theta[keep])
         if m == 1.0:
@@ -176,7 +189,7 @@ class TestRotationalLw:
         profile, surf = gen_rotational_lw(LWRelation(1.0, -1.0), 1.0, math.pi / 2,
                                           (0.0, 2.0))
         ss = np.linspace(0.0, 2.0, 9)
-        rho, z, theta = profile.state(ss)
+        rho, z, theta = profile.dense(ss)[:3]
         assert not profile.truncated and profile.s_range == (0.0, 2.0)
         np.testing.assert_array_equal(rho, 1.0)
         np.testing.assert_array_equal(theta, math.pi / 2)
@@ -205,29 +218,15 @@ class TestRotationalLw:
         axis, kappa_meridian matches the first integral's m C rho^(m-1) +
         n / (1 - m), or C + n (1 + ln rho) at m = 1, to 1e-12 of the sum of
         the terms' magnitudes."""
-        profile, _ = gen_rotational_lw(LWRelation(m, n), rho0, theta0, (0.0, length))
-        sol = _reference_profile(m, n, rho0, theta0, length)
-        end = profile.s_range[1]
-        assert profile.truncated == (sol.status == 1)
-        assert abs(end - sol.t[-1]) <= 1e-9
-        ss = np.concatenate([np.linspace(0.0, min(end, sol.t[-1]), 301),
-                             sol.t_events[1][sol.t_events[1] < end]])
-        got, ref = profile.dense(ss), sol.sol(ss)
-        keep = ref[0] >= 1e-6
-        scale = max(1.0, np.abs(ref[:2]).max())
-        for a, b in ((got[0], ref[0]), (got[1], ref[1]), (got[3], ref[2]), (got[4], ref[3])):
-            assert np.abs(a - b)[keep].max() <= 1e-10 * scale
-        near = np.concatenate([ss, end - np.logspace(-8.0, -2.0, 25)])
-        near = near[(near >= 0.0) & (profile.rho(near) <= 1e-2)]
-        rho, f0 = profile.rho(near), math.sin(theta0)
-        if m == 1.0:
-            c = f0 / rho0 - n * math.log(rho0)
-            terms = (np.full_like(rho, c + n), n * np.log(rho))
-        else:
-            c = (f0 - n * rho0 / (1.0 - m)) / rho0 ** m
-            terms = (m * c * rho ** (m - 1.0), np.full_like(rho, n / (1.0 - m)))
-        err = np.abs(profile.kappa_meridian(near) - terms[0] - terms[1])
-        assert np.all(err <= 1e-12 * (np.abs(terms[0]) + np.abs(terms[1])))
+        _check_against_dop853(m, n, rho0, theta0, length)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a start near a turning point, not on one in floating "
+                              "point, loses digits: 3.4e-7 of scale off DOP853")
+    def test_start_near_turning_point_matches_dop853(self):
+        """test_matches_dop853's check on a start 1e-7 short of a turning
+        point (1e-5 short still reads 1.4e-9 of scale)."""
+        _check_against_dop853(0.8, -0.8, 1.0, math.pi / 2 - 1e-7, 6.0)
 
 
 class TestFixtures:
@@ -279,44 +278,13 @@ class TestFixtures:
 
 
 class TestDenseLookups:
-    """The closures of one jet share the dense ODE output at their u."""
+    """The closures of one jet share the dense state at their u."""
 
-    SURFACES = {
-        "rotational-lw": (0.5, lambda: gen_rotational_lw(
-            LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))[1]),
-        "riemann-example": (0.4, lambda: build_riemann_type(
-            gen_riemann_example(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0)))),
-    }
-
-    @pytest.mark.parametrize("kind", sorted(SURFACES))
-    def test_one_ode_call_per_distinct_u(self, monkeypatch, kind):
-        u, build = self.SURFACES[kind]
-        surf = build()
-        calls = []
-        call = OdeSolution.__call__
-
-        def counted(sol, t):
-            calls.append(float(t))
-            return call(sol, t)
-
-        monkeypatch.setattr(OdeSolution, "__call__", counted)
-        for v in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
-            evaluate_jet(surf, u, v)
-        assert len(calls) <= 1
-
-    def test_one_first_integral_evaluation_per_distinct_u(self, monkeypatch):
-        """A rotational jet evaluates its first-integral profile once per
-        distinct u array: once for a circle of 16 v at one u, once for a
-        grid, once more for a grid at other u."""
-        calls = []
-        states = generators._FirstIntegralProfile.states
-
-        def counted(profile, s):
-            calls.append(len(s))
-            return states(profile, s)
-
-        monkeypatch.setattr(generators._FirstIntegralProfile, "states", counted)
-        _, surf = gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))
+    @staticmethod
+    def _check_one_call_per_distinct_u(surf, calls):
+        """calls holds the length of each u array evaluated: one for a circle
+        of 16 v at one u, one for a grid, none for the same grid again, one
+        for a grid at other u."""
         for v in np.linspace(0.0, 2 * math.pi, 16, endpoint=False):
             evaluate_jet(surf, 0.5, v)
         assert calls == [1]
@@ -324,6 +292,34 @@ class TestDenseLookups:
         for us in (np.linspace(0.1, 0.9, 7), np.linspace(0.1, 0.9, 7), np.linspace(0.2, 0.8, 3)):
             evaluate_jet(surf, us, vs)
         assert calls == [1, 7, 3]
+
+    def test_one_closed_form_evaluation_per_distinct_u(self, monkeypatch):
+        """A riemann-example jet evaluates the Jacobi functions of its closed
+        form once per distinct u array."""
+        surf = build_riemann_type(gen_riemann_example(0.5, 0.3, 1.0, 0.2, (-1.0, 1.0)))
+        calls = []
+        jacobi = generators._jacobi_near_pole
+
+        def counted(x, m1, quarter):
+            calls.append(len(x))
+            return jacobi(x, m1, quarter)
+
+        monkeypatch.setattr(generators, "_jacobi_near_pole", counted)
+        self._check_one_call_per_distinct_u(surf, calls)
+
+    def test_one_first_integral_evaluation_per_distinct_u(self, monkeypatch):
+        """A rotational jet evaluates its first-integral profile once per
+        distinct u array."""
+        calls = []
+        states = generators.RotationalProfile._states
+
+        def counted(profile, s):
+            calls.append(len(s))
+            return states(profile, s)
+
+        monkeypatch.setattr(generators.RotationalProfile, "_states", counted)
+        _, surf = gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))
+        self._check_one_call_per_distinct_u(surf, calls)
 
 
 def _reference_radius_ode(lam, mu, r0, dr0, u_range, us):
@@ -347,6 +343,33 @@ def _reference_radius_ode(lam, mu, r0, dr0, u_range, us):
             assert sol.success, sol.message
             out[:, idx] = sol.y
     return out
+
+
+def _check_against_dop853(m, n, rho0, theta0, length):
+    """The check of TestRotationalLw.test_matches_dop853 on one profile."""
+    profile, _ = gen_rotational_lw(LWRelation(m, n), rho0, theta0, (0.0, length))
+    sol = _reference_profile(m, n, rho0, theta0, length)
+    end = profile.s_range[1]
+    assert profile.truncated == (sol.status == 1)
+    assert abs(end - sol.t[-1]) <= 1e-9
+    ss = np.concatenate([np.linspace(0.0, min(end, sol.t[-1]), 301),
+                         sol.t_events[1][sol.t_events[1] < end]])
+    got, ref = profile.dense(ss), sol.sol(ss)
+    keep = ref[0] >= 1e-6
+    scale = max(1.0, np.abs(ref[:2]).max())
+    for a, b in ((got[0], ref[0]), (got[1], ref[1]), (got[3], ref[2]), (got[4], ref[3])):
+        assert np.abs(a - b)[keep].max() <= 1e-10 * scale
+    near = np.concatenate([ss, end - np.logspace(-8.0, -2.0, 25)])
+    near = near[(near >= 0.0) & (profile.rho(near) <= 1e-2)]
+    rho, f0 = profile.rho(near), math.sin(theta0)
+    if m == 1.0:
+        c = f0 / rho0 - n * math.log(rho0)
+        terms = (np.full_like(rho, c + n), n * np.log(rho))
+    else:
+        c = (f0 - n * rho0 / (1.0 - m)) / rho0 ** m
+        terms = (m * c * rho ** (m - 1.0), np.full_like(rho, n / (1.0 - m)))
+    err = np.abs(profile.kappa_meridian(near) - terms[0] - terms[1])
+    assert np.all(err <= 1e-12 * (np.abs(terms[0]) + np.abs(terms[1])))
 
 
 def _reference_profile(m, n, rho0, theta0, length):

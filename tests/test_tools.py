@@ -86,18 +86,22 @@ def test_obj_text_sweep_runs():
 
 
 def test_parity_csv_moves_per_column():
-    """The largest absolute and relative move of each numeric column that
-    moved, and a flag for a changed pass cell and for a cell that is a
-    number in one text only."""
+    """The largest absolute move of each numeric column that moved, and
+    that move over the column's largest finite magnitude in either text,
+    and a flag for a changed pass cell and for a cell that is a number in
+    one text only."""
     old = "u,H,pass\n0.5,2,True\n1,-4,\n1.5,1e-3,False\n"
     new = "u,H,pass\n0.5,2.5,True\n1,-4.1,\n1.5,nan,True\n"
     moves, flags = parity.csv_moves(old, new)
-    assert moves == {"H": (0.5, 0.2)}
+    assert moves == {"H": (0.5, 0.5 / 4.1)}
     assert flags == ["row 3 pass: 'False' -> 'True'"]
     moves, flags = parity.csv_moves(old, new.replace("nan", ""))
     assert flags == ["row 3 H: '1e-3' -> ''", "row 3 pass: 'False' -> 'True'"]
     assert parity.csv_moves(old, old) == ({}, [])
     assert parity.csv_moves(old, old + "2,0,\n") == ({}, ["rows 3 -> 4"])
+    # a cell that is roundoff of zero moves by 2 of itself, 3.5e-15 of the column
+    moves, _ = parity.csv_moves("j,A\n0,2\n12,3.5e-15\n", "j,A\n0,2\n12,-3.5e-15\n")
+    assert moves == {"A": (7e-15, 3.5e-15)}
 
 
 def test_parity_text_flags():

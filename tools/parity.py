@@ -9,9 +9,10 @@ jobs of one tree in one fresh interpreter.  The jobs and the files each
 one writes come from this checkout's bench/workloads.py and bench/check.py.
 Prints each job whose exit code, stderr (with the work directory replaced)
 or sha256 of an output file differs, with its scene kind.  Under it, for
-each output CSV that differs, the largest absolute and relative move of
-each numeric column that moved; and a FLAG line for each changed `pass`
-cell, report verdict or True/False line, or metadata `truncated` value.
+each output CSV that differs, the largest absolute move of each numeric
+column that moved and that move relative to the column's largest value;
+and a FLAG line for each changed `pass` cell, report verdict or
+True/False line, or metadata `truncated` value.
 When any job differs, it then prints a count per (workload, scene kind,
 command) and the largest move per (scene kind, CSV, column) over all
 jobs; then a summary line with the line totals of both trees'
@@ -28,6 +29,7 @@ import glob
 import hashlib
 import io
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -163,27 +165,30 @@ def csv_moves(old: str, new: str):
     """({column: (largest absolute move, largest relative move)} over the
     numeric cells of two CSV texts, columns that did not move left out;
     [flag]) for each changed `pass` cell, changed row count or header, and
-    cell that is a number in one text only.  The relative move of a cell is
-    |a - b| / max(|a|, |b|)."""
+    cell that is a number in one text only.  The relative move of a column
+    is its largest |a - b| over the largest finite |a| or |b| in that column
+    of either text, so that cells which are roundoff of zero do not decide
+    it."""
     a_rows, b_rows = list(csv.reader(io.StringIO(old))), list(csv.reader(io.StringIO(new)))
     if not a_rows or not b_rows or a_rows[0] != b_rows[0]:
         return {}, ["header changed"]
-    header, moves, flags = a_rows[0], {}, []
+    header, moves, sizes, flags = a_rows[0], {}, {}, []
     if len(a_rows) != len(b_rows):
         flags.append(f"rows {len(a_rows) - 1} -> {len(b_rows) - 1}")
     for row, (ra, rb) in enumerate(zip(a_rows[1:], b_rows[1:]), 1):
         for column, ca, cb in zip(header, ra, rb):
+            x, y = _number(ca), _number(cb)
+            for value in (x, y):
+                if value is not None and math.isfinite(value):
+                    sizes[column] = max(sizes.get(column, 0.0), abs(value))
             if ca == cb:
                 continue
-            x, y = _number(ca), _number(cb)
             if column == "pass" or (x is None) != (y is None):
                 flags.append(f"row {row} {column}: {ca!r} -> {cb!r}")
             elif x is not None:
-                big = max(abs(x), abs(y))
-                move = (abs(x - y), abs(x - y) / big if big else 0.0)
-                best = moves.get(column, (0.0, 0.0))
-                moves[column] = (max(best[0], move[0]), max(best[1], move[1]))
-    return moves, flags
+                moves[column] = max(moves.get(column, 0.0), abs(x - y))
+    return {column: (move, move / sizes[column] if sizes.get(column) else 0.0)
+            for column, move in moves.items()}, flags
 
 
 def text_flags(name: str, old, new) -> list:
