@@ -1,15 +1,26 @@
 """Mesh and report output: OBJ export, CSV writers, atomic file writes.
 
-Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files.  An
-OBJ of fewer than _OBJ_VECTOR_MIN_VERTICES vertices is three "%" blocks: the
-vertices, the normals, and the faces, whose corners are gathered from a
-table of "k//k" tokens by index arrays.  A larger OBJ is built by numpy,
-_OBJ_CHUNK_LINES lines at a time, in NUL-padded byte slots: a "%.9g" token
-per number (_g9_slots) and a "k//k" token per face corner (_face_tokens);
-one bytes.translate per chunk drops the NULs.  Both paths return the same
-text.  A float array handed to write_csv gets its templates from one
-np.isnan over the whole array: each run of rows with one NaN pattern (NaN
-is an empty cell) is one block.  Other rows are classified cell by cell.
+Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files.  A
+small output is "%" blocks.  A large one is built by numpy in NUL-padded
+byte slots, a token per number from one kernel at either width (_g_slots),
+a chunk at a time; one bytes.translate per chunk drops the NULs.  Both
+paths return the same bytes.
+
+An OBJ of fewer than _OBJ_VECTOR_MIN_VERTICES vertices is three "%" blocks:
+the vertices, the normals, and the faces, whose corners are gathered from a
+table of "k//k" tokens by index arrays.  A larger OBJ is built
+_OBJ_CHUNK_LINES lines at a time, from a "%.9g" slot per number and a
+"k//k" token per face corner (_face_tokens).
+
+A float array of at least _CSV_VECTOR_MIN_CELLS cells handed to write_csv
+is built _CSV_CHUNK_CELLS cells at a time, from a "%.12g" slot per cell;
+NaN is an empty slot, so an empty cell.  The chunk keeps every temporary
+below glibc's 128 KiB mmap threshold: a 9,216-cell grid formatted at once
+took fresh pages for its temporaries on each call, and its minor page
+faults ate the gain over "%".  A smaller array gets its templates from one
+np.isnan over the whole array: each run of rows with one NaN pattern is one
+"%" block.  Rows of any other cells are classified cell by cell.
+
 All writes go through a new file in the target directory, created with
 mode 0o666 less the umask, followed by an atomic rename.
 """
@@ -30,10 +41,13 @@ from .surface import ParamSurface, evaluate_jet, interior_grid
 # (BENCH_obj_text.json, "crossover", tools/obj_text_sweep.py).
 _OBJ_VECTOR_MIN_VERTICES = 256
 _OBJ_CHUNK_LINES = 2048     # lines per chunk of the vector path
-_SLOT = 16                  # bytes of the longest "%.9g" token, "-4.94065646e-324"
+# Cell count from which write_csv builds an array's text with numpy: the "%"
+# blocks are faster up to 64 rows of 9 cells, numpy from 80 rows up
+# (BENCH_csv_text.json, "crossover", tools/csv_text_sweep.py).
+_CSV_VECTOR_MIN_CELLS = 768
+_CSV_CHUNK_CELLS = 2048     # cells per chunk of the vector path
+_OBJ_DIGITS, _CSV_DIGITS = 9, 12
 _EXP = 20                   # the slot layouts cover decimal exponents -_EXP.._EXP
-_TIE = 1e-6                 # a mantissa this close to a rounding tie falls back to "%";
-                            # the scaling errs by at most 2.3e-7 on [1e8, 1e9)
 _LE64 = np.dtype("<u8")     # slot bytes as words: byte j is bits 8j..8j+7
 
 
@@ -116,50 +130,58 @@ def _digit_tables():
 
 
 @functools.cache
-def _g9_layouts():
-    """Tables of _g9_slots: lit_lo, lit_hi, a_lo, a_hi, b_lo, b_hi and
-    offset per code (sign, exponent e, digits kept n) plus "0" and "-0"
-    last; up and down per e.  A code's 16-byte "%.9g" layout is its literal
-    bytes (lit, as two little-endian uint64 words) OR the mantissa digits
-    shifted offset bytes to the right and masked by run a (the digits before
-    the decimal point) OR shifted offset + 1 bytes and masked by run b (the
-    digits after it).  Each layout is read off "%.9g" of the value whose
-    kept digits are 1..n, so a digit d before any 'e' marks mantissa digit
-    d - 1.  |x| * up[e] / down[e] takes |x| in [10**e, 10**(e+1)) to
-    [10**8, 10**9); both are exact powers of ten except up[e] for e < -14."""
-    kept = np.arange(1, 10)
-    values = (123456789 // 10 ** (9 - kept)) * 10.0 ** (np.arange(-_EXP, _EXP + 1)[:, None] - kept + 1)
-    values = values.ravel().tolist()
-    values += [-x for x in values] + [0.0, -0.0]
-    layout = np.array((("%.9g\n" * len(values)) % tuple(values)).encode().split(), dtype="S%d" % _SLOT)
-    layout = layout.view(np.uint8).reshape(-1, _SLOT)
-    mantissa = np.cumsum(layout == ord("e"), axis=1) == 0
+def _g_layouts(digits: int):
+    """Tables of _g_slots at "%.<digits>g": lit, run_a and run_b, each a
+    tuple of one uint64 array per slot word, and offset, per code (sign,
+    exponent e, digits kept n) plus "0" and "-0" last; up and down per e.
+    A slot is 8 bytes per word, enough for the longest token
+    ("-4.94065646e-324" at 9 digits, 16 bytes; 19 of 24 at 12).  A code's
+    layout is its literal bytes (lit) OR the mantissa digits shifted offset
+    bytes to the right and masked by run a (the digits before the decimal
+    point) OR shifted offset + 1 bytes and masked by run b (the digits after
+    it).  Each layout is read off one "%" block of the values whose kept
+    digits are a prefix of 123456789123, so the i-th digit 1-9 before any
+    'e' is mantissa digit i.  |x| * up[e] / down[e] takes |x| in
+    [10**e, 10**(e+1)) to [10**(digits-1), 10**digits); both are exact
+    powers of ten except up[e] for e < digits - 23."""
+    width = 8 * -(-(digits + 7) // 8)
+    kept = np.arange(1, digits + 1)
+    stencil = 123456789123 // 10 ** (12 - digits)
+    values = (stencil // 10 ** (digits - kept)) * 10.0 ** (np.arange(-_EXP, _EXP + 1)[:, None] - kept + 1)
+    text = (("%%.%dg\n" % digits) * values.size) % tuple(values.ravel().tolist())
+    text += "-" + text[:-1].replace("\n", "\n-") + "\n0\n-0\n"    # the negatives, then zeros
+    layout = np.array(text.encode().split(), dtype="S%d" % width).view(np.uint8).reshape(-1, width)
+    mantissa = np.cumsum(layout == ord("e"), axis=1, dtype=np.int8) == 0
     digit = mantissa & (layout >= ord("1")) & (layout <= ord("9"))
-    shift = np.arange(_SLOT) - (layout.astype(np.intp) - ord("1"))
-    offset = np.where(digit, shift, _SLOT).min(axis=1) % _SLOT     # 0 for "0" and "-0"
-    words = lambda table: table.astype(np.uint8).view(_LE64).T.copy()
-    tables = (*words(np.where(digit, 0, layout)),
-              *words(0xFF * (digit & (shift == offset[:, None]))),
-              *words(0xFF * (digit & (shift == offset[:, None] + 1))),
-              (8 * offset).astype(np.uint64),
-              np.array([float("1e%d" % max(8 - e, 0)) for e in range(-_EXP, _EXP + 1)]),
-              np.array([float("1e%d" % max(e - 8, 0)) for e in range(-_EXP, _EXP + 1)]))
-    for table in tables:
+    shift = np.arange(width, dtype=np.int8) - np.cumsum(digit, axis=1, dtype=np.int8) + 1
+    offset = digit.argmax(axis=1)[:, None]      # the first digit's shift; 0 for "0" and "-0"
+    words = lambda table: tuple(table.view(_LE64).T.copy())
+    tables = (words(np.where(digit, 0, layout)),
+              words((digit & (shift == offset)) * np.uint8(0xFF)),
+              words((digit & (shift == offset + 1)) * np.uint8(0xFF)),
+              (8 * offset.ravel()).astype(np.uint64),
+              np.array([float("1e%d" % max(digits - 1 - e, 0)) for e in range(-_EXP, _EXP + 1)]),
+              np.array([float("1e%d" % max(e - digits + 1, 0)) for e in range(-_EXP, _EXP + 1)]))
+    for table in (*tables[0], *tables[1], *tables[2], *tables[3:]):
         table.flags.writeable = False
     return tables
 
 
-def _g9_slots(x: np.ndarray) -> np.ndarray:
-    """(len(x), _SLOT) uint8: "%.9g" % x[i], NUL-padded on the right, for a
-    1-D float array.  Per value: the decimal exponent e from log10, |x|
-    scaled to [10**8, 10**9) and rounded to the 9-digit mantissa, its ASCII
-    digits from _digit_tables as a 128-bit (lo, hi) word pair, and the
-    token layout of (sign, e, digits kept) from _g9_layouts.  Non-finite
-    values, |e| > _EXP, and mantissas within _TIE of a rounding tie or
-    outside [10**8, 10**9] (a log10 off by one) are formatted by "%" one by
-    one."""
-    lit_lo, lit_hi, a_lo, a_hi, b_lo, b_hi, offset, up, down = _g9_layouts()
+def _g_slots(x: np.ndarray, digits: int) -> np.ndarray:
+    """(len(x), slot width) uint8: "%.<digits>g" % x[i], NUL-padded on the
+    right, for a 1-D float array and digits 9 or 12; at 12 digits, the CSV
+    width, NaN is an empty slot (an empty cell).  Per value: the decimal
+    exponent e from log10, |x| scaled to [10**(digits-1), 10**digits) and
+    rounded to the mantissa M, exact in int64, whose ASCII digits come from
+    _digit_tables as two 4-digit groups and a tail of digits - 8, and the
+    token layout of (sign, e, digits kept) from _g_layouts.  Non-finite
+    values, |e| > _EXP, and mantissas within 10**(digits-15) of a rounding
+    tie (the scaling errs by at most about 2.3 * 10**(digits-16), 2.3e-4 on
+    [1e11, 1e12)) or outside [10**(digits-1), 10**digits] (a log10 off by
+    one) are formatted by "%" one by one."""
+    lit, run_a, run_b, offset, up, down = _g_layouts(digits)
     padded, trailing = _digit_tables()
+    low, tail = 10.0 ** (digits - 1), digits - 8
     x = np.asarray(x, dtype=float)
     a = np.abs(x)
     zero = a == 0.0
@@ -170,30 +192,39 @@ def _g9_slots(x: np.ndarray) -> np.ndarray:
     e = np.clip(e, -_EXP, _EXP).astype(np.intp) + _EXP
     s = a * up[e] / down[e]
     r = np.rint(s)
-    regular &= (np.abs(s - r) < 0.5 - _TIE) & (r >= 1e8) & (r <= 1e9)
-    carry = r == 1e9
-    r[carry] = 1e8
+    regular &= (np.abs(s - r) < 0.5 - 10.0 ** (digits - 15)) & (r >= low) & (r <= 10 * low)
+    carry = r == 10 * low
+    r[carry] = low
     e += carry
     regular &= e <= 2 * _EXP
-    head, last = np.divmod(np.where(regular, r, 1e8).astype(np.intp), 10)
+    head, last = np.divmod(np.where(regular, r, low).astype(np.intp), 10 ** tail)
     top, mid = np.divmod(head, 10 ** 4)
     lo = padded[top].astype(_LE64) | (padded[mid].astype(_LE64) << 32)
-    hi = (last + ord("0")).astype(_LE64)
-    kept = 9 - (last == 0) * (1 + trailing[mid] + (mid == 0) * trailing[top])
+    end = last == 0
+    if tail == 1:       # one ASCII digit; a table lookup here cost the 9-digit kernel 5%
+        words, tail_zeros = (lo, (last + ord("0")).astype(_LE64)), end
+    else:
+        words, tail_zeros = (lo, padded[last].astype(_LE64)), trailing[last]
+    kept = digits - tail_zeros - end * (trailing[mid] + (mid == 0) * trailing[top])
     sign = np.signbit(x)
     code = np.where(zero, len(offset) - 2 + sign,
-                    (sign * (2 * _EXP + 1) + np.minimum(e, 2 * _EXP)) * 9 + kept - 1)
+                    (sign * (2 * _EXP + 1) + np.minimum(e, 2 * _EXP)) * digits + kept - 1)
     bits = offset[code]
-    spill = lo >> 1             # lo >> (64 - bits) is spill >> (63 - bits), also for bits = 0
-    slots = np.empty((len(x), 2), dtype=_LE64)
-    slots[:, 0] = lit_lo[code] | (lo << bits) & a_lo[code] | (lo << bits + 8) & b_lo[code]
-    slots[:, 1] = (lit_hi[code] | ((hi << bits) | (spill >> 63 - bits)) & a_hi[code]
-                   | ((hi << bits + 8) | (spill >> 55 - bits)) & b_hi[code])
+    slots = np.empty((len(x), len(lit)), dtype=_LE64)
+    for k in range(len(lit)):   # a third word holds only what the second spills
+        shifted_a, shifted_b = (words[k] << bits, words[k] << bits + 8) if k < 2 else (0, 0)
+        if k:
+            spill = words[k - 1] >> 1   # w >> (64 - bits) is spill >> (63 - bits), also for bits = 0
+            shifted_a = shifted_a | spill >> 63 - bits
+            shifted_b = shifted_b | spill >> 55 - bits
+        slots[:, k] = lit[k][code] | shifted_a & run_a[k][code] | shifted_b & run_b[k][code]
     slots = slots.view(np.uint8)
     odd = np.flatnonzero(~(regular | zero))
     if odd.size:
-        tokens = [("%.9g" % v).encode() for v in x[odd].tolist()]
-        slots[odd] = np.array(tokens, dtype="S%d" % _SLOT).view(np.uint8).reshape(-1, _SLOT)
+        spec = "%%.%dg" % digits
+        tokens = [b"" if v != v and digits == _CSV_DIGITS else (spec % v).encode()
+                  for v in x[odd].tolist()]
+        slots[odd] = np.array(tokens, dtype="S%d" % slots.shape[1]).view(np.uint8).reshape(len(odd), -1)
     return slots
 
 
@@ -217,15 +248,16 @@ def _face_tokens(count: int) -> np.ndarray:
     return items.view(np.dtype((np.void, 2 * w + 5))).ravel()
 
 
-def _lines(prefix: bytes, slots: np.ndarray) -> str:
-    """Text of one line per row of slots, shape (lines, k, width): prefix,
-    then the k slots separated by spaces, then a newline; NULs dropped."""
-    n, k, width = slots.shape
-    out = np.empty((n, len(prefix) + k * (width + 1)), dtype=np.uint8)
+def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str = " ") -> str:
+    """Text of one line per k rows of slots, shape (lines * k, width):
+    prefix, then the k slots separated by sep, then a newline; NULs
+    dropped."""
+    width = slots.shape[1]
+    out = np.empty((len(slots) // k, len(prefix) + k * (width + 1)), dtype=np.uint8)
     out[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
-    body = out[:, len(prefix):].reshape(n, k, width + 1)
-    body[:, :, :width] = slots
-    body[:, :, width] = ord(" ")
+    body = out[:, len(prefix):].reshape(-1, k, width + 1)
+    body[:, :, :width] = slots.reshape(-1, k, width)
+    body[:, :, width] = ord(sep)
     body[:, -1, width] = ord("\n")
     return out.tobytes().translate(None, b"\0").decode("ascii")
 
@@ -233,7 +265,7 @@ def _lines(prefix: bytes, slots: np.ndarray) -> str:
 def _obj_text_vector(verts, normals, nu: int, nv: int) -> str:
     """OBJ text built by numpy, _OBJ_CHUNK_LINES lines at a time."""
     step = _OBJ_CHUNK_LINES
-    blocks = [_lines(prefix, _g9_slots(xyz[i:i + step].ravel()).reshape(-1, 3, _SLOT))
+    blocks = [_lines(prefix, _g_slots(xyz[i:i + step].ravel(), _OBJ_DIGITS), 3)
               for prefix, xyz in ((b"v ", verts), (b"vn ", normals))
               for i in range(0, len(xyz), step)]
     tokens = _face_tokens(nu * nv)
@@ -285,10 +317,27 @@ def _list_runs(rows):
         yield ",".join(spec) + "\n", len(run), cells
 
 
-def write_csv(path, header, rows) -> None:
-    """CSV text; each run of rows with one template is one "%" block.  rows
-    is a 2-D float array or a sequence of rows of any cells."""
+def _csv_text_percent(header, rows) -> str:
+    """CSV text with one "%" block per run of rows with one template."""
     runs = _array_runs(rows) if isinstance(rows, np.ndarray) else _list_runs(rows)
-    blocks = [",".join(header) + "\n"]
-    blocks += [(template * count) % cells for template, count, cells in runs]
-    atomic_write_text(path, "".join(blocks))
+    return "".join([",".join(header) + "\n"]
+                   + [(template * count) % cells for template, count, cells in runs])
+
+
+def _csv_text_vector(header, rows: np.ndarray) -> str:
+    """CSV text of a 2-D float array built by numpy, _CSV_CHUNK_CELLS cells
+    (at least one row) at a time."""
+    k = rows.shape[1]
+    step = max(1, _CSV_CHUNK_CELLS // k)
+    return "".join([",".join(header) + "\n"]
+                   + [_lines(b"", _g_slots(rows[i:i + step].ravel(), _CSV_DIGITS), k, ",")
+                      for i in range(0, len(rows), step)])
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV text.  rows is a 2-D float array or a sequence of rows of any
+    cells.  An array of at least _CSV_VECTOR_MIN_CELLS cells is built by
+    numpy; otherwise each run of rows with one template is one "%" block.
+    The bytes do not depend on which path builds them."""
+    vector = isinstance(rows, np.ndarray) and rows.size >= _CSV_VECTOR_MIN_CELLS
+    atomic_write_text(path, (_csv_text_vector if vector else _csv_text_percent)(header, rows))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlab import cli, config
+from wlab import cli, config, meshio
 from wlab.cli import main
 from wlab.config import (
     SceneConfig,
@@ -640,6 +640,58 @@ def test_write_csv_float_array_matches_per_cell_writer(rows):
             write_csv(path, header, given_rows)
             with open(path, encoding="utf-8") as fh:
                 assert fh.read() == expected
+
+
+def _wide_floats(rng, shape, nan_every):
+    """Floats over 40 decades, with -0.0, infinities and NaN cells spread
+    inside every chunk."""
+    rows = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 21, size=shape)
+    flat = rows.reshape(-1)
+    flat[rng.integers(0, flat.size, size=8)] = [0.0, -0.0, math.inf, -math.inf, 1e-300, 2.5e20, 1.0, -1e21]
+    flat[3::nan_every] = math.nan
+    return rows
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("k", [1, 9])
+def test_write_csv_vector_path_matches_per_cell_writer(tmp_path, k, extra):
+    """Row counts of one chunk less one, one chunk and one chunk plus one."""
+    rows = _wide_floats(np.random.default_rng(k * 10 + extra),
+                        (max(1, meshio._CSV_CHUNK_CELLS // k) + extra, k), 17)
+    assert rows.size >= meshio._CSV_VECTOR_MIN_CELLS
+    header = [f"c{i}" for i in range(k)]
+    expected = _per_cell_csv(header, rows.tolist())
+    assert meshio._csv_text_vector(header, rows) == expected
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, rows)
+    assert path.read_text() == expected
+
+
+def test_write_csv_vector_path_all_nan_rows_and_many_chunks(tmp_path):
+    rows = _wide_floats(np.random.default_rng(11), (1000, 9), 5)
+    rows[100:130] = math.nan
+    rows[:, 4] = math.nan
+    header = [f"c{i}" for i in range(9)]
+    path = tmp_path / "rows.csv"
+    write_csv(path, header, rows)
+    assert path.read_text() == _per_cell_csv(header, rows.tolist())
+
+
+@pytest.mark.parametrize("base", [RIEMANN_EXAMPLE, ROTATIONAL, CYCLIC, RIEMANN_TYPE],
+                         ids=["riemann-example", "rotational-lw", "cyclic", "riemann-type"])
+def test_analyze_grid_csv_paths_agree(tmp_path, monkeypatch, base):
+    """The 32 x 32 analyze array of each fine-grid scene kind, written by
+    the "%" blocks and by numpy."""
+    tables = []
+    monkeypatch.setattr(cli, "write_csv", lambda path, header, rows: tables.append((header, rows)))
+    path = write_config(tmp_path, {**base, "relation": base.get("relation", [-1.0, 0.0])})
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "out"),
+                 "--grid", "32x32"]) == 0
+    (header, rows), = tables
+    assert rows.shape == (32 * 32, 9)
+    text = meshio._csv_text_vector(header, rows)
+    assert text == meshio._csv_text_percent(header, rows)
+    assert text == _per_cell_csv(header, rows.tolist())
 
 
 class TestGenerate:

@@ -1,6 +1,7 @@
-"""OBJ text: the numpy formatter writes exactly "%.9g", and the two obj_text
-paths (the "%" blocks below the vertex crossover, numpy above it) return
-the same text at every grid size."""
+"""The numpy formatter writes exactly "%.9g" and "%.12g" (NaN is an empty
+slot at 12 digits, the CSV width), and the two obj_text paths (the "%"
+blocks below the vertex crossover, numpy above it) return the same text at
+every grid size."""
 import math
 
 import numpy as np
@@ -13,13 +14,22 @@ from wlab.generators import gen_fixture
 from conftest import generic_riemann_type
 
 
-def vector_tokens(values):
-    slots = meshio._g9_slots(np.array(values, dtype=float))
+DIGITS = [9, 12]
+
+
+def vector_tokens(values, digits):
+    slots = meshio._g_slots(np.array(values, dtype=float), digits)
     return [bytes(row).rstrip(b"\0").decode("ascii") for row in slots]
 
 
+def assert_g(values, digits):
+    spec = "%%.%dg" % digits
+    expected = ["" if x != x and digits == 12 else spec % x for x in values]
+    assert vector_tokens(values, digits) == expected
+
+
 def assert_g9(values):
-    assert vector_tokens(values) == ["%.9g" % x for x in values]
+    assert_g(values, 9)
 
 
 def with_ulps(x, ulps=1):
@@ -80,6 +90,90 @@ def test_near_ties(d, k, ulps):
     for _ in range(abs(ulps)):
         x = math.nextafter(x, math.copysign(math.inf, ulps))
     assert_g9([x, -x])
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_powers_of_ten_and_two_ulps_at_both_widths(digits):
+    assert_g(signed([y for k in range(-22, 23) for y in with_ulps(float("1e%d" % k), 2)]), digits)
+
+
+def _ties(d, digits):
+    """(d + 0.5) 10**(k - digits + 1), on a rounding tie of the last digit,
+    for k in -22..22."""
+    return [float("%d.5e%d" % (d, k - digits + 1)) for k in range(-22, 23)]
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_ties_near_ties_and_carry_at_both_widths(digits):
+    """Ties of the last kept digit two ulps either way, for mantissas with
+    leading, inner and trailing zeros and nines, and 99...9.5 10**k, which
+    carries into the next exponent."""
+    low = 10 ** (digits - 1)
+    mantissas = [low, low + 1, 123456789123 // 10 ** (12 - digits), 5 * low, 10 * low - 2,
+                 10 * low - 1, low + 10 ** (digits // 2), 9 * low + 99]
+    values = [x for d in mantissas for x in _ties(d, digits)]
+    values += [float("%d.4999e%d" % (10 * low - 1, k)) for k in range(-22, 23)]
+    assert_g(signed([y for x in values for y in with_ulps(x, 2)]), digits)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_notation_switches_at_both_widths(digits):
+    """Exponent notation below 1e-4 and from 10**digits up; the rounding
+    carry of 9.99...95e-5 and of 10**digits - 0.5 crosses the switch."""
+    nines = 10 ** digits - 1
+    values = [1e-5, 1e-4, float("%de-%d" % (nines, digits + 4)), float("%d.5e-%d" % (nines, digits + 4)),
+              float("%d.4e-%d" % (nines, digits + 4)), float(nines), nines + 0.4, nines + 0.5,
+              nines + 0.6, float(10 ** digits), float(10 ** digits + 10), float(10 ** (digits - 1)),
+              10 ** (digits - 1) - 0.5, 0.0001234, 120000.0, 1.2 * 10 ** (digits - 1)]
+    assert_g(signed([y for x in values for y in with_ulps(x, 2)]), digits)
+
+
+@pytest.mark.parametrize("digits", DIGITS)
+def test_specials_at_both_widths(digits):
+    """Subnormals, the extremes, |e| > 20 (formatted by "%"), signed zeros,
+    infinities and NaN, alone and among regular values."""
+    values = [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 1e-21, 1e21, 9.99999999999e20, 1.00000000001e-21,
+              -9.9999999999999e-21, 1e-20, 1e20, 0.0, -0.0, math.inf, -math.inf, math.nan,
+              -math.nan, 1.0, -1.0, 0.5, 2.0 ** 60, 3.0 ** -40]
+    assert_g(values, digits)
+    assert_g(values[::-1] * 3, digits)
+
+
+def test_nan_is_an_empty_slot_at_12_digits():
+    slots = meshio._g_slots(np.array([math.nan, 1.0, -math.nan]), 12)
+    assert slots.shape == (3, 24)
+    assert not slots[[0, 2]].any()
+    assert vector_tokens([math.nan], 9) == ["nan"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=40))
+def test_any_float_at_12_digits(values):
+    assert_g(values, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(10 ** 11, 10 ** 12 - 1), k=st.integers(-24, 24), ulps=st.integers(-3, 3))
+def test_near_ties_at_12_digits(d, k, ulps):
+    x = float("%d.5e%d" % (d, k - 11))
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    assert_g([x, -x], 12)
+
+
+@pytest.mark.parametrize("error", [-1.0, 1.0])
+@pytest.mark.parametrize("digits", DIGITS)
+def test_exponent_off_by_one_at_both_widths(monkeypatch, digits, error):
+    """A log10 one too high or too low leaves the mantissa outside
+    [10**(digits-1), 10**digits]; those values fall back to "%", except an
+    exact 10**digits, which carries."""
+    log10 = np.log10
+    monkeypatch.setattr(meshio.np, "log10", lambda a: log10(a) + error)
+    rng = np.random.default_rng(4)
+    values = (rng.normal(size=300) * 10.0 ** rng.integers(-19, 19, size=300)).tolist()
+    assert_g(values + [1.0, 1e5, 0.1, 10 ** digits - 0.3, math.nan, 0.0], digits)
 
 
 def _random_mesh(rng, count):

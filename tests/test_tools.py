@@ -85,6 +85,21 @@ def test_obj_text_sweep_runs():
     assert sorted(result["tracemalloc_peak_mb_96x96"]) == ["percent", "vector"]
 
 
+def test_csv_text_sweep_runs():
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "csv_text_sweep.py"),
+                           "--reps", "1", "--rows", "16,36"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert sorted(result["crossover"]) == ["16", "36"]
+    for rows in (16, 36):
+        size = result["crossover"][str(rows)]
+        assert size["cells"] == 9 * rows
+        for path in ("percent", "vector"):
+            assert size[path]["q1_ms"] <= size[path]["median_ms"] <= size[path]["q3_ms"]
+            assert size[path]["minflt"] >= 0
+
+
 def test_parity_csv_moves_per_column():
     """The largest absolute move of each numeric column that moved, and
     that move over the column's largest finite magnitude in either text,
