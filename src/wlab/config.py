@@ -32,22 +32,31 @@ _UNARY_OPS = (ast.UAdd, ast.USub)
 _BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
-def _in_grammar(node) -> bool:
+def _in_grammar(node, too_big: list) -> bool:
     """True when the expression tree only holds int/float constants, the
     names u and pi, unary + and -, binary + - * / ** and positional calls
-    of the _EXPR_FUNCTIONS."""
+    of the _EXPR_FUNCTIONS.  On the way every constant becomes a float, so
+    that 9**9**9 overflows at once instead of building a huge integer; the
+    OverflowError of an int beyond float range goes to too_big, because a
+    tree outside the grammar is reported as such first."""
     if isinstance(node, ast.Constant):
-        return type(node.value) in (int, float)
+        if type(node.value) not in (int, float):
+            return False
+        try:
+            node.value = float(node.value)
+        except OverflowError as exc:
+            too_big.append(exc)
+        return True
     if isinstance(node, ast.Name):
         return node.id in ("u", "pi")
     if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, _UNARY_OPS) and _in_grammar(node.operand)
+        return isinstance(node.op, _UNARY_OPS) and _in_grammar(node.operand, too_big)
     if isinstance(node, ast.BinOp):
-        return (isinstance(node.op, _BINARY_OPS) and _in_grammar(node.left)
-                and _in_grammar(node.right))
+        return (isinstance(node.op, _BINARY_OPS) and _in_grammar(node.left, too_big)
+                and _in_grammar(node.right, too_big))
     if isinstance(node, ast.Call):
         return (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCTIONS
-                and not node.keywords and all(map(_in_grammar, node.args)))
+                and not node.keywords and all(_in_grammar(a, too_big) for a in node.args))
     return False
 
 
@@ -62,13 +71,10 @@ def parse_scalar_function(spec, where: str, test_u: float = 0.5):
     if isinstance(spec, str):
         try:
             tree = ast.parse(spec, filename=f"<{where}>", mode="eval")
-            code = None
-            if _in_grammar(tree.body):
-                # float constants: 9**9**9 overflows at once instead of
-                # building a huge integer
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Constant):
-                        node.value = float(node.value)
+            code, too_big = None, []
+            if _in_grammar(tree.body, too_big):
+                if too_big:
+                    raise too_big[0]
                 code = compile(tree, f"<{where}>", "eval")
         except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
             raise ConfigError(f"{where}: invalid expression {spec!r}: {exc}") from None

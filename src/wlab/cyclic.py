@@ -27,8 +27,9 @@ _RADIUS_SAMPLES = 257
 
 
 def __getattr__(name):
-    """cyclic.solve_ivp, loaded on access: bench/tracing.py rebinds it,
-    though nothing here calls it, and scipy is too slow to import eagerly."""
+    """cyclic.solve_ivp, loaded on access.  It is here only for
+    bench/tracing.py, whose install reads and rebinds it (ROADMAP direction
+    4): nothing in wlab calls it, and no other path imports scipy."""
     if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.integrate import solve_ivp

@@ -9,6 +9,7 @@ test fixtures.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -30,12 +31,82 @@ _ZERO = SmoothFunction.constant(0.0)
 
 
 def __getattr__(name):
-    """generators.solve_ivp, loaded on access: bench/tracing.py rebinds it,
-    though nothing here calls it, and scipy is too slow to import eagerly."""
+    """generators.solve_ivp, loaded on access.  It is here only for
+    bench/tracing.py, whose install reads and rebinds it (ROADMAP direction
+    4): nothing in wlab calls it, and no other path imports scipy."""
     if name != "solve_ivp":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy.integrate import solve_ivp
     return solve_ivp
+
+
+# Elliptic functions of the Riemann-example closed form, in math and numpy.
+def _agm(a: float, b: float) -> float:
+    """The arithmetic-geometric mean of a, b > 0."""
+    while abs(a - b) > 4.0 * _EPS * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)
+
+
+def _ellipkm1(m1: float) -> float:
+    """K(m) = pi / (2 AGM(1, sqrt(m1))) for m = 1 - m1; infinite at m1 = 0."""
+    return math.inf if m1 == 0.0 else math.pi / (2.0 * _agm(1.0, math.sqrt(m1)))
+
+
+def _nome(p: float, pc: float) -> float:
+    """The nome of the parameter p <= 1/2, given p and pc = 1 - p, to its
+    relative accuracy down to p = 0: q = e + 2 e^5 + 15 e^9 + 150 e^13 +
+    1707 e^17, 2 e = (1 - pc^(1/4)) / (1 + pc^(1/4)) (A&S 17.3.21)."""
+    s = math.sqrt(pc)
+    e = p / (2.0 * (1.0 + s) * (1.0 + math.sqrt(s)) ** 2)
+    e4 = e ** 4
+    return e * (1.0 + e4 * (2.0 + e4 * (15.0 + e4 * (150.0 + e4 * 1707.0))))
+
+
+# sn, cn and dn are quotients of theta functions (DLMF 22.2), here sums over
+# the odd and even multiples k y of the scaled argument.  For m1 > 1/2 they
+# are trigonometric, with y = pi w / 2K and the nome of m; for m1 <= 1/2,
+# where cn and dn head for sech, the imaginary transformation (DLMF 22.6.iv)
+# makes them hyperbolic, with y = pi w / 2K(m1) and the nome of m1.  Either
+# nome is at most e^-pi, so four terms of each sum reach roundoff on
+# [0, K / 2], where each correction stays below a fifth of its leading term:
+# sn, cn and dn keep their relative accuracy as m1 -> 0.  At m1 = 0 the sums
+# are sinh, cosh and 1, the catenoid.
+_MULTIPLES = np.array([1.0, 3.0, 5.0, 7.0, 0.0, 2.0, 4.0, 6.0])[:, None]
+# below cosh overflow: k y exceeds it only for a nome under e^-400, whose
+# powers on those terms underflow to 0
+_MAX_MULTIPLE = 700.0
+
+
+@functools.lru_cache(maxsize=16)
+def _theta_series(m1: float):
+    """(scale, (odd, even), blocks, coefficients): y = scale w, and row i of
+    (sn, cn, dn, 1), times a common factor, sums coefficients[i] times block
+    blocks[i] of (odd of the odd k y, even of the odd, even of the even)."""
+    hyperbolic = m1 <= 0.5
+    p, pc = (m1, 1.0 - m1) if hyperbolic else (1.0 - m1, m1)
+    q = _nome(p, pc)
+    s1 = np.array([1.0, -q ** 2, q ** 6, -q ** 12])   # theta_1 / 2 q^(1/4)
+    c2 = np.abs(s1)                                   # theta_2 / 2 q^(1/4)
+    c3 = np.array([1.0, 2.0 * q, 2.0 * q ** 4, 2.0 * q ** 9])  # theta_3
+    c4 = c3 * np.array([1.0, -1.0, 1.0, -1.0])        # theta_4
+    v2, v3, v4 = c2.sum(), c3.sum(), c4.sum()         # their values at 0
+    if hyperbolic:
+        blocks, rows = [0, 2, 2, 1], (s1 * (v3 / v4), c4 * (v2 / v4), c3 * (v2 / v3), c2)
+    else:
+        blocks, rows = [0, 1, 2, 2], (s1 * (v3 / v2), c2 * (v4 / v2), c3 * (v4 / v3), c4)
+    functions = (np.sinh, np.cosh) if hyperbolic else (np.sin, np.cos)
+    return _agm(1.0, math.sqrt(pc)), functions, blocks, np.stack(rows)[:, :, None]
+
+
+def _jacobi(w, m1: float) -> np.ndarray:
+    """(sn, cn, dn, 1) of the 1-d array w in [0, K / 2] for m = 1 - m1, all
+    times one positive factor: shape (4, len(w))."""
+    scale, (odd, even), blocks, coefficients = _theta_series(m1)
+    ky = np.minimum(_MULTIPLES * (w * scale), _MAX_MULTIPLE)
+    basis = np.concatenate((odd(ky[:4]), even(ky))).reshape(3, 4, -1)
+    # four terms in a fixed order, so a grid and its points agree to the bit
+    return (coefficients * basis[blocks]).sum(axis=1)
 
 
 def _jacobi_near_pole(x, m1, quarter):
@@ -46,15 +117,97 @@ def _jacobi_near_pole(x, m1, quarter):
     dn = sqrt(m1) nd y (DLMF Table 22.4.3), which keeps their relative
     accuracy up to the pole.  The quarter period is infinite when m1 = 0.
     """
-    from scipy.special import ellipj
-
     ax = np.abs(x)
     far = ax > 0.5 * quarter
-    sn, cn, dn, _ = ellipj(np.where(far, quarter - ax, ax), 1.0 - m1)
+    sn, cn, dn, one = _jacobi(np.where(far, quarter - ax, ax), m1)
     k1 = math.sqrt(m1)
     den = np.where(far, k1 * sn, cn)
-    return (np.where(far, dn, 1.0) / den, np.where(far, cn, sn) / den,
-            np.where(far, k1, dn) / den)
+    return (np.where(far, dn, one) / den, np.where(far, cn, sn) / den,
+            np.where(far, k1 * one, dn) / den)
+
+
+# Carlson's duplication (Numer. Algorithms 10, 1995; DLMF 19.36.i) on the
+# arguments of the closed form, (1 + t^2, 1 + m1 t^2, 1) with |t| up to the
+# blow-up limit over the neck radius.  Floats run until the scaled spread is
+# below _CARLSON_TOL, at which the truncated series are exact to roundoff.
+# Arrays need only R_D, which the sum of the steps dominates once the spread
+# is large: _CARLSON_STEPS steps reach roundoff for every such t and m1 in
+# [0, 1], so every column takes the same steps.
+_CARLSON_TOL = (_EPS / 4.0) ** (1.0 / 6.0)
+_CARLSON_STEPS = 5
+
+
+def _rd_series(X, Y):
+    """The series of R_D = 4^-n A^(-3/2) series + 3 sum after n steps, to
+    fifth order in the scaled deviations X, Y of x and y, Z = -(X + Y) / 3
+    (DLMF 19.36.2)."""
+    Z = (X + Y) * (-1.0 / 3.0)
+    xy, zz = X * Y, Z * Z
+    e2, e3 = xy - 6.0 * zz, (3.0 * xy - 8.0 * zz) * Z
+    e4, e5 = 3.0 * (xy - zz) * zz, xy * zz * Z
+    return (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+            - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+
+
+def _carlson(x: float, y: float, z: float) -> tuple:
+    """(R_F(x, y, z), R_D(x, y, z)) of floats, from one duplication."""
+    x0, y0, af, ad = x, y, (x + y + z) / 3.0, (x + y + 3.0 * z) / 5.0
+    a0f, a0d, f, acc = af, ad, 1.0, 0.0
+    spread = max(x, y, z) - min(x, y, z)
+    while f * spread > _CARLSON_TOL * min(af, ad):
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sz * (sx + sy)
+        x, y, z, af, ad = x + lam, y + lam, z + lam, af + lam, ad + lam
+        acc += f / (sz * z)
+        x, y, z, af, ad, f = 0.25 * x, 0.25 * y, 0.25 * z, 0.25 * af, 0.25 * ad, 0.25 * f
+    X, Y = (a0f - x0) * f / af, (a0f - y0) * f / af
+    Z = -(X + Y)
+    e2, e3 = X * Y - Z * Z, X * Y * Z
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
+          - 5.0 * e2 ** 3 / 208.0 + 3.0 * e3 * e3 / 104.0 + e2 * e2 * e3 / 16.0)  # DLMF 19.36.1
+    rd = f * _rd_series((a0d - x0) * f / ad, (a0d - y0) * f / ad) / (ad * math.sqrt(ad))
+    return rf / math.sqrt(af), rd + 3.0 * acc
+
+
+def _rd_array(x, y, z) -> np.ndarray:
+    """R_D(x, y, z) of arrays: _CARLSON_STEPS steps on one stack of x, y, z
+    and their mean."""
+    a = np.stack((x, y, z, (x + y + 3.0 * z) / 5.0))
+    d0, f, acc = a[3] - a[:2], 1.0, 0.0
+    for _ in range(_CARLSON_STEPS):
+        s = np.sqrt(a)
+        lam = s[0] * s[1] + s[2] * (s[0] + s[1])
+        a += lam
+        acc = acc + f / (s[2] * a[2])
+        a *= 0.25
+        f *= 0.25
+    X, Y = d0 * f / a[3]
+    return f * _rd_series(X, Y) / (a[3] * np.sqrt(a[3])) + 3.0 * acc
+
+
+def _blowup_radius(rn: float, c: float, e1: float) -> float:
+    """The radius r > rn where r + |r'| = _BLOWUP_LIMIT, r'^2 = (r - rn)
+    (r + rn) (c r^2 + 1 / e1): safeguarded Newton from below, bracketed on
+    [rn, limit], starting at the root of sqrt(c) r^2 + (1 + 1 / rn) r =
+    limit, which bounds it from below."""
+    limit = _BLOWUP_LIMIT
+    b = 1.0 + 1.0 / rn
+    lo, hi = rn, limit
+    r = max(rn, 2.0 * limit / (b + math.sqrt(b * b + 4.0 * math.sqrt(c) * limit)))
+    for _ in range(100):  # geometric bisection alone would take about 60
+        g = math.sqrt((r - rn) * (r + rn) * (c * r * r + 1.0 / e1))
+        f = r + g - limit
+        if f == 0.0:
+            break
+        lo, hi = (r, hi) if f < 0.0 else (lo, r)
+        slope = 1.0 + r * (2.0 * c * r * r + 1.0 / e1 - c * e1) / g if g > 0.0 else math.inf
+        step = r - f / slope
+        if not lo < step < hi:
+            step = math.sqrt(lo * hi)
+        if abs(step - r) <= 2.0 * _EPS * r:
+            return step
+        r = step
+    return r
 
 
 def gen_riemann_example(lam: float = 0.0, mu: float = 0.0, r0: float = 1.0,
@@ -90,10 +243,6 @@ def gen_riemann_example(lam: float = 0.0, mu: float = 0.0, r0: float = 1.0,
         raise InvalidParameter("empty u_range")
     if r0 <= _COLLAPSE_EPS:
         raise RadiusCollapse(f"initial radius {r0} at or below {_COLLAPSE_EPS}")
-    # imported here: scipy costs more than most jobs, and only this scene kind uses it
-    from scipy.optimize import brentq
-    from scipy.special import ellipkm1, elliprd, elliprf
-
     c = lam * lam + mu * mu
     s0 = r0 * r0
     k = (dr0 * dr0 + 1.0 - c * s0 * s0) / s0
@@ -104,37 +253,44 @@ def gen_riemann_example(lam: float = 0.0, mu: float = 0.0, r0: float = 1.0,
         raise NumericalError(f"closed form overflows at lam = {lam}, mu = {mu}, "
                              f"r0 = {r0}, dr0 = {dr0}")
     m1 = c * e1 * e1 / (1.0 + c * e1 * e1)
-    quarter = float(ellipkm1(m1))
+    quarter = _ellipkm1(m1)
 
-    def x_of(t):
-        return float(t * elliprf(1.0, 1.0 + t * t, 1.0 + m1 * t * t))
-
-    def nc2_integral(x, t):
-        return x + t ** 3 / 3.0 * elliprd(1.0 + t * t, 1.0 + m1 * t * t, 1.0)
+    def carlson(t):
+        return _carlson(1.0 + t * t, 1.0 + m1 * t * t, 1.0)
 
     # sc x0 = |dr0| / (r0 omega dn x0), and r0^2 omega^2 dn^2 x0 = c e1 s0 + 1
     t0 = math.copysign(abs(dr0) / math.sqrt(c * e1 * s0 + 1.0), dr0)
-    x0 = x_of(t0)
-    i0 = nc2_integral(x0, t0)
+    rf0, rd0 = carlson(t0)
+    x0 = t0 * rf0
+    i0 = x0 + t0 ** 3 / 3.0 * rd0
 
-    def blowup(r):
-        return r + math.sqrt((r - rn) * (r + rn) * (c * r * r + 1.0 / e1)) - _BLOWUP_LIMIT
-
-    rb = brentq(blowup, rn, _BLOWUP_LIMIT)
-    xb = x_of(math.sqrt((rb - rn) * (rb + rn)) / rn)
+    rb = _blowup_radius(rn, c, e1)
+    tb = math.sqrt((rb - rn) * (rb + rn)) / rn
+    xb = tb * carlson(tb)[0]
     anchor = min(max(0.0, u_range[0]), u_range[1])
     lo = float(max(u_range[0], anchor - (xb + x0) / omega))
     hi = float(min(u_range[1], anchor + (xb - x0) / omega))
     truncated = lo > u_range[0] or hi < u_range[1]
 
     def evaluate(u):
-        """(r, r', S) at u clamped into [lo, hi], with S(anchor) = 0."""
-        x = x0 + omega * (np.clip(u, lo, hi) - anchor)
+        """(r, r', x, t = sc x) at u clamped into [lo, hi]."""
+        x = x0 + omega * (u - anchor)
         nc, sc, dc = _jacobi_near_pole(x, m1, quarter)
         t = np.copysign(sc, x)
-        return rn * nc, rn * omega * t * dc, e1 / omega * (nc2_integral(x, t) - i0)
+        return np.stack((rn * nc, rn * omega * t * dc, x, t))
 
-    state = _DenseOde(lambda uc: np.stack(evaluate(uc)), (lo, hi))
+    state = _DenseOde(evaluate, (lo, hi))
+    last = [None, None]
+
+    def integral(u):
+        """S(u) = int r^2 from the anchor, once per state lookup: only the
+        drift reads it, so radius checks skip R_D."""
+        y = state(u)
+        if last[0] is not y:
+            x, t = y[2], y[3]
+            rd = _rd_array(1.0 + t * t, 1.0 + m1 * t * t, np.ones_like(t))
+            last[:] = y, e1 / omega * (x + t ** 3 / 3.0 * rd - i0)
+        return last[1]
 
     u_min = min(max(anchor - x0 / omega, lo), hi)  # the neck, clamped into range
     if state(u_min)[0] <= _COLLAPSE_EPS:
@@ -142,11 +298,11 @@ def gen_riemann_example(lam: float = 0.0, mu: float = 0.0, r0: float = 1.0,
                              f"at or below {_COLLAPSE_EPS}")
 
     def d2r(u):
-        r, rp, _ = state(u)
+        r, rp = state(u)[:2]
         return (1.0 + c * r ** 4 + rp * rp) / r
 
     def drift(k):  # k S, with S' = r^2
-        return SmoothFunction(lambda u: k * state(u)[2], lambda u: k * state(u)[0] ** 2,
+        return SmoothFunction(lambda u: k * integral(u), lambda u: k * state(u)[0] ** 2,
                               lambda u: 2.0 * k * state(u)[0] * state(u)[1])
 
     r_fn = SmoothFunction(lambda u: state(u)[0], lambda u: state(u)[1], d2r)

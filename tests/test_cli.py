@@ -112,6 +112,18 @@ class TestConfig:
             SceneConfig("riemann-type",
                         {"a": expr, "b": 0.0, "r": 1.0, "u_range": [0, 1]})
 
+    @pytest.mark.parametrize("expr,message", [
+        ("1" + "0" * 400 + " * u", "invalid expression .*int too large to convert to float"),
+        ("-(1" + "0" * 400 + ") + sin(u)", "invalid expression .*int too large"),
+        ("1" + "0" * 400 + " + u.real", "is not arithmetic in u"),
+        ("cos(1" + "0" * 400 + ") + u[0]", "is not arithmetic in u"),
+    ], ids=["in-grammar", "nested", "outside-after", "outside-in-call"])
+    def test_int_beyond_float_range(self, expr, message):
+        """An int constant beyond float range is reported as such, but only
+        when the rest of the tree is in the grammar."""
+        with pytest.raises(ConfigError, match=message):
+            parse_scalar_function(expr, "params.a")
+
     @pytest.mark.parametrize("expr", [
         "0.5*u + 0.2*sin(1.7*u)",
         "0.3*u + 0.25*cos(1.3*u)",
@@ -907,9 +919,7 @@ def test_module_runs_cli(tmp_path):
     assert "config error" in proc.stderr
 
 
-# Run in a fresh interpreter: in this one, other tests have imported scipy
-# and bound the generators' scipy names, which would hide a name read
-# before it is bound.
+# Run in a fresh interpreter: in this one, other tests have imported scipy.
 _COLD_START = """
 import sys
 import wlab.cli
@@ -925,10 +935,10 @@ def _tree_bytes(root):
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-def test_cold_start_loads_scipy_on_first_use(tmp_path):
-    """import wlab.cli leaves scipy unloaded, and the riemann-example
-    generator imports them on first use; both scenes write the
-    in-process bytes."""
+def test_cold_start_writes_the_warm_bytes(tmp_path):
+    """import wlab.cli leaves scipy unloaded, and a fresh interpreter's
+    riemann-example and rotational-lw generate runs exit 0 and write the
+    bytes the same runs write in this interpreter."""
     configs = [write_config(tmp_path, base, f"{base['name']}.json")
                for base in (RIEMANN_EXAMPLE, ROTATIONAL)]
     argv = []
@@ -945,10 +955,13 @@ def test_cold_start_loads_scipy_on_first_use(tmp_path):
     assert len(cold) >= 2 and cold == warm
 
 
-def test_rotational_job_loads_no_scipy(tmp_path):
-    """A rotational-lw profile comes from its first integral: a fresh
-    interpreter runs a rotational-lw analyze without loading scipy."""
-    config = write_config(tmp_path, ROTATIONAL)
+@pytest.mark.parametrize("base", [ROTATIONAL, RIEMANN_EXAMPLE],
+                         ids=["rotational-lw", "riemann-example"])
+def test_job_loads_no_scipy(tmp_path, base):
+    """A rotational-lw profile comes from its first integral and a Riemann
+    example from numpy elliptic functions: a fresh interpreter runs their
+    analyze without loading scipy."""
+    config = write_config(tmp_path, base)
     script = (
         "import sys, wlab.cli\n"
         "code = wlab.cli.main(['analyze', '--config', sys.argv[1], '--out', sys.argv[2]])\n"

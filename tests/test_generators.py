@@ -1,8 +1,11 @@
+import collections
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import optimize, special
 from scipy.integrate import solve_ivp
 
 from wlab import cyclic, generators
@@ -447,3 +450,145 @@ class TestClosedFormRiemannExample:
         assert np.abs(data.r.d1(us) - np.sinh((us - un) / rn)).max() < 1e-12 * exact.max()
         assert classify(build_riemann_type(data)).is_rotational
         assert not np.any(data.a(us)) and not np.any(data.b(us))
+
+
+def _relative_errors(got, ref) -> np.ndarray:
+    """|got - ref| / |ref| per element, ref in mpmath numbers."""
+    return np.array([float(abs(mpmath.mpf(float(g)) - r) / abs(r))
+                     for g, r in zip(np.atleast_1d(got), ref)])
+
+
+# The closed form's special functions against mpmath, over the domain
+# gen_riemann_example uses them on.  mpmath works at 60 digits: at 30 it
+# would round m = 1 - m1 for m1 near 1e-16.  Each helper returns the
+# relative errors of wlab's values and of scipy's on the same arguments.
+def _quarter_period_errors(m1s):
+    with mpmath.workdps(60):
+        ref = [mpmath.ellipk(1 - mpmath.mpf(m1)) for m1 in m1s]
+        return (_relative_errors([generators._ellipkm1(m1) for m1 in m1s], ref),
+                _relative_errors(special.ellipkm1(m1s), ref))
+
+
+def _carlson_errors(m1, ts):
+    """R_F and R_D of floats, and R_D of the same arguments as one array,
+    at (1 + t^2, 1 + m1 t^2, 1)."""
+    x = np.array([1.0 + t * t for t in ts])
+    y = np.array([1.0 + m1 * t * t for t in ts])
+    got = np.array([generators._carlson(a, b, 1.0) for a, b in zip(x, y)])
+    theirs = special.elliprd(x, y, 1.0)
+    with mpmath.workdps(60):
+        rf = [mpmath.elliprf(a, b, 1) for a, b in zip(x, y)]
+        rd = [mpmath.elliprd(a, b, 1) for a, b in zip(x, y)]
+        return [(_relative_errors(got[:, 0], rf), _relative_errors(special.elliprf(x, y, 1.0), rf)),
+                (_relative_errors(got[:, 1], rd), _relative_errors(theirs, rd)),
+                (_relative_errors(generators._rd_array(x, y, np.ones_like(x)), rd),
+                 _relative_errors(theirs, rd))]
+
+
+def _jacobi_errors(m1, x):
+    """sn, cn and dn at x > 0."""
+    sn, cn, dn, one = generators._jacobi(x, m1)
+    theirs = special.ellipj(x, 1.0 - m1)
+    with mpmath.workdps(60):
+        m = 1 - mpmath.mpf(m1)
+        refs = [[mpmath.ellipfun(name, mpmath.mpf(v), m=m) for v in x] for name in ("sn", "cn", "dn")]
+    return [(_relative_errors(got / one, ref), _relative_errors(their, ref))
+            for got, their, ref in zip((sn, cn, dn), theirs, refs)]
+
+
+def _blowup_radius_errors(pairs):
+    """The radius where r + |r'| reaches the blow-up limit, for c = lam^2 +
+    mu^2 and the squared neck radius e1, and brentq's on [rn, limit] as the
+    closed form used it."""
+    limit = generators._BLOWUP_LIMIT
+    got, theirs, ref = [], [], []
+    with mpmath.workdps(60):
+        for c, e1 in pairs:
+            rn = math.sqrt(e1)
+
+            def excess(r, sqrt=math.sqrt, e1=e1):
+                return r + sqrt((r - rn) * (r + rn) * (c * r * r + 1 / e1)) - limit
+
+            got.append(generators._blowup_radius(rn, c, e1))
+            theirs.append(optimize.brentq(excess, rn, limit))
+            ref.append(mpmath.findroot(lambda r: excess(r, mpmath.sqrt, mpmath.mpf(e1)),
+                                       (mpmath.mpf(rn), mpmath.mpf(limit)), solver="anderson"))
+        return _relative_errors(got, ref), _relative_errors(theirs, ref)
+
+
+# m1 = 1 - m as gen_riemann_example forms it: 0 for the catenoid, else in
+# [1e-16, 1] (lam down to 1e-8), spread over its decades
+_M1_POSITIVE = st.one_of(st.just(1.0), st.floats(-16.0, 0.0).map(lambda e: 10.0 ** e),
+                         st.floats(1e-16, 1.0))
+_M1 = st.one_of(st.just(0.0), _M1_POSITIVE)
+# sc of the argument, up to the blow-up limit over the smallest neck radius
+_T = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-3.0, 16.0), st.sampled_from([-1.0, 1.0]))
+_C_E1 = st.tuples(st.one_of(st.just(0.0), st.floats(-12.0, 4.0).map(lambda e: 10.0 ** e)),
+                  st.floats(-16.0, 8.0).map(lambda e: 10.0 ** e))
+_BOUND = 4e-15
+_FLOOR = 4.0 * generators._EPS
+
+
+class TestEllipticFunctions:
+    """Each draw is a batch.  Its largest relative error must be at most
+    4e-15, and at most twice scipy's largest on the same batch or 4 ulps:
+    a batch that shrinks to one argument where scipy happens to be exact
+    would fail any ratio.  test_worst_errors_within_twice_scipys compares
+    the largest errors over many seeded draws, with no floor."""
+
+    @staticmethod
+    def _check(ours, theirs):
+        assert ours.max() <= _BOUND, ours.max()
+        assert ours.max() <= max(2.0 * theirs.max(), _FLOOR), (ours.max(), theirs.max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(m1s=st.lists(_M1_POSITIVE, min_size=8, max_size=8))
+    def test_quarter_period(self, m1s):
+        self._check(*_quarter_period_errors(m1s))
+        assert generators._ellipkm1(0.0) == math.inf
+
+    @settings(max_examples=40, deadline=None)
+    @given(m1=_M1, ts=st.lists(_T, min_size=8, max_size=8))
+    def test_carlson(self, m1, ts):
+        for errors in _carlson_errors(m1, ts):
+            self._check(*errors)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m1=_M1, fractions=st.lists(st.floats(1e-300, 1.0), min_size=8, max_size=8))
+    def test_jacobi(self, m1, fractions):
+        """sn, cn and dn on [1e-300 K / 2, K / 2], [1e-300, 20] for the
+        catenoid (subnormal arguments, where scale w underflows, lose
+        digits); sn(0) = 0 and cn(0), dn(0) within two ulps of 1."""
+        half = 0.5 * generators._ellipkm1(m1) if m1 > 0.0 else 20.0
+        for errors in _jacobi_errors(m1, half * np.array(fractions)):
+            self._check(*errors)
+        sn, cn, dn, one = generators._jacobi(np.zeros(1), m1)
+        assert sn[0] == 0.0 and np.abs(np.array([cn, dn]) / one - 1.0).max() <= 2.0 * generators._EPS
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(_C_E1, min_size=4, max_size=4))
+    def test_blowup_radius(self, pairs):
+        self._check(*_blowup_radius_errors(pairs))
+
+    def test_worst_errors_within_twice_scipys(self):
+        """Over 150 seeded draws per function, the largest error is at most
+        twice scipy's largest."""
+        rng = np.random.default_rng(25)
+        m1s = np.concatenate([10.0 ** rng.uniform(-16.0, 0.0, 75), rng.uniform(1e-16, 1.0, 75)])
+        worst = collections.defaultdict(lambda: np.zeros(2))
+
+        def note(name, errors):
+            worst[name] = np.maximum(worst[name], [errors[0].max(), errors[1].max()])
+
+        note("K", _quarter_period_errors(m1s))
+        for m1 in m1s:
+            t = 10.0 ** rng.uniform(-3.0, 16.0)
+            for name, errors in zip(("R_F", "R_D", "R_D array"), _carlson_errors(m1, [t])):
+                note(name, errors)
+            x = rng.uniform(0.0, 0.5 * generators._ellipkm1(m1), 1)
+            for name, errors in zip(("sn", "cn", "dn"), _jacobi_errors(m1, x)):
+                note(name, errors)
+        c = np.where(rng.random(150) < 0.2, 0.0, 10.0 ** rng.uniform(-12.0, 4.0, 150))
+        note("blow-up root", _blowup_radius_errors(zip(c, 10.0 ** rng.uniform(-16.0, 8.0, 150))))
+        for name, (ours, theirs) in worst.items():
+            assert ours <= min(_BOUND, 2.0 * theirs), (name, ours, theirs)

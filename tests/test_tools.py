@@ -137,6 +137,22 @@ def test_parity_text_flags():
     assert parity.text_flags("a.meta.json", meta, None) == ["written by one tree only"]
 
 
+def test_parity_reports_scipy_and_peak_rss():
+    """process_state tells whether the interpreter has loaded scipy and its
+    peak RSS, which never falls; the summary line names both per tree."""
+    probe = ("import json, sys; sys.path.insert(0, sys.argv[1]); import parity; "
+             "before = parity.process_state(); import scipy.special; "
+             "print(json.dumps([before, parity.process_state()]))")
+    proc = subprocess.run([sys.executable, "-c", probe, TOOLS], capture_output=True, text=True,
+                          check=True, timeout=120)
+    before, after = json.loads(proc.stdout)
+    assert (before["scipy"], after["scipy"]) == (False, True)
+    assert 0.0 < before["maxrss_mb"] <= after["maxrss_mb"]
+    assert parity.describe_state({"scipy": False, "maxrss_mb": 37.94}) == (
+        "no scipy, peak RSS 37.9 MB")
+    assert parity.describe_state({"scipy": True, "maxrss_mb": 84.2}) == "scipy, peak RSS 84.2 MB"
+
+
 def test_kind_cpu_runs(tmp_path):
     """Two rounds over the fine-grid jobs: one table row per command and
     one per kind, and a JSON file with each side's readings."""

@@ -16,9 +16,11 @@ True/False line, or metadata `truncated` value.
 When any job differs, it then prints a count per (workload, scene kind,
 command) and the largest move per (scene kind, CSV, column) over all
 jobs; then a summary line with the line totals of both trees'
-src/wlab/*.py, as wc -l counts them, and the CPU time of `import wlab.cli`
+src/wlab/*.py, as wc -l counts them, the CPU time of `import wlab.cli`
 in a fresh interpreter per tree (median of 3) with whether that import
-loaded scipy; exits 0 only when no job differs.
+loaded scipy, and, per tree, whether its interpreter had loaded scipy
+after all the jobs and its peak RSS then (ru_maxrss; it includes the
+recorded texts); exits 0 only when no job differs.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import io
 import json
 import math
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -141,17 +144,29 @@ def _text(path: str):
         return None
 
 
+def process_state() -> dict:
+    """Whether this interpreter has loaded scipy, and its peak RSS in MB
+    (ru_maxrss, which Linux counts in KiB)."""
+    return {"scipy": "scipy" in sys.modules,
+            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def describe_state(state: dict) -> str:
+    return f"{'scipy' if state['scipy'] else 'no scipy'}, peak RSS {state['maxrss_mb']:.1f} MB"
+
+
 def record(tree: str, path: str) -> None:
-    """Runs every job through tree's wlab.cli.main and writes, per job, its
-    (workload, scene kind, command), exit code, stderr, output-file digests
-    and the text of its CSV, report and metadata files to path as JSON."""
+    """Runs every job through tree's wlab.cli.main and writes to path as
+    JSON, per job, its (workload, scene kind, command), exit code, stderr,
+    output-file digests and the text of its CSV, report and metadata files,
+    and then the process_state of this interpreter."""
     results = {key: {"group": group, "exit": code, "stderr": stderr,
                      "files": {os.path.basename(f): _sha256(f) for f in files},
                      "texts": {os.path.basename(f): _text(f) for f in files
                                if f.endswith(TEXT_SUFFIXES)}}
                for key, group, code, stderr, files in run_jobs(tree)}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(results, fh)
+        json.dump({"jobs": results, "after": process_state()}, fh)
 
 
 def _number(cell: str):
@@ -242,8 +257,8 @@ def main(argv) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="wlab-parity-") as tmp:
-        old, new = (_run_tree(tree, os.path.join(tmp, f"{i}.json"))
-                    for i, tree in enumerate(argv))
+        runs = [_run_tree(tree, os.path.join(tmp, f"{i}.json")) for i, tree in enumerate(argv)]
+    old, new = (run["jobs"] for run in runs)
     differ, largest = collections.Counter(), {}
     for key in sorted(old.keys() | new.keys()):
         a, b = old.get(key), new.get(key)
@@ -284,8 +299,10 @@ def main(argv) -> int:
               f"({absolute[1]}), {relative[0]:.3g} relative ({relative[1]})")
     lines = " -> ".join(str(_src_lines(tree)) for tree in argv)
     imports = " -> ".join(_import_cost(tree) for tree in argv)
+    after = " -> ".join(describe_state(run["after"]) for run in runs)
     print(f"parity: {len(new)} jobs, {sum(differ.values())} differ; "
-          f"src/wlab/*.py lines {lines}; import wlab.cli CPU {imports}")
+          f"src/wlab/*.py lines {lines}; import wlab.cli CPU {imports}; "
+          f"after the jobs {after}")
     return 0 if not differ else 1
 
 
