@@ -77,10 +77,10 @@ def _closed_form(result: SceneResult, rel, us: np.ndarray, J: int):
     toolkit knows, A_j and B_j arrays over the u-circles us; else None."""
     data = result.riemann_data
     if data is not None and J >= (12 if rel.n != 0 else 3):
-        da, db, r = data.a.d1(us), data.b.d1(us), data.r(us)
+        (_, da, dda), (_, db, ddb), r = data.a.jet(us), data.b.jet(us), data.r(us)
         if rel.n != 0:
             return 12, hm.closed_form_A12_B12(rel.n, r, da, db)
-        return 3, hm.closed_form_A3_B3(rel.m, r, da, db, data.a.d2(us), data.b.d2(us))
+        return 3, hm.closed_form_A3_B3(rel.m, r, da, db, dda, ddb)
     if result.cyclic_data is not None and rel.n == 0 and J >= 6:
         cyc = result.cyclic_data
         return 6, hm.closed_form_A6_B6(rel.m, cyc.kappa(us), cyc.r(us),

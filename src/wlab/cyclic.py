@@ -259,13 +259,8 @@ def build_cyclic(data: CyclicSurface) -> ParamSurface:
         # scalars; v enters through the (nv, 1) columns cos v and sin v
         y = dense(us).T
         t, n, b, c = (y[:, None, i:i + 3] for i in (0, 3, 6, 9))
-
-        def at(fn):
-            return fn(us)[:, None, None]
-
-        ru, r1, r2 = at(r), at(r.d1), at(r.d2)
-        k, s, k1, s1 = at(kappa), at(sigma), at(kappa.d1), at(sigma.d1)
-        al, be, ga = at(alpha), at(beta), at(gamma)
+        (ru, r1, r2), (k, k1, _), (s, s1, _), (al, al1, _), (be, be1, _), (ga, ga1, _) = (
+            [x[:, None, None] for x in f.jet(us)] for f in (r, kappa, sigma, alpha, beta, gamma))
         cv, sv = np.cos(vs)[:, None], np.sin(vs)[:, None]
         w = cv * n + sv * b
         w_v = -sv * n + cv * b
@@ -274,9 +269,9 @@ def build_cyclic(data: CyclicSurface) -> ParamSurface:
         xu = cprime + r1 * w + ru * (-k * cv * t + s * w_v)
         # -sin v n' + cos v b' = kappa sin v t - sigma w
         xuv = r1 * w_v + ru * (k * sv * t - s * w)
-        csecond = ((at(alpha.d1) - be * k) * t
-                   + (at(beta.d1) + al * k - ga * s) * n
-                   + (at(gamma.d1) + be * s) * b)
+        csecond = ((al1 - be * k) * t
+                   + (be1 + al * k - ga * s) * n
+                   + (ga1 + be * s) * b)
         # cos v n'' + sin v b''
         nb2 = ((-k1 * cv + s * k * sv) * t
                + (-(k * k + s * s) * cv - s1 * sv) * n
@@ -299,10 +294,9 @@ def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
     """
 
     def jets(us, vs):
-        # a, b, r, h and their first and second derivatives, once per u
-        table = np.stack([g(us) for f in (a, b, r, h) for g in (f, f.d1, f.d2)],
-                         axis=1)
-        a0, a1, a2, b0, b1, b2, r0, r1, r2, h0, h1, h2 = table.T[:, :, None]
+        # a, b, r, h and their first and second derivatives, one jet each
+        a0, a1, a2, b0, b1, b2, r0, r1, r2, h0, h1, h2 = np.stack(
+            [x for f in (a, b, r, h) for x in f.jet(us)])[:, :, None]
         cv, sv = np.cos(vs), np.sin(vs)
 
         def vec(x, y, z):

@@ -1,10 +1,8 @@
-"""Scalar functions of one variable with first and second derivatives.
-
-Inputs to the surface builders can be constants or plain callables;
-callables without supplied derivatives are differentiated with 4th-order
-central differences.  A SmoothFunction takes a float or a 1-d
-array of u values; a wrapped callable must then accept that array too.
-"""
+"""Scalar functions of one variable and their 2-jets: SmoothFunction.jet(u)
+returns (f, f', f'') shaped like u, a float or a 1-d array.  A callable
+without supplied derivatives gets 4th-order central differences from one
+call on the (5,) + shape(u) array of stencil points, so it must be
+elementwise on any array shape.  Inputs can also be constants."""
 from __future__ import annotations
 
 import numpy as np
@@ -28,7 +26,9 @@ def _shaped(y, u):
 
 
 class SmoothFunction:
-    """A scalar function u -> f(u) with .d1 and .d2 derivatives."""
+    """u -> f(u) with its 2-jet .jet(u) = (f, f', f''), each shaped like u.
+    Without suppliers d1 and d2, f is called once per jet, on the stencil
+    u + k h (k = -2..2) stacked along a new first axis."""
 
     def __init__(self, f, d1=None, d2=None):
         self._f = f
@@ -38,17 +38,20 @@ class SmoothFunction:
     def __call__(self, u):
         return _shaped(self._f(u), u)
 
-    def d1(self, u):
+    def jet(self, u):
         if self._d1 is not None:
-            return _shaped(self._d1(u), u)
-        return _shaped(sum(c * self._f(u + k * _FD_H) for k, c in _D1)
-                       / (12.0 * _FD_H), u)
+            return self(u), _shaped(self._d1(u), u), _shaped(self._d2(u), u)
+        y = self._f(np.add.outer(np.arange(-2, 3) * _FD_H, u))  # rows f(u + k h)
+        y = np.broadcast_to(y, (5,) + np.shape(u))
+        return (_shaped(y[2], u),
+                _shaped(sum(c * y[k + 2] for k, c in _D1) / (12.0 * _FD_H), u),
+                _shaped(sum(c * y[k + 2] for k, c in _D2) / (12.0 * _FD_H ** 2), u))
+
+    def d1(self, u):
+        return self.jet(u)[1]
 
     def d2(self, u):
-        if self._d2 is not None:
-            return _shaped(self._d2(u), u)
-        return _shaped(sum(c * self._f(u + k * _FD_H) for k, c in _D2)
-                       / (12.0 * _FD_H ** 2), u)
+        return self.jet(u)[2]
 
     @classmethod
     def constant(cls, value: float) -> "SmoothFunction":

@@ -38,12 +38,12 @@ from .surface import ParamSurface, evaluate_jet, interior_grid
 
 # Vertex count from which obj_text builds its text with numpy: the "%"
 # blocks are faster up to 12 x 12 grids, numpy from 16 x 16 up
-# (BENCH_obj_text.json, "crossover", tools/obj_text_sweep.py).
+# (BENCH_obj_text.json, "crossover", tools/text_sweep.py --format obj).
 _OBJ_VECTOR_MIN_VERTICES = 256
 _OBJ_CHUNK_LINES = 2048     # lines per chunk of the vector path
 # Cell count from which write_csv builds an array's text with numpy: the "%"
 # blocks are faster up to 64 rows of 9 cells, numpy from 80 rows up
-# (BENCH_csv_text.json, "crossover", tools/csv_text_sweep.py).
+# (BENCH_csv_text.json, "crossover", tools/text_sweep.py --format csv).
 _CSV_VECTOR_MIN_CELLS = 768
 _CSV_CHUNK_CELLS = 2048     # cells per chunk of the vector path
 _OBJ_DIGITS, _CSV_DIGITS = 9, 12

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -14,13 +15,14 @@ from wlab.cyclic import (
     build_riemann_type,
     transport,
 )
+from wlab.config import parse_scalar_function
 from wlab.errors import (
     NonFiniteInput,
     NumericalError,
     RadiusNotPositive,
 )
 from wlab.fitting import VERDICT_NOT_LW, classify
-from wlab.functions import SmoothFunction, as_smooth
+from wlab.functions import _D1, _D2, _FD_H, SmoothFunction, as_smooth
 from wlab.harmonics import circle_spectrum
 from wlab.surface import (
     LWRelation,
@@ -29,7 +31,7 @@ from wlab.surface import (
     finite_difference_twin,
     transformed,
 )
-from conftest import generic_cyclic
+from conftest import generic_cyclic, generic_riemann_type
 
 
 def frame_only(kappa, sigma, u_range):
@@ -47,6 +49,72 @@ class TestSmoothFunction:
         f = as_smooth(np.sin)
         assert abs(f.d1(0.7) - math.cos(0.7)) < 1e-10
         assert abs(f.d2(0.7) + math.sin(0.7)) < 1e-7
+
+
+def _calls(counts, key, fn):
+    """fn, counting its calls in counts[key]."""
+    def counted(*args):
+        counts[key] += 1
+        return fn(*args)
+    return counted
+
+
+def _three_call_jet(f, d1, d2, u):
+    """f(u), f'(u) and f''(u) shaped like u, each from its own calls: the
+    suppliers d1 and d2 when given, else the 4th-order central sums over
+    f(u + k h) in the order of functions._D1 and _D2."""
+    def shaped(y):
+        return float(y) if np.ndim(u) == 0 else np.broadcast_to(y, np.shape(u))
+    if d1 is not None:
+        return shaped(f(u)), shaped(d1(u)), shaped(d2(u))
+    return (shaped(f(u)),
+            shaped(sum(c * f(u + k * _FD_H) for k, c in _D1) / (12.0 * _FD_H)),
+            shaped(sum(c * f(u + k * _FD_H) for k, c in _D2) / (12.0 * _FD_H ** 2)))
+
+
+_JET_CASES = {
+    "expression": (parse_scalar_function("0.8 + 0.3*sin(1.7*u) + 0.1*u**2", "a"),
+                   None, None),
+    "callable": (lambda u: np.exp(0.3 * u) * np.cos(u), None, None),
+    "constant callable": (lambda u: 2.5, None, None),
+    "suppliers": (np.sin, np.cos, lambda u: -np.sin(u)),
+    "constant": (lambda u: 3.5, lambda u: 0.0, lambda u: 0.0),
+}
+
+
+class TestJet:
+    @pytest.mark.parametrize("case", sorted(_JET_CASES))
+    @pytest.mark.parametrize("u", [0.37, np.array([-0.6]),
+                                   np.linspace(-1.3, 2.1, 8)], ids=["float", "1", "8"])
+    def test_rows_are_the_three_call_formulas_to_the_bit(self, case, u):
+        f, d1, d2 = _JET_CASES[case]
+        got = SmoothFunction(f, d1, d2).jet(u)
+        for row, want in zip(got, _three_call_jet(f, d1, d2, u)):
+            assert np.shape(row) == np.shape(u) and isinstance(row, type(want))
+            assert np.asarray(row).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("case", ["expression", "callable", "constant callable"])
+    @pytest.mark.parametrize("u", [0.37, np.linspace(-1.3, 2.1, 8)], ids=["float", "8"])
+    def test_finite_differences_call_f_once(self, case, u):
+        counts = collections.Counter()
+        fn = SmoothFunction(_calls(counts, "f", _JET_CASES[case][0]))
+        fn.jet(u)
+        assert counts["f"] == 1
+        assert np.asarray(fn.d1(u)).tobytes() == np.asarray(fn.jet(u)[1]).tobytes()
+        assert np.asarray(fn.d2(u)).tobytes() == np.asarray(fn.jet(u)[2]).tobytes()
+
+    @pytest.mark.parametrize("surface, jets", [
+        (lambda: build_riemann_type(generic_riemann_type()), 4),
+        (lambda: build_cyclic(generic_cyclic()), 6),
+    ], ids=["riemann-type", "cyclic"])
+    def test_one_jet_call_per_function_per_grid(self, monkeypatch, surface, jets):
+        built = surface()
+        counts = collections.Counter()
+        for name in ("jet", "d1", "d2"):
+            monkeypatch.setattr(SmoothFunction, name,
+                                _calls(counts, name, getattr(SmoothFunction, name)))
+        evaluate_jet(built, np.linspace(0.1, 0.9, 7), np.linspace(0.0, 6.0, 5))
+        assert counts == {"jet": jets}
 
 
 def _frame(state):

@@ -71,8 +71,8 @@ def test_parity_src_lines_is_wc_l():
 
 
 def test_obj_text_sweep_runs():
-    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "obj_text_sweep.py"),
-                           "--reps", "1", "--sizes", "4,16"],
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "text_sweep.py"),
+                           "--format", "obj", "--reps", "1", "--sizes", "4,16"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
@@ -86,8 +86,8 @@ def test_obj_text_sweep_runs():
 
 
 def test_csv_text_sweep_runs():
-    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "csv_text_sweep.py"),
-                           "--reps", "1", "--rows", "16,36"],
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "text_sweep.py"),
+                           "--format", "csv", "--reps", "1", "--rows", "16,36"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)

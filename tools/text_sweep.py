@@ -1,0 +1,159 @@
+#!/usr/bin/env python3
+"""Time both text paths of wlab.meshio, OBJ per grid size or CSV per row count.
+
+    python3 tools/text_sweep.py --format obj [--reps 30]
+        [--sizes 8,12,16,24,32,48,64,96,128]
+    python3 tools/text_sweep.py --format csv [--reps 30] [--seed 5]
+        [--rows 36,64,128,256,512,1024,4096]
+
+Each input is first checked to give the same text on the `%` path and the
+numpy path; then the two paths are timed alternately, --reps calls each
+per input, in CPU seconds (time.process_time).  Prints one JSON object
+whose "crossover" maps each size to the median and quartiles of each path
+in ms.  The crossover constants are read off those medians.
+
+obj: for each n in --sizes, the n x n meshes of the sphere, cylinder,
+torus and catenoid fixtures (wlab.meshio.surface_mesh) go through
+_obj_text_percent and _obj_text_vector.  Each size also gives its vertex
+count, and the output ends with the tracemalloc peak of one 96 x 96 torus
+obj_text per path in MB.  Sets meshio._OBJ_VECTOR_MIN_VERTICES.
+
+csv: for each row count R in --rows, `wlab analyze` runs on the four
+scenes of the fine-grid workload of bench/workloads.py (riemann-example,
+rotational-lw, cyclic, riemann-type) at an nu x nv grid with nu * nv = R
+and nu the largest divisor of R not above its square root, and the header
+and float array each job hands to write_csv (9 columns) go through
+_csv_text_percent and _csv_text_vector.  Each row count also gives its
+cell count, and each path the median minor page faults per call
+(ru_minflt of getrusage).  Sets meshio._CSV_VECTOR_MIN_CELLS.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import sys
+import tempfile
+import time
+import tracemalloc
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+
+from wlab import cli, meshio  # noqa: E402
+from wlab.generators import gen_fixture  # noqa: E402
+from workloads import make_workload  # noqa: E402
+
+FIXTURES = (("sphere", {"radius": 2.0}), ("cylinder", {"radius": 1.0}),
+            ("torus", {"radius_major": 2.0, "radius_minor": 1.0}), ("catenoid", {"radius": 1.0}))
+PATHS = {"obj": {"percent": meshio._obj_text_percent, "vector": meshio._obj_text_vector},
+         "csv": {"percent": meshio._csv_text_percent, "vector": meshio._csv_text_vector}}
+
+
+def _quartiles(samples) -> dict:
+    q1, q2, q3 = np.percentile(np.array(samples) * 1e3, [25, 50, 75])
+    return {"median_ms": round(q2, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
+
+
+def sweep(paths: dict, inputs, reps: int) -> tuple:
+    """(per-path CPU seconds, per-path minor faults) over reps alternating
+    calls of each path on each argument tuple in inputs, after checking
+    that both paths give the same text."""
+    times = {name: [] for name in paths}
+    faults = {name: [] for name in paths}
+    for label, args in inputs:
+        if paths["percent"](*args) != paths["vector"](*args):
+            sys.exit(f"text_sweep: the two paths differ on {label}")
+        for rep in range(reps):
+            order = list(paths.items())
+            for name, path in order if rep % 2 else order[::-1]:
+                flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                start = time.process_time()
+                path(*args)
+                times[name].append(time.process_time() - start)
+                faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
+    return times, faults
+
+
+def peak_mb(path, mesh, n: int) -> float:
+    path(*mesh, n, n)
+    tracemalloc.start()
+    path(*mesh, n, n)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return round(peak / 1e6, 3)
+
+
+def obj_sweep(args) -> dict:
+    paths, result = PATHS["obj"], {}
+    for n in (int(s) for s in args.sizes.split(",")):
+        meshes = [(f"{kind} at {n} x {n}",
+                   (*meshio.surface_mesh(gen_fixture(kind, **params), n, n), n, n))
+                  for kind, params in FIXTURES]
+        times, _ = sweep(paths, meshes, args.reps)
+        result[f"{n}x{n}"] = {"vertices": n * n,
+                              **{name: _quartiles(t) for name, t in times.items()}}
+    torus = meshio.surface_mesh(gen_fixture("torus", radius_major=2.0, radius_minor=1.0), 96, 96)
+    return {"crossover": result,
+            "tracemalloc_peak_mb_96x96": {name: peak_mb(path, torus, 96)
+                                         for name, path in paths.items()}}
+
+
+def grid(rows: int) -> tuple:
+    nu = max(d for d in range(1, int(rows ** 0.5) + 1) if rows % d == 0)
+    return nu, rows // nu
+
+
+def analyze_tables(scenes, rows: int, tmp: str) -> list:
+    """(label, (header, array)) that `wlab analyze` writes for each scene at
+    a grid of rows points."""
+    tables = []
+    real = cli.write_csv
+    nu, nv = grid(rows)
+    cli.write_csv = lambda path, header, array: tables.append(
+        (f"a {array.shape} array", (header, array)))
+    try:
+        for scene in scenes:
+            config = os.path.join(tmp, scene.name + ".json")
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(scene.text)
+            argv = ["analyze", "--config", config, "--out", tmp, "--grid", f"{nu}x{nv}"]
+            if cli.main(argv) != 0:
+                sys.exit(f"text_sweep: analyze failed on {scene.name} at {nu} x {nv}")
+    finally:
+        cli.write_csv = real
+    return tables
+
+
+def csv_sweep(args) -> dict:
+    scenes, paths, result = make_workload("fine-grid", args.seed).scenes, PATHS["csv"], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for rows in (int(r) for r in args.rows.split(",")):
+            tables = analyze_tables(scenes, rows, tmp)
+            times, faults = sweep(paths, tables, args.reps)
+            result[str(rows)] = {
+                "cells": int(tables[0][1][1].size),
+                **{name: {**_quartiles(times[name]), "minflt": float(np.median(faults[name]))}
+                   for name in paths}}
+    return {"crossover": result}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--format", choices=("obj", "csv"), required=True)
+    parser.add_argument("--reps", type=int, default=30)
+    parser.add_argument("--sizes", default="8,12,16,24,32,48,64,96,128",
+                        help="obj: grid sizes n of the n x n meshes")
+    parser.add_argument("--seed", type=int, default=5, help="csv: fine-grid workload seed")
+    parser.add_argument("--rows", default="36,64,128,256,512,1024,4096",
+                        help="csv: row counts of the analyze tables")
+    args = parser.parse_args()
+    sweeper = obj_sweep if args.format == "obj" else csv_sweep
+    print(json.dumps(sweeper(args), indent=1))
+
+
+if __name__ == "__main__":
+    main()
