@@ -4,7 +4,8 @@ Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files.  A
 small output is "%" blocks.  A large one is built by numpy in NUL-padded
 byte slots, a token per number from one kernel at either width (_g_slots),
 a chunk at a time; one bytes.translate per chunk drops the NULs.  Both
-paths return the same bytes.
+paths yield the same bytes, and the writer takes each chunk to the file as
+it comes: no text is held whole.
 
 An OBJ of fewer than _OBJ_VECTOR_MIN_VERTICES vertices is three "%" blocks:
 the vertices, the normals, and the faces, whose corners are gathered from a
@@ -22,7 +23,8 @@ np.isnan over the whole array: each run of rows with one NaN pattern is one
 "%" block.  Rows of any other cells are classified cell by cell.
 
 All writes go through a new file in the target directory, created with
-mode 0o666 less the umask, followed by an atomic rename.
+mode 0o666 less the umask, followed by an atomic rename; an OBJ's jets are
+evaluated before that file is created.
 """
 from __future__ import annotations
 
@@ -36,9 +38,9 @@ import numpy as np
 from .errors import OutputError
 from .surface import ParamSurface, evaluate_jet, interior_grid
 
-# Vertex count from which obj_text builds its text with numpy: the "%"
-# blocks are faster up to 12 x 12 grids, numpy from 16 x 16 up
-# (BENCH_obj_text.json, "crossover", tools/text_sweep.py --format obj).
+# Vertex count from which an OBJ is built with numpy: "%" is faster up to
+# 12 x 12 grids, the two tie at 16 x 16, numpy wins from 20 x 20 up
+# (BENCH_obj_stream.json, "obj_sweep_focus"; tools/text_sweep.py --format obj).
 _OBJ_VECTOR_MIN_VERTICES = 256
 _OBJ_CHUNK_LINES = 2048     # lines per chunk of the vector path
 # Cell count from which write_csv builds an array's text with numpy: the "%"
@@ -63,15 +65,17 @@ def _new_file(directory: str):
             continue
 
 
-def atomic_write_text(path, text: str) -> None:
-    """text to a new file in path's directory, renamed over path.  On any
-    error the new file is removed; an OSError is raised as OutputError."""
+def _atomic_write(path, chunks) -> None:
+    """Each bytes chunk of chunks, as it arrives, to a new file in path's
+    directory through a buffered writer (which completes short writes),
+    renamed over path.  On any error the new file is removed; an OSError is
+    raised as OutputError."""
     path = os.fspath(path)
     tmp = None
     try:
         fd, tmp = _new_file(os.path.dirname(path) or ".")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -79,6 +83,11 @@ def atomic_write_text(path, text: str) -> None:
         if isinstance(exc, OSError):
             raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """text, UTF-8 encoded, by _atomic_write."""
+    _atomic_write(path, (text.encode(),))
 
 
 def obj_grid(surface: ParamSurface, nu: int, nv: int):
@@ -103,14 +112,13 @@ def _face_corners(nu: int, nv: int) -> np.ndarray:
     return np.stack((a, b, d, a, d, c), axis=1).ravel()
 
 
-def _obj_text_percent(verts, normals, nu: int, nv: int) -> str:
+def _obj_chunks_percent(verts, normals, nu: int, nv: int):
     """OBJ text as one "%" block per section."""
-    blocks = [("v %.9g %.9g %.9g\n" * len(verts)) % tuple(verts.ravel().tolist()),
-              ("vn %.9g %.9g %.9g\n" * len(normals)) % tuple(normals.ravel().tolist())]
+    yield (("v %.9g %.9g %.9g\n" * len(verts)) % tuple(verts.ravel().tolist())).encode()
+    yield (("vn %.9g %.9g %.9g\n" * len(normals)) % tuple(normals.ravel().tolist())).encode()
     tokens = np.array(["%d//%d" % (k, k) for k in range(1, nu * nv + 1)], dtype=object)
     corners = _face_corners(nu, nv)
-    blocks.append(("f %s %s %s\n" * (len(corners) // 3)) % tuple(tokens[corners].tolist()))
-    return "".join(blocks)
+    yield (("f %s %s %s\n" * (len(corners) // 3)) % tuple(tokens[corners].tolist())).encode()
 
 
 @functools.cache
@@ -248,7 +256,7 @@ def _face_tokens(count: int) -> np.ndarray:
     return items.view(np.dtype((np.void, 2 * w + 5))).ravel()
 
 
-def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str = " ") -> str:
+def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str = " ") -> bytes:
     """Text of one line per k rows of slots, shape (lines * k, width):
     prefix, then the k slots separated by sep, then a newline; NULs
     dropped."""
@@ -259,33 +267,34 @@ def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str = " ") -> str:
     body[:, :, :width] = slots.reshape(-1, k, width)
     body[:, :, width] = ord(sep)
     body[:, -1, width] = ord("\n")
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.tobytes().translate(None, b"\0")
 
 
-def _obj_text_vector(verts, normals, nu: int, nv: int) -> str:
-    """OBJ text built by numpy, _OBJ_CHUNK_LINES lines at a time."""
+def _obj_chunks_vector(verts, normals, nu: int, nv: int):
+    """OBJ text built by numpy, _OBJ_CHUNK_LINES lines a chunk."""
     step = _OBJ_CHUNK_LINES
-    blocks = [_lines(prefix, _g_slots(xyz[i:i + step].ravel(), _OBJ_DIGITS), 3)
-              for prefix, xyz in ((b"v ", verts), (b"vn ", normals))
-              for i in range(0, len(xyz), step)]
-    tokens = _face_tokens(nu * nv)
-    corners = _face_corners(nu, nv)
-    corners += np.arange(len(corners)) % 3 * (nu * nv)    # the corner's run in tokens
-    blocks += [tokens[corners[i:i + 3 * step]].tobytes().translate(None, b"\0").decode("ascii")
-               for i in range(0, len(corners), 3 * step)]
-    return "".join(blocks)
+    for prefix, xyz in ((b"v ", verts), (b"vn ", normals)):
+        for i in range(0, len(xyz), step):
+            yield _lines(prefix, _g_slots(xyz[i:i + step].ravel(), _OBJ_DIGITS), 3)
+    tokens, corners = _face_tokens(nu * nv), _face_corners(nu, nv)
+    run = np.tile(np.arange(3) * (nu * nv), step)      # each corner's run in tokens
+    for i in range(0, len(corners), 3 * step):
+        chunk = corners[i:i + 3 * step]
+        yield tokens[chunk + run[:len(chunk)]].tobytes().translate(None, b"\0")
 
 
-def obj_text(verts: np.ndarray, normals: np.ndarray, nu: int, nv: int) -> str:
-    """OBJ text: "v" and "vn" lines of "%.9g" numbers, then two triangles
-    per grid cell as "f k//k ..." lines.  The bytes do not depend on which
-    path builds them."""
-    build = _obj_text_vector if nu * nv >= _OBJ_VECTOR_MIN_VERTICES else _obj_text_percent
+def _obj_chunks(verts: np.ndarray, normals: np.ndarray, nu: int, nv: int):
+    """OBJ text as bytes chunks: "v" and "vn" lines of "%.9g" numbers, then
+    two triangles per grid cell as "f k//k ..." lines.  The bytes do not
+    depend on which path builds them."""
+    build = _obj_chunks_vector if nu * nv >= _OBJ_VECTOR_MIN_VERTICES else _obj_chunks_percent
     return build(verts, normals, nu, nv)
 
 
 def write_obj(path, surface: ParamSurface, nu: int, nv: int) -> None:
-    atomic_write_text(path, obj_text(*surface_mesh(surface, nu, nv), nu, nv))
+    """The OBJ of surface on an nu x nv grid; its jets are evaluated before
+    the file is created."""
+    _atomic_write(path, _obj_chunks(*surface_mesh(surface, nu, nv), nu, nv))
 
 
 def _cell(x) -> str:
@@ -317,21 +326,21 @@ def _list_runs(rows):
         yield ",".join(spec) + "\n", len(run), cells
 
 
-def _csv_text_percent(header, rows) -> str:
-    """CSV text with one "%" block per run of rows with one template."""
+def _csv_chunks_percent(header, rows):
+    """CSV text as bytes, one "%" block per run of rows with one template."""
+    yield (",".join(header) + "\n").encode()
     runs = _array_runs(rows) if isinstance(rows, np.ndarray) else _list_runs(rows)
-    return "".join([",".join(header) + "\n"]
-                   + [(template * count) % cells for template, count, cells in runs])
+    for template, count, cells in runs:
+        yield ((template * count) % cells).encode()
 
 
-def _csv_text_vector(header, rows: np.ndarray) -> str:
+def _csv_chunks_vector(header, rows: np.ndarray):
     """CSV text of a 2-D float array built by numpy, _CSV_CHUNK_CELLS cells
-    (at least one row) at a time."""
-    k = rows.shape[1]
-    step = max(1, _CSV_CHUNK_CELLS // k)
-    return "".join([",".join(header) + "\n"]
-                   + [_lines(b"", _g_slots(rows[i:i + step].ravel(), _CSV_DIGITS), k, ",")
-                      for i in range(0, len(rows), step)])
+    (at least one row) a chunk."""
+    yield (",".join(header) + "\n").encode()
+    step = max(1, _CSV_CHUNK_CELLS // rows.shape[1])
+    for i in range(0, len(rows), step):
+        yield _lines(b"", _g_slots(rows[i:i + step].ravel(), _CSV_DIGITS), rows.shape[1], ",")
 
 
 def write_csv(path, header, rows) -> None:
@@ -340,4 +349,4 @@ def write_csv(path, header, rows) -> None:
     numpy; otherwise each run of rows with one template is one "%" block.
     The bytes do not depend on which path builds them."""
     vector = isinstance(rows, np.ndarray) and rows.size >= _CSV_VECTOR_MIN_CELLS
-    atomic_write_text(path, (_csv_text_vector if vector else _csv_text_percent)(header, rows))
+    _atomic_write(path, (_csv_chunks_vector if vector else _csv_chunks_percent)(header, rows))

@@ -83,7 +83,10 @@ class JetPoint:
     @classmethod
     def from_partials(cls, p, xu, xv, xuu, xuv, xvv) -> "JetPoint":
         arrs = [np.asarray(a, dtype=float) for a in (p, xu, xv, xuu, xuv, xvv)]
-        cross = np.cross(arrs[1], arrs[2])
+        xu, xv = arrs[1], arrs[2]
+        cross = np.empty(np.broadcast_shapes(xu.shape, xv.shape))
+        for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):   # np.cross's products, in its order
+            cross[..., k] = xu[..., i] * xv[..., j] - xu[..., j] * xv[..., i]
         norm = np.sqrt(_dot(cross, cross))
         _raise_first(norm < _DEGENERACY_EPS, norm, lambda x: DegenerateJet(
             f"|Xu x Xv| = {x:.3e} below {_DEGENERACY_EPS}"))

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import errno
+import io
 import json
 import math
 import os
@@ -24,11 +26,16 @@ from wlab.config import (
 from wlab.cyclic import CyclicSurface, build_cyclic
 from wlab.errors import ConfigError
 from wlab.functions import SmoothFunction, as_smooth
-from wlab.meshio import obj_text, write_csv
+from wlab.meshio import write_csv
 from wlab.scene import build_scene
 from wlab.surface import evaluate_jet, interior_grid
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _joined(chunks) -> str:
+    """The text of a writer's bytes chunks."""
+    return b"".join(chunks).decode()
 
 
 def write_config(tmp_path, data, filename="scene.json"):
@@ -487,6 +494,51 @@ def test_name_too_long_exit_1(tmp_path):
     assert list(out.iterdir()) == []
 
 
+class _DiskFull(io.BufferedWriter):
+    """A buffered file whose third write fails as a full disk does."""
+    writes = 0
+
+    def write(self, chunk):
+        self.writes += 1
+        if self.writes == 3:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(chunk)
+
+
+def test_disk_full_mid_csv_keeps_target_exit_1(tmp_path, capsys, monkeypatch):
+    """A write that fails partway through a streamed analyze CSV (the numpy
+    path, 32 x 32 rows of 6 cells) leaves the old file as it was and no new
+    file behind, and is one output-error line and exit 1."""
+    path = write_config(tmp_path, SPHERE)
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "ball.analysis.csv"
+    target.write_bytes(b"old,table\n")
+    monkeypatch.setattr(meshio.os, "fdopen", lambda fd, mode: _DiskFull(io.FileIO(fd, "w")))
+    assert 32 * 32 * 6 >= meshio._CSV_VECTOR_MIN_CELLS
+    assert main(["analyze", "--config", path, "--out", str(out), "--grid", "32x32"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"wlab: output error: cannot write .*: No space left on device\n",
+                        err), err
+    assert target.read_bytes() == b"old,table\n"
+    assert os.listdir(out) == ["ball.analysis.csv"]
+
+
+@pytest.mark.parametrize("command", ["export", "analyze"])
+def test_jets_fail_before_any_file(tmp_path, capsys, command):
+    """The jets run before the output file is created: a scene whose jet is
+    not finite exits 2 on its numbers even when its name (300 bytes) is
+    one no file can take, and nothing is written."""
+    path = write_config(tmp_path, dict(
+        RIEMANN_TYPE, params=dict(RIEMANN_TYPE["params"], a="u ** 1.5"),
+        grid=[20, 20], name="n" * 300))
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    assert re.fullmatch(r"wlab: numerical failure: jet non-finite at u = -0\.99748\d*\n",
+                        capsys.readouterr().err)
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("params, message", [
     ({"gamma": "sqrt(u - 1)"}, r"gamma non-finite at u = (\S+)"),
     ({"kappa": "1/(u - 0.55)"}, r"missed tolerance .* with 4096 steps"),
@@ -605,7 +657,7 @@ def test_parser_carries_nothing_between_calls(tmp_path, monkeypatch):
 
 
 def _per_line_obj(verts, normals, nu, nv):
-    """The per-line OBJ formatting that obj_text's blocks must reproduce."""
+    """The per-line OBJ formatting that the OBJ chunks must reproduce."""
     lines = ["v %.9g %.9g %.9g" % tuple(p) for p in verts.tolist()]
     lines += ["vn %.9g %.9g %.9g" % tuple(n) for n in normals.tolist()]
     for i in range(nu - 1):
@@ -623,7 +675,8 @@ def test_obj_text_matches_per_line_writer(nu, nv):
     rng = np.random.default_rng(nu * 1000 + nv)
     verts = rng.normal(size=(nu * nv, 3)) * 10.0 ** rng.integers(-5, 6, size=(nu * nv, 1))
     normals = rng.normal(size=(nu * nv, 3))
-    assert obj_text(verts, normals, nu, nv) == _per_line_obj(verts, normals, nu, nv)
+    assert (_joined(meshio._obj_chunks(verts, normals, nu, nv))
+            == _per_line_obj(verts, normals, nu, nv))
 
 
 _CSV_FLOATS = st.one_of(
@@ -673,7 +726,7 @@ def test_write_csv_vector_path_matches_per_cell_writer(tmp_path, k, extra):
     assert rows.size >= meshio._CSV_VECTOR_MIN_CELLS
     header = [f"c{i}" for i in range(k)]
     expected = _per_cell_csv(header, rows.tolist())
-    assert meshio._csv_text_vector(header, rows) == expected
+    assert _joined(meshio._csv_chunks_vector(header, rows)) == expected
     path = tmp_path / "rows.csv"
     write_csv(path, header, rows)
     assert path.read_text() == expected
@@ -701,8 +754,8 @@ def test_analyze_grid_csv_paths_agree(tmp_path, monkeypatch, base):
                  "--grid", "32x32"]) == 0
     (header, rows), = tables
     assert rows.shape == (32 * 32, 9)
-    text = meshio._csv_text_vector(header, rows)
-    assert text == meshio._csv_text_percent(header, rows)
+    text = _joined(meshio._csv_chunks_vector(header, rows))
+    assert text == _joined(meshio._csv_chunks_percent(header, rows))
     assert text == _per_cell_csv(header, rows.tolist())
 
 

@@ -1,8 +1,9 @@
 """The numpy formatter writes exactly "%.9g" and "%.12g" (NaN is an empty
-slot at 12 digits, the CSV width), and the two obj_text paths (the "%"
-blocks below the vertex crossover, numpy above it) return the same text at
+slot at 12 digits, the CSV width), and the two OBJ chunk builders (the "%"
+blocks below the vertex crossover, numpy above it) yield the same bytes at
 every grid size."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,11 @@ def _random_mesh(rng, count):
     return verts, rng.normal(size=(count, 3))
 
 
+def obj_paths_agree(verts, normals, nu, nv) -> bool:
+    return (b"".join(meshio._obj_chunks_vector(verts, normals, nu, nv))
+            == b"".join(meshio._obj_chunks_percent(verts, normals, nu, nv)))
+
+
 SURFACES = {
     "sphere": lambda: gen_fixture("sphere", radius=2.0),
     "cylinder": lambda: gen_fixture("cylinder", radius=1.0),
@@ -194,15 +200,14 @@ GRIDS = [(2, 2), (7, 31), (24, 24), (96, 96), (130, 65)]
 @pytest.mark.parametrize("nu, nv", GRIDS)
 def test_paths_agree_on_random_arrays(nu, nv):
     verts, normals = _random_mesh(np.random.default_rng(nu * 1000 + nv), nu * nv)
-    assert (meshio._obj_text_vector(verts, normals, nu, nv)
-            == meshio._obj_text_percent(verts, normals, nu, nv))
+    assert obj_paths_agree(verts, normals, nu, nv)
 
 
 @pytest.mark.parametrize("nu, nv", GRIDS)
 @pytest.mark.parametrize("name", SURFACES)
 def test_paths_agree_on_scenes(name, nu, nv):
     mesh = meshio.surface_mesh(SURFACES[name](), nu, nv)
-    assert meshio._obj_text_vector(*mesh, nu, nv) == meshio._obj_text_percent(*mesh, nu, nv)
+    assert obj_paths_agree(*mesh, nu, nv)
 
 
 def test_paths_agree_across_chunks_and_digit_groups():
@@ -211,8 +216,7 @@ def test_paths_agree_across_chunks_and_digit_groups():
     verts, normals = _random_mesh(np.random.default_rng(7), nu * nv)
     verts[::5] = [0.0, -0.0, math.nan]
     normals[::7] = [math.inf, -math.inf, 1e300]
-    assert (meshio._obj_text_vector(verts, normals, nu, nv)
-            == meshio._obj_text_percent(verts, normals, nu, nv))
+    assert obj_paths_agree(verts, normals, nu, nv)
 
 
 @pytest.mark.parametrize("error", [-1.0, 1.0])
@@ -225,3 +229,45 @@ def test_exponent_off_by_one_still_g9(monkeypatch, error):
     rng = np.random.default_rng(3)
     assert_g9((rng.normal(size=200) * 10.0 ** rng.integers(-15, 15, size=200)).tolist()
               + [1.0, 1e5, 0.1, 999999999.7])
+
+
+def test_failed_chunk_keeps_target_and_no_temp_file(tmp_path, monkeypatch):
+    """An error while building the second chunk of a 96 x 96 OBJ leaves the
+    old file as it was and removes the new one, which by then holds the
+    first chunk: chunks go to the file as they are built."""
+    target = tmp_path / "torus.obj"
+    target.write_bytes(b"old\n")
+    real, calls = meshio._g_slots, []
+
+    def failing(x, digits):
+        calls.append(digits)
+        if len(calls) == 2:
+            new, = (p for p in tmp_path.iterdir() if p.name.startswith(".wlab-"))
+            assert new.name.endswith(".tmp") and new.stat().st_size > 0
+            raise RuntimeError("second chunk")
+        return real(x, digits)
+
+    monkeypatch.setattr(meshio, "_g_slots", failing)
+    with pytest.raises(RuntimeError, match="second chunk"):
+        meshio.write_obj(target, SURFACES["torus"](), 96, 96)
+    assert target.read_bytes() == b"old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["torus.obj"]
+
+
+@pytest.mark.parametrize("n", [96, 160])
+def test_write_obj_peak_memory_is_the_mesh(tmp_path, n):
+    """Writing an OBJ holds no whole text: the tracemalloc peak of write_obj
+    exceeds that of surface_mesh on the same grid by less than 0.6 MB."""
+    torus, path = SURFACES["torus"](), tmp_path / "torus.obj"
+
+    def peak(call) -> float:
+        call()      # the first call builds the cached tables
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    mesh = peak(lambda: meshio.surface_mesh(torus, n, n))
+    assert peak(lambda: meshio.write_obj(path, torus, n, n)) - mesh < 0.6

@@ -19,8 +19,8 @@ jobs; then a summary line with the line totals of both trees'
 src/wlab/*.py, as wc -l counts them, the CPU time of `import wlab.cli`
 in a fresh interpreter per tree (median of 3) with whether that import
 loaded scipy, and, per tree, whether its interpreter had loaded scipy
-after all the jobs and its peak RSS then (ru_maxrss; it includes the
-recorded texts); exits 0 only when no job differs.
+after all the jobs and its peak RSS then (VmHWM, else ru_maxrss; it
+includes the recorded texts); exits 0 only when no job differs.
 """
 from __future__ import annotations
 
@@ -145,10 +145,17 @@ def _text(path: str):
 
 
 def process_state() -> dict:
-    """Whether this interpreter has loaded scipy, and its peak RSS in MB
-    (ru_maxrss, which Linux counts in KiB)."""
-    return {"scipy": "scipy" in sys.modules,
-            "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+    """Whether this interpreter has loaded scipy, and its peak RSS in MB:
+    VmHWM of /proc/self/status where that file exists, else ru_maxrss (both
+    in KiB on Linux).  Linux carries ru_maxrss across fork and exec, so a
+    process started by a larger one reads at least that one's size; VmHWM
+    is this process's own."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            kib = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return {"scipy": "scipy" in sys.modules, "maxrss_mb": kib / 1024.0}
 
 
 def describe_state(state: dict) -> str:

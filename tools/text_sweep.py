@@ -6,26 +6,29 @@
     python3 tools/text_sweep.py --format csv [--reps 30] [--seed 5]
         [--rows 36,64,128,256,512,1024,4096]
 
-Each input is first checked to give the same text on the `%` path and the
+Each input is first checked to give the same bytes on the `%` path and the
 numpy path; then the two paths are timed alternately, --reps calls each
-per input, in CPU seconds (time.process_time).  Prints one JSON object
-whose "crossover" maps each size to the median and quartiles of each path
-in ms.  The crossover constants are read off those medians.
+per input, in CPU seconds (time.process_time).  A call is the path's chunk
+builder consumed by the writer, meshio._atomic_write, chunk by chunk into a
+file in a temporary directory, as write_obj and write_csv do.  Prints one
+JSON object whose "crossover" maps each size to the median and quartiles
+of each path in ms.  The crossover constants are read off those medians.
 
 obj: for each n in --sizes, the n x n meshes of the sphere, cylinder,
 torus and catenoid fixtures (wlab.meshio.surface_mesh) go through
-_obj_text_percent and _obj_text_vector.  Each size also gives its vertex
+_obj_chunks_percent and _obj_chunks_vector.  Each size also gives its vertex
 count, and the output ends with the tracemalloc peak of one 96 x 96 torus
-obj_text per path in MB.  Sets meshio._OBJ_VECTOR_MIN_VERTICES.
+call per path in MB.  Sets meshio._OBJ_VECTOR_MIN_VERTICES.
 
 csv: for each row count R in --rows, `wlab analyze` runs on the four
 scenes of the fine-grid workload of bench/workloads.py (riemann-example,
 rotational-lw, cyclic, riemann-type) at an nu x nv grid with nu * nv = R
 and nu the largest divisor of R not above its square root, and the header
 and float array each job hands to write_csv (9 columns) go through
-_csv_text_percent and _csv_text_vector.  Each row count also gives its
+_csv_chunks_percent and _csv_chunks_vector.  Each row count also gives its
 cell count, and each path the median minor page faults per call
-(ru_minflt of getrusage).  Sets meshio._CSV_VECTOR_MIN_CELLS.
+(ru_minflt of getrusage) and the tracemalloc peak of a call on the first
+scene's table in MB.  Sets meshio._CSV_VECTOR_MIN_CELLS.
 """
 from __future__ import annotations
 
@@ -49,8 +52,8 @@ from workloads import make_workload  # noqa: E402
 
 FIXTURES = (("sphere", {"radius": 2.0}), ("cylinder", {"radius": 1.0}),
             ("torus", {"radius_major": 2.0, "radius_minor": 1.0}), ("catenoid", {"radius": 1.0}))
-PATHS = {"obj": {"percent": meshio._obj_text_percent, "vector": meshio._obj_text_vector},
-         "csv": {"percent": meshio._csv_text_percent, "vector": meshio._csv_text_vector}}
+PATHS = {"obj": {"percent": meshio._obj_chunks_percent, "vector": meshio._obj_chunks_vector},
+         "csv": {"percent": meshio._csv_chunks_percent, "vector": meshio._csv_chunks_vector}}
 
 
 def _quartiles(samples) -> dict:
@@ -58,47 +61,53 @@ def _quartiles(samples) -> dict:
     return {"median_ms": round(q2, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
 
 
-def sweep(paths: dict, inputs, reps: int) -> tuple:
+def write(path, args, out: str) -> None:
+    """One call: path's chunks of args, written to out by the writer."""
+    meshio._atomic_write(out, path(*args))
+
+
+def sweep(paths: dict, inputs, reps: int, out: str) -> tuple:
     """(per-path CPU seconds, per-path minor faults) over reps alternating
     calls of each path on each argument tuple in inputs, after checking
-    that both paths give the same text."""
+    that both paths give the same bytes."""
     times = {name: [] for name in paths}
     faults = {name: [] for name in paths}
     for label, args in inputs:
-        if paths["percent"](*args) != paths["vector"](*args):
+        if b"".join(paths["percent"](*args)) != b"".join(paths["vector"](*args)):
             sys.exit(f"text_sweep: the two paths differ on {label}")
         for rep in range(reps):
             order = list(paths.items())
             for name, path in order if rep % 2 else order[::-1]:
                 flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.process_time()
-                path(*args)
+                write(path, args, out)
                 times[name].append(time.process_time() - start)
                 faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
     return times, faults
 
 
-def peak_mb(path, mesh, n: int) -> float:
-    path(*mesh, n, n)
+def peak_mb(path, args, out: str) -> float:
+    """The tracemalloc peak of one call, after a warm call, in MB."""
+    write(path, args, out)
     tracemalloc.start()
-    path(*mesh, n, n)
+    write(path, args, out)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return round(peak / 1e6, 3)
 
 
-def obj_sweep(args) -> dict:
-    paths, result = PATHS["obj"], {}
+def obj_sweep(args, tmp: str) -> dict:
+    paths, result, out = PATHS["obj"], {}, os.path.join(tmp, "mesh.obj")
     for n in (int(s) for s in args.sizes.split(",")):
         meshes = [(f"{kind} at {n} x {n}",
                    (*meshio.surface_mesh(gen_fixture(kind, **params), n, n), n, n))
                   for kind, params in FIXTURES]
-        times, _ = sweep(paths, meshes, args.reps)
+        times, _ = sweep(paths, meshes, args.reps, out)
         result[f"{n}x{n}"] = {"vertices": n * n,
                               **{name: _quartiles(t) for name, t in times.items()}}
     torus = meshio.surface_mesh(gen_fixture("torus", radius_major=2.0, radius_minor=1.0), 96, 96)
     return {"crossover": result,
-            "tracemalloc_peak_mb_96x96": {name: peak_mb(path, torus, 96)
+            "tracemalloc_peak_mb_96x96": {name: peak_mb(path, (*torus, 96, 96), out)
                                          for name, path in paths.items()}}
 
 
@@ -128,16 +137,17 @@ def analyze_tables(scenes, rows: int, tmp: str) -> list:
     return tables
 
 
-def csv_sweep(args) -> dict:
+def csv_sweep(args, tmp: str) -> dict:
     scenes, paths, result = make_workload("fine-grid", args.seed).scenes, PATHS["csv"], {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for rows in (int(r) for r in args.rows.split(",")):
-            tables = analyze_tables(scenes, rows, tmp)
-            times, faults = sweep(paths, tables, args.reps)
-            result[str(rows)] = {
-                "cells": int(tables[0][1][1].size),
-                **{name: {**_quartiles(times[name]), "minflt": float(np.median(faults[name]))}
-                   for name in paths}}
+    out = os.path.join(tmp, "table.csv")
+    for rows in (int(r) for r in args.rows.split(",")):
+        tables = analyze_tables(scenes, rows, tmp)
+        times, faults = sweep(paths, tables, args.reps, out)
+        result[str(rows)] = {
+            "cells": int(tables[0][1][1].size),
+            **{name: {**_quartiles(times[name]), "minflt": float(np.median(faults[name])),
+                      "peak_mb": peak_mb(path, tables[0][1], out)}
+               for name, path in paths.items()}}
     return {"crossover": result}
 
 
@@ -152,7 +162,8 @@ def main() -> None:
                         help="csv: row counts of the analyze tables")
     args = parser.parse_args()
     sweeper = obj_sweep if args.format == "obj" else csv_sweep
-    print(json.dumps(sweeper(args), indent=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(sweeper(args, tmp), indent=1))
 
 
 if __name__ == "__main__":
