@@ -18,7 +18,7 @@ from .config import MAX_POINTS, SceneConfig, canonical_dumps, load_config
 from .errors import ConfigError, OutputError, WlabError
 from .fitting import classify
 from .meshio import atomic_write_text, write_csv, write_obj
-from .scene import SceneResult, build_scene, relation_of
+from .scene import SceneResult, build_scene
 from .surface import (
     curvature,
     evaluate_jet,
@@ -57,7 +57,7 @@ def cmd_generate(cfg: SceneConfig, outdir: str, args) -> None:
 
 def cmd_analyze(cfg: SceneConfig, outdir: str, args) -> None:
     result = build_scene(cfg)
-    rel = relation_of(cfg)
+    rel = cfg.relation
     nu, nv = cfg.grid
     us, vs = interior_grid(result.surface, nu, nv)
     header = ["u", "v", "H", "K", "kappa1", "kappa2"]
@@ -103,7 +103,7 @@ def _u_list(text):
 
 
 def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
-    rel = relation_of(cfg)
+    rel = cfg.relation
     if rel is None:
         raise ConfigError("relation: required for the harmonics command")
     J = args.max_harmonic

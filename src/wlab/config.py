@@ -18,10 +18,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .functions import SmoothFunction
+from .surface import LWRelation
 
 KINDS = ("fixture", "cyclic", "riemann-type", "riemann-example", "rotational-lw")
 FIXTURE_SHAPES = ("sphere", "cylinder", "torus", "catenoid")
-# the most (u, v) points one job evaluates; analyze peaks near 1 GB at 2**20
+# the most (u, v) points one job evaluates; `wlab analyze` of a riemann-type
+# scene peaks (VmHWM) at 367 MB at 2**20 points and 1.39 GB at this cap
 MAX_POINTS = 2 ** 22
 
 _EXPR_FUNCTIONS = {name: getattr(np, name) for name in
@@ -141,13 +143,14 @@ def _check_grid(grid) -> None:
 class SceneConfig:
     """A validated scene.  args holds its builder arguments, checked and
     converted once and keyed by the builders' parameter names; expressions
-    are parsed once and test-evaluated at the middle of u_range.
-    build_scene reads only args, to_dict only params."""
+    are parsed once and test-evaluated at the middle of u_range.  relation
+    is given as a pair [m, n] and held as an LWRelation once checked.
+    build_scene reads args, not params; to_dict params, not args."""
 
     kind: str
     params: dict = field(default_factory=dict)
     grid: tuple = (32, 32)
-    relation: Optional[tuple] = None
+    relation: Optional[LWRelation] = None
     name: str = "surface"
     args: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -161,7 +164,7 @@ class SceneConfig:
                 raise ConfigError(f"relation: expected finite [m, n], got {[m, n]}")
             if m == 0:
                 raise ConfigError("relation.m: violates the m != 0 constraint")
-            self.relation = (float(m), float(n))
+            self.relation = LWRelation(float(m), float(n))
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("name: must be a non-empty string")
         # the name is a file name inside --out, never a path
@@ -251,7 +254,7 @@ class SceneConfig:
         d = {"kind": self.kind, "params": self.params,
              "grid": [self.grid[0], self.grid[1]], "name": self.name}
         if self.relation is not None:
-            d["relation"] = [self.relation[0], self.relation[1]]
+            d["relation"] = [self.relation.m, self.relation.n]
         return d
 
 

@@ -243,43 +243,37 @@ def _check_radius(r: SmoothFunction, u_range) -> None:
 
 
 def build_cyclic(data: CyclicSurface) -> ParamSurface:
-    """Surface X(u, v) = c(u) + r(u) (cos v n(u) + sin v b(u)).
+    """Surface X(u, v) = c(u) + A(u) cos v + B(u) sin v, A = r n and B = r b.
 
-    The frame and the center are integrated jointly; all partials are
-    expressed through the Frenet equations, so no frame quantity is ever
-    differentiated numerically.
+    The frame and the center are integrated jointly, and the Frenet
+    equations give the u-derivatives of n and b, so no frame quantity is
+    ever differentiated numerically.
     """
     _check_radius(data.r, data.u_range)
     dense = transport(data)
-    kappa, sigma = data.kappa, data.sigma
-    alpha, beta, gamma, r = data.alpha, data.beta, data.gamma, data.r
+    fns = (data.r, data.kappa, data.sigma, data.alpha, data.beta, data.gamma)
 
     def jets(us, vs):
-        # u-only state, one lookup per u: (nu, 1, 3) vectors and (nu, 1, 1)
-        # scalars; v enters through the (nv, 1) columns cos v and sin v
+        # u-only work on (nu, 3) vectors and (nu, 1) scalars, one lookup per
+        # u; the circle c + A cos v + B sin v, A = r n and B = r b, and its
+        # u-derivatives then take v from the (nv, 1) columns cos v and sin v
         y = dense(us).T
-        t, n, b, c = (y[:, None, i:i + 3] for i in (0, 3, 6, 9))
-        (ru, r1, r2), (k, k1, _), (s, s1, _), (al, al1, _), (be, be1, _), (ga, ga1, _) = (
-            [x[:, None, None] for x in f.jet(us)] for f in (r, kappa, sigma, alpha, beta, gamma))
+        t, n, b, c = (y[:, i:i + 3] for i in (0, 3, 6, 9))
+        (r0, r1, r2), (k, k1, _), (s, s1, _), (al, al1, _), (be, be1, _), (ga, ga1, _) = (
+            [x[:, None] for x in f.jet(us)] for f in fns)
+        n1, b1 = s * b - k * t, -s * n
+        n2 = -k1 * t - (k * k + s * s) * n + s1 * b
+        b2 = s * k * t - s1 * n - s * s * b
+        c1 = al * t + be * n + ga * b
+        c2 = (al1 - be * k) * t + (be1 + al * k - ga * s) * n + (ga1 + be * s) * b
+        A, A1, A2 = r0 * n, r1 * n + r0 * n1, r2 * n + 2.0 * r1 * n1 + r0 * n2
+        B, B1, B2 = r0 * b, r1 * b + r0 * b1, r2 * b + 2.0 * r1 * b1 + r0 * b2
+        c, c1, c2, A, A1, A2, B, B1, B2 = (
+            x[:, None] for x in (c, c1, c2, A, A1, A2, B, B1, B2))
         cv, sv = np.cos(vs)[:, None], np.sin(vs)[:, None]
-        w = cv * n + sv * b
-        w_v = -sv * n + cv * b
-        cprime = al * t + be * n + ga * b
-        # cos v n' + sin v b' = -kappa cos v t + sigma w_v
-        xu = cprime + r1 * w + ru * (-k * cv * t + s * w_v)
-        # -sin v n' + cos v b' = kappa sin v t - sigma w
-        xuv = r1 * w_v + ru * (k * sv * t - s * w)
-        csecond = ((al1 - be * k) * t
-                   + (be1 + al * k - ga * s) * n
-                   + (ga1 + be * s) * b)
-        # cos v n'' + sin v b''
-        nb2 = ((-k1 * cv + s * k * sv) * t
-               + (-(k * k + s * s) * cv - s1 * sv) * n
-               + (s1 * cv - s * s * sv) * b)
-        xuu = (csecond + r2 * w
-               + 2.0 * r1 * (-k * cv * t + s * w_v)
-               + ru * nb2)
-        return c + ru * w, xu, ru * w_v, xuu, xuv, -ru * w
+        ring = A * cv + B * sv
+        return (c + ring, c1 + A1 * cv + B1 * sv, B * cv - A * sv,
+                c2 + A2 * cv + B2 * sv, B1 * cv - A1 * sv, -ring)
 
     return ParamSurface(tuple(data.u_range), jets)
 

@@ -7,7 +7,7 @@ from typing import Optional
 from .config import SceneConfig
 from .cyclic import CyclicSurface, RiemannTypeSurface, build_cyclic, build_riemann_type
 from .generators import gen_fixture, gen_riemann_example, gen_rotational_lw
-from .surface import LWRelation, ParamSurface
+from .surface import ParamSurface
 
 
 @dataclass
@@ -16,12 +16,6 @@ class SceneResult:
     riemann_data: Optional[RiemannTypeSurface] = None
     cyclic_data: Optional[CyclicSurface] = None
     truncated: bool = False
-
-
-def relation_of(cfg: SceneConfig) -> Optional[LWRelation]:
-    if cfg.relation is None:
-        return None
-    return LWRelation(cfg.relation[0], cfg.relation[1])
 
 
 def build_scene(cfg: SceneConfig) -> SceneResult:
@@ -39,7 +33,7 @@ def build_scene(cfg: SceneConfig) -> SceneResult:
                            truncated=data.truncated)
 
     if cfg.kind == "rotational-lw":
-        profile, surface = gen_rotational_lw(relation_of(cfg), **args)
+        profile, surface = gen_rotational_lw(cfg.relation, **args)
         return SceneResult(surface, truncated=profile.truncated)
 
     # cyclic

@@ -271,10 +271,12 @@ def finite_difference_twin(surface: ParamSurface) -> ParamSurface:
 
 def interior_grid(surface: ParamSurface, nu: int, nv: int):
     """(us, vs) strictly inside the domain: u inset from both ends by
-    4 _fd_step(u_range), which keeps it inside the finite-difference twin's
-    domain too, v a full period without its endpoint."""
-    margin = 4.0 * _fd_step(surface.u_range)
+    4 _fd_step(u_range) when that leaves an interval, else by an eighth of
+    the span; v a full period without its endpoint.  Only the first inset
+    keeps the grid inside the finite-difference twin's domain too."""
     u0, u1 = surface.u_range
+    h = _fd_step(surface.u_range)
+    margin = 4.0 * h if u1 - u0 > 8.0 * h else (u1 - u0) / 8.0
     return (np.linspace(u0 + margin, u1 - margin, nu),
             np.arange(nv) * (2.0 * math.pi / nv))
 

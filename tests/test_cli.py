@@ -369,6 +369,39 @@ def test_cyclic_numbers_are_exact_constants():
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+CYLINDER = {"kind": "fixture", "params": {"shape": "cylinder", "radius": 1.5},
+            "grid": [6, 6], "name": "can"}
+CYCLIC_VARYING = dict(CYCLIC, params={
+    "kappa": "1 + 0.2*sin(u)", "sigma": "0.3 + 0.1*cos(u)", "alpha": "2 + 0.1*u",
+    "beta": "0.2 + 0.05*sin(u)", "gamma": "0.3 + 0.05*cos(u)",
+    "r": "0.5 + 0.1*cos(u)", "u_range": [0.0, 2.0]})
+
+
+@pytest.mark.parametrize("base", [SPHERE, TORUS, CYLINDER, RIEMANN_TYPE, RIEMANN_EXAMPLE,
+                                  ROTATIONAL, CYCLIC, CYCLIC_VARYING],
+                         ids=["fixture", "torus", "cylinder", "riemann-type",
+                              "riemann-example", "rotational-lw", "cyclic",
+                              "cyclic-varying"])
+def test_partials_have_degree_one_in_v(base):
+    """Every partial of a circle foliation is P0 + P1 cos v + P2 sin v with
+    coefficients that depend on u only: four equispaced v determine it, and
+    it predicts three other v to 1e-14 of the partial's largest magnitude
+    (exactly, for a partial that is identically zero)."""
+    surface = build_scene(SceneConfig.from_dict(base)).surface
+    us = interior_grid(surface, 5, 2)[0]
+    known = evaluate_jet(surface, us, np.arange(4) * (0.5 * math.pi))
+    others = np.array([0.3, 2.2, 4.9])
+    got = evaluate_jet(surface, us, others)
+    for name in ("p", "xu", "xv", "xuu", "xuv", "xvv"):
+        f = getattr(known, name)
+        p0 = 0.25 * (f[:, 0] + f[:, 1] + f[:, 2] + f[:, 3])
+        p1, p2 = 0.5 * (f[:, 0] - f[:, 2]), 0.5 * (f[:, 1] - f[:, 3])
+        want = (p0[:, None] + p1[:, None] * np.cos(others)[:, None]
+                + p2[:, None] * np.sin(others)[:, None])
+        scale = max(np.abs(f).max(), np.abs(getattr(got, name)).max())
+        assert np.abs(getattr(got, name) - want).max() <= 1e-14 * scale, name
+
+
 @pytest.mark.parametrize("base", [RIEMANN_TYPE, dict(CYCLIC, relation=[2.0, 0.0])],
                          ids=["riemann-type", "cyclic"])
 def test_one_jet_grid_per_harmonics_job(tmp_path, monkeypatch, base):
@@ -907,6 +940,20 @@ class TestHarmonicsCommand:
         path = write_config(tmp_path, CATENOID)
         assert main(["harmonics", "--config", path, "--out", str(tmp_path)]) == 1
         assert "relation" in capsys.readouterr().err
+
+
+def test_grid_on_range_shorter_than_fd_inset(tmp_path, capsys):
+    """A profile that reaches the axis at s = 3.7e-7 leaves a u-range far
+    shorter than the 4 _fd_step inset of interior_grid: the grid commands
+    still run on it, and fit finds the relation."""
+    short = dict(ROTATIONAL, name="tiny",
+                 params={"rho0": 1e-7, "theta0": 0.3, "s_range": [0.0, 5.0]})
+    path, out = write_config(tmp_path, short), tmp_path / "out"
+    for command in ("generate", "analyze", "fit"):
+        assert main([command, "--config", path, "--out", str(out)]) == 0, command
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "tiny.meta.json").read_text())["truncated"] is True
+    assert "verdict: rotational LW surface" in (out / "tiny.report.txt").read_text()
 
 
 class TestFitCommand:
