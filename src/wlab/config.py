@@ -22,8 +22,9 @@ from .surface import LWRelation
 
 KINDS = ("fixture", "cyclic", "riemann-type", "riemann-example", "rotational-lw")
 FIXTURE_SHAPES = ("sphere", "cylinder", "torus", "catenoid")
-# the most (u, v) points one job evaluates; `wlab analyze` of a riemann-type
-# scene peaks (VmHWM) at 367 MB at 2**20 points and 1.39 GB at this cap
+# the most (u, v) points one job evaluates; at this cap, on a riemann-type scene,
+# `wlab harmonics --max-harmonic 2000000` peaks (VmHWM) at 1.60 GB in 18-25 s of
+# CPU, and `wlab analyze` at 1.39 GB in 14 s (367 MB at 2**20 points)
 MAX_POINTS = 2 ** 22
 
 _EXPR_FUNCTIONS = {name: getattr(np, name) for name in

@@ -1,26 +1,23 @@
 """Mesh and report output: OBJ export, CSV writers, atomic file writes.
 
-Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files.  A
-small output is "%" blocks.  A large one is built by numpy in NUL-padded
-byte slots, a token per number from one kernel at either width (_g_slots),
-a chunk at a time; one bytes.translate per chunk drops the NULs.  Both
-paths yield the same bytes, and the writer takes each chunk to the file as
-it comes: no text is held whole.
+Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files.  One
+generator, _float_lines, turns a 2-D float array into text, one line per
+row: the OBJ "v" and "vn" sections and a CSV's float array alike.  A table
+of fewer than _VECTOR_MIN_CELLS cells is one "%" block, or at the CSV width
+one per run of rows that share a NaN pattern (an empty cell).  A larger one
+is built by numpy in NUL-padded byte slots, a token per number from one
+kernel at either width (_g_slots), a chunk at a time; one bytes.translate
+per chunk drops the NULs.  Both paths yield the same bytes, and the writer
+takes each chunk to the file as it comes: no text is held whole.
 
-An OBJ of fewer than _OBJ_VECTOR_MIN_VERTICES vertices is three "%" blocks:
-the vertices, the normals, and the faces, whose corners are gathered from a
-table of "k//k" tokens by index arrays.  A larger OBJ is built
-_OBJ_CHUNK_LINES lines at a time, from a "%.9g" slot per number and a
-"k//k" token per face corner (_face_tokens).
-
-A float array of at least _CSV_VECTOR_MIN_CELLS cells handed to write_csv
-is built _CSV_CHUNK_CELLS cells at a time, from a "%.12g" slot per cell;
-NaN is an empty slot, so an empty cell.  The chunk keeps every temporary
-below glibc's 128 KiB mmap threshold: a 9,216-cell grid formatted at once
-took fresh pages for its temporaries on each call, and its minor page
-faults ate the gain over "%".  A smaller array gets its templates from one
-np.isnan over the whole array: each run of rows with one NaN pattern is one
-"%" block.  Rows of any other cells are classified cell by cell.
+An OBJ's faces follow its vertices: a "%" block whose corners are gathered
+from a table of "k//k" tokens by index arrays, or, when the vertices took
+numpy, _OBJ_CHUNK_LINES lines at a time from a "k//k" token per face
+corner (_face_tokens).  The numpy CSV path is _CSV_CHUNK_CELLS cells a
+chunk, which keeps every temporary below glibc's 128 KiB mmap threshold: a
+9,216-cell grid formatted at once took fresh pages for its temporaries on
+each call, and its minor page faults ate the gain over "%".  CSV rows of
+any other cells are classified cell by cell.
 
 All writes go through a new file in the target directory, created with
 mode 0o666 less the umask, followed by an atomic rename; an OBJ's jets are
@@ -38,16 +35,13 @@ import numpy as np
 from .errors import OutputError
 from .surface import ParamSurface, evaluate_jet, interior_grid
 
-# Vertex count from which an OBJ is built with numpy: "%" is faster up to
-# 12 x 12 grids, the two tie at 16 x 16, numpy wins from 20 x 20 up
-# (BENCH_obj_stream.json, "obj_sweep_focus"; tools/text_sweep.py --format obj).
-_OBJ_VECTOR_MIN_VERTICES = 256
-_OBJ_CHUNK_LINES = 2048     # lines per chunk of the vector path
-# Cell count from which write_csv builds an array's text with numpy: the "%"
-# blocks are faster up to 64 rows of 9 cells, numpy from 80 rows up
-# (BENCH_csv_text.json, "crossover", tools/text_sweep.py --format csv).
-_CSV_VECTOR_MIN_CELLS = 768
-_CSV_CHUNK_CELLS = 2048     # cells per chunk of the vector path
+# Cell count from which a float table is built with numpy, OBJ and CSV alike:
+# OBJ sections tie at 16 x 16 (768 numbers), "%" wins below and numpy above;
+# 9-column analyze CSVs tie between 1,152 and 2,304 cells, numpy 10% slower at
+# 1,152 (BENCH_text_writer.json; tools/text_sweep.py --format obj|csv).
+_VECTOR_MIN_CELLS = 768
+_OBJ_CHUNK_LINES = 2048     # lines per OBJ chunk of the vector path
+_CSV_CHUNK_CELLS = 2048     # cells per CSV chunk of the vector path
 _OBJ_DIGITS, _CSV_DIGITS = 9, 12
 _EXP = 20                   # the slot layouts cover decimal exponents -_EXP.._EXP
 _LE64 = np.dtype("<u8")     # slot bytes as words: byte j is bits 8j..8j+7
@@ -110,15 +104,6 @@ def _face_corners(nu: int, nv: int) -> np.ndarray:
     b, c = a + 1, a + nv
     d = c + 1
     return np.stack((a, b, d, a, d, c), axis=1).ravel()
-
-
-def _obj_chunks_percent(verts, normals, nu: int, nv: int):
-    """OBJ text as one "%" block per section."""
-    yield (("v %.9g %.9g %.9g\n" * len(verts)) % tuple(verts.ravel().tolist())).encode()
-    yield (("vn %.9g %.9g %.9g\n" * len(normals)) % tuple(normals.ravel().tolist())).encode()
-    tokens = np.array(["%d//%d" % (k, k) for k in range(1, nu * nv + 1)], dtype=object)
-    corners = _face_corners(nu, nv)
-    yield (("f %s %s %s\n" * (len(corners) // 3)) % tuple(tokens[corners].tolist())).encode()
 
 
 @functools.cache
@@ -256,7 +241,7 @@ def _face_tokens(count: int) -> np.ndarray:
     return items.view(np.dtype((np.void, 2 * w + 5))).ravel()
 
 
-def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str = " ") -> bytes:
+def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str) -> bytes:
     """Text of one line per k rows of slots, shape (lines * k, width):
     prefix, then the k slots separated by sep, then a newline; NULs
     dropped."""
@@ -270,13 +255,39 @@ def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str = " ") -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _obj_chunks_vector(verts, normals, nu: int, nv: int):
-    """OBJ text built by numpy, _OBJ_CHUNK_LINES lines a chunk."""
-    step = _OBJ_CHUNK_LINES
-    for prefix, xyz in ((b"v ", verts), (b"vn ", normals)):
-        for i in range(0, len(xyz), step):
-            yield _lines(prefix, _g_slots(xyz[i:i + step].ravel(), _OBJ_DIGITS), 3)
-    tokens, corners = _face_tokens(nu * nv), _face_corners(nu, nv)
+def _float_lines(prefix: bytes, rows: np.ndarray, digits: int, sep: str, chunk_cells: int):
+    """Text of a 2-D float array as bytes chunks, one line per row: prefix,
+    then the row's "%.<digits>g" cells joined by sep; at the CSV width NaN
+    is an empty cell.  From _VECTOR_MIN_CELLS cells up, numpy builds
+    chunk_cells cells (at least one row) a chunk; below, each run of rows
+    with one NaN pattern is one "%" block."""
+    k = rows.shape[1]
+    if rows.size >= _VECTOR_MIN_CELLS:
+        step = max(1, chunk_cells // k)
+        for i in range(0, len(rows), step):
+            yield _lines(prefix, _g_slots(rows[i:i + step].ravel(), digits), k, sep)
+        return
+    spec, head = "%%.%dg" % digits, prefix.decode()
+    nan = np.isnan(rows) if digits == _CSV_DIGITS else None     # "%.9g" writes NaN as "nan"
+    if nan is None or not nan.any():
+        line = head + sep.join([spec] * k) + "\n"
+        yield ((line * len(rows)) % tuple(rows.ravel().tolist())).encode()
+        return
+    cuts = (np.flatnonzero((nan[1:] != nan[:-1]).any(axis=1)) + 1).tolist()
+    for s, e in zip([0] + cuts, cuts + [len(rows)]):
+        template = head + sep.join(np.where(nan[s], "", spec).tolist()) + "\n"
+        yield ((template * (e - s)) % tuple(rows[s:e][~nan[s:e]].tolist())).encode()
+
+
+def _face_lines(nu: int, nv: int, vector: bool):
+    """Two triangles per grid cell as "f k//k k//k k//k" lines: one "%"
+    block, or with numpy _OBJ_CHUNK_LINES lines a chunk when vector."""
+    corners = _face_corners(nu, nv)
+    if not vector:
+        tokens = np.array(["%d//%d" % (k, k) for k in range(1, nu * nv + 1)], dtype=object)
+        yield (("f %s %s %s\n" * (len(corners) // 3)) % tuple(tokens[corners].tolist())).encode()
+        return
+    step, tokens = _OBJ_CHUNK_LINES, _face_tokens(nu * nv)
     run = np.tile(np.arange(3) * (nu * nv), step)      # each corner's run in tokens
     for i in range(0, len(corners), 3 * step):
         chunk = corners[i:i + 3 * step]
@@ -285,10 +296,11 @@ def _obj_chunks_vector(verts, normals, nu: int, nv: int):
 
 def _obj_chunks(verts: np.ndarray, normals: np.ndarray, nu: int, nv: int):
     """OBJ text as bytes chunks: "v" and "vn" lines of "%.9g" numbers, then
-    two triangles per grid cell as "f k//k ..." lines.  The bytes do not
-    depend on which path builds them."""
-    build = _obj_chunks_vector if nu * nv >= _OBJ_VECTOR_MIN_VERTICES else _obj_chunks_percent
-    return build(verts, normals, nu, nv)
+    the faces, on the path the vertices took."""
+    cells = 3 * _OBJ_CHUNK_LINES
+    yield from _float_lines(b"v ", verts, _OBJ_DIGITS, " ", cells)
+    yield from _float_lines(b"vn ", normals, _OBJ_DIGITS, " ", cells)
+    yield from _face_lines(nu, nv, verts.size >= _VECTOR_MIN_CELLS)
 
 
 def write_obj(path, surface: ParamSurface, nu: int, nv: int) -> None:
@@ -305,48 +317,19 @@ def _cell(x) -> str:
     return "%s"
 
 
-def _array_runs(rows: np.ndarray):
-    """(template, row count, cells) per run of rows of a 2-D float array
-    that share one NaN pattern."""
-    nan = np.isnan(rows)
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (nan[1:] != nan[:-1]).any(axis=1)
-    starts = np.flatnonzero(new).tolist()
-    for s, e in zip(starts, starts[1:] + [len(rows)]):
-        template = ",".join(np.where(nan[s], "", "%.12g").tolist()) + "\n"
-        yield template, e - s, tuple(rows[s:e][~nan[s:e]].tolist())
-
-
 def _list_runs(rows):
-    """(template, row count, cells) per run of rows with one template; each
-    cell is classified once, and the cells with an empty spec are dropped."""
+    """One "%" block, as bytes, per run of rows with one template; each cell
+    is classified once, and the cells with an empty spec are dropped."""
     for spec, run in itertools.groupby(rows, key=lambda row: tuple(map(_cell, row))):
         run = list(run)
         cells = tuple(x for row in run for kind, x in zip(spec, row) if kind)
-        yield ",".join(spec) + "\n", len(run), cells
-
-
-def _csv_chunks_percent(header, rows):
-    """CSV text as bytes, one "%" block per run of rows with one template."""
-    yield (",".join(header) + "\n").encode()
-    runs = _array_runs(rows) if isinstance(rows, np.ndarray) else _list_runs(rows)
-    for template, count, cells in runs:
-        yield ((template * count) % cells).encode()
-
-
-def _csv_chunks_vector(header, rows: np.ndarray):
-    """CSV text of a 2-D float array built by numpy, _CSV_CHUNK_CELLS cells
-    (at least one row) a chunk."""
-    yield (",".join(header) + "\n").encode()
-    step = max(1, _CSV_CHUNK_CELLS // rows.shape[1])
-    for i in range(0, len(rows), step):
-        yield _lines(b"", _g_slots(rows[i:i + step].ravel(), _CSV_DIGITS), rows.shape[1], ",")
+        yield (((",".join(spec) + "\n") * len(run)) % cells).encode()
 
 
 def write_csv(path, header, rows) -> None:
-    """CSV text.  rows is a 2-D float array or a sequence of rows of any
-    cells.  An array of at least _CSV_VECTOR_MIN_CELLS cells is built by
-    numpy; otherwise each run of rows with one template is one "%" block.
-    The bytes do not depend on which path builds them."""
-    vector = isinstance(rows, np.ndarray) and rows.size >= _CSV_VECTOR_MIN_CELLS
-    _atomic_write(path, (_csv_chunks_vector if vector else _csv_chunks_percent)(header, rows))
+    """CSV text: the header line, then the lines of rows, a 2-D float array
+    (_float_lines) or a sequence of rows of any cells (_list_runs).  The
+    bytes do not depend on which path builds them."""
+    lines = (_float_lines(b"", rows, _CSV_DIGITS, ",", _CSV_CHUNK_CELLS)
+             if isinstance(rows, np.ndarray) else _list_runs(rows))
+    _atomic_write(path, itertools.chain([(",".join(header) + "\n").encode()], lines))

@@ -548,7 +548,7 @@ def test_disk_full_mid_csv_keeps_target_exit_1(tmp_path, capsys, monkeypatch):
     target = out / "ball.analysis.csv"
     target.write_bytes(b"old,table\n")
     monkeypatch.setattr(meshio.os, "fdopen", lambda fd, mode: _DiskFull(io.FileIO(fd, "w")))
-    assert 32 * 32 * 6 >= meshio._CSV_VECTOR_MIN_CELLS
+    assert 32 * 32 * 6 >= meshio._VECTOR_MIN_CELLS
     assert main(["analyze", "--config", path, "--out", str(out), "--grid", "32x32"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"wlab: output error: cannot write .*: No space left on device\n",
@@ -750,19 +750,28 @@ def _wide_floats(rng, shape, nan_every):
     return rows
 
 
+def _csv_text(tmp_path, monkeypatch, header, rows, min_cells) -> str:
+    """write_csv's text of rows with meshio._VECTOR_MIN_CELLS set to
+    min_cells: 0 puts a float array on the numpy path, more than its size
+    on the "%" blocks."""
+    monkeypatch.setattr(meshio, "_VECTOR_MIN_CELLS", min_cells)
+    path = tmp_path / "paths.csv"
+    write_csv(path, header, rows)
+    return path.read_text()
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize("k", [1, 9])
-def test_write_csv_vector_path_matches_per_cell_writer(tmp_path, k, extra):
+def test_write_csv_vector_path_matches_per_cell_writer(tmp_path, monkeypatch, k, extra):
     """Row counts of one chunk less one, one chunk and one chunk plus one."""
     rows = _wide_floats(np.random.default_rng(k * 10 + extra),
                         (max(1, meshio._CSV_CHUNK_CELLS // k) + extra, k), 17)
-    assert rows.size >= meshio._CSV_VECTOR_MIN_CELLS
+    crossover = meshio._VECTOR_MIN_CELLS
+    assert rows.size >= crossover
     header = [f"c{i}" for i in range(k)]
     expected = _per_cell_csv(header, rows.tolist())
-    assert _joined(meshio._csv_chunks_vector(header, rows)) == expected
-    path = tmp_path / "rows.csv"
-    write_csv(path, header, rows)
-    assert path.read_text() == expected
+    assert _csv_text(tmp_path, monkeypatch, header, rows, 0) == expected
+    assert _csv_text(tmp_path, monkeypatch, header, rows, crossover) == expected
 
 
 def test_write_csv_vector_path_all_nan_rows_and_many_chunks(tmp_path):
@@ -787,9 +796,41 @@ def test_analyze_grid_csv_paths_agree(tmp_path, monkeypatch, base):
                  "--grid", "32x32"]) == 0
     (header, rows), = tables
     assert rows.shape == (32 * 32, 9)
-    text = _joined(meshio._csv_chunks_vector(header, rows))
-    assert text == _joined(meshio._csv_chunks_percent(header, rows))
+    text = _csv_text(tmp_path, monkeypatch, header, rows, 0)
+    assert text == _csv_text(tmp_path, monkeypatch, header, rows, rows.size + 1)
     assert text == _per_cell_csv(header, rows.tolist())
+
+
+def test_obj_and_csv_switch_path_at_one_cell_count(tmp_path, monkeypatch):
+    """One crossover, meshio._VECTOR_MIN_CELLS = 768, picks "%" or numpy for
+    OBJ sections and CSV arrays alike, and an OBJ's faces take the path of
+    its vertices: a 15 x 17 OBJ (255 vertices, 765 cells) and 767-cell CSVs
+    call no numpy kernel, a 16 x 16 OBJ formats both sections with _g_slots
+    and its faces with _face_tokens, and 768-cell CSVs call _g_slots once.
+    Every file is the per-line or per-cell text."""
+    calls = []
+    for name in ("_g_slots", "_face_tokens"):
+        real = getattr(meshio, name)
+        monkeypatch.setattr(meshio, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert meshio._VECTOR_MIN_CELLS == 768
+    torus = build_scene(load_config(write_config(tmp_path, TORUS))).surface
+    path = tmp_path / "mesh.obj"
+    for nu, nv, expected in [(15, 17, []), (16, 16, ["_g_slots", "_g_slots", "_face_tokens"])]:
+        calls.clear()
+        meshio.write_obj(path, torus, nu, nv)
+        assert calls == expected
+        assert path.read_text() == _per_line_obj(*meshio.surface_mesh(torus, nu, nv), nu, nv)
+    rng = np.random.default_rng(768)
+    path = tmp_path / "rows.csv"
+    for shape, expected in [((767, 1), []), ((59, 13), []),
+                            ((768, 1), ["_g_slots"]), ((64, 12), ["_g_slots"])]:
+        rows = _wide_floats(rng, shape, 17)
+        header = [f"c{i}" for i in range(shape[1])]
+        calls.clear()
+        write_csv(path, header, rows)
+        assert calls == expected
+        assert path.read_text() == _per_cell_csv(header, rows.tolist())
 
 
 class TestGenerate:

@@ -1,7 +1,8 @@
 """The numpy formatter writes exactly "%.9g" and "%.12g" (NaN is an empty
-slot at 12 digits, the CSV width), and the two OBJ chunk builders (the "%"
-blocks below the vertex crossover, numpy above it) yield the same bytes at
-every grid size."""
+slot at 12 digits, the CSV width), and an OBJ's chunks are the same bytes
+on both paths of the one float-table writer (the "%" blocks below
+meshio._VECTOR_MIN_CELLS, numpy from it up, each forced here by setting
+that constant) at every grid size."""
 import math
 import tracemalloc
 
@@ -182,9 +183,14 @@ def _random_mesh(rng, count):
     return verts, rng.normal(size=(count, 3))
 
 
-def obj_paths_agree(verts, normals, nu, nv) -> bool:
-    return (b"".join(meshio._obj_chunks_vector(verts, normals, nu, nv))
-            == b"".join(meshio._obj_chunks_percent(verts, normals, nu, nv)))
+def obj_paths_agree(monkeypatch, verts, normals, nu, nv) -> bool:
+    """The OBJ chunks with every section on numpy (a crossover of 0 cells)
+    and with every section on "%" (a crossover above the table size)."""
+    texts = []
+    for min_cells in (0, verts.size + 1):
+        monkeypatch.setattr(meshio, "_VECTOR_MIN_CELLS", min_cells)
+        texts.append(b"".join(meshio._obj_chunks(verts, normals, nu, nv)))
+    return texts[0] == texts[1]
 
 
 SURFACES = {
@@ -198,25 +204,25 @@ GRIDS = [(2, 2), (7, 31), (24, 24), (96, 96), (130, 65)]
 
 
 @pytest.mark.parametrize("nu, nv", GRIDS)
-def test_paths_agree_on_random_arrays(nu, nv):
+def test_paths_agree_on_random_arrays(monkeypatch, nu, nv):
     verts, normals = _random_mesh(np.random.default_rng(nu * 1000 + nv), nu * nv)
-    assert obj_paths_agree(verts, normals, nu, nv)
+    assert obj_paths_agree(monkeypatch, verts, normals, nu, nv)
 
 
 @pytest.mark.parametrize("nu, nv", GRIDS)
 @pytest.mark.parametrize("name", SURFACES)
-def test_paths_agree_on_scenes(name, nu, nv):
+def test_paths_agree_on_scenes(monkeypatch, name, nu, nv):
     mesh = meshio.surface_mesh(SURFACES[name](), nu, nv)
-    assert obj_paths_agree(*mesh, nu, nv)
+    assert obj_paths_agree(monkeypatch, *mesh, nu, nv)
 
 
-def test_paths_agree_across_chunks_and_digit_groups():
+def test_paths_agree_across_chunks_and_digit_groups(monkeypatch):
     """More lines than one chunk, and vertex numbers of five digits."""
     nu, nv = 3, 4 * meshio._OBJ_CHUNK_LINES + 7
     verts, normals = _random_mesh(np.random.default_rng(7), nu * nv)
     verts[::5] = [0.0, -0.0, math.nan]
     normals[::7] = [math.inf, -math.inf, 1e300]
-    assert obj_paths_agree(verts, normals, nu, nv)
+    assert obj_paths_agree(monkeypatch, verts, normals, nu, nv)
 
 
 @pytest.mark.parametrize("error", [-1.0, 1.0])

@@ -1,34 +1,37 @@
 #!/usr/bin/env python3
-"""Time both text paths of wlab.meshio, OBJ per grid size or CSV per row count.
+"""Time both paths of meshio's float-table writer, OBJ per grid size or CSV per row count.
 
     python3 tools/text_sweep.py --format obj [--reps 30]
         [--sizes 8,12,16,24,32,48,64,96,128]
     python3 tools/text_sweep.py --format csv [--reps 30] [--seed 5]
         [--rows 36,64,128,256,512,1024,4096]
 
-Each input is first checked to give the same bytes on the `%` path and the
-numpy path; then the two paths are timed alternately, --reps calls each
-per input, in CPU seconds (time.process_time).  A call is the path's chunk
-builder consumed by the writer, meshio._atomic_write, chunk by chunk into a
-file in a temporary directory, as write_obj and write_csv do.  Prints one
-JSON object whose "crossover" maps each size to the median and quartiles
-of each path in ms.  The crossover constants are read off those medians.
+One constant, meshio._VECTOR_MIN_CELLS, sends a float table of that many
+cells or more to numpy and a smaller one to "%" blocks, for OBJ sections
+and CSV arrays alike, and an OBJ's faces follow its vertices.  Each path is
+forced as the tests force it, by setting that constant to 0 ("vector") or
+above every table size ("percent").  Each input is first checked to give
+the same bytes on both paths; then the two paths are timed alternately,
+--reps calls each per input, in CPU seconds (time.process_time).  A call
+writes one file in a temporary directory as write_obj and write_csv do:
+meshio._atomic_write drains the OBJ chunks (meshio._obj_chunks; the jets
+are not timed), and write_csv writes the CSV.  Prints one JSON object
+whose "crossover" maps each size to the median and quartiles of each path
+in ms.  The crossover is read off those medians.
 
 obj: for each n in --sizes, the n x n meshes of the sphere, cylinder,
-torus and catenoid fixtures (wlab.meshio.surface_mesh) go through
-_obj_chunks_percent and _obj_chunks_vector.  Each size also gives its vertex
-count, and the output ends with the tracemalloc peak of one 96 x 96 torus
-call per path in MB.  Sets meshio._OBJ_VECTOR_MIN_VERTICES.
+torus and catenoid fixtures (wlab.meshio.surface_mesh), 3 n^2 cells per
+section.  Each size also gives its vertex count, and the output ends with
+the tracemalloc peak of one 96 x 96 torus call per path in MB.
 
 csv: for each row count R in --rows, `wlab analyze` runs on the four
 scenes of the fine-grid workload of bench/workloads.py (riemann-example,
 rotational-lw, cyclic, riemann-type) at an nu x nv grid with nu * nv = R
 and nu the largest divisor of R not above its square root, and the header
-and float array each job hands to write_csv (9 columns) go through
-_csv_chunks_percent and _csv_chunks_vector.  Each row count also gives its
-cell count, and each path the median minor page faults per call
-(ru_minflt of getrusage) and the tracemalloc peak of a call on the first
-scene's table in MB.  Sets meshio._CSV_VECTOR_MIN_CELLS.
+and float array each job hands to write_csv (9 columns) are written.  Each
+row count also gives its cell count, and each path the median minor page
+faults per call (ru_minflt of getrusage) and the tracemalloc peak of a call
+on the first scene's table in MB.
 """
 from __future__ import annotations
 
@@ -52,8 +55,13 @@ from workloads import make_workload  # noqa: E402
 
 FIXTURES = (("sphere", {"radius": 2.0}), ("cylinder", {"radius": 1.0}),
             ("torus", {"radius_major": 2.0, "radius_minor": 1.0}), ("catenoid", {"radius": 1.0}))
-PATHS = {"obj": {"percent": meshio._obj_chunks_percent, "vector": meshio._obj_chunks_vector},
-         "csv": {"percent": meshio._csv_chunks_percent, "vector": meshio._csv_chunks_vector}}
+# the meshio._VECTOR_MIN_CELLS that forces each path
+FORCED = {"percent": sys.maxsize, "vector": 0}
+
+
+def write_obj_chunks(out: str, verts, normals, nu: int, nv: int) -> None:
+    """write_obj's file writing, on given vertices and normals."""
+    meshio._atomic_write(out, meshio._obj_chunks(verts, normals, nu, nv))
 
 
 def _quartiles(samples) -> dict:
@@ -61,54 +69,60 @@ def _quartiles(samples) -> dict:
     return {"median_ms": round(q2, 4), "q1_ms": round(q1, 4), "q3_ms": round(q3, 4)}
 
 
-def write(path, args, out: str) -> None:
-    """One call: path's chunks of args, written to out by the writer."""
-    meshio._atomic_write(out, path(*args))
+def write(path: str, writer, args, out: str) -> None:
+    """One call: writer(out, *args) on the forced path."""
+    meshio._VECTOR_MIN_CELLS = FORCED[path]
+    writer(out, *args)
 
 
-def sweep(paths: dict, inputs, reps: int, out: str) -> tuple:
+def sweep(writer, inputs, reps: int, out: str) -> tuple:
     """(per-path CPU seconds, per-path minor faults) over reps alternating
     calls of each path on each argument tuple in inputs, after checking
     that both paths give the same bytes."""
-    times = {name: [] for name in paths}
-    faults = {name: [] for name in paths}
+    times = {name: [] for name in FORCED}
+    faults = {name: [] for name in FORCED}
     for label, args in inputs:
-        if b"".join(paths["percent"](*args)) != b"".join(paths["vector"](*args)):
+        texts = []
+        for name in FORCED:
+            write(name, writer, args, out)
+            with open(out, "rb") as fh:
+                texts.append(fh.read())
+        if texts[0] != texts[1]:
             sys.exit(f"text_sweep: the two paths differ on {label}")
         for rep in range(reps):
-            order = list(paths.items())
-            for name, path in order if rep % 2 else order[::-1]:
+            order = list(FORCED)
+            for name in order if rep % 2 else order[::-1]:
                 flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                 start = time.process_time()
-                write(path, args, out)
+                write(name, writer, args, out)
                 times[name].append(time.process_time() - start)
                 faults[name].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
     return times, faults
 
 
-def peak_mb(path, args, out: str) -> float:
+def peak_mb(path: str, writer, args, out: str) -> float:
     """The tracemalloc peak of one call, after a warm call, in MB."""
-    write(path, args, out)
+    write(path, writer, args, out)
     tracemalloc.start()
-    write(path, args, out)
+    write(path, writer, args, out)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return round(peak / 1e6, 3)
 
 
 def obj_sweep(args, tmp: str) -> dict:
-    paths, result, out = PATHS["obj"], {}, os.path.join(tmp, "mesh.obj")
+    result, out = {}, os.path.join(tmp, "mesh.obj")
     for n in (int(s) for s in args.sizes.split(",")):
         meshes = [(f"{kind} at {n} x {n}",
                    (*meshio.surface_mesh(gen_fixture(kind, **params), n, n), n, n))
                   for kind, params in FIXTURES]
-        times, _ = sweep(paths, meshes, args.reps, out)
+        times, _ = sweep(write_obj_chunks, meshes, args.reps, out)
         result[f"{n}x{n}"] = {"vertices": n * n,
                               **{name: _quartiles(t) for name, t in times.items()}}
     torus = meshio.surface_mesh(gen_fixture("torus", radius_major=2.0, radius_minor=1.0), 96, 96)
     return {"crossover": result,
-            "tracemalloc_peak_mb_96x96": {name: peak_mb(path, (*torus, 96, 96), out)
-                                         for name, path in paths.items()}}
+            "tracemalloc_peak_mb_96x96": {
+                path: peak_mb(path, write_obj_chunks, (*torus, 96, 96), out) for path in FORCED}}
 
 
 def grid(rows: int) -> tuple:
@@ -138,16 +152,16 @@ def analyze_tables(scenes, rows: int, tmp: str) -> list:
 
 
 def csv_sweep(args, tmp: str) -> dict:
-    scenes, paths, result = make_workload("fine-grid", args.seed).scenes, PATHS["csv"], {}
+    scenes, result = make_workload("fine-grid", args.seed).scenes, {}
     out = os.path.join(tmp, "table.csv")
     for rows in (int(r) for r in args.rows.split(",")):
         tables = analyze_tables(scenes, rows, tmp)
-        times, faults = sweep(paths, tables, args.reps, out)
+        times, faults = sweep(meshio.write_csv, tables, args.reps, out)
         result[str(rows)] = {
             "cells": int(tables[0][1][1].size),
             **{name: {**_quartiles(times[name]), "minflt": float(np.median(faults[name])),
-                      "peak_mb": peak_mb(path, tables[0][1], out)}
-               for name, path in paths.items()}}
+                      "peak_mb": peak_mb(name, meshio.write_csv, tables[0][1], out)}
+               for name in FORCED}}
     return {"crossover": result}
 
 
