@@ -131,11 +131,9 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
     if j_closed is not None:
         ratio, passed[:, j_closed] = hm.compare_coefficient(spectra, j_closed, closed)
         table[:, j_closed, 4:] = np.column_stack((*closed, ratio))
-    rows = [[*cells, p] for cells, p in zip(table.reshape(-1, 7).tolist(),
-                                            passed.ravel().tolist())]
     write_csv(_out_path(outdir, cfg, "harmonics.csv"),
               ["u", "j", "dft_A", "dft_B", "closed_A", "closed_B", "ratio", "pass"],
-              rows)
+              table.reshape(-1, 7), label=(7, passed.ravel()))
 
 
 def cmd_fit(cfg: SceneConfig, outdir: str, args) -> None:
@@ -144,12 +142,10 @@ def cmd_fit(cfg: SceneConfig, outdir: str, args) -> None:
     result = build_scene(cfg)
     report = classify(result.surface, grid=cfg.grid, lw_tol=args.tol)
     atomic_write_text(_out_path(outdir, cfg, "report.txt"), report.to_text())
-    rows = []
-    for labeling, fit in (("as_given", report.fit_as_given),
-                          ("swapped", report.fit_swapped)):
-        if fit is not None:
-            rows.append([labeling, fit.m, fit.n, fit.rms])
-    write_csv(_out_path(outdir, cfg, "fit.csv"), ["labeling", "m", "n", "rms"], rows)
+    fits = {"as_given": report.fit_as_given, "swapped": report.fit_swapped}
+    table = {name: (fit.m, fit.n, fit.rms) for name, fit in fits.items() if fit is not None}
+    write_csv(_out_path(outdir, cfg, "fit.csv"), ["labeling", "m", "n", "rms"],
+              np.array(list(table.values())).reshape(-1, 3), label=(0, list(table)))
 
 
 def cmd_export(cfg: SceneConfig, outdir: str, args) -> SceneResult:
@@ -187,7 +183,8 @@ def _parser() -> argparse.ArgumentParser:
                                  "which the surface is LW (> 0)")
         if name == "harmonics":
             sp.add_argument("--u-list", default=None,
-                            help="comma-separated u values")
+                            help="comma-separated u values; write --u-list=-0.5,0.5 "
+                                 "when the first is negative")
             sp.add_argument("--max-harmonic", type=int, default=12)
     return parser
 

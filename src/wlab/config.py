@@ -23,8 +23,8 @@ from .surface import LWRelation
 KINDS = ("fixture", "cyclic", "riemann-type", "riemann-example", "rotational-lw")
 FIXTURE_SHAPES = ("sphere", "cylinder", "torus", "catenoid")
 # the most (u, v) points one job evaluates; at this cap, on a riemann-type scene,
-# `wlab harmonics --max-harmonic 2000000` peaks (VmHWM) at 1.60 GB in 18-25 s of
-# CPU, and `wlab analyze` at 1.39 GB in 14 s (367 MB at 2**20 points)
+# `wlab harmonics --max-harmonic 2000000` peaks (VmHWM) at 1.32 GB in 7-9 s of CPU,
+# and `wlab analyze` at 1.39 GB in 8-10 s (tools/point_cap.py; 367 MB at 2**20)
 MAX_POINTS = 2 ** 22
 
 _EXPR_FUNCTIONS = {name: getattr(np, name) for name in
@@ -79,7 +79,7 @@ def parse_scalar_function(spec, where: str, test_u: float = 0.5):
                 if too_big:
                     raise too_big[0]
                 code = compile(tree, f"<{where}>", "eval")
-        except (SyntaxError, ValueError, RecursionError, OverflowError) as exc:
+        except (SyntaxError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
             raise ConfigError(f"{where}: invalid expression {spec!r}: {exc}") from None
         if code is None:
             raise ConfigError(f"{where}: expression {spec!r} is not arithmetic in u "
@@ -91,7 +91,8 @@ def parse_scalar_function(spec, where: str, test_u: float = 0.5):
             return float(value) if np.ndim(u) == 0 else value
 
         try:
-            fn(test_u)
+            with np.errstate(all="ignore"):     # a non-finite value fails where it is used
+                fn(test_u)
         except Exception as exc:
             raise ConfigError(f"{where}: expression {spec!r} failed to evaluate: {exc}")
         return fn

@@ -2,13 +2,15 @@
 
 Numbers are written with "%.9g" in OBJ files and "%.12g" in CSV files.  One
 generator, _float_lines, turns a 2-D float array into text, one line per
-row: the OBJ "v" and "vn" sections and a CSV's float array alike.  A table
-of fewer than _VECTOR_MIN_CELLS cells is one "%" block, or at the CSV width
-one per run of rows that share a NaN pattern (an empty cell).  A larger one
-is built by numpy in NUL-padded byte slots, a token per number from one
-kernel at either width (_g_slots), a chunk at a time; one bytes.translate
-per chunk drops the NULs.  Both paths yield the same bytes, and the writer
-takes each chunk to the file as it comes: no text is held whole.
+row, OBJ "v" and "vn" sections and CSVs alike; a CSV may add one label
+column of str cells (harmonics pass, fit labeling).  A table of fewer than
+_VECTOR_MIN_CELLS numbers is one "%" block, or at the CSV width one per run
+of rows with one NaN pattern (an empty cell) and label, a literal in the
+block's template.  A larger one is built by numpy in NUL-padded byte slots,
+a number's token from one kernel at either width (_g_slots) or a label,
+a chunk at a time; one bytes.translate per chunk drops the NULs.  Both
+paths yield the same bytes, and the writer takes each chunk to the file as
+it comes: no text is held whole.
 
 An OBJ's faces follow its vertices: a "%" block whose corners are gathered
 from a table of "k//k" tokens by index arrays, or, when the vertices took
@@ -16,8 +18,7 @@ numpy, _OBJ_CHUNK_LINES lines at a time from a "k//k" token per face
 corner (_face_tokens).  The numpy CSV path is _CSV_CHUNK_CELLS cells a
 chunk, which keeps every temporary below glibc's 128 KiB mmap threshold: a
 9,216-cell grid formatted at once took fresh pages for its temporaries on
-each call, and its minor page faults ate the gain over "%".  CSV rows of
-any other cells are classified cell by cell.
+each call, and its minor page faults ate the gain over "%".
 
 All writes go through a new file in the target directory, created with
 mode 0o666 less the umask, followed by an atomic rename; an OBJ's jets are
@@ -255,28 +256,42 @@ def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str) -> bytes:
     return out.tobytes().translate(None, b"\0")
 
 
-def _float_lines(prefix: bytes, rows: np.ndarray, digits: int, sep: str, chunk_cells: int):
-    """Text of a 2-D float array as bytes chunks, one line per row: prefix,
-    then the row's "%.<digits>g" cells joined by sep; at the CSV width NaN
-    is an empty cell.  From _VECTOR_MIN_CELLS cells up, numpy builds
-    chunk_cells cells (at least one row) a chunk; below, each run of rows
-    with one NaN pattern is one "%" block."""
-    k = rows.shape[1]
+def _float_lines(prefix: bytes, rows: np.ndarray, digits: int, sep: str, chunk_cells: int,
+                 label=None):
+    """Text of a 2-D float array as bytes chunks, a line per row: prefix and
+    the row's "%.<digits>g" cells joined by sep.  At the CSV width NaN is an
+    empty cell, and label, (column, cells), puts a str cell per row (ASCII,
+    at most a slot's 24 bytes) as it is at that column.  From
+    _VECTOR_MIN_CELLS numbers up numpy builds chunk_cells cells (at least a
+    row) a chunk; below, a "%" block per run of one NaN pattern and label."""
+    k, labelled = rows.shape[1], label is not None
+    if labelled:
+        column, cells = label[0], np.asarray(label[1], dtype=str)
     if rows.size >= _VECTOR_MIN_CELLS:
-        step = max(1, chunk_cells // k)
+        step = max(1, chunk_cells // (k + labelled))
         for i in range(0, len(rows), step):
-            yield _lines(prefix, _g_slots(rows[i:i + step].ravel(), digits), k, sep)
+            slots = _g_slots(rows[i:i + step].ravel(), digits)
+            if labelled:        # each label cell a slot of its own
+                w = slots.shape[1]
+                tags = cells[i:i + step].astype("S%d" % w).view(np.uint8).reshape(-1, w)
+                slots = np.insert(slots.reshape(len(tags), k, w), column, tags, axis=1)
+            yield _lines(prefix, slots.reshape(-1, slots.shape[-1]), k + labelled, sep)
         return
     spec, head = "%%.%dg" % digits, prefix.decode()
     nan = np.isnan(rows) if digits == _CSV_DIGITS else None     # "%.9g" writes NaN as "nan"
-    if nan is None or not nan.any():
+    if not labelled and (nan is None or not nan.any()):
         line = head + sep.join([spec] * k) + "\n"
         yield ((line * len(rows)) % tuple(rows.ravel().tolist())).encode()
         return
-    cuts = (np.flatnonzero((nan[1:] != nan[:-1]).any(axis=1)) + 1).tolist()
-    for s, e in zip([0] + cuts, cuts + [len(rows)]):
-        template = head + sep.join(np.where(nan[s], "", spec).tolist()) + "\n"
-        yield ((template * (e - s)) % tuple(rows[s:e][~nan[s:e]].tolist())).encode()
+    empties = nan.tolist()
+    keys = list(zip(empties, cells.tolist())) if labelled else empties
+    starts = [i for i in range(len(rows)) if i == 0 or keys[i] != keys[i - 1]]
+    values = rows.ravel().tolist()
+    for s, e in zip(starts, starts[1:] + [len(rows)]):
+        fields = ["%.0s" if x else spec for x in empties[s]]    # "%.0s" writes NaN as ""
+        if labelled:
+            fields.insert(column, keys[s][1].replace("%", "%%"))
+        yield (((head + sep.join(fields) + "\n") * (e - s)) % tuple(values[s * k:e * k])).encode()
 
 
 def _face_lines(nu: int, nv: int, vector: bool):
@@ -309,27 +324,8 @@ def write_obj(path, surface: ParamSurface, nu: int, nv: int) -> None:
     _atomic_write(path, _obj_chunks(*surface_mesh(surface, nu, nv), nu, nv))
 
 
-def _cell(x) -> str:
-    """The "%" spec of one CSV cell: "%.12g" for a float, "" (an empty cell)
-    for NaN, "%s" (str) for anything else."""
-    if isinstance(x, float):
-        return "%.12g" if x == x else ""
-    return "%s"
-
-
-def _list_runs(rows):
-    """One "%" block, as bytes, per run of rows with one template; each cell
-    is classified once, and the cells with an empty spec are dropped."""
-    for spec, run in itertools.groupby(rows, key=lambda row: tuple(map(_cell, row))):
-        run = list(run)
-        cells = tuple(x for row in run for kind, x in zip(spec, row) if kind)
-        yield (((",".join(spec) + "\n") * len(run)) % cells).encode()
-
-
-def write_csv(path, header, rows) -> None:
-    """CSV text: the header line, then the lines of rows, a 2-D float array
-    (_float_lines) or a sequence of rows of any cells (_list_runs).  The
-    bytes do not depend on which path builds them."""
-    lines = (_float_lines(b"", rows, _CSV_DIGITS, ",", _CSV_CHUNK_CELLS)
-             if isinstance(rows, np.ndarray) else _list_runs(rows))
+def write_csv(path, header, rows, label=None) -> None:
+    """CSV text: the header line, then the lines of rows, a 2-D float array,
+    and of label, a str column (_float_lines)."""
+    lines = _float_lines(b"", rows, _CSV_DIGITS, ",", _CSV_CHUNK_CELLS, label)
     _atomic_write(path, itertools.chain([(",".join(header) + "\n").encode()], lines))

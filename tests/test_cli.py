@@ -10,10 +10,11 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wlab import cli, config, meshio
 from wlab.cli import main
@@ -589,6 +590,31 @@ def test_cyclic_transport_exit_2(tmp_path, capsys, params, message):
         assert 0.0 <= float(found.group(1)) < 1.0
 
 
+def test_expression_beyond_parser_stack_is_config_error(tmp_path, capsys):
+    """An r of 3,000 u's joined by ** makes ast.parse raise MemoryError (its
+    stack limit; 2,500 parse): one config-error line and exit 1."""
+    r = "**".join(["u"] * 3000)
+    path = write_config(tmp_path, dict(RIEMANN_TYPE, params=dict(RIEMANN_TYPE["params"], r=r)))
+    assert main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wlab: config error") and err.count("\n") == 1, err[:200]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r", ["exp(exp(exp(u)))*1e308", "u*0+log(-1)"],
+                         ids=["overflow", "log-domain"])
+def test_numerical_failure_warns_nothing(tmp_path, capsys, r):
+    """An expression that overflows or leaves its domain, at its test
+    evaluation and in the radius check, raises no numpy warning: stderr is
+    the one numerical-failure line, and the exit code is 2."""
+    path = write_config(tmp_path, dict(RIEMANN_TYPE, params=dict(RIEMANN_TYPE["params"], r=r)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == []
+    assert re.fullmatch(r"wlab: numerical failure: [^\n]*\n", capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("base, argv", [
     (RIEMANN_TYPE, ["harmonics", "--u-list=abc"]),
     (RIEMANN_TYPE, ["harmonics", "--u-list=0.5,nan"]),
@@ -622,21 +648,35 @@ def _per_cell_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _with_label(rows, column, cells):
+    """The rows of a float array as lists, with cells[i] inserted into row i
+    at column: the rows _per_cell_csv formats."""
+    return [row[:column] + [cell] + row[column:] for row, cell in zip(rows.tolist(), cells)]
+
+
 def test_write_csv_matches_per_cell_writer(tmp_path):
-    rows = ([[0.5, 3, 1.0 / 3.0, math.nan, "x", "True"],
-             [0.5, 4, -0.0, math.inf, "", "False"],
-             [0.5, 5, -math.inf, 0.0, "50%", "nan"],
-             [np.float64(1e-300), np.int64(7), True, np.float64(math.nan), 2.5e20, -1],
-             [np.float32(math.nan), np.float32(0.1), None, -0.0, -1e-7, 123456789012345.0],
-             [1, 2, 3], [], [math.nan, math.nan], [math.nan, 1.0]]
-            + np.random.default_rng(0).normal(size=(20, 4)).tolist()
-            + [[0.25, math.nan, 7, "%s"]] * 3)
-    header = ["u", "j", "x", "label"]
+    """Floats, NaN, infinities and -0.0 with a label column of str cells,
+    among them cells holding "%", an empty one and "nan", at the start and
+    at the end of each row."""
+    rows = np.array([[0.5, 3, 1.0 / 3.0, math.nan],
+                     [0.5, 4, -0.0, math.inf],
+                     [0.5, 5, -math.inf, 0.0],
+                     [1e-300, 7, 1.0, math.nan],
+                     [math.nan, 0.1, 2.5e20, -1],
+                     [math.nan, math.nan, math.nan, math.nan],
+                     [math.nan, 1.0, -1e-7, 123456789012345.0]]
+                    + np.random.default_rng(0).normal(size=(20, 4)).tolist()
+                    + [[0.25, math.nan, 7, 1]] * 3)
+    cells = (["x", "True", "", "50%", "nan", "False", "%s"]
+             + ["True", "", "", "False"] * 5 + ["%s"] * 3)
     path = tmp_path / "rows.csv"
-    write_csv(path, header, rows)
-    assert path.read_text() == _per_cell_csv(header, rows)
-    write_csv(path, header, [])
-    assert path.read_text() == "u,j,x,label\n"
+    for column in (0, 4):
+        header = ["u", "j", "x", "y"]
+        header.insert(column, "label")
+        write_csv(path, header, rows, label=(column, cells))
+        assert path.read_text() == _per_cell_csv(header, _with_label(rows, column, cells))
+        write_csv(path, header, rows[:0], label=(column, []))
+        assert path.read_text() == ",".join(header) + "\n"
 
 
 @pytest.mark.parametrize("base, argv", [
@@ -734,10 +774,48 @@ def test_write_csv_float_array_matches_per_cell_writer(rows):
     expected = _per_cell_csv(header, rows.tolist())
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "rows.csv")
-        for given_rows in (rows, rows.tolist()):
-            write_csv(path, header, given_rows)
-            with open(path, encoding="utf-8") as fh:
-                assert fh.read() == expected
+        write_csv(path, header, rows)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == expected
+
+
+_LABELS = st.sampled_from(["50%", "%s", "", "True", "False", "as_given", "swapped"])
+
+
+@st.composite
+def _labelled_tables(draw):
+    """(rows, column, cells, vector): a _float_grids array, as drawn or
+    repeated to one chunk of the numpy path less one row, one chunk or one
+    chunk plus one; a label column at index 0 or at the end, one cell per
+    row in runs; and the path to force."""
+    rows = draw(_float_grids())
+    k = rows.shape[1]
+    if len(rows) and draw(st.booleans()):
+        chunk = max(1, meshio._CSV_CHUNK_CELLS // (k + 1))
+        rows = np.resize(rows, (chunk + draw(st.sampled_from([-1, 0, 1])), k))
+    cells = []
+    while len(cells) < len(rows):
+        cells += [draw(_LABELS)] * draw(st.integers(1, 40))
+    return rows, draw(st.sampled_from([0, k])), cells[:len(rows)], draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_labelled_tables())
+@example(table=(np.zeros((0, 3)), 0, [], True))
+@example(table=(np.zeros((0, 3)), 3, [], False))
+def test_write_csv_label_column_matches_per_cell_writer(table):
+    """A float array with a label column is the per-cell text on the numpy
+    path (meshio._VECTOR_MIN_CELLS = 0) and on the "%" blocks (above the
+    table's size), the table of no rows included."""
+    rows, column, cells, vector = table
+    header = [f"c{i}" for i in range(rows.shape[1] + 1)]
+    expected = _per_cell_csv(header, _with_label(rows, column, cells))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meshio, "_VECTOR_MIN_CELLS", 0 if vector else rows.size + 1)
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, header, rows, label=(column, cells))
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == expected
 
 
 def _wide_floats(rng, shape, nan_every):

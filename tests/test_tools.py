@@ -171,3 +171,19 @@ def test_kind_cpu_runs(tmp_path):
     for side in ("old_runs", "new_runs"):
         assert len(result[side]) == 2
         assert all(run["cyclic:all"] > 0 for run in result[side])
+
+
+def test_point_cap_runs():
+    """Both cap jobs at a small size, each in its interpreter: exit 0, the
+    CSV written, and a CPU time and peak RSS per job."""
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "point_cap.py"), ROOT,
+                           "--max-harmonic", "500", "--grid", "32"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["src_lines"] == parity._src_lines(ROOT)
+    assert result["jobs"]["harmonics"]["argv"] == "harmonics --u-list 0.1 --max-harmonic 500"
+    assert result["jobs"]["analyze"]["argv"] == "analyze --grid 32x32"
+    for job in result["jobs"].values():
+        assert job["exit"] == 0 and job["bytes"] > 0 and len(job["sha256"]) == 16
+        assert job["cpu_s"] >= 0.0 and job["vmhwm_mb"] > 0.0
