@@ -1,14 +1,15 @@
-"""Scene configuration: schema validation and canonical serialization.
+"""Scene configuration: schema validation, expressions and canonical JSON.
 
-Configs are JSON files.  The canonical form (sorted keys, two-space
-indentation, trailing newline) is what cmd_generate writes into metadata,
-so round trips are byte-exact.
+Configs are JSON files; an expression in u is checked and evaluated as a
+tree, never compiled.  The canonical form (sorted keys, indent 2, a final
+newline) that cmd_generate writes into metadata makes round trips byte-exact.
 """
 from __future__ import annotations
 
 import ast
 import copy
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .functions import SmoothFunction
 from .surface import LWRelation
 
@@ -30,71 +31,74 @@ MAX_POINTS = 2 ** 22
 _EXPR_FUNCTIONS = {name: getattr(np, name) for name in
                    ("sin", "cos", "tan", "sinh", "cosh", "tanh", "exp", "log",
                     "sqrt", "arctan", "arcsin", "arccos", "abs")}
-_EXPR_NAMES = {**_EXPR_FUNCTIONS, "pi": np.pi}
-_UNARY_OPS = (ast.UAdd, ast.USub)
-_BINARY_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_OPS = {ast.UAdd: operator.pos, ast.USub: operator.neg, ast.Add: operator.add,
+        ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+        ast.Pow: operator.pow}
 
 
-def _in_grammar(node, too_big: list) -> bool:
-    """True when the expression tree only holds int/float constants, the
-    names u and pi, unary + and -, binary + - * / ** and positional calls
-    of the _EXPR_FUNCTIONS.  On the way every constant becomes a float, so
-    that 9**9**9 overflows at once instead of building a huge integer; the
-    OverflowError of an int beyond float range goes to too_big, because a
-    tree outside the grammar is reported as such first."""
-    if isinstance(node, ast.Constant):
-        if type(node.value) not in (int, float):
-            return False
+def _closure(node, too_big: list):
+    """The function of u that tree node computes, as closures applying CPython's
+    operations in its order; None for a tree of more than int/float constants,
+    u, pi, unary + -, binary + - * / ** and positional calls of _EXPR_FUNCTIONS."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         try:
-            node.value = float(node.value)
-        except OverflowError as exc:
+            value = float(node.value)   # so that 9**9**9 overflows at once
+        except OverflowError as exc:    # raised once the whole tree is in the grammar
             too_big.append(exc)
-        return True
+        return lambda u: value
     if isinstance(node, ast.Name):
-        return node.id in ("u", "pi")
-    if isinstance(node, ast.UnaryOp):
-        return isinstance(node.op, _UNARY_OPS) and _in_grammar(node.operand, too_big)
-    if isinstance(node, ast.BinOp):
-        return (isinstance(node.op, _BINARY_OPS) and _in_grammar(node.left, too_big)
-                and _in_grammar(node.right, too_big))
-    if isinstance(node, ast.Call):
-        return (isinstance(node.func, ast.Name) and node.func.id in _EXPR_FUNCTIONS
-                and not node.keywords and all(_in_grammar(a, too_big) for a in node.args))
-    return False
+        return {"u": lambda u: u, "pi": lambda u: np.pi}.get(node.id)
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _OPS:
+        op, a = _OPS[type(node.op)], _closure(node.operand, too_big)
+        return a and (lambda u: op(a(u)))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        op, a = _OPS[type(node.op)], _closure(node.left, too_big)
+        b = a and _closure(node.right, too_big)
+        return b and (lambda u: op(a(u), b(u)))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCTIONS and not node.keywords):
+        f, args = _EXPR_FUNCTIONS[node.func.id], []
+        for arg in node.args:   # up to the first argument outside the grammar
+            args.append(_closure(arg, too_big))
+            if args[-1] is None:
+                return None
+        return lambda u: f(*[a(u) for a in args])
+    return None
 
 
 def parse_scalar_function(spec, where: str, test_u: float = 0.5):
-    """A number becomes a constant, whose derivatives are exactly 0; a
-    string is an arithmetic expression in u (see _in_grammar), which
-    evaluates elementwise on an array u."""
+    """A number is a constant, whose derivatives are exactly 0; a string is
+    closures (_closure) elementwise in u: no Python code is compiled or run."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         if not _finite(spec):
             raise ConfigError(f"{where}: expected a finite number, got {spec!r}")
         return SmoothFunction.constant(spec)
     if isinstance(spec, str):
+        shown = repr(spec) if len(spec) <= 80 else f"{spec[:60]!r}... ({len(spec)} characters)"
         try:
-            tree = ast.parse(spec, filename=f"<{where}>", mode="eval")
-            code, too_big = None, []
-            if _in_grammar(tree.body, too_big):
-                if too_big:
-                    raise too_big[0]
-                code = compile(tree, f"<{where}>", "eval")
+            too_big = []
+            root = _closure(ast.parse(spec, filename=f"<{where}>", mode="eval").body, too_big)
+            if root is not None and too_big:
+                raise too_big[0]
         except (SyntaxError, ValueError, RecursionError, OverflowError, MemoryError) as exc:
-            raise ConfigError(f"{where}: invalid expression {spec!r}: {exc}") from None
-        if code is None:
-            raise ConfigError(f"{where}: expression {spec!r} is not arithmetic in u "
+            raise ConfigError(f"{where}: invalid expression {shown}: "
+                              f"{str(exc) or 'too deeply nested for the parser'}") from None
+        if root is None:
+            raise ConfigError(f"{where}: expression {shown} is not arithmetic in u "
                               f"(numbers, u, pi, + - * / **, "
                               f"{', '.join(_EXPR_FUNCTIONS)})")
 
         def fn(u):
-            value = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "u": u})
-            return float(value) if np.ndim(u) == 0 else value
+            try:
+                return root(u)
+            except RecursionError:  # a frame per level, deeper in the stack than the walk
+                raise NumericalError(f"{where}: expression {shown} nests too deeply") from None
 
         try:
             with np.errstate(all="ignore"):     # a non-finite value fails where it is used
-                fn(test_u)
+                float(fn(test_u))               # and a complex one here
         except Exception as exc:
-            raise ConfigError(f"{where}: expression {spec!r} failed to evaluate: {exc}")
+            raise ConfigError(f"{where}: expression {shown} failed to evaluate: {exc}")
         return fn
     raise ConfigError(f"{where}: expected a number or expression string, got "
                       f"{type(spec).__name__}")

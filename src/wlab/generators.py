@@ -441,6 +441,8 @@ class RotationalProfile:
         # where Newton starts: s at the ends and nodes of every piece
         ends = (self._s + self._bs.sum(axis=1))[:, None]
         self._s_table = np.hstack([self._s[:, None], self._s[:, None] + cum, ends]).ravel()
+        if not np.isfinite(self._s_table).all():  # NaN would index the pieces at random
+            raise NumericalError(f"rotational profile of {rel} on {s_range} overflows")
         x = np.concatenate([[-1.0], _CHEB_X, [1.0]])
         self._g_table = (np.arange(len(rows))[:, None] + 0.5 * (x + 1.0)).ravel()
 
@@ -466,8 +468,9 @@ class RotationalProfile:
             return None
         ratio = f_b / (n * rho_b)
         y = (m - 1.0) * ratio  # f' = 0 where (rho / rho_b)^(m - 1) = 1 / (m (1 + y))
-        if m > 0.0 and y > -1.0:
-            lam = -(_log1p_ratio(m - 1.0) + ratio * _log1p_ratio(y))
+        if m > 0.0 and y > -1.0:  # at m <= 2**-54, m - 1 is -1 and log1p(m - 1) fails
+            lead = -math.log(m) if m - 1.0 == -1.0 else _log1p_ratio(m - 1.0)
+            lam = -(lead + ratio * _log1p_ratio(y))
         elif m < 0.0 and y < -1.0:
             lam = -math.log(m * (1.0 + y)) / (m - 1.0)
         else:
@@ -532,12 +535,13 @@ class RotationalProfile:
         else:
             maps = [(_LOG, math.log(rho), math.log(rho_e), 0.0, rho, f)]
         s0, z0 = s, z
-        for kind, p0, p1, d, rho_b, f_b in maps:
-            for q0, q1, nodes, series in self._pieces(kind, p0, p1, d, rho_b, f_b, 0):
-                ints = nodes @ _TO_INT.T  # s and z from the piece's start
-                rows.append((kind, q0, q1, d, rho_b, f_b, sigma, base, s, z))
-                coef.append((ints[0], ints[1], series, ints[0] @ _CHEB_T.T))
-                s, z = s + ints[0].sum(), z + ints[1].sum()
+        with np.errstate(all="ignore"):  # an overflow fails the table's finite check
+            for kind, p0, p1, d, rho_b, f_b in maps:
+                for q0, q1, nodes, series in self._pieces(kind, p0, p1, d, rho_b, f_b, 0):
+                    ints = nodes @ _TO_INT.T  # s and z from the piece's start
+                    rows.append((kind, q0, q1, d, rho_b, f_b, sigma, base, s, z))
+                    coef.append((ints[0], ints[1], series, ints[0] @ _CHEB_T.T))
+                    s, z = s + ints[0].sum(), z + ints[1].sum()
         return s - s0, z - z0
 
     def _pieces(self, kind, p0, p1, d, rho_b, f_b, halvings):

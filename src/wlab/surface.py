@@ -12,6 +12,7 @@ or a whole (u, v) grid (see evaluate_jet).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -23,6 +24,7 @@ from .errors import (
     DegenerateJet,
     InvalidParameter,
     NonFiniteInput,
+    NumericalError,
     OutOfDomain,
 )
 from .functions import _D1, _D2
@@ -63,6 +65,24 @@ def _dot(a, b):
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
+def _in_float_range(fn):
+    """fn of finite arrays, raising NumericalError where a value leaves the
+    range of a float (an overflow, or a division by an underflowed 0, and
+    the NaN they lead to), not returning inf, NaN or a wrong 0 in its place:
+    numpy raises FloatingPointError there, and a float's ** OverflowError."""
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            with np.errstate(all="raise", under="ignore"):
+                return fn(*args)
+        except (FloatingPointError, OverflowError):
+            rel = "".join(f" for the relation (m, n) = ({a.m}, {a.n})"
+                          for a in args if isinstance(a, LWRelation))
+            raise NumericalError(f"{fn.__qualname__}{rel} leaves the range of a float") \
+                from None
+    return checked
+
+
 @dataclass(frozen=True)
 class JetPoint:
     """Position, partials up to second order, the unit normal and the
@@ -81,6 +101,7 @@ class JetPoint:
     cross: np.ndarray
 
     @classmethod
+    @_in_float_range
     def from_partials(cls, p, xu, xv, xuu, xuv, xvv) -> "JetPoint":
         arrs = [np.asarray(a, dtype=float) for a in (p, xu, xv, xuu, xuv, xvv)]
         xu, xv = arrs[1], arrs[2]
@@ -194,6 +215,7 @@ def _frame_half_gap(E, F, W, d1, d2, d3):
     return np.hypot(0.5 * (a - c), b)
 
 
+@_in_float_range
 def curvature(jet: JetPoint) -> CurvatureData:
     """Mean, Gauss and ordered principal curvatures and the invariants the
     LW residuals are built from, elementwise over the points of the jet.
@@ -221,11 +243,13 @@ def curvature(jet: JetPoint) -> CurvatureData:
     return CurvatureData(H, K, H + gap, H - gap, H1, K1, W, gap)
 
 
+@_in_float_range
 def lw_residual_linear(c: CurvatureData, rel: LWRelation):
     """kappa1 - m kappa2 - n with kappa1 the larger principal curvature."""
     return c.kappa1 - rel.m * c.kappa2 - rel.n
 
 
+@_in_float_range
 def lw_residual_signed(c: CurvatureData, rel: LWRelation):
     """(1-m) H1 - 2 W^{3/2} n + (1+m) sqrt(H1^2 - 4 W K1).
 
@@ -238,6 +262,7 @@ def lw_residual_signed(c: CurvatureData, rel: LWRelation):
     return (1.0 - rel.m) * c.H1 - 2.0 * w32 * rel.n + (1.0 + rel.m) * root
 
 
+@_in_float_range
 def lw_residual_poly(c: CurvatureData, rel: LWRelation):
     """The twice-squared polynomial residual.
 
@@ -258,6 +283,7 @@ def lw_residual_poly_scale(c: CurvatureData, rel: LWRelation):
     return inner * inner + n * n * (1.0 - m) ** 2 * c.H1 * c.H1 * abs(c.W) ** 3
 
 
+@_in_float_range
 def lw_residual_reduced(c: CurvatureData, rel: LWRelation):
     """The once-squared form -m H1^2 + (1+m)^2 W K1, valid when n = 0."""
     return -rel.m * c.H1 * c.H1 + (1.0 + rel.m) ** 2 * c.W * c.K1
@@ -275,6 +301,8 @@ def interior_grid(surface: ParamSurface, nu: int, nv: int):
     the span; v a full period without its endpoint.  Only the first inset
     keeps the grid inside the finite-difference twin's domain too."""
     u0, u1 = surface.u_range
+    if not u1 - u0 < math.inf:  # the grid would be NaN
+        raise NumericalError(f"u range {surface.u_range} is wider than a float holds")
     h = _fd_step(surface.u_range)
     margin = 4.0 * h if u1 - u0 > 8.0 * h else (u1 - u0) / 8.0
     return (np.linspace(u0 + margin, u1 - margin, nu),

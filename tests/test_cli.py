@@ -592,13 +592,68 @@ def test_cyclic_transport_exit_2(tmp_path, capsys, params, message):
 
 def test_expression_beyond_parser_stack_is_config_error(tmp_path, capsys):
     """An r of 3,000 u's joined by ** makes ast.parse raise MemoryError (its
-    stack limit; 2,500 parse): one config-error line and exit 1."""
+    stack limit; 2,500 parse): one config-error line and exit 1.  The line
+    quotes the expression's first 60 characters with its length, and gives
+    a reason, which the MemoryError's empty text does not."""
     r = "**".join(["u"] * 3000)
     path = write_config(tmp_path, dict(RIEMANN_TYPE, params=dict(RIEMANN_TYPE["params"], r=r)))
     assert main(["analyze", "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("wlab: config error") and err.count("\n") == 1, err[:200]
+    assert err == (f"wlab: config error: params[riemann-type].r: invalid expression "
+                   f"{r[:60]!r}... (8998 characters): too deeply nested for the parser\n")
+    assert len(err) < 200
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base, params, relation, command", [
+    (RIEMANN_TYPE, {}, [-1e308, -0.24], "harmonics"),
+    (RIEMANN_TYPE, {}, [1e200, 0.0], "analyze"),
+    (CYCLIC, {"alpha": 1e308}, [1.3, 0.2], "generate"),
+    (CATENOID, {"radius": 1e308}, None, "generate"),
+    (ROTATIONAL, {}, [1.5, -1e308], "fit"),
+    (ROTATIONAL, {"s_range": [-1e308, 0.99]}, None, "export"),
+    (SPHERE, {"radius": 1e308}, None, "generate"),
+    (SPHERE, {"radius": 1e100}, None, "analyze"),
+    (SPHERE, {"radius": 1e40}, None, "analyze"),
+    (dict(SPHERE, relation=[1.5, 0.3]), {"radius": 2 ** 63}, None, "harmonics"),
+    (CYCLIC, {}, [1.3, -1e308], "harmonics"),
+    (RIEMANN_TYPE, {}, [-1e308, -0.24], "analyze"),
+], ids=["relation-m-squared-overflows", "relation-m-squared-overflows-n-0",
+        "cyclic-alpha-1e308", "catenoid-radius-1e308", "rotational-n-1e308",
+        "rotational-s-range-1e308", "sphere-radius-1e308", "sphere-radius-1e100",
+        "sphere-curvature-1e40", "sphere-residual-2-63", "cyclic-residual-n-1e308",
+        "relation-m-1e308-analyze"])
+def test_extreme_number_is_one_failure_line(tmp_path, capsys, base, params, relation,
+                                            command):
+    """Configs the CLI fuzzer (tools/fuzz.py) found: a float ** overflowing on
+    an extreme relation (an OverflowError traceback), numpy warnings before
+    the failure line, a rotational profile whose overflowed table indexed
+    its pieces at random (an IndexError traceback), a sphere whose Xu x Xv
+    overflows (NaN normals and empty curvature cells on exit 0) or whose
+    W^2 does (K = 0 and wrong principal curvatures on exit 0), and
+    residuals that overflow (NaN spectra on exit 0).  Each exits 2 with one
+    numerical-failure line and no warning, each overflow caught where it
+    happens."""
+    data = dict(base, params=dict(base["params"], **params))
+    if relation is not None:
+        data["relation"] = relation
+    path = write_config(tmp_path, data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == []
+    assert re.fullmatch(r"wlab: numerical failure: [^\n]*\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("m", [5e-324, 1e-17])
+def test_rotational_m_near_zero_builds(tmp_path, capsys, m):
+    """Found by the CLI fuzzer: for 0 < m <= 2**-54, m - 1 rounds to -1, and
+    the critical point's log1p(m - 1) raised ValueError (a traceback); its
+    log(m) / (m - 1) is -log(m) there."""
+    path = write_config(tmp_path, dict(ROTATIONAL, relation=[m, -0.58]))
+    assert main(["export", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("r", ["exp(exp(exp(u)))*1e308", "u*0+log(-1)"],

@@ -187,3 +187,17 @@ def test_point_cap_runs():
     for job in result["jobs"].values():
         assert job["exit"] == 0 and job["bytes"] > 0 and len(job["sha256"]) == 16
         assert job["cpu_s"] >= 0.0 and job["vmhwm_mb"] > 0.0
+
+
+def test_fuzz_runs():
+    """A short run: its cases counted per exit code and per mutation kind,
+    the slowest case under the CPU bound, and no broken contract."""
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "fuzz.py"), "--seed", "7",
+                           "--cases", "40"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["cases"] == sum(result["by_exit"].values()) == 40
+    assert sum(sum(n.values()) for n in result["by_mutation"].values()) == 40
+    assert set(result["by_exit"]) <= {"0", "1", "2"}
+    assert 0.0 <= result["slowest"]["cpu_s"] <= result["cpu_bound_s"]
+    assert result["broken"] == []
