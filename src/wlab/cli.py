@@ -20,6 +20,7 @@ from .fitting import classify
 from .meshio import atomic_write_text, write_csv, write_obj
 from .scene import SceneResult, build_scene
 from .surface import (
+    _u_span,
     curvature,
     evaluate_jet,
     interior_grid,
@@ -113,7 +114,7 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
     result = build_scene(cfg)
     if not us.size:
         lo, hi = result.surface.u_range
-        pad = 0.1 * (hi - lo)
+        pad = 0.1 * _u_span(result.surface.u_range)
         us = np.linspace(lo + pad, hi - pad, 5)
     N = hm.circle_samples(J)
     if us.size * N > MAX_POINTS:

@@ -168,8 +168,6 @@ class SceneConfig:
             m, n = self.relation
             if not (_finite(m) and _finite(n)):
                 raise ConfigError(f"relation: expected finite [m, n], got {[m, n]}")
-            if m == 0:
-                raise ConfigError("relation.m: violates the m != 0 constraint")
             self.relation = LWRelation(float(m), float(n))
         if not isinstance(self.name, str) or not self.name:
             raise ConfigError("name: must be a non-empty string")

@@ -21,19 +21,13 @@ from .errors import (
     RadiusNotPositive,
 )
 from .functions import SmoothFunction, as_smooth
-from .surface import ParamSurface
+from .surface import ParamSurface, _u_span
 
 _RADIUS_SAMPLES = 257
 
 
-def __getattr__(name):
-    """cyclic.solve_ivp, loaded on access.  It is here only for
-    bench/tracing.py, whose install reads and rebinds it (ROADMAP direction
-    4): nothing in wlab calls it, and no other path imports scipy."""
-    if name != "solve_ivp":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import solve_ivp
-    return solve_ivp
+# bench/tracing.py's install rebinds this name; nothing in wlab calls it.
+solve_ivp = None
 
 
 @dataclass
@@ -238,6 +232,7 @@ def transport(data: CyclicSurface) -> _DenseOde:
 
 
 def _check_radius(r: SmoothFunction, u_range) -> None:
+    _u_span(u_range)
     us = np.linspace(u_range[0], u_range[1], _RADIUS_SAMPLES)
     with np.errstate(all="ignore"):     # NaN fails the test below
         vals = r(us)

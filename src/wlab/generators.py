@@ -30,14 +30,8 @@ _BLOWUP_LIMIT = 1e8
 _ZERO = SmoothFunction.constant(0.0)
 
 
-def __getattr__(name):
-    """generators.solve_ivp, loaded on access.  It is here only for
-    bench/tracing.py, whose install reads and rebinds it (ROADMAP direction
-    4): nothing in wlab calls it, and no other path imports scipy."""
-    if name != "solve_ivp":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.integrate import solve_ivp
-    return solve_ivp
+# bench/tracing.py's install rebinds this name; nothing in wlab calls it.
+solve_ivp = None
 
 
 # Elliptic functions of the Riemann-example closed form, in math and numpy.
@@ -411,12 +405,14 @@ class RotationalProfile:
         # on a branch, theta = base + sigma atan2(sin theta, |cos theta|)
         base = math.pi * round((theta0 - sigma * math.atan2(f, abs(c))) / math.pi)
         rows, coef = [], []
-        rho, left, z = rho0, length, 0.0
-        for _ in range(_MAX_BRANCHES):
+        rho, left, z, whole = rho0, length, 0.0, math.inf
+        for turn in range(_MAX_BRANCHES + 1):
+            # whole branches (from a turning point) repeat: fail once those left fall short
+            if left > 1.001 * whole * (_MAX_BRANCHES - turn):
+                raise NumericalError(f"rotational profile turns more than {_MAX_BRANCHES} times")
             # a turning point up to 2 left away ends the branch; otherwise
             # the next singular point is at least left beyond its end
-            reach = max(rho + sigma * 2.0 * left, _COLLAPSE_EPS)
-            end, f_end = self._turning_point(rho, f, sigma, reach)
+            end, f_end = self._turning_point(rho, f, sigma, max(rho + sigma * 2.0 * left, _COLLAPSE_EPS))
             if f_end is None:
                 end = max(rho + sigma * left, _COLLAPSE_EPS)
             # the turning point at or behind the start, when it is nearer
@@ -430,11 +426,9 @@ class RotationalProfile:
                     self.truncated = True
                     self.s_range = self.dense.u_range = (s0, s0 + (length - left + ds))
                 break
-            left, z = left - ds, z + dz
+            left, z, whole = left - ds, z + dz, ds if turning else whole
             base += sigma * f_end * math.pi
             rho, f, turning, sigma = end, f_end, True, -sigma
-        else:
-            raise NumericalError(f"rotational profile turns more than {_MAX_BRANCHES} times")
         (self._kind, self._p0, self._p1, self._d, self._rho_b, self._f_b,
          self._sigma, self._base, self._s, self._z) = np.array(rows).T
         self._bs, self._bz, self._cs, cum = (np.array(c) for c in zip(*coef))
@@ -542,7 +536,7 @@ class RotationalProfile:
                     rows.append((kind, q0, q1, d, rho_b, f_b, sigma, base, s, z))
                     coef.append((ints[0], ints[1], series, ints[0] @ _CHEB_T.T))
                     s, z = s + ints[0].sum(), z + ints[1].sum()
-        return s - s0, z - z0
+        return float(s - s0), float(z - z0)    # in the branch loop, overflow is inf, not a warning
 
     def _pieces(self, kind, p0, p1, d, rho_b, f_b, halvings):
         """[(p0, p1, ds and dz at the nodes, Chebyshev series of ds)] of the

@@ -12,13 +12,13 @@ a chunk at a time; one bytes.translate per chunk drops the NULs.  Both
 paths yield the same bytes, and the writer takes each chunk to the file as
 it comes: no text is held whole.
 
-An OBJ's faces follow its vertices: a "%" block whose corners are gathered
-from a table of "k//k" tokens by index arrays, or, when the vertices took
-numpy, _OBJ_CHUNK_LINES lines at a time from a "k//k" token per face
-corner (_face_tokens).  The numpy CSV path is _CSV_CHUNK_CELLS cells a
-chunk, which keeps every temporary below glibc's 128 KiB mmap threshold: a
-9,216-cell grid formatted at once took fresh pages for its temporaries on
-each call, and its minor page faults ate the gain over "%".
+An OBJ's faces are always built by numpy, _OBJ_CHUNK_LINES lines at a time
+from a "k//k" token per face corner (_face_tokens); a "%" block was faster
+only on 6 x 6 to 8 x 8 grids, by under 8 us an OBJ.  The numpy CSV path is
+_CSV_CHUNK_CELLS cells a chunk, which keeps every temporary below glibc's
+128 KiB mmap threshold: a 9,216-cell grid formatted at once took fresh
+pages for its temporaries on each call, and its minor page faults ate the
+gain over "%".
 
 All writes go through a new file in the target directory, created with
 mode 0o666 less the umask, followed by an atomic rename; an OBJ's jets are
@@ -294,28 +294,21 @@ def _float_lines(prefix: bytes, rows: np.ndarray, digits: int, sep: str, chunk_c
         yield (((head + sep.join(fields) + "\n") * (e - s)) % tuple(values[s * k:e * k])).encode()
 
 
-def _face_lines(nu: int, nv: int, vector: bool):
-    """Two triangles per grid cell as "f k//k k//k k//k" lines: one "%"
-    block, or with numpy _OBJ_CHUNK_LINES lines a chunk when vector."""
-    corners = _face_corners(nu, nv)
-    if not vector:
-        tokens = np.array(["%d//%d" % (k, k) for k in range(1, nu * nv + 1)], dtype=object)
-        yield (("f %s %s %s\n" * (len(corners) // 3)) % tuple(tokens[corners].tolist())).encode()
-        return
-    step, tokens = _OBJ_CHUNK_LINES, _face_tokens(nu * nv)
-    run = np.tile(np.arange(3) * (nu * nv), step)      # each corner's run in tokens
+def _face_lines(nu: int, nv: int):
+    """Two triangles per grid cell as "f k//k k//k k//k" lines, built by
+    numpy from _face_tokens, _OBJ_CHUNK_LINES lines a chunk."""
+    corners, tokens, step = _face_corners(nu, nv), _face_tokens(nu * nv), _OBJ_CHUNK_LINES
+    run = np.tile(np.arange(3) * (nu * nv), min(step, len(corners) // 3))  # corner runs in tokens
     for i in range(0, len(corners), 3 * step):
         chunk = corners[i:i + 3 * step]
         yield tokens[chunk + run[:len(chunk)]].tobytes().translate(None, b"\0")
 
 
 def _obj_chunks(verts: np.ndarray, normals: np.ndarray, nu: int, nv: int):
-    """OBJ text as bytes chunks: "v" and "vn" lines of "%.9g" numbers, then
-    the faces, on the path the vertices took."""
-    cells = 3 * _OBJ_CHUNK_LINES
-    yield from _float_lines(b"v ", verts, _OBJ_DIGITS, " ", cells)
-    yield from _float_lines(b"vn ", normals, _OBJ_DIGITS, " ", cells)
-    yield from _face_lines(nu, nv, verts.size >= _VECTOR_MIN_CELLS)
+    """OBJ text as bytes chunks: "v" and "vn" lines of "%.9g" numbers, then the faces."""
+    yield from _float_lines(b"v ", verts, _OBJ_DIGITS, " ", 3 * _OBJ_CHUNK_LINES)
+    yield from _float_lines(b"vn ", normals, _OBJ_DIGITS, " ", 3 * _OBJ_CHUNK_LINES)
+    yield from _face_lines(nu, nv)
 
 
 def write_obj(path, surface: ParamSurface, nu: int, nv: int) -> None:

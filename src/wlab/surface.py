@@ -140,7 +140,7 @@ class LWRelation:
 
     def __post_init__(self):
         if self.m == 0:
-            raise InvalidParameter("LWRelation: m must be nonzero (m != 0)")
+            raise InvalidParameter("relation.m: violates the m != 0 constraint")
 
 
 def _check_domain(surface: ParamSurface, us: np.ndarray) -> None:
@@ -149,6 +149,13 @@ def _check_domain(surface: ParamSurface, us: np.ndarray) -> None:
     u0, u1 = surface.u_range
     _raise_first(~((u0 < us) & (us < u1)), us,
                  lambda u: OutOfDomain(f"u = {u} outside ({u0}, {u1})"))
+
+
+def _u_span(u_range) -> float:
+    """u1 - u0; NumericalError where that overflows, as a grid on it would be NaN."""
+    if not u_range[1] - u_range[0] < math.inf:
+        raise NumericalError(f"u range {tuple(u_range)} is wider than a float holds")
+    return u_range[1] - u_range[0]
 
 
 def _fd_step(u_range) -> float:
@@ -301,10 +308,8 @@ def interior_grid(surface: ParamSurface, nu: int, nv: int):
     the span; v a full period without its endpoint.  Only the first inset
     keeps the grid inside the finite-difference twin's domain too."""
     u0, u1 = surface.u_range
-    if not u1 - u0 < math.inf:  # the grid would be NaN
-        raise NumericalError(f"u range {surface.u_range} is wider than a float holds")
-    h = _fd_step(surface.u_range)
-    margin = 4.0 * h if u1 - u0 > 8.0 * h else (u1 - u0) / 8.0
+    span, h = _u_span(surface.u_range), _fd_step(surface.u_range)
+    margin = 4.0 * h if span > 8.0 * h else span / 8.0
     return (np.linspace(u0 + margin, u1 - margin, nu),
             np.arange(nv) * (2.0 * math.pi / nv))
 

@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -619,11 +620,14 @@ def test_expression_beyond_parser_stack_is_config_error(tmp_path, capsys):
     (dict(SPHERE, relation=[1.5, 0.3]), {"radius": 2 ** 63}, None, "harmonics"),
     (CYCLIC, {}, [1.3, -1e308], "harmonics"),
     (RIEMANN_TYPE, {}, [-1e308, -0.24], "analyze"),
+    (ROTATIONAL, {"rho0": 1.036713, "theta0": 0.783115,
+                  "s_range": [-8.036911764833946e+307, 8.036911764833946e+307]},
+     [1.122367, -0.308909], "export"),
 ], ids=["relation-m-squared-overflows", "relation-m-squared-overflows-n-0",
         "cyclic-alpha-1e308", "catenoid-radius-1e308", "rotational-n-1e308",
         "rotational-s-range-1e308", "sphere-radius-1e308", "sphere-radius-1e100",
         "sphere-curvature-1e40", "sphere-residual-2-63", "cyclic-residual-n-1e308",
-        "relation-m-1e308-analyze"])
+        "relation-m-1e308-analyze", "rotational-s-range-near-float-max"])
 def test_extreme_number_is_one_failure_line(tmp_path, capsys, base, params, relation,
                                             command):
     """Configs the CLI fuzzer (tools/fuzz.py) found: a float ** overflowing on
@@ -632,7 +636,9 @@ def test_extreme_number_is_one_failure_line(tmp_path, capsys, base, params, rela
     its pieces at random (an IndexError traceback), a sphere whose Xu x Xv
     overflows (NaN normals and empty curvature cells on exit 0) or whose
     W^2 does (K = 0 and wrong principal curvatures on exit 0), and
-    residuals that overflow (NaN spectra on exit 0).  Each exits 2 with one
+    residuals that overflow (NaN spectra on exit 0), a rotational profile
+    whose branch loop doubled a length near the float max as a numpy
+    scalar (an overflow warning).  Each exits 2 with one
     numerical-failure line and no warning, each overflow caught where it
     happens."""
     data = dict(base, params=dict(base["params"], **params))
@@ -644,6 +650,48 @@ def test_extreme_number_is_one_failure_line(tmp_path, capsys, base, params, rela
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == []
     assert re.fullmatch(r"wlab: numerical failure: [^\n]*\n", capsys.readouterr().err)
+
+
+_WIDE = [-1.7e308, 1.7e308]     # each end a float; their difference is not
+
+
+@pytest.mark.parametrize("base, params, command, shown", [
+    (RIEMANN_TYPE, {"u_range": _WIDE}, "analyze", "(-1.7e+308, 1.7e+308)"),
+    (CYCLIC, {"kappa": 1.0, "u_range": _WIDE}, "generate", "(-1.7e+308, 1.7e+308)"),
+    (dict(CATENOID, relation=[-1.0, 0.0]), {"radius": 1e308}, "harmonics",
+     "(-1.5e+308, 1.5e+308)"),
+], ids=["riemann-type-radius-check", "cyclic-radius-check", "catenoid-default-circles"])
+def test_u_range_wider_than_a_float_is_one_failure_line(tmp_path, capsys, base, params,
+                                                        command, shown):
+    """A u range whose span overflows is rejected where the span is first
+    taken: by the radius check of a riemann-type scene (which read min r =
+    nan after two numpy warnings) and of a cyclic one (which ran the frame
+    transport to its step limit first), and by the default circles of
+    harmonics without --u-list (u = nan outside the range).  Each exits 2
+    with interior_grid's line and no warning."""
+    path = write_config(tmp_path, dict(base, params=dict(base["params"], **params)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == []
+    assert capsys.readouterr().err == (
+        f"wlab: numerical failure: u range {shown} is wider than a float holds\n")
+
+
+@pytest.mark.parametrize("s_range", [[0.0, 1e6], [-1e307, 1e307]])
+def test_periodic_profile_past_the_branch_cap_fails_at_once(tmp_path, capsys, s_range):
+    """Found by the CLI fuzzer: a periodic rotational profile on an s_range
+    it would take more than 100,000 branches to cover built all of them
+    (26 s of CPU) before it failed.  Its whole branches repeat, so it fails
+    after the first one, with the same line."""
+    data = dict(ROTATIONAL, relation=[-0.578231, 0.377552],
+                params={"rho0": 1.478017, "theta0": -0.709518, "s_range": s_range})
+    start = time.process_time()
+    assert main(["generate", "--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert time.process_time() - start < 2.0
+    assert capsys.readouterr().err == (
+        "wlab: numerical failure: rotational profile turns more than 100000 times\n")
 
 
 @pytest.mark.parametrize("m", [5e-324, 1e-17])
@@ -936,11 +984,12 @@ def test_analyze_grid_csv_paths_agree(tmp_path, monkeypatch, base):
 
 def test_obj_and_csv_switch_path_at_one_cell_count(tmp_path, monkeypatch):
     """One crossover, meshio._VECTOR_MIN_CELLS = 768, picks "%" or numpy for
-    OBJ sections and CSV arrays alike, and an OBJ's faces take the path of
-    its vertices: a 15 x 17 OBJ (255 vertices, 765 cells) and 767-cell CSVs
-    call no numpy kernel, a 16 x 16 OBJ formats both sections with _g_slots
-    and its faces with _face_tokens, and 768-cell CSVs call _g_slots once.
-    Every file is the per-line or per-cell text."""
+    OBJ sections and CSV arrays alike, and an OBJ's faces always take numpy:
+    a 15 x 17 OBJ (255 vertices, 765 cells) formats its sections with no
+    numpy kernel and its faces with _face_tokens, a 16 x 16 OBJ both
+    sections with _g_slots and its faces with _face_tokens, 767-cell CSVs
+    call no numpy kernel and 768-cell CSVs call _g_slots once.  Every file
+    is the per-line or per-cell text."""
     calls = []
     for name in ("_g_slots", "_face_tokens"):
         real = getattr(meshio, name)
@@ -949,7 +998,8 @@ def test_obj_and_csv_switch_path_at_one_cell_count(tmp_path, monkeypatch):
     assert meshio._VECTOR_MIN_CELLS == 768
     torus = build_scene(load_config(write_config(tmp_path, TORUS))).surface
     path = tmp_path / "mesh.obj"
-    for nu, nv, expected in [(15, 17, []), (16, 16, ["_g_slots", "_g_slots", "_face_tokens"])]:
+    for nu, nv, expected in [(15, 17, ["_face_tokens"]),
+                             (16, 16, ["_g_slots", "_g_slots", "_face_tokens"])]:
         calls.clear()
         meshio.write_obj(path, torus, nu, nv)
         assert calls == expected

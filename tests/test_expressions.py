@@ -117,19 +117,39 @@ def test_trees_outside_the_grammar_come_back_none(spec, bad, data):
     assert config._closure(tree.body, []) is None, ast.unparse(tree)
 
 
+def _src_nodes():
+    """(file name, node) of every AST node of every src/wlab module."""
+    for path in sorted(glob.glob(os.path.join(SRC, "wlab", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        yield from ((os.path.basename(path), node) for node in ast.walk(tree))
+
+
 def test_no_interpreter_in_src():
     """No call named eval, exec or compile is left in src/wlab, so no
     config text can reach the interpreter."""
     calls = []
-    for path in sorted(glob.glob(os.path.join(SRC, "wlab", "*.py"))):
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name in ("eval", "exec", "compile"):
-                    calls.append(f"{os.path.basename(path)}:{node.lineno}: {name}")
+    for name, node in _src_nodes():
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if func in ("eval", "exec", "compile"):
+                calls.append(f"{name}:{node.lineno}: {func}")
     assert calls == []
+
+
+def test_no_scipy_in_src():
+    """No module of src/wlab imports scipy, at its top or in a function:
+    numpy is the runtime's one dependency."""
+    imports = []
+    for name, node in _src_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        imports += [f"{name}:{node.lineno}: {m}" for m in modules if m.split(".")[0] == "scipy"]
+    assert imports == []
 
 
 def test_call_stops_at_first_argument_outside_grammar():

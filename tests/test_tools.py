@@ -1,6 +1,6 @@
-"""The scripts under tools/ import wlab's modules, private names included,
-so a change in src/ can break them; these tests run each one on a small
-input."""
+"""The scripts under tools/ and bench/tracing.py's tracer import wlab's
+modules, private names included, so a change in src/ can break them; these
+tests run each one on a small input."""
 import ast
 import glob
 import json
@@ -201,3 +201,61 @@ def test_fuzz_runs():
     assert set(result["by_exit"]) <= {"0", "1", "2"}
     assert 0.0 <= result["slowest"]["cpu_s"] <= result["cpu_bound_s"]
     assert result["broken"] == []
+
+
+_TRACED_JOBS = '''\
+import json, os, sys
+root, out = sys.argv[1], sys.argv[2]
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
+import wlab, wlab.cli as cli
+from tracing import Tracer
+tracer = Tracer()
+tracer.install(wlab)
+exits = {}
+for path in sys.argv[3:]:
+    for cmd in ("generate", "analyze", "fit", "harmonics", "export"):
+        extra = ["--u-list=0.2,0.6"] if cmd == "harmonics" else []
+        main = tracer.wrap(cli.main, "cli." + cmd)     # as bench/run.py times a job
+        exits[f"{os.path.basename(path)}:{cmd}"] = main([cmd, "--config", path, "--out", out, *extra])
+print(json.dumps({"exits": exits,
+                  "calls": {name: calls for name, (calls, _, _) in tracer.summary().items()},
+                  "wrapped": sorted(name for name, fn in vars(cli).items()
+                                    if name.startswith("cmd_") and hasattr(fn, "__wrapped__"))}))
+'''
+
+
+def test_bench_tracer_installs_on_wlab(tmp_path):
+    """bench/tracing.py's Tracer, installed on wlab in a fresh interpreter,
+    runs all five commands on a small riemann-type and a small cyclic scene
+    through cli.main: every job exits 0, every cli.cmd_* is rebound to a
+    span wrapper, and the spans of each job, of cli.cmd_export when
+    cmd_generate calls it through the module, of scene.build_scene and of
+    surface.evaluate_jet are recorded.  cli.main dispatches through its own
+    table of the unwrapped commands, so a command called by main records no
+    cli.cmd_* span.  Nothing calls the rebound solve_ivp names."""
+    scenes = [
+        {"kind": "riemann-type", "name": "rt", "grid": [6, 7], "relation": [0.5, 0.0],
+         "params": {"a": "u + 0.1 * sin(u)", "b": "0.3 * u", "r": "1 + 0.1 * sin(u)",
+                    "u_range": [-1.0, 1.0]}},
+        {"kind": "cyclic", "name": "cyc", "grid": [7, 6], "relation": [0.5, 0.0],
+         "params": {"kappa": "1 + 0.2*sin(u)", "sigma": 0.3, "alpha": 2.0, "beta": 0.2,
+                    "gamma": 0.3, "r": 0.5, "u_range": [0.0, 2.0]}},
+    ]
+    paths = []
+    for scene in scenes:
+        paths.append(str(tmp_path / f"{scene['name']}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(scene, fh)
+    proc = subprocess.run([sys.executable, "-c", _TRACED_JOBS, ROOT, str(tmp_path / "out"), *paths],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert len(result["exits"]) == 10 and set(result["exits"].values()) == {0}, result["exits"]
+    assert result["wrapped"] == [f"cmd_{c}" for c in ("analyze", "export", "fit", "generate",
+                                                      "harmonics")]
+    calls = result["calls"]
+    for name in ("cli.generate", "cli.analyze", "cli.fit", "cli.harmonics", "cli.export"):
+        assert calls[name] == 2, name
+    assert calls["cli.cmd_export"] == 2     # from cmd_generate, on each scene
+    assert calls["scene.build_scene"] == 10 and calls["surface.evaluate_jet"] >= 10
+    assert calls["generators.solve_ivp"] == calls["cyclic.solve_ivp"] == 0

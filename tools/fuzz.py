@@ -17,6 +17,9 @@ most one mutation:
   to the parser's limit of 200 parentheses;
 * key: a key of params or of the config is dropped, duplicated (the JSON
   text holds it twice, the second time with another value) or misspelled;
+* range: a pair, a u_range or s_range of params (the relation for a kind
+  without one), becomes (-x, x) with x from 1e307 to the float max, so
+  that its span may or may not overflow;
 * grid: the grid, in the config or as --grid, has more points than
   config.MAX_POINTS (never exactly that many: such a job would run for
   7-10 s), or is not a pair of integers >= 2.
@@ -64,7 +67,7 @@ from wlab import cli, config  # noqa: E402
 # of 900 **).  A job at the point cap would take 7-10 s.
 CPU_BOUND = 2.0
 COMMANDS = workloads.COMMANDS
-MUTATIONS = ("none", "number", "expression", "key", "grid")
+MUTATIONS = ("none", "number", "expression", "key", "range", "grid")
 
 _BUILDERS = {
     "fixture": lambda rng, grid, flag: workloads.fixture_scene(
@@ -142,6 +145,16 @@ def _mutate_expression(draw, cfg: dict) -> str:
     return f"{key} = {detail}"
 
 
+def _mutate_range(draw, cfg: dict) -> str:
+    params = cfg["params"]
+    pairs = [(k, params) for k, v in params.items() if isinstance(v, list)] or [
+        ("relation", cfg)]
+    key, container = draw(st.sampled_from(pairs))
+    x = draw(st.floats(1e307, sys.float_info.max))
+    container[key] = [-x, x]
+    return f"{key} = [-{x!r}, {x!r}]"
+
+
 def _mutate_key(draw, cfg: dict):
     """(detail, config text) with one key dropped, duplicated or misspelled."""
     in_params = draw(st.booleans())
@@ -196,6 +209,8 @@ def cases(draw) -> Case:
         detail = _mutate_expression(draw, cfg)
     elif mutation == "key":
         detail, text = _mutate_key(draw, cfg)
+    elif mutation == "range":
+        detail = _mutate_range(draw, cfg)
     else:
         detail = _mutate_grid(draw, cfg, extra)
     return Case(kind, mutation, detail, draw(st.sampled_from(COMMANDS)),

@@ -8,9 +8,10 @@
 
 One constant, meshio._VECTOR_MIN_CELLS, sends a float table of that many
 cells or more to numpy and a smaller one to "%" blocks, for OBJ sections
-and CSV arrays alike, and an OBJ's faces follow its vertices.  Each path is
-forced as the tests force it, by setting that constant to 0 ("vector") or
-above every table size ("percent").  Each input is first checked to give
+and CSV arrays alike; an OBJ's faces are numpy's on both paths, so an OBJ
+call times both paths' "v" and "vn" sections plus the same faces.  Each
+path is forced as the tests force it, by setting that constant to 0
+("vector") or above every table size ("percent").  Each input is first checked to give
 the same bytes on both paths; then the two paths are timed alternately,
 --reps calls each per input, in CPU seconds (time.process_time).  A call
 writes one file in a temporary directory as write_obj and write_csv do:
