@@ -405,7 +405,7 @@ class RotationalProfile:
         # on a branch, theta = base + sigma atan2(sin theta, |cos theta|)
         base = math.pi * round((theta0 - sigma * math.atan2(f, abs(c))) / math.pi)
         rows, coef = [], []
-        rho, left, z, whole = rho0, length, 0.0, math.inf
+        rho, left, z, whole, done = rho0, length, 0.0, math.inf, 0.0
         for turn in range(_MAX_BRANCHES + 1):
             # whole branches (from a turning point) repeat: fail once those left fall short
             if left > 1.001 * whole * (_MAX_BRANCHES - turn):
@@ -423,10 +423,14 @@ class RotationalProfile:
                                   (sigma, base, length - left, z))
             if f_end is None or ds >= left:
                 if end == _COLLAPSE_EPS and ds < left:
+                    if s0 + (length - left + ds) == s0:
+                        raise NumericalError(
+                            f"rotational profile reaches the axis at s0 + {done + ds:.6g}; a float "
+                            f"at s0 = {s0!r} cannot hold that range")
                     self.truncated = True
                     self.s_range = self.dense.u_range = (s0, s0 + (length - left + ds))
                 break
-            left, z, whole = left - ds, z + dz, ds if turning else whole
+            left, z, whole, done = left - ds, z + dz, ds if turning else whole, done + ds
             base += sigma * f_end * math.pi
             rho, f, turning, sigma = end, f_end, True, -sigma
         (self._kind, self._p0, self._p1, self._d, self._rho_b, self._f_b,

@@ -12,9 +12,9 @@ a chunk at a time; one bytes.translate per chunk drops the NULs.  Both
 paths yield the same bytes, and the writer takes each chunk to the file as
 it comes: no text is held whole.
 
-An OBJ's faces are always built by numpy, _OBJ_CHUNK_LINES lines at a time
-from a "k//k" token per face corner (_face_tokens); a "%" block was faster
-only on 6 x 6 to 8 x 8 grids, by under 8 us an OBJ.  The numpy CSV path is
+An OBJ's faces are built by numpy a run of whole grid rows at a time, at
+most _OBJ_CHUNK_LINES lines: each line's corners are row slices of the
+chunk's "k//k" vertex tokens (_face_tokens).  The numpy CSV path is
 _CSV_CHUNK_CELLS cells a chunk, which keeps every temporary below glibc's
 128 KiB mmap threshold: a 9,216-cell grid formatted at once took fresh
 pages for its temporaries on each call, and its minor page faults ate the
@@ -96,15 +96,6 @@ def surface_mesh(surface: ParamSurface, nu: int, nv: int):
     """(vertices, normals) arrays of shape (nu*nv, 3), v fastest."""
     jet = evaluate_jet(surface, *obj_grid(surface, nu, nv))
     return jet.p.reshape(-1, 3), jet.normal.reshape(-1, 3)
-
-
-def _face_corners(nu: int, nv: int) -> np.ndarray:
-    """0-based vertex index of each face corner, three per triangle and two
-    triangles per grid cell."""
-    a = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
-    b, c = a + 1, a + nv
-    d = c + 1
-    return np.stack((a, b, d, a, d, c), axis=1).ravel()
 
 
 @functools.cache
@@ -222,24 +213,25 @@ def _g_slots(x: np.ndarray, digits: int) -> np.ndarray:
     return slots
 
 
-def _face_tokens(count: int) -> np.ndarray:
-    """Void items of "f k//k ", "k//k " and "k//k\\n" for k = 1..count, the
-    first, middle and last corner of a face line, in three runs of count.
-    The w digits of k come from _digit_tables, NUL-padded on the left."""
+def _face_tokens(k: np.ndarray, w: int) -> np.ndarray:
+    """The "k//k" token of each vertex number in k, a 2-D array ascending in
+    C order, as void items of 2 w + 2 bytes in k's shape.  The w digits come
+    from _digit_tables, one gather per four-digit group, NUL-padded on the
+    left: the leading digits of k < 10, k < 100, ... are zeroed by slices."""
     padded, _ = _digit_tables()
-    k = np.arange(1, count + 1)
-    w = len(str(count))
-    groups = [padded[k // 10 ** (4 * i) % 10 ** 4] for i in reversed(range(-(-w // 4)))]
-    digits = np.stack(groups, axis=1).view(np.uint8)[:, -w:]
-    digits[k[:, None] < 10 ** np.arange(w - 1, -1, -1)] = 0     # leading zeros
-    token = np.concatenate((digits, np.full((count, 2), ord("/"), np.uint8), digits), axis=1)
-    items = np.zeros((3, count, 2 * w + 5), dtype=np.uint8)
-    items[0, :, :2] = np.frombuffer(b"f ", dtype=np.uint8)
-    items[0, :, 2:-1] = token
-    items[1:, :, :-3] = token
-    items[0, :, -1] = items[1, :, -3] = ord(" ")
-    items[2, :, -3] = ord("\n")
-    return items.view(np.dtype((np.void, 2 * w + 5))).ravel()
+    high, groups = k.ravel(), -(-w // 4)
+    quads = np.empty((high.size, groups), dtype="<u4")
+    for g in range(groups - 1, -1, -1):
+        high, low = np.divmod(high, 10 ** 4) if g else (None, high)
+        quads[:, g] = padded[low]
+    for p, below in enumerate(np.searchsorted(k.ravel(), 10 ** np.arange(1, w)), 1):
+        quads.view(np.uint8)[:below, 4 * groups - w:4 * groups - p] = 0
+    run = (np.void, w)
+    digits = quads.view(np.dtype({"names": ["d"], "formats": [run], "offsets": [4 * groups - w],
+                                  "itemsize": 4 * groups}))["d"].reshape(k.shape)
+    token = np.empty(k.shape, dtype=[("k", run), ("s", "S2"), ("v", run)])
+    token["k"], token["s"], token["v"] = digits, b"//", digits
+    return token.view(np.dtype((np.void, 2 * w + 2)))
 
 
 def _lines(prefix: bytes, slots: np.ndarray, k: int, sep: str) -> bytes:
@@ -295,13 +287,30 @@ def _float_lines(prefix: bytes, rows: np.ndarray, digits: int, sep: str, chunk_c
 
 
 def _face_lines(nu: int, nv: int):
-    """Two triangles per grid cell as "f k//k k//k k//k" lines, built by
-    numpy from _face_tokens, _OBJ_CHUNK_LINES lines a chunk."""
-    corners, tokens, step = _face_corners(nu, nv), _face_tokens(nu * nv), _OBJ_CHUNK_LINES
-    run = np.tile(np.arange(3) * (nu * nv), min(step, len(corners) // 3))  # corner runs in tokens
-    for i in range(0, len(corners), 3 * step):
-        chunk = corners[i:i + 3 * step]
-        yield tokens[chunk + run[:len(chunk)]].tobytes().translate(None, b"\0")
+    """Two triangles per grid cell, (a, b, d) then (a, d, c) for corners a =
+    (i, j), b = (i, j + 1), c = (i + 1, j) and d = (i + 1, j + 1), as lines
+    "f k//k k//k k//k" with k = i nv + j + 1, a chunk per run of whole cell
+    rows (or of one row's cells) of at most _OBJ_CHUNK_LINES lines.  The
+    corners are row slices of the chunk's _face_tokens, copied into one
+    record buffer whose literal fields are set once a call; NULs are
+    dropped only from chunks with vertex numbers shorter than nu nv's."""
+    w = len(str(nu * nv))
+    cols = min(nv - 1, _OBJ_CHUNK_LINES // 2)
+    rows = min(nu - 1, _OBJ_CHUNK_LINES // (2 * cols))
+    item = (np.void, 2 * w + 2)
+    record = list(zip("fasbtcn", ("S2", item, "S1", item, "S1", item, "S1")))
+    buffer = np.empty(2 * rows * cols, dtype=record)
+    buffer["f"], buffer["s"], buffer["t"], buffer["n"] = b"f ", b" ", b" ", b"\n"
+    for i, j in itertools.product(range(0, nu - 1, rows), range(0, nv - 1, cols)):
+        r, c = min(rows, nu - 1 - i), min(cols, nv - 1 - j)
+        tok = _face_tokens(np.arange(i, i + r + 1)[:, None] * nv + np.arange(j + 1, j + c + 2), w)
+        line = buffer[:2 * r * c].reshape(r, c, 2)
+        line["a"] = tok[:-1, :-1, None]
+        line["b"][..., 0] = tok[:-1, 1:]
+        line["c"][..., 0] = line["b"][..., 1] = tok[1:, 1:]
+        line["c"][..., 1] = tok[1:, :-1]
+        text = line.tobytes()
+        yield text.translate(None, b"\0") if i * nv + j + 1 < 10 ** (w - 1) else text
 
 
 def _obj_chunks(verts: np.ndarray, normals: np.ndarray, nu: int, nv: int):

@@ -694,6 +694,21 @@ def test_periodic_profile_past_the_branch_cap_fails_at_once(tmp_path, capsys, s_
         "wlab: numerical failure: rotational profile turns more than 100000 times\n")
 
 
+@pytest.mark.parametrize("s_range", [[-1e20, 1e20], [-8.04e307, 8.04e307]])
+def test_profile_reaching_the_axis_within_an_ulp_of_its_start(tmp_path, capsys, s_range):
+    """Found by the CLI fuzzer: a profile that reaches the axis about 5.67
+    past its start truncates to a range of zero width when its start is far
+    beyond that, and export failed with "u = s0 outside (s0, s0)".  It
+    fails where the profile truncates, with its reach."""
+    data = dict(ROTATIONAL, relation=[1.122367, -0.308909],
+                params={"rho0": 1.036713, "theta0": 0.783115, "s_range": s_range})
+    assert main(["export", "--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "wlab: numerical failure: rotational profile reaches the axis at s0 + 5.6653; a float"
+        f" at s0 = {s_range[0]!r} cannot hold that range\n")
+
+
 @pytest.mark.parametrize("m", [5e-324, 1e-17])
 def test_rotational_m_near_zero_builds(tmp_path, capsys, m):
     """Found by the CLI fuzzer: for 0 < m <= 2**-54, m - 1 rounds to -1, and

@@ -277,3 +277,40 @@ def test_write_obj_peak_memory_is_the_mesh(tmp_path, n):
 
     mesh = peak(lambda: meshio.surface_mesh(torus, n, n))
     assert peak(lambda: meshio.write_obj(path, torus, n, n)) - mesh < 0.6
+
+
+def _per_line_faces(nu, nv) -> bytes:
+    lines = []
+    for a in (i * nv + j + 1 for i in range(nu - 1) for j in range(nv - 1)):
+        b, c, d = a + 1, a + nv, a + nv + 1
+        lines.append("f %d//%d %d//%d %d//%d\n" % (a, a, b, b, d, d))
+        lines.append("f %d//%d %d//%d %d//%d\n" % (a, a, d, d, c, c))
+    return "".join(lines).encode()
+
+
+# vertex counts 9/10, 99/100, 999/1,000, 9,999/10,000 and 99,999/100,000;
+# nu = 2, nv = 2, and rows of more than one chunk (nv > 1,025)
+FACE_GRIDS = [(3, 3), (2, 5), (9, 11), (10, 10), (27, 37), (8, 125), (3, 3333), (2, 5000),
+              (9, 11111), (50000, 2), (2, 2), (2, 1025), (3, 1026), (1001, 3)]
+
+
+@pytest.mark.parametrize("nu, nv", FACE_GRIDS)
+def test_face_lines_are_the_per_line_text(nu, nv):
+    """The face chunks join to the per-line "%d" text, each chunk whole
+    lines and at most _OBJ_CHUNK_LINES of them."""
+    chunks = list(meshio._face_lines(nu, nv))
+    assert b"".join(chunks) == _per_line_faces(nu, nv)
+    assert all(c.endswith(b"\n") and c.count(b"\n") <= meshio._OBJ_CHUNK_LINES for c in chunks)
+
+
+def test_face_lines_peak_memory_is_a_chunk():
+    """Draining the faces of a 1024 x 1024 grid (2 million lines, 95 MB of
+    text) holds no more than a chunk's temporaries at a time."""
+    list(meshio._face_lines(8, 8))      # the cached digit tables
+    tracemalloc.start()
+    try:
+        for _ in meshio._face_lines(1024, 1024):
+            pass
+        assert tracemalloc.get_traced_memory()[1] < 2 * 2 ** 20
+    finally:
+        tracemalloc.stop()

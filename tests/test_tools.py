@@ -3,6 +3,7 @@ modules, private names included, so a change in src/ can break them; these
 tests run each one on a small input."""
 import ast
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,11 @@ TOOLS = os.path.join(ROOT, "tools")
 sys.path.insert(0, TOOLS)
 
 import parity  # noqa: E402
+import point_cap  # noqa: E402
 import traffic  # noqa: E402
+from wlab import meshio  # noqa: E402
+from wlab.config import SceneConfig  # noqa: E402
+from wlab.scene import build_scene  # noqa: E402
 
 MODULE = '''\
 """A module docstring."""
@@ -155,7 +160,8 @@ def test_parity_reports_scipy_and_peak_rss():
 
 def test_kind_cpu_runs(tmp_path):
     """Two rounds over the fine-grid jobs: one table row per command and
-    one per kind, and a JSON file with each side's readings."""
+    one per kind, each with its minor page faults, and a JSON file with
+    each side's CPU and page-fault readings."""
     path = tmp_path / "kind_cpu.json"
     proc = subprocess.run([sys.executable, os.path.join(TOOLS, "kind_cpu.py"), ROOT, ROOT,
                            "--workload", "fine-grid", "--seed", "5",
@@ -171,11 +177,17 @@ def test_kind_cpu_runs(tmp_path):
     for side in ("old_runs", "new_runs"):
         assert len(result[side]) == 2
         assert all(run["cyclic:all"] > 0 for run in result[side])
+    for side in ("old_minflt", "new_minflt"):
+        assert len(result[side]) == 2
+        assert all(sorted(run) == sorted(rows) and min(run.values()) >= 0
+                   for run in result[side])
+    assert all("minflt" in line for line in proc.stdout.splitlines()[1:])
 
 
-def test_point_cap_runs():
-    """Both cap jobs at a small size, each in its interpreter: exit 0, the
-    CSV written, and a CPU time and peak RSS per job."""
+def test_point_cap_runs(tmp_path):
+    """The three cap jobs at a small size, each in its interpreter: exit 0,
+    the files written, and a CPU time and peak RSS per job; the export job's
+    bytes are the OBJ of the scene on its grid."""
     proc = subprocess.run([sys.executable, os.path.join(TOOLS, "point_cap.py"), ROOT,
                            "--max-harmonic", "500", "--grid", "32"],
                           capture_output=True, text=True, timeout=120)
@@ -184,6 +196,11 @@ def test_point_cap_runs():
     assert result["src_lines"] == parity._src_lines(ROOT)
     assert result["jobs"]["harmonics"]["argv"] == "harmonics --u-list 0.1 --max-harmonic 500"
     assert result["jobs"]["analyze"]["argv"] == "analyze --grid 32x32"
+    assert result["jobs"]["export"]["argv"] == "export --grid 32x32"
+    obj = tmp_path / "cap.obj"
+    meshio.write_obj(obj, build_scene(SceneConfig.from_dict(point_cap.SCENE)).surface, 32, 32)
+    assert result["jobs"]["export"]["bytes"] == obj.stat().st_size
+    assert result["jobs"]["export"]["sha256"] == hashlib.sha256(obj.read_bytes()).hexdigest()[:16]
     for job in result["jobs"].values():
         assert job["exit"] == 0 and job["bytes"] > 0 and len(job["sha256"]) == 16
         assert job["cpu_s"] >= 0.0 and job["vmhwm_mb"] > 0.0

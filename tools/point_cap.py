@@ -3,15 +3,17 @@
 
     python3 tools/point_cap.py TREE [--max-harmonic J] [--grid N]
 
-Runs two jobs through TREE's wlab.cli.main on one riemann-type scene
+Runs three jobs through TREE's wlab.cli.main on one riemann-type scene
 (a = 0.7u + 0.3 sin 1.7u, b = 0.3u + 0.2 cos 1.7u, r = 1.1 + 0.2 sin u on
 [-1, 1], relation (m, n) = (1.5, 0)), each in a fresh interpreter:
 
     wlab harmonics --u-list 0.1 --max-harmonic J     (default 2000000)
     wlab analyze --grid NxN                          (default 2048)
+    wlab export --grid NxN                           (the same N)
 
-At the defaults both are at the cap: one circle of 2 J + 2 = 4,000,002
-samples and 2048 x 2048 = 2^22 grid points.  Prints one JSON object: the
+At the defaults all three are at the cap: one circle of 2 J + 2 = 4,000,002
+samples, and 2048 x 2048 = 2^22 grid points for the analyze CSV and for the
+OBJ (about 760 MB).  Prints one JSON object: the
 tree, the src/wlab line count and, per job, its argv, exit code, output
 bytes with the first 16 hex digits of their sha256 (files in name order),
 the CPU of the cli.main call (time.process_time, so the interpreter start
@@ -40,7 +42,8 @@ SCENE = {"kind": "riemann-type", "name": "cap",
 def jobs(max_harmonic: int, grid: int) -> dict:
     """{name: wlab argv without --config and --out} of the cap jobs."""
     return {"harmonics": ["harmonics", "--u-list", "0.1", "--max-harmonic", str(max_harmonic)],
-            "analyze": ["analyze", "--grid", f"{grid}x{grid}"]}
+            "analyze": ["analyze", "--grid", f"{grid}x{grid}"],
+            "export": ["export", "--grid", f"{grid}x{grid}"]}
 
 
 def record(tree: str, argv: list) -> dict:
