@@ -20,6 +20,7 @@ from .fitting import classify
 from .meshio import atomic_write_text, write_csv, write_obj
 from .scene import SceneResult, build_scene
 from .surface import (
+    _inset,
     _u_span,
     curvature,
     evaluate_jet,
@@ -113,9 +114,8 @@ def cmd_harmonics(cfg: SceneConfig, outdir: str, args) -> None:
     us = np.array(_u_list(args.u_list), dtype=float)
     result = build_scene(cfg)
     if not us.size:
-        lo, hi = result.surface.u_range
-        pad = 0.1 * _u_span(result.surface.u_range)
-        us = np.linspace(lo + pad, hi - pad, 5)
+        u_range = result.surface.u_range
+        us = np.linspace(*_inset(u_range, 0.1 * _u_span(u_range)), 5)
     N = hm.circle_samples(J)
     if us.size * N > MAX_POINTS:
         raise ConfigError(f"harmonics: {us.size} circles x {N} samples above {MAX_POINTS}")

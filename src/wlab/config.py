@@ -25,7 +25,8 @@ KINDS = ("fixture", "cyclic", "riemann-type", "riemann-example", "rotational-lw"
 FIXTURE_SHAPES = ("sphere", "cylinder", "torus", "catenoid")
 # the most (u, v) points one job evaluates; at this cap, on a riemann-type scene,
 # `wlab harmonics --max-harmonic 2000000` peaks (VmHWM) at 1.32 GB in 7-9 s of CPU,
-# and `wlab analyze` at 1.39 GB in 8-10 s (tools/point_cap.py; 367 MB at 2**20)
+# `wlab analyze` at 1.39 GB in 8-10 s (367 MB at 2**20), and `wlab export`, which
+# evaluates the 1-jet only, at 561 MB in 4-5.4 s (tools/point_cap.py)
 MAX_POINTS = 2 ** 22
 
 _EXPR_FUNCTIONS = {name: getattr(np, name) for name in

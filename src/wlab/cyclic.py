@@ -4,9 +4,9 @@ Two parametrizations are built here: general cyclic surfaces swept from a
 Frenet frame along a base curve, and surfaces whose foliation circles lie in
 horizontal planes (Riemann-type surfaces here; fixtures and rotational
 profiles in generators.py).  Both return ParamSurface objects whose grid
-function jets(us, vs) gives the position and its first and second partials
-in closed form from the u-only state, so curvature never differentiates the
-transported frame numerically.
+function jets(us, vs, order=2) gives the position and its first partials, and
+at order 2 its second partials too, in closed form from the u-only state, so
+curvature never differentiates the transported frame numerically.
 """
 from __future__ import annotations
 
@@ -251,7 +251,7 @@ def build_cyclic(data: CyclicSurface) -> ParamSurface:
     dense = transport(data)
     fns = (data.r, data.kappa, data.sigma, data.alpha, data.beta, data.gamma)
 
-    def jets(us, vs):
+    def jets(us, vs, order=2):
         # u-only work on (nu, 3) vectors and (nu, 1) scalars, one lookup per
         # u; the circle c + A cos v + B sin v, A = r n and B = r b, and its
         # u-derivatives then take v from the (nv, 1) columns cos v and sin v
@@ -260,18 +260,21 @@ def build_cyclic(data: CyclicSurface) -> ParamSurface:
         (r0, r1, r2), (k, k1, _), (s, s1, _), (al, al1, _), (be, be1, _), (ga, ga1, _) = (
             [x[:, None] for x in f.jet(us)] for f in fns)
         n1, b1 = s * b - k * t, -s * n
-        n2 = -k1 * t - (k * k + s * s) * n + s1 * b
-        b2 = s * k * t - s1 * n - s * s * b
         c1 = al * t + be * n + ga * b
-        c2 = (al1 - be * k) * t + (be1 + al * k - ga * s) * n + (ga1 + be * s) * b
-        A, A1, A2 = r0 * n, r1 * n + r0 * n1, r2 * n + 2.0 * r1 * n1 + r0 * n2
-        B, B1, B2 = r0 * b, r1 * b + r0 * b1, r2 * b + 2.0 * r1 * b1 + r0 * b2
-        c, c1, c2, A, A1, A2, B, B1, B2 = (
-            x[:, None] for x in (c, c1, c2, A, A1, A2, B, B1, B2))
+        A, A1 = r0 * n, r1 * n + r0 * n1
+        B, B1 = r0 * b, r1 * b + r0 * b1
+        c, c1, A, A1, B, B1 = (x[:, None] for x in (c, c1, A, A1, B, B1))
         cv, sv = np.cos(vs)[:, None], np.sin(vs)[:, None]
         ring = A * cv + B * sv
-        return (c + ring, c1 + A1 * cv + B1 * sv, B * cv - A * sv,
-                c2 + A2 * cv + B2 * sv, B1 * cv - A1 * sv, -ring)
+        first = (c + ring, c1 + A1 * cv + B1 * sv, B * cv - A * sv)
+        if order == 1:
+            return first
+        n2 = -k1 * t - (k * k + s * s) * n + s1 * b
+        b2 = s * k * t - s1 * n - s * s * b
+        c2 = (al1 - be * k) * t + (be1 + al * k - ga * s) * n + (ga1 + be * s) * b
+        A2 = (r2 * n + 2.0 * r1 * n1 + r0 * n2)[:, None]
+        B2 = (r2 * b + 2.0 * r1 * b1 + r0 * b2)[:, None]
+        return (*first, c2[:, None] + A2 * cv + B2 * sv, B1 * cv - A1 * sv, -ring)
 
     return ParamSurface(tuple(data.u_range), jets)
 
@@ -285,7 +288,7 @@ def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
     (a = b = 0).  The radius is not checked here.
     """
 
-    def jets(us, vs):
+    def jets(us, vs, order=2):
         # a, b, r, h and their first and second derivatives, one jet each
         a0, a1, a2, b0, b1, b2, r0, r1, r2, h0, h1, h2 = np.stack(
             [x for f in (a, b, r, h) for x in f.jet(us)])[:, :, None]
@@ -296,11 +299,12 @@ def _horizontal_circles(a: SmoothFunction, b: SmoothFunction, r: SmoothFunction,
             out[..., 0], out[..., 1], out[..., 2] = x, y, z
             return out
 
-        return (vec(a0 + r0 * cv, b0 + r0 * sv, h0),
-                vec(a1 + r1 * cv, b1 + r1 * sv, h1),
-                vec(-r0 * sv, r0 * cv, 0.0),
-                vec(a2 + r2 * cv, b2 + r2 * sv, h2),
-                vec(-r1 * sv, r1 * cv, 0.0),
+        first = (vec(a0 + r0 * cv, b0 + r0 * sv, h0),
+                 vec(a1 + r1 * cv, b1 + r1 * sv, h1),
+                 vec(-r0 * sv, r0 * cv, 0.0))
+        if order == 1:
+            return first
+        return (*first, vec(a2 + r2 * cv, b2 + r2 * sv, h2), vec(-r1 * sv, r1 * cv, 0.0),
                 vec(-r0 * cv, -r0 * sv, 0.0))
 
     return ParamSurface(tuple(u_range), jets)

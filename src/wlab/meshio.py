@@ -93,8 +93,9 @@ def obj_grid(surface: ParamSurface, nu: int, nv: int):
 
 
 def surface_mesh(surface: ParamSurface, nu: int, nv: int):
-    """(vertices, normals) arrays of shape (nu*nv, 3), v fastest."""
-    jet = evaluate_jet(surface, *obj_grid(surface, nu, nv))
+    """(vertices, normals) arrays of shape (nu*nv, 3), v fastest, from the
+    1-jet: p, Xu and Xv only."""
+    jet = evaluate_jet(surface, *obj_grid(surface, nu, nv), order=1)
     return jet.p.reshape(-1, 3), jet.normal.reshape(-1, 3)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,9 +30,10 @@ from .errors import (
 from .functions import _D1, _D2
 
 # Grid functions of (us, vs): position -> (len(us), len(vs), 3), and
-# jets -> (p, xu, xv, xuu, xuv, xvv), each of that shape
+# jets(us, vs, order=2) -> (p, xu, xv) at order 1 and (p, xu, xv, xuu, xuv,
+# xvv) at order 2, each of that shape
 _PositionFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-_JetsFn = Callable[[np.ndarray, np.ndarray], tuple]
+_JetsFn = Callable[..., tuple]
 
 _DEGENERACY_EPS = 1e-12
 _DISCRIMINANT_CLAMP = 1e-12
@@ -44,7 +45,9 @@ class ParamSurface:
 
     u in the open interval ``u_range`` picks the circle and v turns it, with
     period 2 pi, so every v is in the domain.  ``partials`` is the grid
-    function jets(us, vs); finite_difference_surface makes one from a
+    function jets(us, vs, order=2): the position and its partials up to
+    that order, 1 or 2, where order 1's three arrays are the same floats as
+    the first three of order 2; finite_difference_surface makes one from a
     position grid function.
     """
 
@@ -88,22 +91,23 @@ class JetPoint:
     """Position, partials up to second order, the unit normal and the
     normal's unscaled direction cross = Xu x Xv.
 
-    Each field has shape (3,) at a point, or (nu, nv, 3) on a grid.
+    Each field has shape (3,) at a point, or (nu, nv, 3) on a grid; the
+    second partials xuu, xuv and xvv are None in a 1-jet (order 1).
     """
 
     p: np.ndarray
     xu: np.ndarray
     xv: np.ndarray
-    xuu: np.ndarray
-    xuv: np.ndarray
-    xvv: np.ndarray
+    xuu: np.ndarray | None
+    xuv: np.ndarray | None
+    xvv: np.ndarray | None
     normal: np.ndarray
     cross: np.ndarray
 
     @classmethod
     @_in_float_range
-    def from_partials(cls, p, xu, xv, xuu, xuv, xvv) -> "JetPoint":
-        arrs = [np.asarray(a, dtype=float) for a in (p, xu, xv, xuu, xuv, xvv)]
+    def from_partials(cls, p, xu, xv, xuu=None, xuv=None, xvv=None) -> "JetPoint":
+        arrs = [a if a is None else np.asarray(a, dtype=float) for a in (p, xu, xv, xuu, xuv, xvv)]
         xu, xv = arrs[1], arrs[2]
         cross = np.empty(np.broadcast_shapes(xu.shape, xv.shape))
         for k, i, j in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):   # np.cross's products, in its order
@@ -170,7 +174,7 @@ def finite_difference_surface(u_range, position: _PositionFn) -> ParamSurface:
     u_range shrunk by the stencil's reach, 2 h, at both ends."""
     h = _fd_step(u_range)
 
-    def jets(us, vs):
+    def jets(us, vs, order=2):
         at = {(i, j): np.asarray(position(us + i * h, vs + j * h), dtype=float)
               for i in range(-2, 3) for j in range(-2, 3)}
         xu = sum(c * at[k, 0] for k, c in _D1) / (12.0 * h)
@@ -178,31 +182,32 @@ def finite_difference_surface(u_range, position: _PositionFn) -> ParamSurface:
         xuu = sum(c * at[k, 0] for k, c in _D2) / (12.0 * h * h)
         xvv = sum(c * at[0, k] for k, c in _D2) / (12.0 * h * h)
         xuv = sum(ci * cj * at[i, j] for i, ci in _D1 for j, cj in _D1) / (144.0 * h * h)
-        return at[0, 0], xu, xv, xuu, xuv, xvv
+        return (at[0, 0], xu, xv, xuu, xuv, xvv)[:3 * order]
 
     return ParamSurface((u_range[0] + 2.0 * h, u_range[1] - 2.0 * h), jets)
 
 
-def evaluate_jet(surface: ParamSurface, u, v) -> JetPoint:
-    """Evaluate position and all partials at (u, v).
+def evaluate_jet(surface: ParamSurface, u, v, order: int = 2) -> JetPoint:
+    """Evaluate position and its partials up to order, 1 or 2, at (u, v);
+    at order 1 the second partials are None.
 
     u and v are floats or 1-d arrays.  For two floats every JetPoint field
     has shape (3,); otherwise the fields have shape (len(u), len(v), 3) on
     the grid u x v (a float counts as a grid of one), from one call of
     surface.partials.  Raises OutOfDomain at the first u outside the domain
-    and NonFiniteInput at the first u of the grid where a partial is NaN or
-    infinite.
+    and NonFiniteInput at the first u of the grid where a partial of the
+    order asked for is NaN or infinite.
     """
     us = np.atleast_1d(np.asarray(u, dtype=float))
     vs = np.atleast_1d(np.asarray(v, dtype=float))
     _check_domain(surface, us)
     with np.errstate(all="ignore"):
-        parts = surface.partials(us, vs)
+        parts = surface.partials(us, vs, order)
     bad_u = ~np.logical_and.reduce([np.isfinite(x).all(axis=(1, 2)) for x in parts])
     _raise_first(bad_u, us, lambda x: NonFiniteInput(f"jet non-finite at u = {x}"))
     jet = JetPoint.from_partials(*parts)
     if np.ndim(u) == 0 and np.ndim(v) == 0:
-        return JetPoint(*(getattr(jet, f.name)[0, 0] for f in fields(JetPoint)))
+        return JetPoint(*(x if x is None else x[0, 0] for x in vars(jet).values()))
     return jet
 
 
@@ -299,18 +304,27 @@ def lw_residual_reduced(c: CurvatureData, rel: LWRelation):
 def finite_difference_twin(surface: ParamSurface) -> ParamSurface:
     """Same surface known by its position grid only (forces FD jets)."""
     return finite_difference_surface(surface.u_range,
-                                     lambda us, vs: surface.partials(us, vs)[0])
+                                     lambda us, vs: surface.partials(us, vs, 1)[0])
+
+
+def _inset(u_range, margin: float):
+    """The ends of u_range moved inward by margin; NumericalError where either
+    rounds back to its end, as a grid from there would start outside the open range."""
+    lo, hi = u_range[0] + margin, u_range[1] - margin
+    if lo == u_range[0] or hi == u_range[1]:
+        raise NumericalError(f"u range {tuple(u_range)} is too narrow for its floats:"
+                             f" an inset of {margin:.3g} from its ends rounds away")
+    return lo, hi
 
 
 def interior_grid(surface: ParamSurface, nu: int, nv: int):
-    """(us, vs) strictly inside the domain: u inset from both ends by
+    """(us, vs) strictly inside the domain: u inset (_inset) from both ends by
     4 _fd_step(u_range) when that leaves an interval, else by an eighth of
     the span; v a full period without its endpoint.  Only the first inset
     keeps the grid inside the finite-difference twin's domain too."""
-    u0, u1 = surface.u_range
     span, h = _u_span(surface.u_range), _fd_step(surface.u_range)
     margin = 4.0 * h if span > 8.0 * h else span / 8.0
-    return (np.linspace(u0 + margin, u1 - margin, nu),
+    return (np.linspace(*_inset(surface.u_range, margin), nu),
             np.arange(nv) * (2.0 * math.pi / nv))
 
 
@@ -325,8 +339,8 @@ def transformed(surface: ParamSurface, rotation: np.ndarray,
         return (x[..., 0, None] * R[:, 0] + x[..., 1, None] * R[:, 1]
                 + x[..., 2, None] * R[:, 2])
 
-    def jets(us, vs):
-        p, *rest = surface.partials(us, vs)
+    def jets(us, vs, order=2):
+        p, *rest = surface.partials(us, vs, order)
         return (move(p) + t, *map(move, rest))
 
     return ParamSurface(surface.u_range, jets)

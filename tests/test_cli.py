@@ -415,9 +415,9 @@ def test_one_jet_grid_per_harmonics_job(tmp_path, monkeypatch, base):
         result = build(cfg)
         partials = result.surface.partials
 
-        def counted(us, vs):
+        def counted(us, vs, order=2):
             grids.append((len(us), len(vs)))
-            return partials(us, vs)
+            return partials(us, vs, order)
 
         return dataclasses.replace(
             result, surface=dataclasses.replace(result.surface, partials=counted))
@@ -650,6 +650,55 @@ def test_extreme_number_is_one_failure_line(tmp_path, capsys, base, params, rela
         assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
     assert [f"{w.filename}:{w.lineno}: {w.message}" for w in caught] == []
     assert re.fullmatch(r"wlab: numerical failure: [^\n]*\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, order", [
+    ("export", 1), ("generate", 1), ("analyze", 2), ("fit", 2), ("harmonics", 2)])
+def test_export_evaluates_the_one_jet(tmp_path, monkeypatch, command, order):
+    """export and generate evaluate their one jet grid at order 1 (p, Xu
+    and Xv); analyze, fit and harmonics evaluate theirs at order 2."""
+    calls = []
+    build = cli.build_scene
+
+    def build_counted(cfg):
+        result = build(cfg)
+        partials = result.surface.partials
+
+        def counted(us, vs, order=2):
+            calls.append(order)
+            return partials(us, vs, order)
+
+        return dataclasses.replace(
+            result, surface=dataclasses.replace(result.surface, partials=counted))
+
+    monkeypatch.setattr(cli, "build_scene", build_counted)
+    path = write_config(tmp_path, RIEMANN_TYPE)
+    assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [order]
+
+
+_E16 = ([-1e16, 1e16], "(-1e+16, -9999999999999992.0)")
+_E15 = ([-1e15, 1e15], "(-1000000000000000.0, -999999999999994.4)")
+
+
+@pytest.mark.parametrize("command, s_range, shown, inset", [
+    ("export", *_E16, "0.0032"), ("analyze", *_E16, "0.0032"),
+    ("export", *_E15, "0.00251"), ("analyze", *_E15, "0.00251"),
+    ("harmonics", *_E16, "0.8"),
+], ids=["export-1e16", "analyze-1e16", "export-1e15", "analyze-1e15", "harmonics-1e16"])
+def test_u_range_too_narrow_for_its_floats(tmp_path, capsys, command, s_range, shown, inset):
+    """Found by the CLI fuzzer: a profile truncated about 8 past s0 = -1e16
+    (5.6 past -1e15) leaves a u range whose grid inset, a few thousandths,
+    rounds to its ends, and the grid commands failed with "u = s0 outside
+    (s0, ...)"; so did harmonics's default circles, inset by a tenth of the
+    span, at -1e16.  The inset check names the range and the inset; exit 2."""
+    data = dict(ROTATIONAL, relation=[1.122367, -0.308909],
+                params={"rho0": 1.036713, "theta0": 0.783115, "s_range": s_range})
+    assert main([command, "--config", write_config(tmp_path, data),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"wlab: numerical failure: u range {shown} is too narrow for its floats: an inset of"
+        f" {inset} from its ends rounds away\n")
 
 
 _WIDE = [-1.7e308, 1.7e308]     # each end a float; their difference is not

@@ -1,23 +1,27 @@
 """Whole-grid jets: a grid evaluation agrees with its 1 x 1 evaluations,
-a batch of foliation circles with its circles one by one, and the builders
-evaluate their u-only state once per u."""
+a batch of foliation circles with its circles one by one, a 1-jet with the
+first half of the 2-jet, and the builders evaluate their u-only state once
+per u."""
 import collections
 import functools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlab.cyclic import RiemannTypeSurface, build_cyclic, build_riemann_type
 from wlab.fitting import sample_curvatures
 from wlab.generators import gen_fixture, gen_riemann_example, gen_rotational_lw
 from wlab.harmonics import circle_spectrum
+from wlab import meshio
 from wlab.meshio import surface_mesh
 from wlab.surface import (
     LWRelation,
     curvature,
     evaluate_jet,
     finite_difference_surface,
+    finite_difference_twin,
     interior_grid,
     transformed,
 )
@@ -158,3 +162,37 @@ def test_fd_jet_one_position_grid_per_stencil_point():
     surf = finite_difference_surface(torus.u_range, position)
     evaluate_jet(surf, *interior_grid(surf, 7, 6))
     assert shapes == [(7, 6)] * 25
+
+
+JET_ORDER_SCENES = {**SCENES, "fd-twin": lambda: finite_difference_twin(scene("cyclic"))}
+
+
+@pytest.mark.parametrize("name", sorted(JET_ORDER_SCENES))
+def test_one_jet_is_the_first_half_of_the_two_jet(name):
+    """On the OBJ grid, the 1-jet's p, Xu, Xv, cross and unit normal are the
+    2-jet's, bit for bit (signed zeros too), and its second partials are
+    None, on a grid and at a point."""
+    surf = JET_ORDER_SCENES[name]()
+    us, vs = meshio.obj_grid(surf, 9, 13)
+    one, two = evaluate_jet(surf, us, vs, order=1), evaluate_jet(surf, us, vs)
+    for f in ("p", "xu", "xv", "cross", "normal"):
+        assert getattr(one, f).tobytes() == getattr(two, f).tobytes(), f
+    point = evaluate_jet(surf, float(us[4]), float(vs[5]), order=1)
+    for jet in (one, point):
+        assert jet.xuu is None and jet.xuv is None and jet.xvv is None
+    assert point.normal.tobytes() == two.normal[4, 5].tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(JET_ORDER_SCENES))
+def test_obj_is_the_text_of_the_two_jet(tmp_path, name):
+    """write_obj's bytes are the per-line "%.9g" text of the 2-jet's p and
+    unit normal on the OBJ grid, then the faces (on the numpy path: 17 x 19
+    vertices are 969 numbers a section)."""
+    surf, nu, nv = JET_ORDER_SCENES[name](), 17, 19
+    two = evaluate_jet(surf, *meshio.obj_grid(surf, nu, nv))
+    text = "".join("v %.9g %.9g %.9g\n" % tuple(x) for x in two.p.reshape(-1, 3).tolist())
+    text += "".join("vn %.9g %.9g %.9g\n" % tuple(x)
+                    for x in two.normal.reshape(-1, 3).tolist())
+    path = tmp_path / "mesh.obj"
+    meshio.write_obj(path, surf, nu, nv)
+    assert path.read_bytes() == text.encode() + b"".join(meshio._face_lines(nu, nv))

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from wlab import meshio
 from wlab.cyclic import build_riemann_type
+from wlab.errors import NonFiniteInput
 from wlab.generators import gen_fixture
+from wlab.surface import ParamSurface, evaluate_jet
 from conftest import generic_riemann_type
 
 
@@ -277,6 +279,43 @@ def test_write_obj_peak_memory_is_the_mesh(tmp_path, n):
 
     mesh = peak(lambda: meshio.surface_mesh(torus, n, n))
     assert peak(lambda: meshio.write_obj(path, torus, n, n)) - mesh < 0.6
+
+
+def test_surface_mesh_peak_memory_is_the_one_jet():
+    """surface_mesh evaluates p, Xu and Xv only: its tracemalloc peak on a
+    256 x 256 torus is below 9 MiB (the full 2-jet peaked at 12.6 MiB)."""
+    torus = gen_fixture("torus")
+    meshio.surface_mesh(torus, 16, 16)
+    tracemalloc.start()
+    try:
+        meshio.surface_mesh(torus, 256, 256)
+        assert tracemalloc.get_traced_memory()[1] < 9 * 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_obj_checks_only_the_one_jet(tmp_path):
+    """A surface whose Xuu is NaN on one grid row while p, Xu and Xv are
+    finite: write_obj writes its OBJ, the torus's bytes, as it reads the
+    1-jet only, while the 2-jet raises NonFiniteInput at that row's u."""
+    torus, nu, nv = gen_fixture("torus"), 12, 10
+    us, vs = meshio.obj_grid(torus, nu, nv)
+
+    def jets(grid_us, grid_vs, order=2):
+        parts = torus.partials(grid_us, grid_vs, order)
+        if order == 1:
+            return parts
+        xuu = parts[3].copy()
+        xuu[grid_us == us[5]] = np.nan
+        return (*parts[:3], xuu, *parts[4:])
+
+    surf = ParamSurface(torus.u_range, jets)
+    meshio.write_obj(tmp_path / "nan.obj", surf, nu, nv)
+    meshio.write_obj(tmp_path / "torus.obj", torus, nu, nv)
+    assert (tmp_path / "nan.obj").read_bytes() == (tmp_path / "torus.obj").read_bytes()
+    with pytest.raises(NonFiniteInput) as caught:
+        evaluate_jet(surf, us, vs)
+    assert str(caught.value) == f"jet non-finite at u = {us[5]}"
 
 
 def _per_line_faces(nu, nv) -> bytes:

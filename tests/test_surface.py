@@ -454,7 +454,7 @@ def reflected(surf):
     u-derivatives Xu and Xuv negated."""
     lo, hi = surf.u_range
 
-    def jets(us, vs):
+    def jets(us, vs, order=2):
         p, xu, xv, xuu, xuv, xvv = surf.partials(-us, vs)
         return p, -xu, xv, xuu, -xuv, xvv
 

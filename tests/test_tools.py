@@ -161,7 +161,8 @@ def test_parity_reports_scipy_and_peak_rss():
 def test_kind_cpu_runs(tmp_path):
     """Two rounds over the fine-grid jobs: one table row per command and
     one per kind, each with its minor page faults, and a JSON file with
-    each side's CPU and page-fault readings."""
+    each side's CPU, scaled to the reference speed and raw, and page-fault
+    readings."""
     path = tmp_path / "kind_cpu.json"
     proc = subprocess.run([sys.executable, os.path.join(TOOLS, "kind_cpu.py"), ROOT, ROOT,
                            "--workload", "fine-grid", "--seed", "5",
@@ -182,6 +183,11 @@ def test_kind_cpu_runs(tmp_path):
         assert all(sorted(run) == sorted(rows) and min(run.values()) >= 0
                    for run in result[side])
     assert all("minflt" in line for line in proc.stdout.splitlines()[1:])
+    for side in ("old_raw_runs", "new_raw_runs"):     # the unscaled CPU
+        assert len(result[side]) == 2
+        assert all(sorted(run) == sorted(rows) and run["cyclic:all"] > 0
+                   for run in result[side])
+    assert "reference speed" in proc.stdout.splitlines()[0]
 
 
 def test_point_cap_runs(tmp_path):

@@ -11,17 +11,18 @@ workload's warm-up jobs and one untimed pass, then --passes timed passes of
 the workload's jobs, and sums the CPU time (time.process_time) of each
 (scene kind, command) per pass, and likewise its minor page faults
 (ru_minflt of getrusage); a round's reading is the median over its
-passes.  The jobs come from this checkout's bench/workloads.py and run
-through the job runner of tools/parity.py; their exit codes and output
+passes.  As in bench/run.py, each job's CPU time is also scaled to the
+reference machine speed by the samples of bench/run.py's reference kernel
+(its Speed) taken within a second of the job, one at least every 0.1 s
+between jobs.  The jobs come from this checkout's bench/workloads.py and
+run through the job runner of tools/parity.py; their exit codes and output
 files are not checked (tools/parity.py and bench/check.py do that).
 
 Prints, per (scene kind, command) and per scene kind, the job count, each
-tree's median CPU over the rounds with the range of the rounds in brackets,
-the relative change of the medians, and each tree's median minor page
-faults; --json writes every reading, CPU in seconds and faults as counts,
-to PATH.  Unlike bench/run.py, the times are not scaled by a
-reference kernel: alternating the trees is what keeps drifts in machine
-speed off the comparison.
+tree's median scaled CPU over the rounds with the range of the rounds in
+brackets, the relative change of the medians, and each tree's median minor
+page faults; --json writes every reading, scaled and raw CPU in seconds and
+faults as counts, to PATH.
 """
 from __future__ import annotations
 
@@ -42,40 +43,59 @@ ALL = "all"
 
 
 def record(tree: str, workload: str, seed: int, passes: int) -> dict:
-    """{"kind:command": [CPU seconds of each timed pass]} and the same of
-    minor page faults for tree, all jobs in this interpreter, the per-kind
-    total under command ALL."""
+    """{"kind:command": [CPU seconds of each timed pass]}, raw and scaled to
+    the reference speed, and the same of minor page faults for tree, all
+    jobs in this interpreter, the per-kind total under command ALL."""
     cli = parity.load_tree(tree)
+    from run import Speed
     from workloads import make_workload
 
     w = make_workload(workload, seed)
-    readings, faults = collections.defaultdict(list), collections.defaultdict(list)
+    speed = Speed()
+    timed = []      # per timed pass, (keys, CPU seconds, wall start, wall end) per job
+    faults = collections.defaultdict(list)
     with tempfile.TemporaryDirectory(prefix="wlab-kind-cpu-") as work:
         configs = parity.write_configs(w, work)
         out = os.path.join(work, "out")
 
         def run_pass(batch) -> tuple:
-            cpu, minflt = collections.Counter(), collections.Counter()
+            jobs, minflt = [], collections.Counter()
             for job in batch:
-                f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time()
+                keys = (f"{job.scene.kind}:{job.command}", f"{job.scene.kind}:{ALL}")
+                f0, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+                t0 = time.process_time()
                 parity.run_job(cli, job, configs, out)
-                seconds = time.process_time() - t0
+                seconds, end = time.process_time() - t0, time.perf_counter()
                 flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
-                for key in (f"{job.scene.kind}:{job.command}", f"{job.scene.kind}:{ALL}"):
-                    cpu[key] += seconds
+                jobs.append((keys, seconds, start, end))
+                for key in keys:
                     minflt[key] += flt
-            return cpu, minflt
+                speed.catch_up()
+            return jobs, minflt
 
+        speed.sample(3)
         run_pass(w.warmup_jobs())
         run_pass(w.jobs)
         for _ in range(passes):
-            cpu, minflt = run_pass(w.jobs)
-            for key, seconds in cpu.items():
-                readings[key].append(seconds)
-                faults[key].append(minflt[key])
+            jobs, minflt = run_pass(w.jobs)
+            timed.append(jobs)
+            for key, flt in minflt.items():
+                faults[key].append(flt)
+        speed.sample(3)
+    raw, scaled = collections.defaultdict(list), collections.defaultdict(list)
+    for jobs in timed:
+        cpu, ref = collections.Counter(), collections.Counter()
+        for keys, seconds, start, end in jobs:
+            for key in keys:
+                cpu[key] += seconds
+                ref[key] += seconds * speed.scale(start, end)
+        for key in cpu:
+            raw[key].append(cpu[key])
+            scaled[key].append(ref[key])
     counts = collections.Counter(f"{job.scene.kind}:{job.command}" for job in w.jobs)
     counts.update(f"{job.scene.kind}:{ALL}" for job in w.jobs)
-    return {"jobs": dict(counts), "cpu_s": dict(readings), "minflt": dict(faults)}
+    return {"jobs": dict(counts), "cpu_s": dict(scaled), "raw_cpu_s": dict(raw),
+            "minflt": dict(faults)}
 
 
 def _run_tree(tree: str, args) -> dict:
@@ -107,18 +127,18 @@ def main(argv) -> int:
         return 0
     if len(args.trees) != 2 or min(args.rounds, args.passes) < 1:
         _parser().error("needs OLD_TREE NEW_TREE, --rounds >= 1 and --passes >= 1")
-    runs, faults = ([], []), ([], [])
+    runs, raw, faults = ([], []), ([], []), ([], [])
     for i in range(args.rounds):
         order = (0, 1) if i % 2 == 0 else (1, 0)
         for side in order:
             result = _run_tree(args.trees[side], args)
-            runs[side].append({key: statistics.median(v)
-                               for key, v in result["cpu_s"].items()})
-            faults[side].append({key: statistics.median(v)
-                                 for key, v in result["minflt"].items()})
+            for readings, field in ((runs, "cpu_s"), (raw, "raw_cpu_s"), (faults, "minflt")):
+                readings[side].append({key: statistics.median(v)
+                                       for key, v in result[field].items()})
             jobs = result["jobs"]
     print(f"kind_cpu: {args.workload} seed {args.seed}, {args.rounds} rounds of "
-          f"{args.passes} passes; CPU s per pass, old -> new; minor page faults per pass")
+          f"{args.passes} passes; CPU s per pass at the reference speed, old -> new;"
+          f" minor page faults per pass")
     # per-kind totals after each kind's commands
     for key in sorted(jobs, key=lambda k: (k.split(":")[0], k.endswith(":" + ALL), k)):
         old, new = ([r[key] for r in side] for side in runs)
@@ -132,6 +152,7 @@ def main(argv) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"workload": args.workload, "seed": args.seed, "jobs": jobs,
                        "old_runs": runs[0], "new_runs": runs[1],
+                       "old_raw_runs": raw[0], "new_raw_runs": raw[1],
                        "old_minflt": faults[0], "new_minflt": faults[1]}, fh, indent=1)
     return 0
 
