@@ -8,9 +8,13 @@ _VECTOR_MIN_CELLS numbers is one "%" block, or at the CSV width one per run
 of rows with one NaN pattern (an empty cell) and label, a literal in the
 block's template.  A larger one is built by numpy in NUL-padded byte slots,
 a number's token from one kernel at either width (_g_slots) or a label,
-a chunk at a time; one bytes.translate per chunk drops the NULs.  Both
-paths yield the same bytes, and the writer takes each chunk to the file as
-it comes: no text is held whole.
+a chunk at a time; one bytes.translate per chunk drops the NULs.  The
+kernel reads a number's sign and decimal exponent off the float's top 12
+bits and scales it to its mantissa in one multiply; a nonzero value it
+cannot place exactly (near a rounding tie, rounding up to the next power
+of ten, non-finite, or outside [1e-20, 1e21)) is formatted by "%".  Both
+paths yield the same bytes, and the writer takes each chunk to the file
+as it comes: no text is held whole.
 
 An OBJ's faces are built by numpy a run of whole grid rows at a time, at
 most _OBJ_CHUNK_LINES lines: each line's corners are row slices of the
@@ -37,9 +41,10 @@ from .errors import OutputError
 from .surface import ParamSurface, evaluate_jet, interior_grid
 
 # Cell count from which a float table is built with numpy, OBJ and CSV alike:
-# OBJ sections tie at 16 x 16 (768 numbers), "%" wins below and numpy above;
-# 9-column analyze CSVs tie between 1,152 and 2,304 cells, numpy 10% slower at
-# 1,152 (BENCH_text_writer.json; tools/text_sweep.py --format obj|csv).
+# OBJ sections tie between 12 x 12 (432 numbers) and 16 x 16 (768), numpy 3.5%
+# faster at 768; 9-column analyze CSVs tie between 576 and 1,152 cells, numpy
+# 18% faster at 1,152 (BENCH_float_kernel.json; tools/text_sweep.py --format
+# obj|csv).
 _VECTOR_MIN_CELLS = 768
 _OBJ_CHUNK_LINES = 2048     # lines per OBJ chunk of the vector path
 _CSV_CHUNK_CELLS = 2048     # cells per CSV chunk of the vector path
@@ -101,35 +106,52 @@ def surface_mesh(surface: ParamSurface, nu: int, nv: int):
 
 @functools.cache
 def _digit_tables():
-    """(padded, trailing) over the four-digit groups g = 0..9999: the ASCII
-    digits of g zero-padded ("0042") as the little-endian uint32 of the four
-    bytes, and their trailing zeros (4 for g = 0)."""
+    """(padded, wide, trailing) over the four-digit groups g = 0..9999: the
+    ASCII digits of g zero-padded ("0042") as the little-endian uint32 of
+    the four bytes, the same bytes as a uint64, and their trailing zeros as
+    int8 (4 for g = 0)."""
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     padded = np.stack(np.meshgrid(digit, digit, digit, digit, indexing="ij"), axis=-1)
     padded = padded.reshape(-1, 4).view("<u4").ravel()
-    trailing = np.zeros(10 ** 4, dtype=np.intp)
+    trailing = np.zeros(10 ** 4, dtype=np.int8)
     for step in (10, 100, 1000, 10000):
         trailing[::step] += 1
-    for table in (padded, trailing):
+    tables = (padded, padded.astype(_LE64), trailing)
+    for table in tables:
         table.flags.writeable = False
-    return padded, trailing
+    return tables
 
 
 @functools.cache
 def _g_layouts(digits: int):
-    """Tables of _g_slots at "%.<digits>g": lit, run_a and run_b, each a
-    tuple of one uint64 array per slot word, and offset, per code (sign,
-    exponent e, digits kept n) plus "0" and "-0" last; up and down per e.
-    A slot is 8 bytes per word, enough for the longest token
-    ("-4.94065646e-324" at 9 digits, 16 bytes; 19 of 24 at 12).  A code's
-    layout is its literal bytes (lit) OR the mantissa digits shifted offset
-    bytes to the right and masked by run a (the digits before the decimal
-    point) OR shifted offset + 1 bytes and masked by run b (the digits after
-    it).  Each layout is read off one "%" block of the values whose kept
-    digits are a prefix of 123456789123, so the i-th digit 1-9 before any
-    'e' is mantissa digit i.  |x| * up[e] / down[e] takes |x| in
-    [10**e, 10**(e+1)) to [10**(digits-1), 10**digits); both are exact
-    powers of ten except up[e] for e < digits - 23."""
+    """Tables of _g_slots at "%.<digits>g".
+
+    Per code (sign, exponent e, digits kept n): lit, run_a and run_b, each
+    a tuple of one uint64 array per slot word, and offset.  A slot is 8
+    bytes per word, enough for the longest token ("-4.94065646e-324" at 9
+    digits, 16 bytes; 19 of 24 at 12).  A code's layout is its literal
+    bytes (lit) OR the mantissa's ASCII digits shifted left by offset bits
+    (8 per byte before the first digit) and masked by run a (the digits
+    before the decimal point) OR shifted by offset + 8 bits and masked by
+    run b (the digits after it).  Each layout is read off one "%" block of
+    the values whose kept digits are a prefix of 123456789123, so the i-th
+    digit 1-9 before any 'e' is mantissa digit i.  zero holds the slots of
+    "0" and "-0".
+
+    Per index j = sign * (2 _EXP + 3) + e + _EXP + 1, e = -_EXP-1.._EXP+1:
+    scale, 10**(digits-1-e), negated for sign 1 and NaN for |e| > _EXP,
+    which takes x in +-[10**e, 10**(e+1)) to [10**(digits-1), 10**digits)
+    in one multiply, and base, the code of (sign, e, digits) (a valid but
+    unused code for |e| > _EXP).
+
+    Per top 12 bits of a float, its sign and biased exponent b: start, the
+    j of the exponent e = floor((b - 1023) log10 2) of 2**(b - 1023), and
+    bound, the bits of 10**(e+1) with that sign as int64.  The binade
+    holds exponents e and e + 1 only (2**(b - 1022) < 10**(e + 2)), and
+    its values whose bits reach bound have e + 1.  The patterns of zero,
+    subnormals, infinities and NaN, and those whose e is outside
+    -_EXP-1.._EXP, get the j of e = -_EXP-1, whose scale is NaN, and a
+    bound that only the NaN 0x7FF...F reaches, whose product stays NaN."""
     width = 8 * -(-(digits + 7) // 8)
     kept = np.arange(1, digits + 1)
     stencil = 123456789123 // 10 ** (12 - digits)
@@ -137,17 +159,30 @@ def _g_layouts(digits: int):
     text = (("%%.%dg\n" % digits) * values.size) % tuple(values.ravel().tolist())
     text += "-" + text[:-1].replace("\n", "\n-") + "\n0\n-0\n"    # the negatives, then zeros
     layout = np.array(text.encode().split(), dtype="S%d" % width).view(np.uint8).reshape(-1, width)
+    layout, zero = layout[:-2], layout[-2:]
     mantissa = np.cumsum(layout == ord("e"), axis=1, dtype=np.int8) == 0
     digit = mantissa & (layout >= ord("1")) & (layout <= ord("9"))
     shift = np.arange(width, dtype=np.int8) - np.cumsum(digit, axis=1, dtype=np.int8) + 1
-    offset = digit.argmax(axis=1)[:, None]      # the first digit's shift; 0 for "0" and "-0"
+    offset = digit.argmax(axis=1)[:, None]      # the first digit's byte
     words = lambda table: tuple(table.view(_LE64).T.copy())
+    e = np.arange(-_EXP - 1, _EXP + 2)
+    inside = np.abs(e) <= _EXP
+    scale = np.array([float("1e%d" % (digits - 1 - k)) if abs(k) <= _EXP else math.nan for k in e])
+    base = np.where(inside, (e + _EXP + 1) * digits - 1, digits - 1)
+    pattern = np.arange(4096)
+    sign, b = pattern >> 11, pattern & 2047
+    e0 = np.floor((b - 1023) * math.log10(2.0)).astype(np.intp)
+    normal = (b > 0) & (b < 2047) & (e0 >= -_EXP - 1) & (e0 <= _EXP)
+    j = np.where(normal, e0 + _EXP + 1, 0)
+    powers = np.array([float("1e%d" % (k + 1)) for k in e]).view(np.int64)
     tables = (words(np.where(digit, 0, layout)),
               words((digit & (shift == offset)) * np.uint8(0xFF)),
               words((digit & (shift == offset + 1)) * np.uint8(0xFF)),
-              (8 * offset.ravel()).astype(np.uint64),
-              np.array([float("1e%d" % max(digits - 1 - e, 0)) for e in range(-_EXP, _EXP + 1)]),
-              np.array([float("1e%d" % max(e - digits + 1, 0)) for e in range(-_EXP, _EXP + 1)]))
+              (8 * offset.ravel()).astype(_LE64), zero.copy(),
+              np.concatenate([scale, -scale]),
+              np.concatenate([base, base + inside * (2 * _EXP + 1) * digits]),
+              j + sign * len(e),
+              np.where(normal, powers[j] | sign << 63, np.iinfo(np.int64).max))
     for table in (*tables[0], *tables[1], *tables[2], *tables[3:]):
         table.flags.writeable = False
     return tables
@@ -156,62 +191,108 @@ def _g_layouts(digits: int):
 def _g_slots(x: np.ndarray, digits: int) -> np.ndarray:
     """(len(x), slot width) uint8: "%.<digits>g" % x[i], NUL-padded on the
     right, for a 1-D float array and digits 9 or 12; at 12 digits, the CSV
-    width, NaN is an empty slot (an empty cell).  Per value: the decimal
-    exponent e from log10, |x| scaled to [10**(digits-1), 10**digits) and
-    rounded to the mantissa M, exact in int64, whose ASCII digits come from
-    _digit_tables as two 4-digit groups and a tail of digits - 8, and the
-    token layout of (sign, e, digits kept) from _g_layouts.  Non-finite
-    values, |e| > _EXP, and mantissas within 10**(digits-15) of a rounding
-    tie (the scaling errs by at most about 2.3 * 10**(digits-16), 2.3e-4 on
-    [1e11, 1e12)) or outside [10**(digits-1), 10**digits] (a log10 off by
-    one) are formatted by "%" one by one."""
-    lit, run_a, run_b, offset, up, down = _g_layouts(digits)
-    padded, trailing = _digit_tables()
+    width, NaN is an empty slot (an empty cell).
+
+    Per value: sign and decimal exponent e from the float's top 12 bits
+    (one table lookup and one compare, _g_layouts); s = x * scale[e] in
+    [10**(digits-1), 10**digits), rounded to the mantissa M; M's ASCII
+    digits as two 4-digit groups and a tail of digits - 8 (int64 floor
+    divisions by constants); the digits kept, M's less its trailing zeros,
+    counted from the tail group and, only where that is all zeros, from
+    the other two; and the token layout of (sign, e, digits kept).
+    scale[e] and the product are each correctly rounded, so s errs by at
+    most about 2**-52 relative: 2.2e-7 on [1e8, 1e9) and 2.2e-4 on [1e11,
+    1e12), below the tie margin 10**(digits-15).  One check, |s - M| < 0.5
+    - 10**(digits-15) with M clamped to [10**(digits-1), 10**digits - 1],
+    fails a value within that margin of a rounding tie, one whose M rounds
+    up to 10**digits (a carry into the next exponent), and zero,
+    subnormals, non-finite values and |e| > _EXP, whose scale is NaN; zeros
+    take their slot from _g_layouts, the others are formatted by "%" one
+    by one."""
+    lit, run_a, run_b, offset, zero, scale, base, start, bound = _g_layouts(digits)
+    _, wide, trailing = _digit_tables()
     low, tail = 10.0 ** (digits - 1), digits - 8
     x = np.asarray(x, dtype=float)
-    a = np.abs(x)
-    zero = a == 0.0
-    regular = np.isfinite(a) & ~zero
-    a = np.where(regular, a, 1.0)
-    e = np.floor(np.log10(a))
-    regular &= np.abs(e) <= _EXP
-    e = np.clip(e, -_EXP, _EXP).astype(np.intp) + _EXP
-    s = a * up[e] / down[e]
+    # Each temporary goes as soon as it is used: a call on 6,144 values peaks
+    # at 0.56 MB (0.91 MB keeping them), and in a 96 x 96 export job the
+    # calls take no fresh pages.
+    top = (x.view(_LE64) >> np.uint64(52)).view(np.intp)
+    i = start.take(top)
+    i += x.view(np.int64) >= bound.take(top)
+    del top
+    s = scale.take(i)
+    with np.errstate(invalid="ignore"):     # a signalling NaN
+        s *= x
     r = np.rint(s)
-    regular &= (np.abs(s - r) < 0.5 - 10.0 ** (digits - 15)) & (r >= low) & (r <= 10 * low)
-    carry = r == 10 * low
-    r[carry] = low
-    e += carry
-    regular &= e <= 2 * _EXP
-    head, last = np.divmod(np.where(regular, r, low).astype(np.intp), 10 ** tail)
-    top, mid = np.divmod(head, 10 ** 4)
-    lo = padded[top].astype(_LE64) | (padded[mid].astype(_LE64) << 32)
+    np.fmax(r, low, out=r)      # NaN becomes low: M is always in range
+    np.fmin(r, 10 * low - 1, out=r)
+    s -= r
+    ok = np.abs(s, out=s) < 0.5 - 10.0 ** (digits - 15)
+    del s
+    m = r.astype(np.intp)
+    del r
+    head = m // 10 ** tail
+    last = head * -10 ** tail
+    last += m
+    top = m // 10 ** (tail + 4)
+    del m
+    mid = top * -10 ** 4
+    mid += head
+    del head
+    w0 = wide.take(mid)
+    w0 <<= np.uint64(32)
+    w0 |= wide.take(top)
+    code = base.take(i)
+    del i
     end = last == 0
     if tail == 1:       # one ASCII digit; a table lookup here cost the 9-digit kernel 5%
-        words, tail_zeros = (lo, (last + ord("0")).astype(_LE64)), end
+        code -= end
+        last += ord("0")
+        w1 = last.view(_LE64)
     else:
-        words, tail_zeros = (lo, padded[last].astype(_LE64)), trailing[last]
-    kept = digits - tail_zeros - end * (trailing[mid] + (mid == 0) * trailing[top])
-    sign = np.signbit(x)
-    code = np.where(zero, len(offset) - 2 + sign,
-                    (sign * (2 * _EXP + 1) + np.minimum(e, 2 * _EXP)) * digits + kept - 1)
-    bits = offset[code]
+        code -= trailing.take(last)
+        w1 = wide.take(last)
+    del last
+    end = end.nonzero()[0]
+    if end.size:
+        t, mm = top.take(end), mid.take(end)
+        code[end] -= trailing.take(mm) + (mm == 0) * trailing.take(t)
+    del top, mid
+    bits = offset.take(code)
+    back = np.uint64(64) - bits     # w >> back is what w << bits spills; 0 for bits = 0
     slots = np.empty((len(x), len(lit)), dtype=_LE64)
-    for k in range(len(lit)):   # a third word holds only what the second spills
-        shifted_a, shifted_b = (words[k] << bits, words[k] << bits + 8) if k < 2 else (0, 0)
+    a = None
+    for k in range(len(lit)):   # run b of each word is run a one byte further on
+        prev = a
+        a = (w0, w1)[k] << bits if k < 2 else w1 >> back
+        if k == 1:
+            a |= w0 >> back
+        b = a << np.uint64(8)
         if k:
-            spill = words[k - 1] >> 1   # w >> (64 - bits) is spill >> (63 - bits), also for bits = 0
-            shifted_a = shifted_a | spill >> 63 - bits
-            shifted_b = shifted_b | spill >> 55 - bits
-        slots[:, k] = lit[k][code] | shifted_a & run_a[k][code] | shifted_b & run_b[k][code]
+            b |= prev >> np.uint64(56)
+        b &= run_b[k].take(code)
+        b |= lit[k].take(code)
+        np.bitwise_and(a, run_a[k].take(code), out=slots[:, k])
+        slots[:, k] |= b
     slots = slots.view(np.uint8)
-    odd = np.flatnonzero(~(regular | zero))
+    odd = (~ok).nonzero()[0]
     if odd.size:
-        spec = "%%.%dg" % digits
-        tokens = [b"" if v != v and digits == _CSV_DIGITS else (spec % v).encode()
-                  for v in x[odd].tolist()]
-        slots[odd] = np.array(tokens, dtype="S%d" % slots.shape[1]).view(np.uint8).reshape(len(odd), -1)
+        v = x.take(odd)
+        zeros = v == 0.0
+        slots[odd[zeros]] = zero[np.signbit(v[zeros]).astype(np.intp)]
+        odd, v = odd[~zeros], v[~zeros]
+    if odd.size:
+        slots[odd] = _percent_slots(v, digits, slots.shape[1])
     return slots
+
+
+def _percent_slots(values: np.ndarray, digits: int, width: int) -> np.ndarray:
+    """The slots of _g_slots for the values its kernel cannot place, each
+    formatted by "%" (NaN an empty slot at the CSV width)."""
+    spec = "%%.%dg" % digits
+    tokens = [b"" if y != y and digits == _CSV_DIGITS else (spec % y).encode()
+              for y in values.tolist()]
+    return np.array(tokens, dtype="S%d" % width).view(np.uint8).reshape(len(tokens), width)
 
 
 def _face_tokens(k: np.ndarray, w: int) -> np.ndarray:
@@ -219,7 +300,7 @@ def _face_tokens(k: np.ndarray, w: int) -> np.ndarray:
     C order, as void items of 2 w + 2 bytes in k's shape.  The w digits come
     from _digit_tables, one gather per four-digit group, NUL-padded on the
     left: the leading digits of k < 10, k < 100, ... are zeroed by slices."""
-    padded, _ = _digit_tables()
+    padded = _digit_tables()[0]
     high, groups = k.ravel(), -(-w // 4)
     quads = np.empty((high.size, groups), dtype="<u4")
     for g in range(groups - 1, -1, -1):

@@ -167,17 +167,61 @@ def test_near_ties_at_12_digits(d, k, ulps):
     assert_g([x, -x], 12)
 
 
+def exponent_off_by(monkeypatch, error):
+    """_g_slots with every decimal exponent read off the top 12 bits one
+    too high (error 1) or too low (-1), before the compare with the next
+    power of ten; the index stays inside its sign's block."""
+    real, block = meshio._g_layouts, 2 * meshio._EXP + 3
+
+    def layouts(digits):
+        tables = list(real(digits))
+        start = tables[7]
+        tables[7] = start - start % block + np.clip(start % block + int(error), 0, block - 2)
+        return tuple(tables)
+    monkeypatch.setattr(meshio, "_g_layouts", layouts)
+
+
 @pytest.mark.parametrize("error", [-1.0, 1.0])
 @pytest.mark.parametrize("digits", DIGITS)
 def test_exponent_off_by_one_at_both_widths(monkeypatch, digits, error):
-    """A log10 one too high or too low leaves the mantissa outside
-    [10**(digits-1), 10**digits]; those values fall back to "%", except an
-    exact 10**digits, which carries."""
-    log10 = np.log10
-    monkeypatch.setattr(meshio.np, "log10", lambda a: log10(a) + error)
+    """An exponent one too high or too low leaves the scaled value outside
+    [10**(digits-1) - 0.5, 10**digits - 0.5); those values fall back to
+    "%", except one whose mantissa rounds up to 10**digits, which one
+    exponent too high writes as the same token."""
+    exponent_off_by(monkeypatch, error)
     rng = np.random.default_rng(4)
     values = (rng.normal(size=300) * 10.0 ** rng.integers(-19, 19, size=300)).tolist()
     assert_g(values + [1.0, 1e5, 0.1, 10 ** digits - 0.3, math.nan, 0.0], digits)
+
+
+@pytest.mark.parametrize("digits, most", [(9, 1), (12, 60)])
+def test_regular_values_stay_in_the_kernel(monkeypatch, digits, most):
+    """Nonzero finite values of either sign in [1e-20, 1e21) leave the
+    numpy kernel for "%" only within 10**(digits-15) of a rounding tie:
+    2e-6 of random values at 9 digits, 2e-3 at 12 (20 expected in 10,000).
+    A wrong table still writes the same bytes through "%", so this is the
+    test that sees it."""
+    real, fallen = meshio._percent_slots, []
+
+    def percent_slots(values, digits, width):
+        fallen.extend(values.tolist())
+        return real(values, digits, width)
+    monkeypatch.setattr(meshio, "_percent_slots", percent_slots)
+    rng = np.random.default_rng(11)
+    values = rng.uniform(1, 10, size=10000) * 10.0 ** rng.integers(-20, 21, size=10000)
+    values *= rng.choice([-1.0, 1.0], size=10000)
+    assert_g(values.tolist(), digits)
+    assert len(fallen) <= most, fallen[:5]
+
+
+def test_every_sign_and_exponent_pattern():
+    """+-2**(b - 1023) and its neighbours an ulp either way, for every
+    biased exponent b = 1..2046 of a normal float: each top-12-bit pattern
+    and each binade's edges, at both widths."""
+    powers = [math.ldexp(1.0, b - 1023) for b in range(1, 2047)]
+    values = signed([y for x in powers for y in with_ulps(x)])
+    for digits in DIGITS:
+        assert_g(values, digits)
 
 
 def _random_mesh(rng, count):
@@ -229,11 +273,9 @@ def test_paths_agree_across_chunks_and_digit_groups(monkeypatch):
 
 @pytest.mark.parametrize("error", [-1.0, 1.0])
 def test_exponent_off_by_one_still_g9(monkeypatch, error):
-    """A log10 one too high or too low leaves the mantissa outside
-    [10**8, 10**9]; those values fall back to "%", except an exact 10**9,
-    which carries."""
-    log10 = np.log10
-    monkeypatch.setattr(meshio.np, "log10", lambda a: log10(a) + error)
+    """An exponent one too high or too low falls back to "%", except the
+    carry of 999999999.7 into "1e+09"."""
+    exponent_off_by(monkeypatch, error)
     rng = np.random.default_rng(3)
     assert_g9((rng.normal(size=200) * 10.0 ** rng.integers(-15, 15, size=200)).tolist()
               + [1.0, 1e5, 0.1, 999999999.7])

@@ -105,6 +105,18 @@ def test_csv_text_sweep_runs():
             assert size[path]["minflt"] >= 0
 
 
+def test_kernel_text_sweep_runs():
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "text_sweep.py"),
+                           "--format", "kernel", "--reps", "2", "--counts", "64,300"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["kernel"]
+    assert sorted(result) == ["12x300", "12x64", "9x300", "9x64"]
+    for call in result.values():
+        assert call["q1_ms"] <= call["median_ms"] <= call["q3_ms"]
+        assert call["minflt"] >= 0 and call["peak_kb"] > 0
+
+
 def test_parity_csv_moves_per_column():
     """The largest absolute move of each numeric column that moved, and
     that move over the column's largest finite magnitude in either text,
@@ -251,11 +263,11 @@ def test_bench_tracer_installs_on_wlab(tmp_path):
     """bench/tracing.py's Tracer, installed on wlab in a fresh interpreter,
     runs all five commands on a small riemann-type and a small cyclic scene
     through cli.main: every job exits 0, every cli.cmd_* is rebound to a
-    span wrapper, and the spans of each job, of cli.cmd_export when
-    cmd_generate calls it through the module, of scene.build_scene and of
-    surface.evaluate_jet are recorded.  cli.main dispatches through its own
-    table of the unwrapped commands, so a command called by main records no
-    cli.cmd_* span.  Nothing calls the rebound solve_ivp names."""
+    span wrapper, and the spans of each job, of each cli.cmd_* (cli.main
+    looks the command up on the module when it runs it, so it calls the
+    wrapper; cmd_export also runs inside cmd_generate), of
+    scene.build_scene and of surface.evaluate_jet are recorded.  Nothing
+    calls the rebound solve_ivp names."""
     scenes = [
         {"kind": "riemann-type", "name": "rt", "grid": [6, 7], "relation": [0.5, 0.0],
          "params": {"a": "u + 0.1 * sin(u)", "b": "0.3 * u", "r": "1 + 0.1 * sin(u)",
@@ -279,6 +291,8 @@ def test_bench_tracer_installs_on_wlab(tmp_path):
     calls = result["calls"]
     for name in ("cli.generate", "cli.analyze", "cli.fit", "cli.harmonics", "cli.export"):
         assert calls[name] == 2, name
-    assert calls["cli.cmd_export"] == 2     # from cmd_generate, on each scene
+    for name in ("generate", "analyze", "fit", "harmonics"):
+        assert calls["cli.cmd_" + name] == 2, name
+    assert calls["cli.cmd_export"] == 4     # the export jobs, and inside each generate
     assert calls["scene.build_scene"] == 10 and calls["surface.evaluate_jet"] >= 10
     assert calls["generators.solve_ivp"] == calls["cyclic.solve_ivp"] == 0

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Time both paths of meshio's float-table writer, OBJ per grid size or CSV per row count.
+"""Time meshio's float-table writer: both paths per OBJ grid size or CSV row count, or the kernel alone.
 
     python3 tools/text_sweep.py --format obj [--reps 30]
         [--sizes 8,12,16,24,32,48,64,96,128]
     python3 tools/text_sweep.py --format csv [--reps 30] [--seed 5]
         [--rows 36,64,128,256,512,1024,4096]
+    python3 tools/text_sweep.py --format kernel [--reps 30] [--counts 2048,6144]
 
 One constant, meshio._VECTOR_MIN_CELLS, sends a float table of that many
 cells or more to numpy and a smaller one to "%" blocks, for OBJ sections
@@ -33,6 +34,18 @@ and float array each job hands to write_csv (9 columns) are written.  Each
 row count also gives its cell count, and each path the median minor page
 faults per call (ru_minflt of getrusage) and the tracemalloc peak of a call
 on the first scene's table in MB.
+
+kernel: meshio._g_slots alone, the kernel that writes the numbers of the
+numpy path, at 9 digits (OBJ) and 12 (CSV) on each count of --counts
+values: the first numbers of the "v" and "vn" sections of the 96 x 96
+sphere, cylinder, torus and catenoid meshes, in turn.  It is first
+checked to give "%" tokens, then timed --reps rounds of the four meshes.
+Prints, per width and count, the median and quartiles of one call's CPU
+in ms, the median minor page faults per call and the tracemalloc peak of
+one call in KB.  The CPU swings with the machine from one process to the
+next, and a fresh loop like this one can take fresh pages where a job
+does not (a job's heap stays grown between calls): to compare two trees,
+time both kernels in one interpreter, or their jobs.
 """
 from __future__ import annotations
 
@@ -166,17 +179,48 @@ def csv_sweep(args, tmp: str) -> dict:
     return {"crossover": result}
 
 
+def kernel_sweep(args, tmp: str) -> dict:
+    numbers = [np.concatenate([a.ravel() for a in meshio.surface_mesh(gen_fixture(kind, **params), 96, 96)])
+               for kind, params in FIXTURES]
+    result = {}
+    for digits in (meshio._OBJ_DIGITS, meshio._CSV_DIGITS):
+        spec = "%%.%dg" % digits
+        for count in (int(c) for c in args.counts.split(",")):
+            inputs = [np.ascontiguousarray(x[:count]) for x in numbers]
+            for x in inputs:
+                tokens = [bytes(row).rstrip(b"\0").decode() for row in meshio._g_slots(x, digits)]
+                if tokens != [spec % v for v in x.tolist()]:
+                    sys.exit(f"text_sweep: _g_slots differs from {spec!r} on {count} values")
+            times, faults = [], []
+            for _ in range(args.reps):
+                for x in inputs:
+                    flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                    start = time.process_time()
+                    meshio._g_slots(x, digits)
+                    times.append(time.process_time() - start)
+                    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt)
+            tracemalloc.start()
+            meshio._g_slots(inputs[0], digits)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            result[f"{digits}x{count}"] = {**_quartiles(times), "minflt": float(np.median(faults)),
+                                           "peak_kb": round(peak / 1e3, 1)}
+    return {"kernel": result}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--format", choices=("obj", "csv"), required=True)
+    parser.add_argument("--format", choices=("obj", "csv", "kernel"), required=True)
     parser.add_argument("--reps", type=int, default=30)
     parser.add_argument("--sizes", default="8,12,16,24,32,48,64,96,128",
                         help="obj: grid sizes n of the n x n meshes")
     parser.add_argument("--seed", type=int, default=5, help="csv: fine-grid workload seed")
     parser.add_argument("--rows", default="36,64,128,256,512,1024,4096",
                         help="csv: row counts of the analyze tables")
+    parser.add_argument("--counts", default="2048,6144",
+                        help="kernel: numbers per _g_slots call (at most 55,296)")
     args = parser.parse_args()
-    sweeper = obj_sweep if args.format == "obj" else csv_sweep
+    sweeper = {"obj": obj_sweep, "csv": csv_sweep, "kernel": kernel_sweep}[args.format]
     with tempfile.TemporaryDirectory() as tmp:
         print(json.dumps(sweeper(args, tmp), indent=1))
 
